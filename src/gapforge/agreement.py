@@ -15,7 +15,7 @@ from functools import cached_property
 from .budget import check, effective
 from .formula import clause_value, max_occurrence
 from .labelcover import build_main_reduction
-from .setsys import Estimate, SetSystem, is_uniform, masks
+from .setsys import Estimate, SetSystem, bitmask, is_uniform, masks
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,11 @@ class LocalFunction:
 
     @cached_property
     def domain_mask(self):
-        m = 0
-        for e in self.elements:
-            m |= 1 << e
-        return m
+        return bitmask(self.elements)
 
     @cached_property
     def ones_mask(self):
-        m = 0
-        for e, v in zip(self.elements, self.values):
-            if v:
-                m |= 1 << e
-        return m
+        return bitmask(e for e, v in zip(self.elements, self.values) if v)
 
 
 def disagr(f1, f2):
@@ -58,9 +51,7 @@ def disagr(f1, f2):
 
 def disagr_within(f1, f2, elements):
     """Disagreement count restricted to a further element set."""
-    m = 0
-    for e in elements:
-        m |= 1 << e
+    m = bitmask(elements)
     return ((f1.ones_mask ^ f2.ones_mask) & f1.domain_mask & f2.domain_mask & m).bit_count()
 
 
@@ -102,14 +93,8 @@ class FunctionCollection:
 
     @cached_property
     def ones_masks(self):
-        out = []
-        for s, vals in zip(self.system.sets, self.values):
-            m = 0
-            for e, v in zip(s, vals):
-                if v:
-                    m |= 1 << e
-            out.append(m)
-        return tuple(out)
+        return tuple(bitmask(e for e, v in zip(s, vals) if v)
+                     for s, vals in zip(self.system.sets, self.values))
 
     def function(self, i):
         return LocalFunction(self.system.sets[i], self.values[i])
@@ -357,10 +342,7 @@ def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
             cover[e] += 1
             ones[e] += v
     g = tuple(1 if 2 * ones[x] > cover[x] else 0 for x in range(n))
-    g_ones = 0
-    for x in range(n):
-        if g[x]:
-            g_ones |= 1 << x
+    g_ones = bitmask(x for x in range(n) if g[x])
     total = 0
     for i in members:
         total += ((g_ones ^ collection.ones_masks[i]) & collection.domain_masks[i]).bit_count()

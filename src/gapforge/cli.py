@@ -29,11 +29,12 @@ from .downstream import (PartitionSystem, abss_cvp_reduction,
                          parse_coverage, parse_lattice)
 from .formula import (max_occurrence, parse_dimacs, random_planted_formula)
 from .setsys import (SetSystem, dnf_bound_holds, dnf_false_prob,
-                     MonotoneDnf, pairwise_intersection_max,
-                     sample_random_subsets, setsys_to_text)
+                     MonotoneDnf, pairwise_intersection_max, parse_dnf,
+                     parse_setsys, sample_random_subsets)
 from .solvers import (exact_cvp, exact_kmean, exact_kmedian,
                       exact_max_coverage, exact_min_set_cover, exact_ncp,
                       greedy_max_coverage, verify_unique_cover)
+from .textformat import LAYOUTS
 
 
 def _jsonable(obj):
@@ -79,60 +80,84 @@ def _write_provenance(output, argv, seed, params, input_text):
            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# Shapes of instances, shared by `reduce` summaries and `info` documents.
+def _game_shape(g):
+    return {"num_left": g.num_left, "num_right": g.num_right, "num_edges": g.num_edges}
+
+
+def _cov_shape(c):
+    return {"universe": c.universe_size, "sets": len(c.sets), "k": c.k}
+
+
+def _clustering_shape(c):
+    return {"clients": c.num_clients, "facilities": c.num_facilities, "k": c.k}
+
+
+def _matrix_shape(m):
+    return {"rows": len(m.rows), "cols": m.num_cols, "k": m.k}
+
+
+def _reduce_labelcover(text, args):
+    formula = parse_dimacs(text)
+    subsets = sample_random_subsets(formula.num_clauses, args.k,
+                                    Fraction(args.p), args.seed)
+    instance = lc.build_main_reduction(formula, subsets, args.t,
+                                       var_budget=args.var_budget,
+                                       budget=args.budget,
+                                       allow_vacuous=args.allow_vacuous)
+    params = {"k": args.k, "t": args.t, "p": str(Fraction(args.p)),
+              "var_budget": args.var_budget,
+              "subsets": [list(s) for s in subsets.sets]}
+    return lc.to_json(instance), params, _game_shape(instance)
+
+
+def _reduce_alphabet(text, args):
+    g = lc.reduce_alphabet(lc.from_json(text), Fraction(args.delta))
+    right_alphabet = len(g.right_alphabets[0]) if g.num_right else 0
+    return (lc.to_json(g), {"delta": str(Fraction(args.delta))},
+            {**_game_shape(g), "right_alphabet": right_alphabet})
+
+
+def _reduce_coverage(text, args):
+    cov = feige_coverage_reduction(lc.from_json(text), budget=args.budget)
+    return coverage_to_text(cov), {}, _cov_shape(cov)
+
+
+def _reduce_clustering(text, args):
+    inst = guha_khuller_reduction(parse_coverage(text), exponent=args.exponent)
+    return clustering_to_text(inst), {"exponent": args.exponent}, _clustering_shape(inst)
+
+
+def _reduce_ncp(text, args):
+    inst = abss_ncp_reduction(parse_coverage(text), args.tbar, args.multiplicity,
+                              budget=args.budget)
+    params = {"tbar": args.tbar, "multiplicity": args.multiplicity}
+    return code_to_text(inst), params, _matrix_shape(inst)
+
+
+def _reduce_cvp(text, args):
+    inst = abss_cvp_reduction(parse_coverage(text), args.tbar, args.multiplicity,
+                              p=args.p_norm, budget=args.budget)
+    params = {"tbar": args.tbar, "multiplicity": args.multiplicity, "p": args.p_norm}
+    return lattice_to_text(inst), params, {**_matrix_shape(inst), "p": inst.p}
+
+
+# stage -> (input text, args) -> (output text, params, summary)
+_STAGES = {
+    "labelcover": _reduce_labelcover,
+    "alphabet": _reduce_alphabet,
+    "coverage": _reduce_coverage,
+    "unique-cover": _reduce_coverage,
+    "clustering": _reduce_clustering,
+    "ncp": _reduce_ncp,
+    "cvp": _reduce_cvp,
+}
+
+
 def _cmd_reduce(args, argv):
     start = time.perf_counter()
     text = _read(args.input)
-    params = {}
-    if args.stage == "labelcover":
-        formula = parse_dimacs(text)
-        subsets = sample_random_subsets(formula.num_clauses, args.k,
-                                        Fraction(args.p), args.seed)
-        instance = lc.build_main_reduction(formula, subsets, args.t,
-                                           var_budget=args.var_budget,
-                                           budget=args.budget,
-                                           allow_vacuous=args.allow_vacuous)
-        out_text = lc.to_json(instance)
-        params = {"k": args.k, "t": args.t, "p": str(Fraction(args.p)),
-                  "var_budget": args.var_budget,
-                  "subsets": [list(s) for s in subsets.sets]}
-        summary = {"num_left": instance.num_left,
-                   "num_right": instance.num_right,
-                   "num_edges": instance.num_edges}
-    elif args.stage == "alphabet":
-        instance = lc.reduce_alphabet(lc.from_json(text), Fraction(args.delta))
-        out_text = lc.to_json(instance)
-        params = {"delta": str(Fraction(args.delta))}
-        summary = {"num_left": instance.num_left,
-                   "num_right": instance.num_right,
-                   "num_edges": instance.num_edges,
-                   "right_alphabet": len(instance.right_alphabets[0]) if instance.num_right else 0}
-    elif args.stage in ("coverage", "unique-cover"):
-        cov = feige_coverage_reduction(lc.from_json(text), budget=args.budget)
-        out_text = coverage_to_text(cov)
-        summary = {"universe": cov.universe_size, "sets": len(cov.sets), "k": cov.k}
-    elif args.stage == "clustering":
-        inst = guha_khuller_reduction(parse_coverage(text), exponent=args.exponent)
-        out_text = clustering_to_text(inst)
-        params = {"exponent": args.exponent}
-        summary = {"clients": inst.num_clients, "facilities": inst.num_facilities,
-                   "k": inst.k}
-    elif args.stage == "ncp":
-        inst = abss_ncp_reduction(parse_coverage(text), args.tbar,
-                                  args.multiplicity, budget=args.budget)
-        out_text = code_to_text(inst)
-        params = {"tbar": args.tbar, "multiplicity": args.multiplicity}
-        summary = {"rows": len(inst.rows), "cols": inst.num_cols, "k": inst.k}
-    elif args.stage == "cvp":
-        inst = abss_cvp_reduction(parse_coverage(text), args.tbar,
-                                  args.multiplicity, p=args.p_norm,
-                                  budget=args.budget)
-        out_text = lattice_to_text(inst)
-        params = {"tbar": args.tbar, "multiplicity": args.multiplicity,
-                  "p": args.p_norm}
-        summary = {"rows": len(inst.rows), "cols": inst.num_cols, "k": inst.k,
-                   "p": inst.p}
-    else:
-        raise ValueError(f"unknown stage {args.stage!r}")
+    out_text, params, summary = _STAGES[args.stage](text, args)
     _write(args.output, out_text)
     _write_provenance(args.output, argv, args.seed, params, text)
     _emit({"command": "reduce", "stage": args.stage, "input": args.input,
@@ -143,60 +168,56 @@ def _cmd_reduce(args, argv):
     return 0
 
 
-def _solver_doc(problem, args, result, extra=None):
-    doc = {"command": "solve", "problem": problem, "input": args.input,
-           "value": result.value, "witness": list(result.witness),
-           "enumerated": result.enumerated}
+def _result(result, **extra):
+    doc = {"value": result.value, "witness": list(result.witness),
+           "enumerated": result.enumerated, **extra}
     if result.note:
         doc["note"] = result.note
-    if extra:
-        doc.update(extra)
     return doc
+
+
+def _solve_labelcover(text, args):
+    instance = lc.from_json(text)
+    labeling, val = lc.brute_force_val(instance, budget=args.budget)
+    left, wval = lc.brute_force_wval(instance, budget=args.budget)
+    return {"val": val, "val_witness": [list(labeling[0]), list(labeling[1])],
+            "wval": wval, "wval_witness": list(left)}
+
+
+def _solve_max_coverage(text, args):
+    inst = parse_coverage(text)
+    if args.mode == "greedy":
+        return _result(greedy_max_coverage(inst), mode=args.mode)
+    return _result(exact_max_coverage(inst, budget=args.budget), mode=args.mode)
+
+
+def _solve_unique_cover(text, args):
+    inst = parse_coverage(text)
+    chosen = tuple(int(x) for x in args.choose.split(",")) if args.choose else ()
+    return {"chosen": list(chosen), "unique": verify_unique_cover(inst, chosen)}
+
+
+# problem -> (input text, args) -> the problem's fields of the solve document
+_PROBLEMS = {
+    "labelcover": _solve_labelcover,
+    "max-coverage": _solve_max_coverage,
+    "min-set-cover": lambda text, a: _result(
+        exact_min_set_cover(parse_coverage(text), budget=a.budget)),
+    "unique-cover": _solve_unique_cover,
+    "kmedian": lambda text, a: _result(exact_kmedian(parse_clustering(text), budget=a.budget)),
+    "kmean": lambda text, a: _result(exact_kmean(parse_clustering(text), budget=a.budget)),
+    "ncp": lambda text, a: _result(exact_ncp(parse_code(text), budget=a.budget)),
+    "cvp": lambda text, a: _result(
+        exact_cvp(parse_lattice(text), box=a.box, budget=a.budget)),
+}
 
 
 def _cmd_solve(args, argv):
     start = time.perf_counter()
-    text = _read(args.input)
-    problem = args.problem
-    if problem == "labelcover":
-        instance = lc.from_json(text)
-        labeling, val = lc.brute_force_val(instance, budget=args.budget)
-        left, wval = lc.brute_force_wval(instance, budget=args.budget)
-        doc = {"command": "solve", "problem": problem, "input": args.input,
-               "val": val, "val_witness": [list(labeling[0]), list(labeling[1])],
-               "wval": wval, "wval_witness": list(left)}
-    elif problem == "max-coverage":
-        inst = parse_coverage(text)
-        if args.mode == "greedy":
-            result = greedy_max_coverage(inst)
-        else:
-            result = exact_max_coverage(inst, budget=args.budget)
-        doc = _solver_doc(problem, args, result, {"mode": args.mode})
-    elif problem == "min-set-cover":
-        result = exact_min_set_cover(parse_coverage(text), budget=args.budget)
-        doc = _solver_doc(problem, args, result)
-    elif problem == "unique-cover":
-        inst = parse_coverage(text)
-        chosen = tuple(int(x) for x in args.choose.split(",")) if args.choose else ()
-        ok = verify_unique_cover(inst, chosen)
-        doc = {"command": "solve", "problem": problem, "input": args.input,
-               "chosen": list(chosen), "unique": ok}
-    elif problem == "kmedian":
-        result = exact_kmedian(parse_clustering(text), budget=args.budget)
-        doc = _solver_doc(problem, args, result)
-    elif problem == "kmean":
-        result = exact_kmean(parse_clustering(text), budget=args.budget)
-        doc = _solver_doc(problem, args, result)
-    elif problem == "ncp":
-        result = exact_ncp(parse_code(text), budget=args.budget)
-        doc = _solver_doc(problem, args, result)
-    elif problem == "cvp":
-        result = exact_cvp(parse_lattice(text), box=args.box, budget=args.budget)
-        doc = _solver_doc(problem, args, result)
-    else:
-        raise ValueError(f"unknown problem {problem!r}")
+    doc = _PROBLEMS[args.problem](_read(args.input), args)
+    doc.update(command="solve", problem=args.problem, input=args.input)
     _emit(doc)
-    _note(f"solve {problem}: done in {time.perf_counter() - start:.3f}s")
+    _note(f"solve {args.problem}: done in {time.perf_counter() - start:.3f}s")
     return 0
 
 
@@ -376,57 +397,48 @@ def _cmd_verify(args, argv):
     return 0 if status == "pass" else 1
 
 
-def _cmd_info(args, argv):
-    text = _read(args.input)
+# format -> (parse, describe); `info` reports describe(parse(text)). Entries
+# look each name up when they run, not at import, so a wrapper installed on
+# gapforge.cli (as the benchmark's tracer does) sees every call.
+_FORMATS = {
+    "labelcover": (lambda text: lc.from_json(text), lambda g: {
+        **_game_shape(g), "bi_regular": g.bi_regular, "right_degree": g.right_degree,
+        "projection": "restriction" if g.projections == lc.RESTRICTION else "tables",
+        "vacuous": g.vacuous}),
+    "dimacs": (lambda text: parse_dimacs(text), lambda f: {
+        "num_vars": f.num_vars, "num_clauses": f.num_clauses,
+        "max_occurrence": max_occurrence(f)}),
+    "setsys": (lambda text: parse_setsys(text), lambda s: {"universe": s.universe_size, "k": s.k}),
+    "dnf": (lambda text: parse_dnf(text),
+            lambda f: {"num_vars": f.num_vars, "size": f.size, "width": f.width}),
+    "cov": (lambda text: parse_coverage(text), _cov_shape),
+    "clustering": (lambda text: parse_clustering(text),
+                   lambda c: {**_clustering_shape(c), "exponent": c.exponent}),
+    "ncp": (lambda text: parse_code(text), _matrix_shape),
+    "cvp": (lambda text: parse_lattice(text), lambda c: {**_matrix_shape(c), "p": c.p}),
+}
+
+
+def _format_of(text):
+    """JSON is label cover, a text-format tag names itself, and a comment or
+    `p cnf` line starts DIMACS."""
     stripped = text.lstrip()
     head = stripped.split(None, 1)[0] if stripped else ""
     if stripped.startswith("{"):
-        instance = lc.from_json(text)
-        doc = {"format": "labelcover", "num_left": instance.num_left,
-               "num_right": instance.num_right,
-               "num_edges": instance.num_edges,
-               "projection": "restriction" if instance.projections == lc.RESTRICTION else "tables",
-               "bi_regular": instance.bi_regular,
-               "right_degree": instance.right_degree,
-               "vacuous": instance.vacuous}
-    elif head not in ("setsys", "dnf", "cov", "clustering", "ncp", "cvp") \
-            and stripped.startswith(("c", "p cnf", "%")):
-        formula = parse_dimacs(text)
-        doc = {"format": "dimacs", "num_vars": formula.num_vars,
-               "num_clauses": formula.num_clauses,
-               "max_occurrence": max_occurrence(formula)}
-    else:
-        if head == "setsys":
-            from .setsys import parse_setsys
-            system = parse_setsys(text)
-            doc = {"format": "setsys", "universe": system.universe_size,
-                   "k": system.k}
-        elif head == "dnf":
-            from .setsys import parse_dnf
-            f = parse_dnf(text)
-            doc = {"format": "dnf", "num_vars": f.num_vars, "size": f.size,
-                   "width": f.width}
-        elif head == "cov":
-            inst = parse_coverage(text)
-            doc = {"format": "cov", "universe": inst.universe_size,
-                   "sets": len(inst.sets), "k": inst.k}
-        elif head == "clustering":
-            inst = parse_clustering(text)
-            doc = {"format": "clustering", "clients": inst.num_clients,
-                   "facilities": inst.num_facilities, "k": inst.k,
-                   "exponent": inst.exponent}
-        elif head == "ncp":
-            inst = parse_code(text)
-            doc = {"format": "ncp", "rows": len(inst.rows),
-                   "cols": inst.num_cols, "k": inst.k}
-        elif head == "cvp":
-            inst = parse_lattice(text)
-            doc = {"format": "cvp", "rows": len(inst.rows),
-                   "cols": inst.num_cols, "k": inst.k, "p": inst.p}
-        else:
-            raise ValueError("unrecognized instance format")
-    doc["command"] = "info"
-    doc["input"] = args.input
+        return "labelcover"
+    if head in LAYOUTS:
+        return head
+    if stripped.startswith(("c", "p cnf", "%")):
+        return "dimacs"
+    raise ValueError("unrecognized instance format")
+
+
+def _cmd_info(args, argv):
+    text = _read(args.input)
+    fmt = _format_of(text)
+    parse, describe = _FORMATS[fmt]
+    doc = describe(parse(text))
+    doc.update(format=fmt, command="info", input=args.input)
     _emit(doc)
     return 0
 
@@ -440,9 +452,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     reduce_p = sub.add_parser("reduce", help="run one reduction stage")
-    reduce_p.add_argument("stage", choices=["labelcover", "alphabet", "coverage",
-                                            "unique-cover", "clustering", "ncp",
-                                            "cvp"])
+    reduce_p.add_argument("stage", choices=list(_STAGES))
     reduce_p.add_argument("--input", "-i", required=True)
     reduce_p.add_argument("--output", "-o", required=True)
     reduce_p.add_argument("--seed", type=int, required=True,
@@ -461,9 +471,7 @@ def _build_parser():
     reduce_p.set_defaults(func=_cmd_reduce)
 
     solve_p = sub.add_parser("solve", help="run a solver on an instance file")
-    solve_p.add_argument("problem", choices=["labelcover", "max-coverage",
-                                             "min-set-cover", "unique-cover",
-                                             "kmedian", "kmean", "ncp", "cvp"])
+    solve_p.add_argument("problem", choices=list(_PROBLEMS))
     solve_p.add_argument("--input", "-i", required=True)
     solve_p.add_argument("--seed", type=int, required=True,
                          help="mandatory; recorded for reproducibility")

@@ -5,12 +5,12 @@ encodings of unique cover."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .budget import check
 from .labelcover import project_index, right_incidence
+from .textformat import read, write
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,8 @@ class ClusteringInstance:
                     raise ValueError(f"negative distance at ({a}, {b})")
                 if d[a][b] != d[b][a]:
                     raise ValueError(f"asymmetry at ({a}, {b})")
-        try:
-            arr = np.array(d, dtype=np.int64)
-        except (TypeError, OverflowError, ValueError):
-            arr = None
-        if arr is not None:
+        arr = np.array(d)
+        if arr.dtype.kind == "i":
             for b in range(size):
                 bad = arr > arr[:, b : b + 1] + arr[b : b + 1, :]
                 if bad.any():
@@ -340,96 +337,41 @@ def abss_cvp_reduction(coverage, soundness_threshold, multiplicity=None, p=1, bu
 
 
 def coverage_to_text(instance):
-    lines = [f"cov {instance.universe_size} {len(instance.sets)} {instance.k}"]
-    for s in instance.sets:
-        lines.append(" ".join(str(e) for e in s))
-    return "\n".join(lines) + "\n"
+    return write("cov", (instance.universe_size, len(instance.sets), instance.k),
+                 instance.sets)
 
 
 def parse_coverage(text):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("cov"):
-        raise ValueError("missing cov header")
-    _, u, nsets, k = lines[0].split()
-    u, nsets, k = int(u), int(nsets), int(k)
-    if len(lines) < 1 + nsets:
-        raise ValueError(f"expected {nsets} set lines, found {len(lines) - 1}")
-    sets = tuple(tuple(int(tok) for tok in lines[1 + i].split()) for i in range(nsets))
+    (u, _, k), sets = read("cov", text)
     return CoverageInstance(universe_size=u, sets=sets, k=k)
 
 
 def clustering_to_text(instance):
-    lines = [
-        f"clustering {instance.num_clients} {instance.num_facilities} "
-        f"{instance.k} {instance.exponent}"
-    ]
-    for row in instance.dist:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return write("clustering", (instance.num_clients, instance.num_facilities,
+                                instance.k, instance.exponent), instance.dist)
 
 
 def parse_clustering(text):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("clustering"):
-        raise ValueError("missing clustering header")
-    _, nc, nf, k, exponent = lines[0].split()
-    nc, nf, k, exponent = int(nc), int(nf), int(k), int(exponent)
-    size = nc + nf
-    if len(lines) < 1 + size:
-        raise ValueError(f"expected {size} matrix rows, found {len(lines) - 1}")
-    dist = tuple(
-        tuple(Fraction(tok) if "/" in tok or "." in tok else int(tok) for tok in lines[1 + i].split())
-        for i in range(size)
-    )
+    (nc, nf, k, exponent), dist = read("clustering", text)
     return ClusteringInstance(num_clients=nc, num_facilities=nf, dist=dist, k=k,
                               exponent=exponent)
 
 
-def _matrix_lines(rows, target):
-    lines = []
-    for row in rows:
-        lines.append(" ".join(str(x) for x in row))
-    lines.append(" ".join(str(x) for x in target))
-    return lines
-
-
 def code_to_text(instance):
-    lines = [f"ncp {len(instance.rows)} {instance.num_cols} {instance.k}"]
-    lines.extend(_matrix_lines(instance.rows, instance.target))
-    return "\n".join(lines) + "\n"
+    return write("ncp", (len(instance.rows), instance.num_cols, instance.k),
+                 (*instance.rows, instance.target))
 
 
 def parse_code(text):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("ncp"):
-        raise ValueError("missing ncp header")
-    _, nrows, ncols, k = lines[0].split()
-    nrows, ncols, k = int(nrows), int(ncols), int(k)
-    if len(lines) < 2 + nrows:
-        raise ValueError("matrix or target line missing")
-    rows = tuple(tuple(int(tok) for tok in lines[1 + i].split()) for i in range(nrows))
-    target = tuple(int(tok) for tok in lines[1 + nrows].split())
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("row width does not match the header")
-    return CodeInstance(rows=rows, target=target, k=k)
+    (_, _, k), body = read("ncp", text)
+    return CodeInstance(rows=body[:-1], target=body[-1], k=k)
 
 
 def lattice_to_text(instance):
-    lines = [f"cvp {len(instance.rows)} {instance.num_cols} {instance.k} {instance.p}"]
-    lines.extend(_matrix_lines(instance.rows, instance.target))
-    return "\n".join(lines) + "\n"
+    return write("cvp", (len(instance.rows), instance.num_cols, instance.k, instance.p),
+                 (*instance.rows, instance.target))
 
 
 def parse_lattice(text):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("cvp"):
-        raise ValueError("missing cvp header")
-    _, nrows, ncols, k, p = lines[0].split()
-    nrows, ncols, k, p = int(nrows), int(ncols), int(k), int(p)
-    if len(lines) < 2 + nrows:
-        raise ValueError("matrix or target line missing")
-    rows = tuple(tuple(int(tok) for tok in lines[1 + i].split()) for i in range(nrows))
-    target = tuple(int(tok) for tok in lines[1 + nrows].split())
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("row width does not match the header")
-    return LatticeInstance(rows=rows, target=target, p=p, k=k)
+    (_, _, k, p), body = read("cvp", text)
+    return LatticeInstance(rows=body[:-1], target=body[-1], p=p, k=k)

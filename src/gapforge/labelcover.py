@@ -14,6 +14,7 @@ import numpy as np
 
 from .budget import check
 from .formula import satisfied_counts, vars_of
+from .setsys import bitmask
 
 RESTRICTION = "restriction"
 
@@ -70,6 +71,9 @@ class LabelCoverInstance:
         if self.projections == RESTRICTION:
             if self.left_domains is None or self.right_domains is None:
                 raise ValueError("restriction projections need vertex domains")
+            if len(self.left_domains) != self.num_left \
+                    or len(self.right_domains) != self.num_right:
+                raise ValueError("one domain per vertex required")
             for u, v in self.edges:
                 if not set(self.right_domains[v]) <= set(self.left_domains[u]):
                     raise ValueError(f"edge ({u}, {v}): right domain not inside left domain")
@@ -313,9 +317,7 @@ def restriction_labeling(instance, phi):
         raise ValueError("needs a restriction-projection instance")
     labeling = []
     for u in range(instance.num_left):
-        mask = 0
-        for i, var in enumerate(instance.left_domains[u]):
-            mask |= (phi[var] & 1) << i
+        mask = bitmask(i for i, var in enumerate(instance.left_domains[u]) if phi[var] & 1)
         try:
             labeling.append(instance.left_alphabets[u].index(mask))
         except ValueError:
@@ -347,15 +349,8 @@ def smallest_prime_at_least(lo, prime_budget=10**6):
 def hadamard_codeword(message, q, ell):
     """All inner products <message, j> over F_q, j running over F_q^ell
     (position index j decodes little-endian in base q)."""
-    out = []
-    for j in range(q**ell):
-        acc = 0
-        jj = j
-        for d in range(ell):
-            acc += message[d] * (jj % q)
-            jj //= q
-        out.append(acc % q)
-    return tuple(out)
+    return tuple(sum(m * c for m, c in zip(message, _digits(j, q, ell), strict=True)) % q
+                 for j in range(q**ell))
 
 
 def _digits(value, q, ell):
@@ -390,20 +385,14 @@ def reduce_alphabet(instance, delta, prime_budget=10**6):
     right_alphabets = []
     fq = tuple(range(q))
     for v in range(instance.num_right):
-        msgs = [_digits(ri, q, ell) for ri in range(len(instance.right_alphabets[v]))]
-        proj_tables = {}
-        for e, u in inc[v]:
-            proj_tables[(e, u)] = edge_projection_table(instance, e)
+        words = [hadamard_codeword(_digits(ri, q, ell), q, ell)
+                 for ri in range(len(instance.right_alphabets[v]))]
+        proj_tables = [(u, edge_projection_table(instance, e)) for e, u in inc[v]]
         for j in range(positions):
-            jvec = _digits(j, q, ell)
             right_alphabets.append(fq)
-            new_v = v * positions + j
-            for e, u in inc[v]:
-                table = proj_tables[(e, u)]
-                edges.append((u, new_v))
-                tables.append(
-                    tuple(sum(m * c for m, c in zip(msgs[ri], jvec)) % q for ri in table)
-                )
+            for u, table in proj_tables:
+                edges.append((u, v * positions + j))
+                tables.append(tuple(words[ri][j] for ri in table))
     return LabelCoverInstance(
         num_left=instance.num_left,
         num_right=instance.num_right * positions,
@@ -572,29 +561,43 @@ def to_json(instance):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rows(x):
+    return isinstance(x, list) and all(
+        isinstance(row, list) and all(_is_int(y) for y in row) for row in x)
+
+
+def _get(doc, key, ok):
+    """doc[key]; ValueError naming the key when it is missing or mistyped."""
+    if key not in doc:
+        raise ValueError(f"labelcover document lacks {key!r}")
+    if not ok(doc[key]):
+        raise ValueError(f"labelcover key {key!r} has the wrong JSON type")
+    return doc[key]
+
+
+def _rows(doc, key):
+    return tuple(tuple(row) for row in _get(doc, key, _is_rows))
+
+
 def from_json(text):
     doc = json.loads(text)
-    if doc.get("format") != "labelcover":
+    if not isinstance(doc, dict) or doc.get("format") != "labelcover":
         raise ValueError("not a labelcover document")
-    if doc["projection"] == RESTRICTION:
-        projections = RESTRICTION
-        right_domains = tuple(tuple(d) for d in doc["right_domains"])
-    else:
-        projections = tuple(tuple(tb) for tb in doc["tables"])
-        right_domains = None
-    left_domains = None
-    if "left_domains" in doc:
-        left_domains = tuple(tuple(d) for d in doc["left_domains"])
+    restriction = _get(doc, "projection", lambda x: x in (RESTRICTION, "tables")) == RESTRICTION
     return LabelCoverInstance(
-        num_left=doc["num_left"],
-        num_right=doc["num_right"],
-        edges=tuple(tuple(e) for e in doc["edges"]),
-        left_alphabets=tuple(tuple(a) for a in doc["left_alphabets"]),
-        right_alphabets=tuple(tuple(a) for a in doc["right_alphabets"]),
-        projections=projections,
-        left_domains=left_domains,
-        right_domains=right_domains,
-        bi_regular=doc["bi_regular"],
-        right_degree=doc["right_degree"],
-        vacuous=doc["vacuous"],
+        num_left=_get(doc, "num_left", _is_int),
+        num_right=_get(doc, "num_right", _is_int),
+        edges=_rows(doc, "edges"),
+        left_alphabets=_rows(doc, "left_alphabets"),
+        right_alphabets=_rows(doc, "right_alphabets"),
+        projections=RESTRICTION if restriction else _rows(doc, "tables"),
+        left_domains=_rows(doc, "left_domains") if restriction or "left_domains" in doc else None,
+        right_domains=_rows(doc, "right_domains") if restriction else None,
+        bi_regular=_get(doc, "bi_regular", lambda x: isinstance(x, bool)),
+        right_degree=_get(doc, "right_degree", lambda x: x is None or _is_int(x)),
+        vacuous=_get(doc, "vacuous", lambda x: isinstance(x, bool)),
     )

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import BudgetError, check
+from .textformat import read, write
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,17 @@ class Estimate:
     seed: int
 
 
+def bitmask(elements):
+    """The integer with bit e set for each e in elements."""
+    m = 0
+    for e in elements:
+        m |= 1 << e
+    return m
+
+
 def masks(system):
     """Each set as a bitmask integer (bit e set iff element e is in the set)."""
-    out = []
-    for s in system.sets:
-        m = 0
-        for e in s:
-            m |= 1 << e
-        out.append(m)
-    return out
+    return [bitmask(s) for s in system.sets]
 
 
 def sample_random_subsets(universe_size, k, p, seed):
@@ -235,9 +238,7 @@ def dnf_false_count_by_weight(f):
     idx = np.arange(1 << k, dtype=np.uint64)
     true = np.zeros(1 << k, dtype=bool)
     for term in f.terms:
-        mask = np.uint64(0)
-        for i in term:
-            mask |= np.uint64(1 << i)
+        mask = np.uint64(bitmask(term))
         true |= (idx & mask) == mask
     pc = _popcounts(k)
     counts = np.bincount(pc[~true], minlength=k + 1)
@@ -405,35 +406,18 @@ def check_sampled_properties(system, p, delta, n, disperser_params, budget=None)
 
 
 def setsys_to_text(system):
-    lines = [f"setsys {system.universe_size} {system.k}"]
-    for s in system.sets:
-        lines.append(" ".join(str(e) for e in s))
-    return "\n".join(lines) + "\n"
+    return write("setsys", (system.universe_size, system.k), system.sets)
 
 
 def parse_setsys(text):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("setsys"):
-        raise ValueError("missing setsys header")
-    _, u, k = lines[0].split()
-    u, k = int(u), int(k)
-    if len(lines) < 1 + k:
-        raise ValueError(f"expected {k} set lines, found {len(lines) - 1}")
-    sets = tuple(tuple(int(tok) for tok in lines[1 + i].split()) for i in range(k))
+    (u, _), sets = read("setsys", text)
     return SetSystem(u, sets)
 
 
 def dnf_to_text(f):
-    lines = [f"dnf {f.num_vars}"]
-    for term in f.terms:
-        lines.append(" ".join(str(i) for i in term))
-    return "\n".join(lines) + "\n"
+    return write("dnf", (f.num_vars, f.size), f.terms)
 
 
-def parse_dnf(text, allow_empty_term=False):
-    lines = [ln for ln in text.splitlines()]
-    if not lines or not lines[0].startswith("dnf"):
-        raise ValueError("missing dnf header")
-    _, k = lines[0].split()
-    terms = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines[1:] if ln.strip() or allow_empty_term)
-    return MonotoneDnf(int(k), terms, allow_empty_term=allow_empty_term)
+def parse_dnf(text):
+    (num_vars, _), terms = read("dnf", text)
+    return MonotoneDnf(num_vars, terms)

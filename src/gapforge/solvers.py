@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import check
+from .setsys import bitmask, masks
 
 
 @dataclass(frozen=True)
@@ -21,23 +22,13 @@ class SolverResult:
     note: str = ""
 
 
-def _cover_masks(instance):
-    out = []
-    for s in instance.sets:
-        m = 0
-        for e in s:
-            m |= 1 << e
-        out.append(m)
-    return out
-
-
 def greedy_max_coverage(instance):
     """Pick k sets, each covering the most yet-uncovered elements; ties go to
     the lowest set index."""
     start = time.perf_counter()
     if instance.k > len(instance.sets):
         raise ValueError("k exceeds the number of sets")
-    ms = _cover_masks(instance)
+    ms = masks(instance)
     chosen = []
     covered = 0
     steps = 0
@@ -68,7 +59,7 @@ def exact_max_coverage(instance, budget=None):
         raise ValueError("k exceeds the number of sets")
     total = math.comb(n, instance.k)
     check(total, budget, what="k-subset enumeration")
-    ms = _cover_masks(instance)
+    ms = masks(instance)
     best, best_value = None, -1
     for combo in itertools.combinations(range(n), instance.k):
         m = 0
@@ -91,12 +82,9 @@ def exact_min_set_cover(instance, budget=None):
     start = time.perf_counter()
     n = len(instance.sets)
     check(1 << n, budget, what="subset enumeration")
-    ms = _cover_masks(instance)
+    ms = masks(instance)
     universe = (1 << instance.universe_size) - 1
-    full = 0
-    for m in ms:
-        full |= m
-    if full != universe:
+    if bitmask(itertools.chain.from_iterable(instance.sets)) != universe:
         raise ValueError("no cover exists: some element is in no set")
     enumerated = 0
     for size in range(0, n + 1):
@@ -119,6 +107,8 @@ def verify_unique_cover(instance, chosen):
     """True iff the chosen sets cover every universe element exactly once."""
     counts = [0] * instance.universe_size
     for j in chosen:
+        if not 0 <= j < len(instance.sets):
+            raise ValueError(f"set index {j} is not in [0, {len(instance.sets)})")
         for e in instance.sets[j]:
             counts[e] += 1
     return all(c == 1 for c in counts)
@@ -163,15 +153,9 @@ def exact_ncp(instance, budget=None):
     cols = instance.num_cols
     total = 1 << cols
     check(total, budget, what="message enumeration")
-    col_masks = [0] * cols
-    for r, row in enumerate(instance.rows):
-        for j, bit in enumerate(row):
-            if bit:
-                col_masks[j] |= 1 << r
-    y_mask = 0
-    for r, bit in enumerate(instance.target):
-        if bit:
-            y_mask |= 1 << r
+    col_masks = [bitmask(r for r, row in enumerate(instance.rows) if row[j])
+                 for j in range(cols)]
+    y_mask = bitmask(r for r, bit in enumerate(instance.target) if bit)
     best, best_cost = None, None
     for x in itertools.product((0, 1), repeat=cols):
         acc = 0

@@ -214,6 +214,46 @@ def test_runtime_errors_exit_one(tmp_path, cnf_file, capsys):
     assert code == 1 and "unrecognized" in doc["message"]
 
 
+def error_message(capsys, *argv):
+    """Run a command that must fail on its input: exit 1 and exactly one JSON
+    document on stdout, the error document. Returns its message."""
+    code, doc, out = run(capsys, *argv)
+    assert code == 1 and out.count("\n") == 1
+    assert doc["status"] == "error"
+    return doc["message"]
+
+
+def test_truncating_header_is_an_error(tmp_path, capsys):
+    # the header promises one set line and two follow
+    cov = tmp_path / "truncating.txt"
+    cov.write_text("cov 3 1 1\n0 1\n2\n")
+    assert "non-blank line" in error_message(capsys, "info", "-i", str(cov))
+    error_message(capsys, "solve", "max-coverage", "-i", str(cov), "--seed", "0")
+
+
+def test_labelcover_schema_errors(tmp_path, capsys):
+    partial = tmp_path / "partial.json"
+    partial.write_text('{"format":"labelcover"}')
+    assert "'projection'" in error_message(capsys, "info", "-i", str(partial))
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    assert "labelcover" in error_message(capsys, "reduce", "alphabet", "-i", str(listed),
+                                         "-o", str(tmp_path / "out.json"), "--seed", "0")
+
+
+def test_unique_cover_rejects_out_of_range_sets(tmp_path, capsys):
+    cov = tmp_path / "cov.txt"
+    cov.write_text("cov 3 2 1\n0 1\n2\n")
+    assert "5" in error_message(capsys, "solve", "unique-cover", "-i", str(cov),
+                                "--seed", "0", "--choose", "5")
+    # -1 must not read as the last set
+    assert "-1" in error_message(capsys, "solve", "unique-cover", "-i", str(cov),
+                                 "--seed", "0", "--choose=-1,0")
+    code, doc, _ = run(capsys, "solve", "unique-cover", "-i", str(cov),
+                       "--seed", "0", "--choose", "1,0")
+    assert code == 0 and doc["unique"] is True
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reduce", "bogus-stage", "-i", "x", "-o", "y", "--seed", "0"])

@@ -398,6 +398,20 @@ def test_json_round_trip_restriction_and_tables():
         from_json("{}")
 
 
+def test_from_json_names_the_first_bad_key():
+    instance, _ = singleton_reduction(num_clauses=3, seed=6)
+    doc = json.loads(to_json(instance))
+    for key, value in (("projection", "bogus"), ("num_left", True), ("edges", [1]),
+                       ("right_degree", "2"), ("left_domains", [[0.5]])):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            from_json(json.dumps(dict(doc, **{key: value})))
+    del doc["right_domains"]
+    with pytest.raises(ValueError, match="'right_domains'"):
+        from_json(json.dumps(doc))
+    with pytest.raises(ValueError, match="labelcover"):
+        from_json("[1]")
+
+
 def test_instance_validation():
     with pytest.raises(ValueError, match="alphabet per left"):
         LabelCoverInstance(2, 1, ((0, 0),), ((0,),), ((0,),), ((0,),))
