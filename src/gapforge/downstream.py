@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import check
-from .labelcover import project_index, right_incidence
 from .textformat import read, write
 
 
@@ -113,25 +112,24 @@ def feige_coverage_reduction(instance, budget=None):
         ps = PartitionSystem(len(instance.right_alphabets[v]), t)
         systems.append(ps)
         acc += ps.ground_size
-    inc = right_incidence(instance)
     ranks = {}
-    for v in range(instance.num_right):
-        neighbors = sorted(u for _, u in inc[v])
+    for v, pairs in enumerate(instance.incidence):
+        neighbors = sorted(u for _, u in pairs)
         if len(neighbors) != t or len(set(neighbors)) != t:
             raise ValueError(f"right vertex {v} does not have t distinct neighbors")
-        for e, u in inc[v]:
+        for e, u in pairs:
             ranks[e] = neighbors.index(u)
     left_inc = [[] for _ in range(instance.num_left)]
     for e, (u, v) in enumerate(instance.edges):
         left_inc[u].append((e, v))
+    tables = instance.tables
     sets = []
     origins = []
     for u in range(instance.num_left):
         for a_idx in range(len(instance.left_alphabets[u])):
             elems = []
             for e, v in left_inc[u]:
-                b = project_index(instance, e, a_idx)
-                for g in systems[v].part(b, ranks[e]):
+                for g in systems[v].part(tables[e][a_idx], ranks[e]):
                     elems.append(offsets[v] + g)
             sets.append(tuple(sorted(elems)))
             origins.append((u, a_idx))

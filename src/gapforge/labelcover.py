@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class LabelCoverInstance:
     or the tag "restriction", in which case per-vertex domains are variable
     lists, labels are bitmasks over them (bit i of a mask is the value of the
     i-th domain variable), and an edge projects by keeping the bits of the
-    right domain.
+    right domain. Oracles read only the derived `tables` and `incidence`.
     """
 
     num_left: int
@@ -74,8 +75,9 @@ class LabelCoverInstance:
             if len(self.left_domains) != self.num_left \
                     or len(self.right_domains) != self.num_right:
                 raise ValueError("one domain per vertex required")
+            left_sets = [set(dom) for dom in self.left_domains]
             for u, v in self.edges:
-                if not set(self.right_domains[v]) <= set(self.left_domains[u]):
+                if not left_sets[u].issuperset(self.right_domains[v]):
                     raise ValueError(f"edge ({u}, {v}): right domain not inside left domain")
         else:
             if len(self.projections) != len(self.edges):
@@ -102,46 +104,40 @@ class LabelCoverInstance:
     def num_edges(self):
         return len(self.edges)
 
+    @cached_property
+    def tables(self):
+        """tables[e][left_label_index] = right_label_index, for every edge e.
 
-def project_index(instance, edge_index, left_label_index):
-    """Right-label index the edge's projection assigns to a left-label index."""
-    u, v = instance.edges[edge_index]
-    if instance.projections != RESTRICTION:
-        return instance.projections[edge_index][left_label_index]
-    ldom = instance.left_domains[u]
-    rdom = instance.right_domains[v]
-    lpos = {var: i for i, var in enumerate(ldom)}
-    label = instance.left_alphabets[u][left_label_index]
-    out = 0
-    for rpos, var in enumerate(rdom):
-        out |= ((label >> lpos[var]) & 1) << rpos
-    return out
+        A tables game returns its projections; a restriction game derives its
+        tables here, once. Not a field, so ==, to_json and fields() ignore it.
+        """
+        if self.projections != RESTRICTION:
+            return self.projections
+        lpos = [{var: i for i, var in enumerate(dom)} for dom in self.left_domains]
+        tables = []
+        for u, v in self.edges:
+            shifts = [(lpos[u][var], j) for j, var in enumerate(self.right_domains[v])]
+            tables.append(tuple(sum(((label >> i) & 1) << j for i, j in shifts)
+                                for label in self.left_alphabets[u]))
+        return tuple(tables)
 
-
-def edge_projection_table(instance, edge_index):
-    if instance.projections != RESTRICTION:
-        return tuple(instance.projections[edge_index])
-    u, _ = instance.edges[edge_index]
-    return tuple(
-        project_index(instance, edge_index, li) for li in range(len(instance.left_alphabets[u]))
-    )
-
-
-def right_incidence(instance):
-    """Per right vertex, the list of (edge_index, left_vertex) pairs."""
-    inc = [[] for _ in range(instance.num_right)]
-    for e, (u, v) in enumerate(instance.edges):
-        inc[v].append((e, u))
-    return inc
+    @cached_property
+    def incidence(self):
+        """Per right vertex, the (edge_index, left_vertex) pairs."""
+        inc = [[] for _ in range(self.num_right)]
+        for e, (u, v) in enumerate(self.edges):
+            inc[v].append((e, u))
+        return tuple(map(tuple, inc))
 
 
 def labeling_value(instance, labeling):
     """Fraction of edges satisfied by a full labeling (left indices, right indices)."""
     left, right = labeling
     _check_labeling(instance, left, right)
+    tables = instance.tables
     sat = 0
     for e, (u, v) in enumerate(instance.edges):
-        if project_index(instance, e, left[u]) == right[v]:
+        if tables[e][left[u]] == right[v]:
             sat += 1
     return Fraction(sat, instance.num_edges)
 
@@ -166,12 +162,12 @@ def weak_agreement_value(instance, left):
     Right vertices of degree < 2 cannot be weakly agreed on.
     """
     _check_labeling(instance, left)
-    inc = right_incidence(instance)
+    tables = instance.tables
     agreed = 0
-    for v in range(instance.num_right):
+    for pairs in instance.incidence:
         seen = set()
-        for e, u in inc[v]:
-            val = project_index(instance, e, left[u])
+        for e, u in pairs:
+            val = tables[e][left[u]]
             if val in seen:
                 agreed += 1
                 break
@@ -184,13 +180,13 @@ def optimal_extension(instance, left):
     plurality projected value (ties to the smallest right-label index).
     Returns (right labeling, Fraction value)."""
     _check_labeling(instance, left)
-    inc = right_incidence(instance)
+    tables = instance.tables
     right = []
     sat = 0
-    for v in range(instance.num_right):
+    for pairs in instance.incidence:
         counts = {}
-        for e, u in inc[v]:
-            val = project_index(instance, e, left[u])
+        for e, u in pairs:
+            val = tables[e][left[u]]
             counts[val] = counts.get(val, 0) + 1
         if counts:
             best = max(sorted(counts), key=lambda val: counts[val])
@@ -202,11 +198,16 @@ def optimal_extension(instance, left):
     return tuple(right), Fraction(sat, instance.num_edges)
 
 
-def _left_space(instance, budget, what):
+def _best_left(instance, budget, score):
+    """The lexicographically first left labeling of maximum score, and the score."""
     sizes = [len(a) for a in instance.left_alphabets]
-    total = math.prod(sizes)
-    check(total, budget, what=what)
-    return sizes
+    check(math.prod(sizes), budget, what="left labeling enumeration")
+    best_left, best_val = None, Fraction(-1)
+    for left in itertools.product(*(range(s) for s in sizes)):
+        val = score(left)
+        if val > best_val:
+            best_left, best_val = left, val
+    return best_left, best_val
 
 
 def brute_force_val(instance, budget=None):
@@ -215,25 +216,14 @@ def brute_force_val(instance, budget=None):
     Returns ((left, right), Fraction). Ties break to the lexicographically
     smallest left labeling (and the plurality extension's min-index rule).
     """
-    sizes = _left_space(instance, budget, "left labeling enumeration")
-    best_left, best_val = None, Fraction(-1)
-    for left in itertools.product(*(range(s) for s in sizes)):
-        _, val = optimal_extension(instance, left)
-        if val > best_val:
-            best_left, best_val = left, val
+    best_left, _ = _best_left(instance, budget, lambda left: optimal_extension(instance, left)[1])
     right, val = optimal_extension(instance, best_left)
     return (best_left, right), val
 
 
 def brute_force_wval(instance, budget=None):
     """Maximum weak agreement value over all left labelings, with min-lex witness."""
-    sizes = _left_space(instance, budget, "left labeling enumeration")
-    best_left, best_val = None, Fraction(-1)
-    for left in itertools.product(*(range(s) for s in sizes)):
-        val = weak_agreement_value(instance, left)
-        if val > best_val:
-            best_left, best_val = left, val
-    return best_left, best_val
+    return _best_left(instance, budget, lambda left: weak_agreement_value(instance, left))
 
 
 def build_main_reduction(formula, system, t, var_budget=24, budget=None, allow_vacuous=False):
@@ -379,7 +369,6 @@ def reduce_alphabet(instance, delta, prime_budget=10**6):
     while q**ell < big_r:
         ell += 1
     positions = q**ell
-    inc = right_incidence(instance)
     edges = []
     tables = []
     right_alphabets = []
@@ -387,7 +376,7 @@ def reduce_alphabet(instance, delta, prime_budget=10**6):
     for v in range(instance.num_right):
         words = [hadamard_codeword(_digits(ri, q, ell), q, ell)
                  for ri in range(len(instance.right_alphabets[v]))]
-        proj_tables = [(u, edge_projection_table(instance, e)) for e, u in inc[v]]
+        proj_tables = [(u, instance.tables[e]) for e, u in instance.incidence[v]]
         for j in range(positions):
             right_alphabets.append(fq)
             for u, table in proj_tables:

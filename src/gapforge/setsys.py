@@ -67,10 +67,14 @@ def sample_random_subsets(universe_size, k, p, seed):
         raise ValueError("k must be at least 1")
     if not 0 <= p <= 1:
         raise ValueError("p must be a probability")
+    p = Fraction(p)
     rng = random.Random(seed)
     sets = []
     for _ in range(k):
-        sets.append(tuple(e for e in range(universe_size) if rng.random() < p))
+        # x < p in integers: a float-to-Fraction comparison per draw is slow
+        draws = (rng.random().as_integer_ratio() for _ in range(universe_size))
+        sets.append(tuple(e for e, (xn, xd) in enumerate(draws)
+                          if xn * p.denominator < p.numerator * xd))
     return SetSystem(universe_size, tuple(sets))
 
 

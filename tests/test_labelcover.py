@@ -1,5 +1,6 @@
 """Projection games: values, the clause-subset reduction, alphabet shrinking."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -14,12 +15,12 @@ from gapforge import (BudgetError, LabelCoverInstance, SetSystem,
                       UnsatisfiableSubsetError, brute_force_val,
                       brute_force_wval, build_main_reduction, from_json,
                       hadamard_codeword, labeling_value, optimal_extension,
-                      parse_dimacs, project_index, random_planted_formula,
+                      parse_dimacs, random_planted_formula,
                       reduce_alphabet, restriction_labeling,
                       sample_random_subsets, smallest_prime_at_least,
                       soundness_params, to_json, weak_agreement_value,
                       wval_to_val_bound)
-from gapforge.labelcover import RESTRICTION, edge_projection_table, is_prime
+from gapforge.labelcover import RESTRICTION, is_prime
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
 
@@ -107,6 +108,7 @@ def test_weak_agreement_examples():
         projections=((0, 1),),
     )
     assert weak_agreement_value(degree_one, (0,)) == 0
+    assert brute_force_wval(degree_one) == ((0,), 0)  # a zero optimum keeps a witness
 
 
 def _wval_recount(instance, left):
@@ -115,7 +117,7 @@ def _wval_recount(instance, left):
         inc.setdefault(v, []).append((e, u))
     agreed = 0
     for v in range(instance.num_right):
-        vals = [project_index(instance, e, left[u]) for e, u in inc.get(v, [])]
+        vals = [instance.tables[e][left[u]] for e, u in inc.get(v, [])]
         if any(vals[i] == vals[j] for i in range(len(vals)) for j in range(i + 1, len(vals))):
             agreed += 1
     return Fraction(agreed, instance.num_right)
@@ -177,8 +179,8 @@ def test_main_reduction_tiny_pair():
     # NOT x1 OR x3: bit0 = x1, bit1 = x3
     assert instance.left_alphabets[1] == (0, 2, 3)
     assert instance.right_alphabets == ((0, 1),)
-    assert edge_projection_table(instance, 0) == (1, 0, 1)
-    assert edge_projection_table(instance, 1) == (0, 0, 1)
+    assert instance.tables[0] == (1, 0, 1)
+    assert instance.tables[1] == (0, 0, 1)
 
 
 def test_main_reduction_empty_intersection():
@@ -435,3 +437,61 @@ def test_instance_validation():
             ((0,), (0,)), ((0,),),
             ((0,), (0,)), bi_regular=True, right_degree=3,
         )
+
+
+@pytest.mark.parametrize("domains, message", [
+    ({}, "restriction projections need vertex domains"),
+    ({"left_domains": ((1,), (2,)), "right_domains": ((1,),)}, "one domain per vertex required"),
+    ({"left_domains": ((1,),), "right_domains": ((2,),)}, "right domain not inside left domain"),
+])
+def test_restriction_validation(domains, message):
+    with pytest.raises(ValueError, match=message):
+        LabelCoverInstance(1, 1, ((0, 0),), ((0, 1),), ((0, 1),), RESTRICTION, **domains)
+
+
+def _restrict(instance, edge_index, left_label_index):
+    """Reference: a restriction edge's projection of one left label, bit by bit."""
+    u, v = instance.edges[edge_index]
+    lpos = {var: i for i, var in enumerate(instance.left_domains[u])}
+    label = instance.left_alphabets[u][left_label_index]
+    out = 0
+    for rpos, var in enumerate(instance.right_domains[v]):
+        out |= ((label >> lpos[var]) & 1) << rpos
+    return out
+
+
+def _seeded_games():
+    for seed in range(12):
+        formula, _ = random_planted_formula(4 + seed % 4, 4 + seed % 5, seed)
+        system = sample_random_subsets(formula.num_clauses, 3 + seed % 3, Fraction(2, 5), seed)
+        yield build_main_reduction(formula, system, 2 + seed % 2, allow_vacuous=True)
+    yield build_main_reduction(parse_dimacs("p cnf 6 2\n1 2 3 0\n4 5 6 0\n"),
+                               SetSystem(2, ((0,), (1,))), 2)
+    yield build_main_reduction(parse_dimacs("p cnf 2 3\n1 0\n-1 0\n2 0\n"),
+                               SetSystem(3, ((0, 1), (2,))), 2, allow_vacuous=True)
+
+
+def test_tables_match_the_bit_restriction():
+    for game in _seeded_games():
+        assert len(game.tables) == game.num_edges
+        for e, (u, _) in enumerate(game.edges):
+            assert game.tables[e] == tuple(
+                _restrict(game, e, li) for li in range(len(game.left_alphabets[u])))
+        for v, pairs in enumerate(game.incidence):
+            assert pairs == tuple((e, u) for e, (u, w) in enumerate(game.edges) if w == v)
+        if not game.vacuous:
+            reduced = reduce_alphabet(game, Fraction(1, 2))
+            assert reduced.tables is reduced.projections
+            assert from_json(to_json(reduced)).tables == reduced.tables
+
+
+def test_derived_tables_are_not_fields():
+    game, _ = singleton_reduction(num_clauses=3, seed=6)
+    fresh, _ = singleton_reduction(num_clauses=3, seed=6)
+    names = [f.name for f in dataclasses.fields(game)]
+    text = to_json(game)
+    assert game.tables and game.incidence
+    assert [f.name for f in dataclasses.fields(game)] == names
+    assert "tables" not in names and "incidence" not in names
+    assert game == fresh and hash(game) == hash(fresh)
+    assert to_json(game) == text == to_json(fresh)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,28 @@ def test_sample_endpoints():
     assert empty.sets == ((), (), ())
     full = sample_random_subsets(10, 3, 1, seed=1)
     assert full.sets == (tuple(range(10)),) * 3
+
+
+def _sample_by_float_comparison(universe_size, k, p, seed):
+    """Reference sampler: one `rng.random() < p` comparison per element."""
+    rng = random.Random(seed)
+    return tuple(tuple(e for e in range(universe_size) if rng.random() < p) for _ in range(k))
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.one_of(st.fractions(0, 1), st.floats(0, 1), st.sampled_from([0, 1])),
+       st.integers(0, 30), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_sample_matches_float_comparison(seed, p, universe_size, k):
+    assert sample_random_subsets(universe_size, k, p, seed).sets == \
+        _sample_by_float_comparison(universe_size, k, p, seed)
+
+
+def test_sample_compares_exactly_at_the_draw():
+    for seed in range(20):
+        draw = Fraction(random.Random(seed).random())
+        assert sample_random_subsets(1, 1, draw, seed).sets == ((),)
+        assert sample_random_subsets(1, 1, draw + Fraction(1, 2**80), seed).sets == ((0,),)
 
 
 def test_sample_determinism():
