@@ -5,6 +5,7 @@ decoder turning a good left labeling back into an assignment."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -136,6 +137,62 @@ def t_wagr(collection, t, mode="exact", trials=2000, seed=0, budget=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+class _SubcollectionHits:
+    """hits(diff, ell): how many ell-subsets S' of the sets other than a pair
+    (i, j) give diff ∩ ⋂S' = ∅, for diff inside S_i ∩ S_j.
+
+    S_i and S_j both contain diff, so they never empty it: the count depends
+    on the pair only through diff and is cached by (diff, ell) for the whole
+    collection. ell = 0 counts the empty subcollection as consistent.
+    """
+
+    def __init__(self, collection):
+        self._masks = collection.domain_masks
+        self._k = collection.k
+        self._cache = {}
+
+    def hits(self, diff, ell):
+        if ell == 0:
+            return 1
+        key = (diff, ell)
+        if key not in self._cache:
+            self._cache[key] = self._count(diff, ell)
+        return self._cache[key]
+
+    def _count(self, diff, ell):
+        cuts = [m & diff for m in self._masks]
+        if ell == 1:
+            # i and j cut nothing off diff, so they count only when diff = ∅
+            return cuts.count(0) - (2 if diff == 0 else 0)
+        d = diff.bit_count()
+        if d << d > math.comb(self._k - 2, ell):
+            # enumeration is cheaper; two cuts equal to diff stand for i and j
+            cuts.remove(diff)
+            cuts.remove(diff)
+            hits = 0
+            for combo in itertools.combinations(cuts, ell):
+                m = diff
+                for c in combo:
+                    m &= c
+                if m == 0:
+                    hits += 1
+            return hits
+        # inclusion-exclusion: sum over D ⊆ diff of (-1)^|D| C(N_D - 2, ell),
+        # N_D = |{x : D ⊆ S_x}| from one superset sum over the cuts, with the
+        # bits of diff renumbered 0..d-1
+        bits = [1 << p for p in range(diff.bit_length()) if diff >> p & 1]
+        supersets = [0] * (1 << d)
+        for cut, times in collections.Counter(cuts).items():
+            supersets[sum(1 << r for r, b in enumerate(bits) if cut & b)] += times
+        for r in range(d):
+            step = 1 << r
+            for sub in range(1 << d):
+                if not sub & step:
+                    supersets[sub] += supersets[sub | step]
+        return sum((-1) ** sub.bit_count() * math.comb(n - 2, ell)
+                   for sub, n in enumerate(supersets))
+
+
 def pair_consistency(collection, i, j, ell, mode="exact", trials=2000, seed=0, budget=None):
     """Fraction of ell-size subcollections S' of the other sets on which
     f_i and f_j agree over S_i ∩ S_j ∩ ⋂S'. ell=0 returns 1 by convention."""
@@ -144,23 +201,16 @@ def pair_consistency(collection, i, j, ell, mode="exact", trials=2000, seed=0, b
         raise ValueError("need two distinct set indices")
     if ell == 0:
         return Fraction(1)
-    others = [x for x in range(k) if x != i and x != j]
-    if not 1 <= ell <= len(others):
+    if not 1 <= ell <= k - 2:
         raise ValueError("need 0 <= ell <= k - 2")
     base = collection.domain_masks[i] & collection.domain_masks[j]
     diff = (collection.ones_masks[i] ^ collection.ones_masks[j]) & base
     if mode == "exact":
-        total = math.comb(len(others), ell)
+        total = math.comb(k - 2, ell)
         check(total, budget, what="subcollection enumeration")
-        hits = 0
-        for combo in itertools.combinations(others, ell):
-            m = diff
-            for x in combo:
-                m &= collection.domain_masks[x]
-            if m == 0:
-                hits += 1
-        return Fraction(hits, total)
+        return Fraction(_SubcollectionHits(collection).hits(diff, ell), total)
     if mode == "montecarlo":
+        others = [x for x in range(k) if x != i and x != j]
         rng = random.Random(seed)
         hits = 0
         for _ in range(trials):
@@ -225,24 +275,56 @@ def build_two_level_graph(collection, alpha, beta, t, mode="auto", trials=2000,
         mode = "exact" if work <= effective(budget) else "montecarlo"
     if mode == "exact":
         check(work, budget, what="pair consistency enumeration")
-    estimated = mode == "montecarlo"
+        colors = _counted_colors(collection, alpha, beta, t)
+    elif mode == "montecarlo":
+        colors = _sampled_colors(collection, alpha, beta, t, trials, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     blue, red = set(), set()
+    for i, j, is_blue, is_red in colors:
+        if is_blue:
+            blue.add((i, j))
+        if is_red:
+            red.add((i, j))
+    estimated = mode == "montecarlo"
+    return RedBlueGraph(k, frozenset(blue), frozenset(red), estimated)
+
+
+def _counted_colors(collection, alpha, beta, t):
+    """(i, j, is_blue, is_red) per pair, from one shared hit counter; the
+    consistency thresholds compare as integers."""
+    k = collection.k
+    counter = _SubcollectionHits(collection)
+    blue_ell, red_ell = t - 2, 2 * t - 3
+    blue_total, red_total = math.comb(k - 2, blue_ell), math.comb(k - 2, red_ell)
+    ones, domains = collection.ones_masks, collection.domain_masks
     for i, j in itertools.combinations(range(k), 2):
-        bc = pair_consistency(collection, i, j, t - 2, mode=mode,
-                              trials=trials, seed=seed * 1_000_003 + i * k + j, budget=budget)
-        rc = pair_consistency(collection, i, j, 2 * t - 3, mode=mode,
-                              trials=trials, seed=seed * 1_000_003 + i * k + j + 1, budget=budget)
+        diff = (ones[i] ^ ones[j]) & domains[i] & domains[j]
+        blue_hits = counter.hits(diff, blue_ell)
+        red_hits = counter.hits(diff, red_ell)
+        is_blue = blue_hits * beta.denominator >= beta.numerator * blue_total
+        is_red = red_hits * alpha.denominator < alpha.numerator * red_total
+        if is_blue and is_red:
+            raise ConsistencyOverlapError(i, j, Fraction(blue_hits, blue_total),
+                                          Fraction(red_hits, red_total))
+        yield i, j, is_blue, is_red
+
+
+def _sampled_colors(collection, alpha, beta, t, trials, seed):
+    """(i, j, is_blue, is_red) per pair, from Monte Carlo estimates."""
+    k = collection.k
+    for i, j in itertools.combinations(range(k), 2):
+        bc = pair_consistency(collection, i, j, t - 2, mode="montecarlo",
+                              trials=trials, seed=seed * 1_000_003 + i * k + j)
+        rc = pair_consistency(collection, i, j, 2 * t - 3, mode="montecarlo",
+                              trials=trials, seed=seed * 1_000_003 + i * k + j + 1)
         bval = bc.value if isinstance(bc, Estimate) else bc
         rval = rc.value if isinstance(rc, Estimate) else rc
         is_blue = bval >= beta
         is_red = rval < alpha
         if is_blue and is_red:
             raise ConsistencyOverlapError(i, j, bval, rval)
-        if is_blue:
-            blue.add((i, j))
-        if is_red:
-            red.add((i, j))
-    return RedBlueGraph(k, frozenset(blue), frozenset(red), estimated)
+        yield i, j, is_blue, is_red
 
 
 def check_rb_transitive(graph, h):

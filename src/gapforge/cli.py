@@ -112,7 +112,8 @@ def _reduce_labelcover(text, args):
 
 
 def _reduce_alphabet(text, args):
-    g = lc.reduce_alphabet(lc.from_json(text), Fraction(args.delta))
+    g = lc.reduce_alphabet(lc.from_json(text), Fraction(args.delta),
+                          budget=args.budget)
     right_alphabet = len(g.right_alphabets[0]) if g.num_right else 0
     return (lc.to_json(g), {"delta": str(Fraction(args.delta))},
             {**_game_shape(g), "right_alphabet": right_alphabet})

@@ -19,6 +19,9 @@ from .setsys import bitmask
 
 RESTRICTION = "restriction"
 
+_NO_EDGES = "the game has no edges, so its value is undefined"
+_NO_RIGHT = "the game has no right vertices, so its value is undefined"
+
 
 class UnsatisfiableSubsetError(ValueError):
     """A clause subset admits no satisfying assignment, so its alphabet is empty."""
@@ -134,6 +137,8 @@ def labeling_value(instance, labeling):
     """Fraction of edges satisfied by a full labeling (left indices, right indices)."""
     left, right = labeling
     _check_labeling(instance, left, right)
+    if not instance.edges:
+        raise ValueError(_NO_EDGES)
     tables = instance.tables
     sat = 0
     for e, (u, v) in enumerate(instance.edges):
@@ -162,6 +167,12 @@ def weak_agreement_value(instance, left):
     Right vertices of degree < 2 cannot be weakly agreed on.
     """
     _check_labeling(instance, left)
+    if not instance.num_right:
+        raise ValueError(_NO_RIGHT)
+    return _weak_agreement(instance, left)
+
+
+def _weak_agreement(instance, left):
     tables = instance.tables
     agreed = 0
     for pairs in instance.incidence:
@@ -180,6 +191,12 @@ def optimal_extension(instance, left):
     plurality projected value (ties to the smallest right-label index).
     Returns (right labeling, Fraction value)."""
     _check_labeling(instance, left)
+    if not instance.edges:
+        raise ValueError(_NO_EDGES)
+    return _extension(instance, left)
+
+
+def _extension(instance, left):
     tables = instance.tables
     right = []
     sat = 0
@@ -199,8 +216,14 @@ def optimal_extension(instance, left):
 
 
 def _best_left(instance, budget, score):
-    """The lexicographically first left labeling of maximum score, and the score."""
+    """The lexicographically first left labeling of maximum score, and the score.
+
+    Every enumerated labeling is in range, so `score` skips the public
+    oracles' checks."""
     sizes = [len(a) for a in instance.left_alphabets]
+    if 0 in sizes:
+        raise ValueError(f"left vertex {sizes.index(0)} has an empty alphabet, "
+                         "so the game has no left labeling")
     check(math.prod(sizes), budget, what="left labeling enumeration")
     best_left, best_val = None, Fraction(-1)
     for left in itertools.product(*(range(s) for s in sizes)):
@@ -216,14 +239,18 @@ def brute_force_val(instance, budget=None):
     Returns ((left, right), Fraction). Ties break to the lexicographically
     smallest left labeling (and the plurality extension's min-index rule).
     """
-    best_left, _ = _best_left(instance, budget, lambda left: optimal_extension(instance, left)[1])
-    right, val = optimal_extension(instance, best_left)
+    if not instance.edges:
+        raise ValueError(_NO_EDGES)
+    best_left, _ = _best_left(instance, budget, lambda left: _extension(instance, left)[1])
+    right, val = _extension(instance, best_left)
     return (best_left, right), val
 
 
 def brute_force_wval(instance, budget=None):
     """Maximum weak agreement value over all left labelings, with min-lex witness."""
-    return _best_left(instance, budget, lambda left: weak_agreement_value(instance, left))
+    if not instance.num_right:
+        raise ValueError(_NO_RIGHT)
+    return _best_left(instance, budget, lambda left: _weak_agreement(instance, left))
 
 
 def build_main_reduction(formula, system, t, var_budget=24, budget=None, allow_vacuous=False):
@@ -347,13 +374,15 @@ def _digits(value, q, ell):
     return tuple((value // q**d) % q for d in range(ell))
 
 
-def reduce_alphabet(instance, delta, prime_budget=10**6):
+def reduce_alphabet(instance, delta, prime_budget=10**6, budget=None):
     """Shrink right alphabets to F_q by splitting each right vertex into one
     vertex per Hadamard codeword position.
 
     q is the smallest prime >= t^2/delta; messages are the right-label
     indices written in base q. Weak agreement value grows by at most delta;
-    satisfiability is preserved.
+    satisfiability is preserved. The output's size, its right labels plus
+    its projection-table entries, is checked against the budget before
+    anything is built.
     """
     if not instance.bi_regular or instance.right_degree is None:
         raise ValueError("needs a bi-regular instance with a recorded right degree")
@@ -369,6 +398,9 @@ def reduce_alphabet(instance, delta, prime_budget=10**6):
     while q**ell < big_r:
         ell += 1
     positions = q**ell
+    table_entries = sum(len(instance.left_alphabets[u]) for u, _ in instance.edges)
+    check(positions * (instance.num_right * q + table_entries), budget,
+          what="reduced game size (right labels plus projection entries)")
     edges = []
     tables = []
     right_alphabets = []

@@ -2,6 +2,7 @@
 assignment decoder."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from gapforge import (CnfFormula, ConsistencyOverlapError, Estimate,
                       pairwise_intersection_max, random_planted_formula,
                       sample_random_subsets, soundness_params, t_wagr,
                       vars_of)
+from gapforge.agreement import _SubcollectionHits
 from gapforge.labelcover import build_main_reduction, restriction_labeling
 
 local_functions = st.builds(
@@ -213,6 +215,135 @@ def test_two_level_graph_matches_reconstruction(seed):
             red.add((i, j))
     assert graph.blue == blue and graph.red == red
     assert not graph.estimated
+
+
+def _enumerated_pair_consistency(collection, i, j, ell):
+    """The enumerating exact pair consistency that the shared counter
+    replaced: every ell-subset of the other sets, one at a time."""
+    if ell == 0:
+        return Fraction(1)
+    others = [x for x in range(collection.k) if x != i and x != j]
+    base = collection.domain_masks[i] & collection.domain_masks[j]
+    diff = (collection.ones_masks[i] ^ collection.ones_masks[j]) & base
+    hits = 0
+    for combo in itertools.combinations(others, ell):
+        m = diff
+        for x in combo:
+            m &= collection.domain_masks[x]
+        if m == 0:
+            hits += 1
+    return Fraction(hits, math.comb(len(others), ell))
+
+
+def _enumerated_two_level_graph(collection, alpha, beta, t):
+    """The exact two-level graph built from per-pair Fractions, as before the
+    shared counter: (blue, red) or the first overlapping pair and its values."""
+    blue, red = set(), set()
+    for i, j in itertools.combinations(range(collection.k), 2):
+        bval = _enumerated_pair_consistency(collection, i, j, t - 2)
+        rval = _enumerated_pair_consistency(collection, i, j, 2 * t - 3)
+        if bval >= beta and rval < alpha:
+            return "overlap", (i, j), bval, rval
+        if bval >= beta:
+            blue.add((i, j))
+        if rval < alpha:
+            red.add((i, j))
+    return RedBlueGraph(collection.k, frozenset(blue), frozenset(red))
+
+
+def _counts_by_enumeration(collection, diff, ell):
+    """True where the shared counter enumerates instead of counting."""
+    d = bin(diff).count("1")
+    return ell >= 2 and d * 2**d > math.comb(collection.k - 2, ell)
+
+
+@st.composite
+def small_collections(draw):
+    """Random collections where some pairs agree (empty diff) and others
+    differ on many points (large diff)."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(3, 8))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=k, max_size=k))
+    base = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    values = []
+    for s in sets:
+        if draw(st.booleans()):
+            values.append(tuple(base[e] for e in sorted(s)))
+        else:
+            values.append(tuple(draw(st.lists(st.integers(0, 1),
+                                              min_size=len(s), max_size=len(s)))))
+    return FunctionCollection(SetSystem(n, tuple(tuple(sorted(s)) for s in sets)),
+                              tuple(values))
+
+
+fractions_01 = st.builds(Fraction, st.integers(0, 12), st.integers(1, 12)).filter(lambda f: f <= 1)
+
+
+@given(small_collections(), fractions_01, fractions_01)
+@settings(max_examples=300, deadline=None)
+def test_counted_consistency_matches_enumeration(fc, a, b):
+    for i, j in itertools.combinations(range(fc.k), 2):
+        for ell in range(fc.k - 1):
+            assert pair_consistency(fc, i, j, ell) == _enumerated_pair_consistency(fc, i, j, ell)
+    alpha, beta = min(a, b), max(a, b)
+    for t in (2, 3, 4):
+        if fc.k < 2 * t - 1:
+            continue
+        expected = _enumerated_two_level_graph(fc, alpha, beta, t)
+        if isinstance(expected, RedBlueGraph):
+            assert build_two_level_graph(fc, alpha, beta, t, mode="exact") == expected
+        else:
+            with pytest.raises(ConsistencyOverlapError) as exc:
+                build_two_level_graph(fc, alpha, beta, t, mode="exact")
+            assert ("overlap", exc.value.pair, exc.value.blue_consistency,
+                    exc.value.red_consistency) == expected
+
+
+def _seeded_small_collection(seed):
+    """A collection shaped like small_collections(), from a seed."""
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 9), rng.randint(3, 8)
+    sets = tuple(tuple(e for e in range(n) if rng.random() < 0.6) for _ in range(k))
+    base = [rng.randrange(2) for _ in range(n)]
+    agree = [rng.random() < 0.5 for _ in range(k)]
+    values = tuple(tuple(base[e] if agree[x] else rng.randrange(2) for e in s)
+                   for x, s in enumerate(sets))
+    return FunctionCollection(SetSystem(n, sets), values)
+
+
+def test_counted_consistency_corpus_takes_every_path():
+    # empty diffs, the ell = 1 closed form, inclusion-exclusion counts and
+    # the enumeration fallback all occur on a seeded corpus
+    paths = set()
+    for seed in range(60):
+        fc = _seeded_small_collection(seed)
+        for i, j in itertools.combinations(range(fc.k), 2):
+            diff = ((fc.ones_masks[i] ^ fc.ones_masks[j])
+                    & fc.domain_masks[i] & fc.domain_masks[j])
+            for ell in range(1, fc.k - 1):
+                assert pair_consistency(fc, i, j, ell) == _enumerated_pair_consistency(fc, i, j, ell)
+                paths.add("empty" if diff == 0 else
+                          "enumerated" if _counts_by_enumeration(fc, diff, ell) else
+                          "closed" if ell == 1 else "counted")
+    assert paths == {"empty", "closed", "counted", "enumerated"}
+
+
+def test_shared_counter_reuses_a_diff_across_pairs():
+    # pairs (0, 1) and (2, 3) differ exactly at point 0; their "other" sets
+    # differ, yet each pair's count is the same cached number
+    system = SetSystem(4, ((0, 1, 2), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2),
+                           (1, 2), (0, 3), (0, 1), (2,)))
+    values = ((0, 0, 0), (1, 0, 0), (1, 1, 1, 0), (0, 1, 1),
+              (0, 0), (0, 0), (0, 0), (0,))
+    fc = FunctionCollection(system, values)
+    counter = _SubcollectionHits(fc)
+    for ell in range(1, 7):
+        first = counter.hits(0b1, ell)
+        cached = len(counter._cache)
+        for i, j in ((0, 1), (2, 3)):
+            assert Fraction(counter.hits(0b1, ell), math.comb(6, ell)) \
+                == _enumerated_pair_consistency(fc, i, j, ell)
+        assert counter.hits(0b1, ell) == first and len(counter._cache) == cached
 
 
 def test_two_level_graph_argument_errors():

@@ -241,6 +241,50 @@ def test_labelcover_schema_errors(tmp_path, capsys):
                                          "-o", str(tmp_path / "out.json"), "--seed", "0")
 
 
+def test_solve_labelcover_rejects_valueless_games(tmp_path, capsys):
+    vacuous = gapforge.build_main_reduction(
+        gapforge.parse_dimacs("p cnf 2 3\n1 0\n-1 0\n2 0\n"),
+        SetSystem(3, ((0, 1), (2,))), 2, allow_vacuous=True)
+    no_edges = gapforge.LabelCoverInstance(
+        num_left=1, num_right=1, edges=(), left_alphabets=((0, 1),),
+        right_alphabets=((0,),), projections=())
+    no_right = gapforge.LabelCoverInstance(
+        num_left=1, num_right=0, edges=(), left_alphabets=((0, 1),),
+        right_alphabets=(), projections=())
+    for name, game, message in (("vacuous", vacuous, "empty alphabet"),
+                                ("no-edges", no_edges, "no edges"),
+                                ("no-right", no_right, "no edges")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(gapforge.to_json(game))
+        assert message in error_message(capsys, "solve", "labelcover", "-i", str(path),
+                                        "--seed", "1")
+
+
+def test_reduce_alphabet_checks_its_output_size(tmp_path, cnf_file, capsys):
+    game = tmp_path / "game.json"
+    code, _, _ = run(capsys, "reduce", "labelcover", "-i", str(cnf_file),
+                     "-o", str(game), "--seed", "7", "--k", "3", "--p", "0.8")
+    assert code == 0
+    out = tmp_path / "small.json"
+    # q = 400009 would give 3 q right vertices of q labels each, and 6 q
+    # edges whose tables have 2 entries
+    q = 400009
+    code, doc, stdout = run(capsys, "reduce", "alphabet", "-i", str(game), "-o", str(out),
+                            "--seed", "7", "--delta", "1e-5")
+    assert code == 3 and stdout.count("\n") == 1
+    assert doc["status"] == "inconclusive"
+    assert doc["required"] == q * (3 * q + 6 * 2) and doc["budget"] == 10_000_000
+    assert not out.exists()
+    # --budget reaches the stage: at delta 1/2 (q = 11) the output has 363
+    # right labels and 132 table entries
+    code, doc, _ = run(capsys, "reduce", "alphabet", "-i", str(game), "-o", str(out),
+                       "--seed", "7", "--delta", "0.5", "--budget", "494")
+    assert code == 3 and doc["required"] == 495 and doc["budget"] == 494
+    code, doc, _ = run(capsys, "reduce", "alphabet", "-i", str(game), "-o", str(out),
+                       "--seed", "7", "--delta", "0.5", "--budget", "495")
+    assert code == 0 and doc["summary"]["num_right"] == 33
+
+
 def test_unique_cover_rejects_out_of_range_sets(tmp_path, capsys):
     cov = tmp_path / "cov.txt"
     cov.write_text("cov 3 2 1\n0 1\n2\n")

@@ -324,6 +324,52 @@ def test_reduce_alphabet_rejects_unflagged_instances():
         reduce_alphabet(inst, 0)
 
 
+def test_reduce_alphabet_budget_counts_the_output():
+    # the charge is exactly the reduced game's right labels plus its
+    # projection-table entries, so that budget passes and one less refuses
+    for game in _seeded_games():
+        if game.vacuous:
+            continue
+        reduced = reduce_alphabet(game, Fraction(1, 2), budget=10**9)
+        size = sum(map(len, reduced.right_alphabets)) + sum(map(len, reduced.tables))
+        with pytest.raises(BudgetError) as exc:
+            reduce_alphabet(game, Fraction(1, 2), budget=size - 1)
+        assert exc.value.required == size
+
+
+def valueless_games():
+    """A vacuous game, a game with no edges and one with no right vertices."""
+    vacuous = build_main_reduction(parse_dimacs("p cnf 2 3\n1 0\n-1 0\n2 0\n"),
+                                   SetSystem(3, ((0, 1), (2,))), 2, allow_vacuous=True)
+    no_edges = LabelCoverInstance(num_left=1, num_right=1, edges=(),
+                                  left_alphabets=((0, 1),), right_alphabets=((0,),),
+                                  projections=())
+    no_right = LabelCoverInstance(num_left=1, num_right=0, edges=(),
+                                  left_alphabets=((0, 1),), right_alphabets=(),
+                                  projections=())
+    return vacuous, no_edges, no_right
+
+
+def test_valueless_games_are_rejected():
+    vacuous, no_edges, no_right = valueless_games()
+    for oracle in (brute_force_val, brute_force_wval):
+        with pytest.raises(ValueError, match="left vertex 0 has an empty alphabet"):
+            oracle(vacuous)
+    for game in (no_edges, no_right):
+        with pytest.raises(ValueError, match="no edges"):
+            labeling_value(game, ((0,), (0,) * game.num_right))
+        with pytest.raises(ValueError, match="no edges"):
+            optimal_extension(game, (0,))
+        with pytest.raises(ValueError, match="no edges"):
+            brute_force_val(game)
+    with pytest.raises(ValueError, match="no right vertices"):
+        weak_agreement_value(no_right, (0,))
+    with pytest.raises(ValueError, match="no right vertices"):
+        brute_force_wval(no_right)
+    # right vertices without edges are never weakly agreed on
+    assert brute_force_wval(no_edges) == ((0,), 0)
+
+
 def test_wval_to_val_bound_examples():
     assert wval_to_val_bound(0, 2) == Fraction(1, 2)
     assert wval_to_val_bound(1, 5) == 1
