@@ -12,7 +12,7 @@ from .formula import (CnfFormula, DimacsError, brute_force_max_val,
                       clause_satisfied, clause_value, max_occurrence,
                       parse_dimacs, random_planted_formula, satisfied_counts,
                       to_dimacs, vars_of)
-from .setsys import (Estimate, MonotoneDnf, SetSystem, check_sampled_properties,
+from .setsys import (MonotoneDnf, SetSystem, check_sampled_properties,
                      dnf_bound_holds, dnf_false_count_by_weight, dnf_false_prob,
                      dnf_from_subcollections, dnf_to_text,
                      is_strong_intersection_disperser, is_uniform, masks,
@@ -29,7 +29,7 @@ from .labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
 from .agreement import (ConsistencyOverlapError, FunctionCollection,
                         LocalFunction, RedBlueGraph, agreement_decode,
                         build_two_level_graph, check_rb_transitive,
-                        decode_assignment, disagr, disagr_within,
+                        decode_assignment, disagr,
                         find_non_red_subgraph, majority_decode,
                         pair_consistency, t_wagr)
 from .downstream import (ClusteringInstance, CodeInstance, CoverageInstance,
@@ -38,7 +38,7 @@ from .downstream import (ClusteringInstance, CodeInstance, CoverageInstance,
                          coverage_to_text, feige_coverage_reduction,
                          guha_khuller_reduction, lattice_to_text,
                          parse_clustering, parse_code, parse_coverage,
-                         parse_lattice, partition_system)
+                         parse_lattice)
 from .solvers import (SolverResult, coverage_fraction, exact_cvp, exact_kmean,
                       exact_kmedian, exact_max_coverage, exact_min_set_cover,
                       exact_ncp, greedy_max_coverage, verify_unique_cover)

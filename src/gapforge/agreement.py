@@ -16,7 +16,7 @@ from functools import cached_property
 from .budget import check, effective
 from .formula import clause_value, max_occurrence
 from .labelcover import build_main_reduction
-from .setsys import Estimate, SetSystem, bitmask, is_uniform, masks
+from .setsys import SetSystem, bitmask, is_uniform, masks
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,6 @@ class LocalFunction:
 def disagr(f1, f2):
     """|{u in dom(f1) ∩ dom(f2) : f1(u) != f2(u)}|; disjoint domains give 0."""
     return ((f1.ones_mask ^ f2.ones_mask) & f1.domain_mask & f2.domain_mask).bit_count()
-
-
-def disagr_within(f1, f2, elements):
-    """Disagreement count restricted to a further element set."""
-    m = bitmask(elements)
-    return ((f1.ones_mask ^ f2.ones_mask) & f1.domain_mask & f2.domain_mask & m).bit_count()
 
 
 @dataclass(frozen=True)
@@ -115,26 +109,16 @@ def _combo_agrees(collection, combo):
     return False
 
 
-def t_wagr(collection, t, mode="exact", trials=2000, seed=0, budget=None):
+def t_wagr(collection, t, budget=None):
     """Probability over unordered t-set samples that some two functions agree
     on the t-wise domain intersection."""
     k = collection.k
     if not 2 <= t <= k:
         raise ValueError("need 2 <= t <= k")
-    if mode == "exact":
-        total = math.comb(k, t)
-        check(total, budget, what="t-subset enumeration")
-        hits = sum(1 for combo in itertools.combinations(range(k), t) if _combo_agrees(collection, combo))
-        return Fraction(hits, total)
-    if mode == "montecarlo":
-        rng = random.Random(seed)
-        hits = 0
-        for _ in range(trials):
-            combo = sorted(rng.sample(range(k), t))
-            if _combo_agrees(collection, combo):
-                hits += 1
-        return Estimate(value=hits / trials, trials=trials, seed=seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    total = math.comb(k, t)
+    check(total, budget, what="t-subset enumeration")
+    hits = sum(1 for combo in itertools.combinations(range(k), t) if _combo_agrees(collection, combo))
+    return Fraction(hits, total)
 
 
 class _SubcollectionHits:
@@ -193,7 +177,7 @@ class _SubcollectionHits:
                    for sub, n in enumerate(supersets))
 
 
-def pair_consistency(collection, i, j, ell, mode="exact", trials=2000, seed=0, budget=None):
+def pair_consistency(collection, i, j, ell, budget=None):
     """Fraction of ell-size subcollections S' of the other sets on which
     f_i and f_j agree over S_i ∩ S_j ∩ ⋂S'. ell=0 returns 1 by convention."""
     k = collection.k
@@ -205,23 +189,9 @@ def pair_consistency(collection, i, j, ell, mode="exact", trials=2000, seed=0, b
         raise ValueError("need 0 <= ell <= k - 2")
     base = collection.domain_masks[i] & collection.domain_masks[j]
     diff = (collection.ones_masks[i] ^ collection.ones_masks[j]) & base
-    if mode == "exact":
-        total = math.comb(k - 2, ell)
-        check(total, budget, what="subcollection enumeration")
-        return Fraction(_SubcollectionHits(collection).hits(diff, ell), total)
-    if mode == "montecarlo":
-        others = [x for x in range(k) if x != i and x != j]
-        rng = random.Random(seed)
-        hits = 0
-        for _ in range(trials):
-            combo = rng.sample(others, ell)
-            m = diff
-            for x in combo:
-                m &= collection.domain_masks[x]
-            if m == 0:
-                hits += 1
-        return Estimate(value=hits / trials, trials=trials, seed=seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    total = math.comb(k - 2, ell)
+    check(total, budget, what="subcollection enumeration")
+    return Fraction(_SubcollectionHits(collection).hits(diff, ell), total)
 
 
 class ConsistencyOverlapError(ValueError):
@@ -254,13 +224,15 @@ class RedBlueGraph:
             raise ValueError("blue and red edge sets must be disjoint")
 
 
-def build_two_level_graph(collection, alpha, beta, t, mode="auto", trials=2000,
-                          seed=0, budget=None):
+def build_two_level_graph(collection, alpha, beta, t, seed=0, budget=None):
     """Blue edges are (t-2, beta)-consistent pairs; red edges are pairs that
     are not (2t-3, alpha)-consistent. Requires alpha <= beta and k >= 2t-1.
 
-    A pair qualifying as both raises ConsistencyOverlapError (possible only
-    at t=2, where the blue condition is vacuous).
+    The consistencies are exact when an enumeration of the subcollections
+    fits the budget, and seeded Monte Carlo estimates otherwise (the graph is
+    then marked estimated). A pair qualifying as both raises
+    ConsistencyOverlapError (possible only at t=2, where the blue condition
+    is vacuous).
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not 0 <= alpha <= beta <= 1:
@@ -271,22 +243,17 @@ def build_two_level_graph(collection, alpha, beta, t, mode="auto", trials=2000,
     if k < 2 * t - 1:
         raise ValueError("need k >= 2t - 1 so both subcollection sizes exist")
     work = math.comb(k, 2) * (math.comb(k - 2, t - 2) + math.comb(k - 2, 2 * t - 3))
-    if mode == "auto":
-        mode = "exact" if work <= effective(budget) else "montecarlo"
-    if mode == "exact":
-        check(work, budget, what="pair consistency enumeration")
-        colors = _counted_colors(collection, alpha, beta, t)
-    elif mode == "montecarlo":
-        colors = _sampled_colors(collection, alpha, beta, t, trials, seed)
+    estimated = work > effective(budget)
+    if estimated:
+        colors = _sampled_colors(collection, alpha, beta, t, seed)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        colors = _counted_colors(collection, alpha, beta, t)
     blue, red = set(), set()
     for i, j, is_blue, is_red in colors:
         if is_blue:
             blue.add((i, j))
         if is_red:
             red.add((i, j))
-    estimated = mode == "montecarlo"
     return RedBlueGraph(k, frozenset(blue), frozenset(red), estimated)
 
 
@@ -310,16 +277,35 @@ def _counted_colors(collection, alpha, beta, t):
         yield i, j, is_blue, is_red
 
 
-def _sampled_colors(collection, alpha, beta, t, trials, seed):
-    """(i, j, is_blue, is_red) per pair, from Monte Carlo estimates."""
+_TRIALS = 2000
+
+
+def _sampled_colors(collection, alpha, beta, t, seed):
+    """(i, j, is_blue, is_red) per pair, from Monte Carlo estimates: the
+    share of _TRIALS seeded ell-subcollections of the other sets that leave
+    the pair no disagreement, a float compared with the thresholds."""
     k = collection.k
+    ones, domains = collection.ones_masks, collection.domain_masks
+
+    def estimate(diff, others, ell, pair_seed):
+        if ell == 0:
+            return Fraction(1)
+        rng = random.Random(pair_seed)
+        hits = 0
+        for _ in range(_TRIALS):
+            m = diff
+            for x in rng.sample(others, ell):
+                m &= domains[x]
+            if m == 0:
+                hits += 1
+        return hits / _TRIALS
+
     for i, j in itertools.combinations(range(k), 2):
-        bc = pair_consistency(collection, i, j, t - 2, mode="montecarlo",
-                              trials=trials, seed=seed * 1_000_003 + i * k + j)
-        rc = pair_consistency(collection, i, j, 2 * t - 3, mode="montecarlo",
-                              trials=trials, seed=seed * 1_000_003 + i * k + j + 1)
-        bval = bc.value if isinstance(bc, Estimate) else bc
-        rval = rc.value if isinstance(rc, Estimate) else rc
+        diff = (ones[i] ^ ones[j]) & domains[i] & domains[j]
+        others = [x for x in range(k) if x != i and x != j]
+        pair_seed = seed * 1_000_003 + i * k + j
+        bval = estimate(diff, others, t - 2, pair_seed)
+        rval = estimate(diff, others, 2 * t - 3, pair_seed + 1)
         is_blue = bval >= beta
         is_red = rval < alpha
         if is_blue and is_red:
@@ -486,25 +472,21 @@ class AgreementDecodeReport:
     overrides: tuple[str, ...]
 
 
-def agreement_decode(collection, t, delta_measured, params, budget=None,
-                     graph_mode="auto", subgraph_mode="auto", trials=2000, seed=0):
-    """Run the two-level-graph decoding pipeline on a collection whose t-wise
-    weak agreement is at least delta_measured.
+def agreement_decode(collection, t, params, budget=None, seed=0):
+    """Run the two-level-graph decoding pipeline on a collection at delta =
+    its measured t-wise weak agreement.
 
-    Stages: verify the agreement floor, build the two-level graph at
-    beta = delta/(4 t^2) and alpha from params, audit red-blue transitivity at
+    Stages: measure delta, build the two-level graph at beta = delta/(4 t^2)
+    and alpha from params, audit red-blue transitivity at
     h = ceil((2 alpha / beta^2) k), extract a d = ceil(delta k / (8 t^2))
     subset of high non-red density, majority-decode it at zeta = rho*eta, and
     compare every stage quantity against its target. Returns
     (subset, g, report)."""
-    delta = Fraction(delta_measured)
-    if not 0 < delta <= 1:
-        raise ValueError("delta_measured must be in (0, 1]")
     k = collection.k
     n = collection.n
-    wagr = t_wagr(collection, t, budget=budget)
-    if wagr < delta:
-        raise ValueError(f"measured t-wise weak agreement {wagr} is below {delta}")
+    delta = wagr = t_wagr(collection, t, budget=budget)
+    if wagr == 0:
+        raise ValueError("collection has zero weak agreement; nothing to decode")
     alpha = params.alpha
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -513,15 +495,13 @@ def agreement_decode(collection, t, delta_measured, params, budget=None,
     beta = delta / (4 * t * t)
     if alpha > beta:
         raise ValueError(f"alpha {alpha} exceeds beta {beta}")
-    graph = build_two_level_graph(collection, alpha, beta, t, mode=graph_mode,
-                                  trials=trials, seed=seed, budget=budget)
+    graph = build_two_level_graph(collection, alpha, beta, t, seed=seed, budget=budget)
     blue_threshold = beta * k * k
     blue_ok = Fraction(len(graph.blue)) >= blue_threshold
     h = math.ceil(2 * alpha / (beta * beta) * k)
     rb_ok, rb_witness = check_rb_transitive(graph, h)
     d = math.ceil(delta * k / (8 * t * t))
-    if subgraph_mode == "auto":
-        subgraph_mode = "exact" if math.comb(k, d) <= effective(budget) else "greedy"
+    subgraph_mode = "exact" if math.comb(k, d) <= effective(budget) else "greedy"
     subset, density = find_non_red_subgraph(graph, d, mode=subgraph_mode, budget=budget)
     err = Fraction(2048) * t**8 * alpha / delta**4
     density_threshold = 1 - err
@@ -583,10 +563,7 @@ def decode_assignment(formula, system, sigma, params, budget=None, seed=0):
         sets.append(tuple(v - 1 for v in dom))
         values.append(tuple((mask >> i) & 1 for i in range(len(dom))))
     fc = FunctionCollection(SetSystem(formula.num_vars, tuple(sets)), tuple(values))
-    delta = t_wagr(fc, t, budget=budget)
-    if delta == 0:
-        raise ValueError("labeling has zero weak agreement; nothing to decode")
-    subset, g, agr = agreement_decode(fc, t, delta, params, budget=budget, seed=seed)
+    subset, g, agr = agreement_decode(fc, t, params, budget=budget, seed=seed)
     psi = {v + 1: g[v] for v in range(formula.num_vars)}
     nu = agr.stats.mean_disagr / formula.num_vars
     delta_occ = max_occurrence(formula)

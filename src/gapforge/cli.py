@@ -34,7 +34,7 @@ from .setsys import (SetSystem, dnf_bound_holds, dnf_false_prob,
 from .solvers import (exact_cvp, exact_kmean, exact_kmedian,
                       exact_max_coverage, exact_min_set_cover, exact_ncp,
                       greedy_max_coverage, verify_unique_cover)
-from .textformat import LAYOUTS
+from .textformat import LAYOUTS, fraction
 
 
 def _jsonable(obj):
@@ -99,23 +99,24 @@ def _matrix_shape(m):
 
 def _reduce_labelcover(text, args):
     formula = parse_dimacs(text)
-    subsets = sample_random_subsets(formula.num_clauses, args.k,
-                                    Fraction(args.p), args.seed)
+    p = fraction(args.p)
+    subsets = sample_random_subsets(formula.num_clauses, args.k, p, args.seed)
     instance = lc.build_main_reduction(formula, subsets, args.t,
                                        var_budget=args.var_budget,
                                        budget=args.budget,
                                        allow_vacuous=args.allow_vacuous)
-    params = {"k": args.k, "t": args.t, "p": str(Fraction(args.p)),
+    params = {"k": args.k, "t": args.t, "p": str(p),
               "var_budget": args.var_budget,
               "subsets": [list(s) for s in subsets.sets]}
     return lc.to_json(instance), params, _game_shape(instance)
 
 
 def _reduce_alphabet(text, args):
-    g = lc.reduce_alphabet(lc.from_json(text), Fraction(args.delta),
-                          budget=args.budget)
+    game = lc.from_json(text)
+    delta = fraction(args.delta)
+    g = lc.reduce_alphabet(game, delta, budget=args.budget)
     right_alphabet = len(g.right_alphabets[0]) if g.num_right else 0
-    return (lc.to_json(g), {"delta": str(Fraction(args.delta))},
+    return (lc.to_json(g), {"delta": str(delta)},
             {**_game_shape(g), "right_alphabet": right_alphabet})
 
 

@@ -48,17 +48,6 @@ class PartitionSystem:
         return tuple(g for g in range(self.ground_size) if self.value_at(g, a) == j)
 
 
-def partition_system(labels, t, budget=None):
-    """Partition system over [t]^labels; labels may be a list or a count."""
-    s = labels if isinstance(labels, int) else len(labels)
-    if s < 1:
-        raise ValueError("need at least one label")
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    check(t**s, budget, what="partition ground set")
-    return PartitionSystem(s, t)
-
-
 @dataclass(frozen=True)
 class CoverageInstance:
     """Pick k of the sets to cover as much of [universe_size] as possible.
@@ -279,10 +268,22 @@ class LatticeInstance:
         return len(self.rows[0]) if self.rows else 0
 
 
-def _abss_rows(coverage, multiplicity):
+def _abss_rows(coverage, soundness_threshold, multiplicity, budget):
+    """The shared ABSS matrix: `multiplicity` copies of each element's
+    incidence row with target 1, then an identity row per set with target 0.
+    multiplicity defaults to soundness_threshold + 1, the smallest sound
+    value."""
+    if soundness_threshold < 0:
+        raise ValueError("soundness_threshold must be nonnegative")
+    if multiplicity is None:
+        multiplicity = soundness_threshold + 1
+    if multiplicity < soundness_threshold + 1:
+        raise ValueError("multiplicity must be at least soundness_threshold + 1")
+    nsets = len(coverage.sets)
+    check((multiplicity * coverage.universe_size + nsets) * nsets, budget,
+          what="matrix size")
     rows = []
     target = []
-    nsets = len(coverage.sets)
     member = [set(s) for s in coverage.sets]
     for u in range(coverage.universe_size):
         row = tuple(1 if u in member[j] else 0 for j in range(nsets))
@@ -305,32 +306,16 @@ def abss_ncp_reduction(coverage, soundness_threshold, multiplicity=None, budget=
     element an odd number of times. multiplicity defaults to the smallest
     sound value, soundness_threshold + 1.
     """
-    tbar = soundness_threshold
-    if multiplicity is None:
-        multiplicity = tbar + 1
-    if multiplicity < tbar + 1:
-        raise ValueError("multiplicity must be at least soundness_threshold + 1")
-    nsets = len(coverage.sets)
-    check((multiplicity * coverage.universe_size + nsets) * nsets, budget,
-          what="matrix size")
-    rows, target = _abss_rows(coverage, multiplicity)
+    rows, target = _abss_rows(coverage, soundness_threshold, multiplicity, budget)
     return CodeInstance(rows=rows, target=target, k=coverage.k)
 
 
 def abss_cvp_reduction(coverage, soundness_threshold, multiplicity=None, p=1, budget=None):
     """Closest-vector analogue over the integers: element rows charge
     multiplicity * |count - 1|^p, identity rows charge |x_j|^p."""
-    tbar = soundness_threshold
-    if multiplicity is None:
-        multiplicity = tbar + 1
-    if multiplicity < tbar + 1:
-        raise ValueError("multiplicity must be at least soundness_threshold + 1")
     if p < 1:
         raise ValueError("p must be at least 1")
-    nsets = len(coverage.sets)
-    check((multiplicity * coverage.universe_size + nsets) * nsets, budget,
-          what="matrix size")
-    rows, target = _abss_rows(coverage, multiplicity)
+    rows, target = _abss_rows(coverage, soundness_threshold, multiplicity, budget)
     return LatticeInstance(rows=rows, target=target, p=p, k=coverage.k)
 
 

@@ -374,7 +374,7 @@ def _digits(value, q, ell):
     return tuple((value // q**d) % q for d in range(ell))
 
 
-def reduce_alphabet(instance, delta, prime_budget=10**6, budget=None):
+def reduce_alphabet(instance, delta, budget=None):
     """Shrink right alphabets to F_q by splitting each right vertex into one
     vertex per Hadamard codeword position.
 
@@ -392,7 +392,7 @@ def reduce_alphabet(instance, delta, prime_budget=10**6, budget=None):
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    q = smallest_prime_at_least(math.ceil(Fraction(t * t) / delta), prime_budget)
+    q = smallest_prime_at_least(math.ceil(Fraction(t * t) / delta))
     big_r = max(len(a) for a in instance.right_alphabets)
     ell = 1
     while q**ell < big_r:

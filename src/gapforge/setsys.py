@@ -35,15 +35,6 @@ class SetSystem:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """A Monte-Carlo estimate; trials and seed are kept so reruns reproduce it."""
-
-    value: float
-    trials: int
-    seed: int
-
-
 def bitmask(elements):
     """The integer with bit e set for each e in elements."""
     m = 0
@@ -200,7 +191,6 @@ class MonotoneDnf:
 
     num_vars: int
     terms: tuple[tuple[int, ...], ...]
-    allow_empty_term: bool = False
 
     def __post_init__(self):
         seen = set()
@@ -209,8 +199,8 @@ class MonotoneDnf:
                 raise ValueError("term must be a sorted duplicate-free index list")
             if term and (term[0] < 0 or term[-1] >= self.num_vars):
                 raise ValueError("term index out of range")
-            if not term and not self.allow_empty_term:
-                raise ValueError("empty term (always-true) must be explicitly allowed")
+            if not term:
+                raise ValueError("empty term (always-true) is not allowed")
             if term in seen:
                 raise ValueError(f"duplicate term {term}")
             seen.add(term)
@@ -249,32 +239,17 @@ def dnf_false_count_by_weight(f):
     return [int(c) for c in counts]
 
 
-def dnf_false_prob(f, p, mode="exact", trials=None, seed=None, budget=None):
-    """Pr[f(x) = 0] under the p-biased product distribution.
-
-    Exact mode sums the falsifying assignments (budget 2^k) and returns an
-    exact Fraction when p is rational; montecarlo mode returns an Estimate
-    recording (trials, seed).
-    """
-    if mode == "exact":
-        check(1 << f.num_vars, budget, what="assignment enumeration")
-        p = Fraction(p)
-        counts = dnf_false_count_by_weight(f)
-        k = f.num_vars
-        return sum(
-            c * p**w * (1 - p) ** (k - w) for w, c in enumerate(counts) if c
-        ) if any(counts) else Fraction(0)
-    if mode == "montecarlo":
-        if trials is None or seed is None:
-            raise ValueError("montecarlo mode needs trials and seed")
-        rng = random.Random(seed)
-        hits = 0
-        for _ in range(trials):
-            bits = [1 if rng.random() < p else 0 for _ in range(f.num_vars)]
-            if not f.evaluate(bits):
-                hits += 1
-        return Estimate(hits / trials, trials, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+def dnf_false_prob(f, p, budget=None):
+    """Pr[f(x) = 0] under the p-biased product distribution, summed exactly
+    over the falsifying assignments (budget 2^k); a Fraction when p is
+    rational."""
+    check(1 << f.num_vars, budget, what="assignment enumeration")
+    p = Fraction(p)
+    counts = dnf_false_count_by_weight(f)
+    k = f.num_vars
+    return sum(
+        c * p**w * (1 - p) ** (k - w) for w, c in enumerate(counts) if c
+    ) if any(counts) else Fraction(0)
 
 
 def dnf_bound_holds(false_prob, ell, p, eps, k):

@@ -10,8 +10,17 @@ from collections import namedtuple
 from fractions import Fraction
 
 
+def fraction(tok):
+    """Fraction(tok); a zero denominator raises ValueError, as any other
+    malformed number does."""
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"number {tok!r} has a zero denominator") from None
+
+
 def _number(tok):
-    return Fraction(tok) if "/" in tok or "." in tok else int(tok)
+    return fraction(tok) if "/" in tok or "." in tok else int(tok)
 
 
 # One format's header field names and body: as many rows as the `rows` header

@@ -10,15 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapforge import (CnfFormula, ConsistencyOverlapError, Estimate,
-                      FunctionCollection, LocalFunction, RedBlueGraph,
-                      SetSystem, agreement_decode, build_two_level_graph,
+from gapforge import (CnfFormula, ConsistencyOverlapError, FunctionCollection,
+                      LocalFunction, RedBlueGraph, SetSystem,
+                      agreement_decode, build_two_level_graph,
                       check_rb_transitive, clause_value, decode_assignment,
-                      disagr, disagr_within, find_non_red_subgraph,
+                      disagr, find_non_red_subgraph,
                       majority_decode, max_occurrence, pair_consistency,
                       pairwise_intersection_max, random_planted_formula,
                       sample_random_subsets, soundness_params, t_wagr,
                       vars_of)
+import gapforge.agreement
 from gapforge.agreement import _SubcollectionHits
 from gapforge.labelcover import build_main_reduction, restriction_labeling
 
@@ -63,8 +64,12 @@ def test_disagr_examples():
 @settings(max_examples=80, deadline=None)
 def test_disagr_triangle_on_triple_intersection(f1, f2, f3):
     triple = [e for e in f1.elements if e in f2.elements and e in f3.elements]
-    lhs = disagr_within(f1, f3, triple)
-    assert lhs <= disagr_within(f1, f2, triple) + disagr_within(f2, f3, triple)
+
+    def on_triple(f):
+        return LocalFunction(tuple(triple), tuple(f.values[f.elements.index(e)] for e in triple))
+
+    g1, g2, g3 = map(on_triple, (f1, f2, f3))
+    assert disagr(g1, g3) <= disagr(g1, g2) + disagr(g2, g3)
 
 
 def test_function_collection_validation():
@@ -121,11 +126,9 @@ def test_t_wagr_matches_recount(seed):
     assert t_wagr(fc, 2) == _wagr_recount(fc, 2)
 
 
-def test_t_wagr_montecarlo_and_errors():
+def test_t_wagr_errors():
     system = sample_random_subsets(8, 4, Fraction(1, 2), seed=1)
     fc = FunctionCollection.from_global(system, (0,) * 8)
-    est = t_wagr(fc, 2, mode="montecarlo", trials=100, seed=7)
-    assert est == Estimate(1.0, 100, 7)
     with pytest.raises(ValueError, match="2 <= t <= k"):
         t_wagr(fc, 5)
 
@@ -161,8 +164,6 @@ def test_pair_consistency_recount_k5():
     # f0, f1 share {0,1}: agree at 0, differ at 1; singletons S' = {2}, {3}, {4}
     # S'={2}: domain cut {0} -> agree; S'={3}: cut {1} -> differ; S'={4}: cut {} -> agree
     assert pair_consistency(fc, 0, 1, 1) == Fraction(2, 3)
-    est = pair_consistency(fc, 0, 1, 1, mode="montecarlo", trials=300, seed=5)
-    assert isinstance(est, Estimate) and 0 <= est.value <= 1
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -291,10 +292,10 @@ def test_counted_consistency_matches_enumeration(fc, a, b):
             continue
         expected = _enumerated_two_level_graph(fc, alpha, beta, t)
         if isinstance(expected, RedBlueGraph):
-            assert build_two_level_graph(fc, alpha, beta, t, mode="exact") == expected
+            assert build_two_level_graph(fc, alpha, beta, t) == expected
         else:
             with pytest.raises(ConsistencyOverlapError) as exc:
-                build_two_level_graph(fc, alpha, beta, t, mode="exact")
+                build_two_level_graph(fc, alpha, beta, t)
             assert ("overlap", exc.value.pair, exc.value.blue_consistency,
                     exc.value.red_consistency) == expected
 
@@ -492,28 +493,23 @@ def test_agreement_decode_argument_errors():
     system = sample_random_subsets(8, 5, Fraction(1, 2), seed=4)
     agree = FunctionCollection.from_global(system, (0,) * 8)
     params = _perfect_params(5, Fraction(1, 2))
-    with pytest.raises(ValueError, match="in \\(0, 1\\]"):
-        agreement_decode(agree, 2, 0, params)
     with pytest.raises(ValueError, match="k >= 10t/alpha"):
-        agreement_decode(agree, 2, 1, params)
+        agreement_decode(agree, 2, params)
 
-    noisy = FunctionCollection(system, tuple(
-        tuple((e + i) % 2 for e in s) for i, s in enumerate(system.sets)))
-    wagr = t_wagr(noisy, 2)
-    assert wagr < 1
-    with pytest.raises(ValueError, match="below"):
-        agreement_decode(noisy, 2, 1, params)
+    disagreeing = FunctionCollection(SetSystem(3, ((0, 1), (1, 2))), ((0, 1), (0, 0)))
+    with pytest.raises(ValueError, match="zero weak agreement"):
+        agreement_decode(disagreeing, 2, params)
 
     zero_alpha = soundness_params(Fraction(1, 2), 1, Fraction(1, 2), 2, 2)
     with pytest.raises(ValueError, match="alpha must be positive"):
-        agreement_decode(agree, 2, 1, zero_alpha)
+        agreement_decode(agree, 2, zero_alpha)
 
     big_system = sample_random_subsets(8, 80, Fraction(1, 2), seed=4)
     big_agree = FunctionCollection.from_global(big_system, (0,) * 8)
     wide = soundness_params(Fraction(1, 2), 1, Fraction(1, 2), 2, 80,
                             alpha_override=Fraction(1, 4))
     with pytest.raises(ValueError, match="exceeds beta"):
-        agreement_decode(big_agree, 2, 1, wide)
+        agreement_decode(big_agree, 2, wide)
 
 
 def _zero_satisfiable_formula(n, m, seed):
@@ -571,3 +567,52 @@ def test_decode_assignment_rejects_zero_agreement():
     params = _perfect_params(3, Fraction(1, 2))
     with pytest.raises(ValueError, match="zero weak agreement"):
         decode_assignment(formula, system, tuple(labels), params)
+
+
+# Over budget, the two-level graph is built from Monte Carlo estimates: 2000
+# seeded samples per pair and level, each compared as a float with the
+# thresholds. The thresholds sit on exact consistencies of these collections
+# (alpha = beta = 3/5 at t = 3, alpha = 1/5 at t = 2), so the outcome depends
+# on the seed: at t = 2, seed 1 samples a pair red and raises the overlap.
+SAMPLED_GRAPHS = {
+    (3, 0): ({(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 5), (2, 5), (2, 6), (3, 5)},
+             {(1, 4), (2, 4), (3, 4), (4, 5)}),
+    (3, 1): ({(0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 5), (2, 5), (2, 6), (3, 5)},
+             {(1, 4), (2, 4), (3, 4), (4, 5), (4, 6)}),
+    (2, 0): (set(itertools.combinations(range(7), 2)), set()),
+}
+
+
+@pytest.mark.parametrize("t, seed", sorted(SAMPLED_GRAPHS))
+def test_over_budget_two_level_graph_is_sampled(t, seed):
+    alpha = Fraction(3, 5) if t == 3 else Fraction(1, 5)
+    fc = collection_from_seed(5 if t == 3 else 4, k=7, noise=0.1)
+    graph = build_two_level_graph(fc, alpha, Fraction(3, 5), t, seed=seed, budget=1)
+    assert graph.estimated
+    assert (graph.blue, graph.red) == SAMPLED_GRAPHS[t, seed]
+
+
+def test_over_budget_two_level_graph_overlap_carries_the_estimate():
+    fc = collection_from_seed(4, k=7, noise=0.1)
+    with pytest.raises(ConsistencyOverlapError) as exc:
+        build_two_level_graph(fc, Fraction(1, 5), Fraction(3, 5), 2, seed=1, budget=1)
+    assert exc.value.pair == (0, 5)
+    assert exc.value.blue_consistency == 1
+    assert exc.value.red_consistency == 0.192 == 384 / 2000
+
+
+def test_decode_assignment_measures_agreement_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return t_wagr(*args, **kwargs)
+
+    monkeypatch.setattr(gapforge.agreement, "t_wagr", counted)
+    formula = CnfFormula(3, ((1, 2), (-1, 3), (-2, -3)))
+    system = SetSystem(3, ((0,), (1,), (2,)))
+    sigma = restriction_labeling(build_main_reduction(formula, system, 2), {1: 1, 2: 0, 3: 1})
+    # k = 3 is far below 10t/alpha, so the decoder stops right after measuring
+    with pytest.raises(ValueError, match="k >= 10t/alpha"):
+        decode_assignment(formula, system, sigma, _perfect_params(3, Fraction(1, 2)))
+    assert len(calls) == 1

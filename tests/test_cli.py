@@ -1,18 +1,24 @@
 """Command line pipeline: reduce stages, solvers, verify suites, info, exit
 codes, provenance sidecars, and byte-for-byte determinism."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gapforge
 from gapforge import from_json, parse_clustering, parse_coverage
-from gapforge.cli import main
+from gapforge.cli import _PROBLEMS, _STAGES, main
 from gapforge.setsys import (MonotoneDnf, SetSystem, dnf_to_text,
                              setsys_to_text)
 
@@ -296,6 +302,103 @@ def test_unique_cover_rejects_out_of_range_sets(tmp_path, capsys):
     code, doc, _ = run(capsys, "solve", "unique-cover", "-i", str(cov),
                        "--seed", "0", "--choose", "1,0")
     assert code == 0 and doc["unique"] is True
+
+
+def test_zero_denominators_are_errors(tmp_path, cnf_file, capsys):
+    metric = tmp_path / "metric.txt"
+    metric.write_text("clustering 1 1 1 1\n0 1/0\n1/0 0\n")
+    assert "'1/0'" in error_message(capsys, "info", "-i", str(metric))
+    assert "'1/0'" in error_message(capsys, "solve", "kmedian", "-i", str(metric),
+                                    "--seed", "0")
+    game = tmp_path / "game.json"
+    assert "'1/0'" in error_message(capsys, "reduce", "labelcover", "-i", str(cnf_file),
+                                    "-o", str(game), "--seed", "7", "--p", "1/0")
+    assert not game.exists()
+    run(capsys, "reduce", "labelcover", "-i", str(cnf_file), "-o", str(game), "--seed", "7")
+    out = tmp_path / "small.json"
+    assert "'1/0'" in error_message(capsys, "reduce", "alphabet", "-i", str(game),
+                                    "-o", str(out), "--seed", "7", "--delta", "1/0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["ncp", "cvp"])
+@pytest.mark.parametrize("tbar", ["-1", "-3"])
+def test_negative_tbar_is_an_error(tmp_path, capsys, stage, tbar):
+    cov = tmp_path / "cov.txt"
+    cov.write_text(COV)
+    out = tmp_path / "out.txt"
+    assert "soundness_threshold" in error_message(capsys, "reduce", stage, "-i", str(cov),
+                                                  "-o", str(out), "--seed", "0",
+                                                  "--tbar", tbar)
+    assert not out.exists()
+
+
+def _fuzz_seeds():
+    """One valid file per instance format."""
+    pair = parse_coverage(PAIR_COV)
+    game = gapforge.build_main_reduction(gapforge.parse_dimacs(TINY),
+                                         SetSystem(3, ((0, 1), (1, 2), (0, 2))), 2)
+    return {
+        "dimacs": TINY,
+        "labelcover": gapforge.to_json(game),
+        "cov": COV,
+        "setsys": setsys_to_text(SetSystem(4, ((0, 1), (2,)))),
+        "dnf": dnf_to_text(MonotoneDnf(3, ((0,), (1, 2)))),
+        "clustering": gapforge.clustering_to_text(gapforge.guha_khuller_reduction(pair)),
+        "ncp": gapforge.code_to_text(gapforge.abss_ncp_reduction(pair, 1)),
+        "cvp": gapforge.lattice_to_text(gapforge.abss_cvp_reduction(pair, 1)),
+    }
+
+
+FUZZ_SEEDS = {fmt: text.encode() for fmt, text in _fuzz_seeds().items()}
+FUZZ_TOKENS = (b"1/0", b"0", b"9", b"-", b" ", b"\n", b"/", b".", b"x", b"\xff",
+               b"{", b"]", b'"')
+edits = st.lists(st.tuples(st.sampled_from(("replace", "insert", "delete", "token")),
+                           st.integers(0, 10**6), st.sampled_from(FUZZ_TOKENS)),
+                 max_size=4)
+
+
+def _mutate(data, changes):
+    """Apply byte edits in order; a "token" edit swaps a whole
+    whitespace-separated token for the payload."""
+    for kind, position, payload in changes:
+        if kind == "token":
+            spans = [m.span() for m in re.finditer(rb"\S+", data)] or [(0, 0)]
+            start, end = spans[position % len(spans)]
+        else:
+            start = position % (len(data) + 1)
+            end = start if kind == "insert" else start + 1
+        data = data[:start] + (b"" if kind == "delete" else payload) + data[end:]
+    return data
+
+
+@pytest.mark.parametrize("fmt", sorted(FUZZ_SEEDS))
+@given(changes=edits)
+@settings(max_examples=40, deadline=None)
+def test_mutated_inputs_give_one_document(fmt, changes):
+    """Any input through info, every solve problem and every reduce stage
+    exits 0-3, and every run but a usage error prints one JSON document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(_mutate(FUZZ_SEEDS[fmt], changes))
+        budget = ("--seed", "0", "--budget", "10000")
+        runs = [("info", "-i", path)]
+        runs += [("solve", problem, "-i", path, *budget) for problem in _PROBLEMS]
+        runs += [("reduce", stage, "-i", path, "-o", os.path.join(tmp, "out"), *budget)
+                 for stage in _STAGES]
+        for argv in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2, 3), argv
+            if code != 2:
+                lines = out.getvalue().splitlines()
+                assert len(lines) == 1, argv
+                json.loads(lines[0])
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

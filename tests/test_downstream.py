@@ -15,7 +15,7 @@ from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
                       exact_max_coverage, exact_min_set_cover, exact_ncp,
                       feige_coverage_reduction, guha_khuller_reduction,
                       lattice_to_text, parse_clustering, parse_code,
-                      parse_coverage, parse_lattice, partition_system,
+                      parse_coverage, parse_lattice,
                       verify_unique_cover)
 from gapforge.formula import random_planted_formula
 from gapforge.labelcover import build_main_reduction, restriction_labeling
@@ -23,18 +23,16 @@ from gapforge.setsys import sample_random_subsets
 
 
 def test_partition_system_singleton_label():
-    ps = partition_system(1, 2)
+    ps = PartitionSystem(1, 2)
     assert ps.ground_size == 2
     assert ps.part(0, 0) == (0,) and ps.part(0, 1) == (1,)
 
 
 def test_partition_system_validation():
     with pytest.raises(ValueError, match="at least one label"):
-        partition_system(0, 2)
+        PartitionSystem(0, 2)
     with pytest.raises(ValueError, match="t must be at least 2"):
-        partition_system(2, 1)
-    with pytest.raises(BudgetError):
-        partition_system(30, 2)
+        PartitionSystem(2, 1)
     ps = PartitionSystem(2, 2)
     with pytest.raises(ValueError, match="ground element"):
         ps.value_at(4, 0)
@@ -49,7 +47,7 @@ def test_partition_identities_exhaustive():
     unfixed; each single partition covers everything exactly once."""
     for t in (2, 3):
         for s in range(1, 5):
-            ps = partition_system(s, t)
+            ps = PartitionSystem(s, t)
             for a in range(s):
                 parts = [ps.part(a, j) for j in range(t)]
                 assert all(len(p) == t ** (s - 1) for p in parts)
@@ -253,6 +251,23 @@ def test_abss_ncp_default_multiplicity_and_errors():
     big = CoverageInstance(40, (tuple(range(40)),) * 80, k=1)
     with pytest.raises(BudgetError):
         abss_ncp_reduction(big, soundness_threshold=40, budget=10_000)
+
+
+@pytest.mark.parametrize("reduction", [abss_ncp_reduction, abss_cvp_reduction])
+def test_abss_reductions_share_their_checks(reduction):
+    # a negative threshold used to give a matrix with no element rows
+    for tbar in (-1, -3):
+        with pytest.raises(ValueError, match="soundness_threshold must be nonnegative"):
+            reduction(_pair_cover(), soundness_threshold=tbar)
+    with pytest.raises(ValueError, match="multiplicity must be at least"):
+        reduction(_pair_cover(), soundness_threshold=2, multiplicity=2)
+    big = CoverageInstance(40, (tuple(range(40)),) * 80, k=1)
+    with pytest.raises(BudgetError) as exc:
+        reduction(big, soundness_threshold=40, budget=10_000)
+    assert exc.value.required == (41 * 40 + 80) * 80
+    zero = reduction(_pair_cover(), soundness_threshold=0)
+    assert zero.rows == ((1, 0), (0, 1), (1, 0), (0, 1))
+    assert zero.target == (1, 1, 0, 0)
 
 
 def test_abss_ncp_no_cover_instance():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapforge import (BudgetError, Estimate, MonotoneDnf, SetSystem,
+from gapforge import (BudgetError, MonotoneDnf, SetSystem,
                       check_sampled_properties, dnf_bound_holds,
                       dnf_false_prob, dnf_from_subcollections, dnf_to_text,
                       is_strong_intersection_disperser, is_uniform, masks,
@@ -180,8 +180,6 @@ def test_dnf_validation():
         MonotoneDnf(3, ((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="empty term"):
         MonotoneDnf(3, ((),))
-    f = MonotoneDnf(3, ((),), allow_empty_term=True)
-    assert f.evaluate((0, 0, 0))
     assert MonotoneDnf(4, ((0,), (1, 2, 3))).width == 3
 
 
@@ -195,18 +193,6 @@ def test_dnf_false_prob_examples():
     assert dnf_false_prob(singles, p) == (1 - p) ** s
     pair = MonotoneDnf(2, ((0, 1),))
     assert dnf_false_prob(pair, Fraction(1, 2)) == Fraction(3, 4)
-
-
-def test_dnf_false_prob_montecarlo():
-    pair = MonotoneDnf(2, ((0, 1),))
-    est = dnf_false_prob(pair, 0.5, mode="montecarlo", trials=4000, seed=11)
-    assert isinstance(est, Estimate)
-    assert est.trials == 4000 and est.seed == 11
-    assert abs(est.value - 0.75) < 0.05
-    again = dnf_false_prob(pair, 0.5, mode="montecarlo", trials=4000, seed=11)
-    assert again == est
-    with pytest.raises(ValueError, match="trials and seed"):
-        dnf_false_prob(pair, 0.5, mode="montecarlo")
 
 
 def test_dnf_false_prob_budget():
