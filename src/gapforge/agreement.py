@@ -350,12 +350,9 @@ def find_non_red_subgraph(graph, d, mode="exact", budget=None):
         raise ValueError("need 1 <= d <= num_vertices")
     if mode == "exact":
         check(math.comb(k, d), budget, what="subset enumeration")
-        best, best_density = None, Fraction(-1)
-        for combo in itertools.combinations(range(k), d):
-            dens = _non_red_density(graph, combo)
-            if dens > best_density:
-                best, best_density = combo, dens
-        return tuple(best), best_density
+        best = max(itertools.combinations(range(k), d),
+                   key=lambda combo: _non_red_density(graph, combo))
+        return best, _non_red_density(graph, best)
     if mode == "greedy":
         remaining = set(range(k))
         while len(remaining) > d:

@@ -126,7 +126,8 @@ def _reduce_coverage(text, args):
 
 
 def _reduce_clustering(text, args):
-    inst = guha_khuller_reduction(parse_coverage(text), exponent=args.exponent)
+    inst = guha_khuller_reduction(parse_coverage(text), exponent=args.exponent,
+                                  budget=args.budget)
     return clustering_to_text(inst), {"exponent": args.exponent}, _clustering_shape(inst)
 
 

@@ -177,13 +177,14 @@ class ClusteringInstance:
                             raise ValueError(f"triangle violation at ({a}, {b}, {c})")
 
 
-def guha_khuller_reduction(coverage, exponent=1):
+def guha_khuller_reduction(coverage, exponent=1, budget=None):
     """Unit-distance clustering metric for a coverage instance.
 
     Clients are elements, facilities are sets; an element is at distance 1
     from sets containing it and 3 from the rest; distinct clients and
     distinct facilities sit at distance 2. Every element must appear in some
-    set, else the construction is degenerate.
+    set, else the construction is degenerate. The budget counts the
+    (clients + facilities)^2 distances.
     """
     nc, nf = coverage.universe_size, len(coverage.sets)
     covered = set()
@@ -192,8 +193,9 @@ def guha_khuller_reduction(coverage, exponent=1):
     missing = sorted(set(range(nc)) - covered)
     if missing:
         raise ValueError(f"degenerate: elements {missing} appear in no set")
-    member = [set(s) for s in coverage.sets]
     size = nc + nf
+    check(size * size, budget, what="distance matrix")
+    member = [set(s) for s in coverage.sets]
     d = [[0] * size for _ in range(size)]
     for a in range(size):
         for b in range(size):

@@ -50,12 +50,11 @@ class CnfFormula:
         return len(self.clauses)
 
 
-def parse_dimacs(text, normalize=False):
+def parse_dimacs(text):
     """Parse DIMACS CNF text into a CnfFormula.
 
     Comment lines (c/%) are skipped; clauses may span lines and end with 0.
-    With normalize=True, variables that occur in no clause are dropped and
-    the rest renumbered densely; otherwise unused variables are an error.
+    A variable that occurs in no clause is an error.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -106,13 +105,6 @@ def parse_dimacs(text, normalize=False):
         raise DimacsError(
             f"line {header_line}: header promises {num_clauses} clauses, found {len(clauses)}"
         )
-    if normalize:
-        used = sorted({abs(lit) for cl in clauses for lit in cl})
-        remap = {v: i + 1 for i, v in enumerate(used)}
-        clauses = [
-            tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in cl) for cl in clauses
-        ]
-        num_vars = len(used)
     return CnfFormula(num_vars, tuple(tuple(cl) for cl in clauses))
 
 

@@ -21,6 +21,8 @@ RESTRICTION = "restriction"
 
 _NO_EDGES = "the game has no edges, so its value is undefined"
 _NO_RIGHT = "the game has no right vertices, so its value is undefined"
+# largest lower end a prime search starts from
+_PRIME_BUDGET = 10**6
 
 
 class UnsatisfiableSubsetError(ValueError):
@@ -225,12 +227,8 @@ def _best_left(instance, budget, score):
         raise ValueError(f"left vertex {sizes.index(0)} has an empty alphabet, "
                          "so the game has no left labeling")
     check(math.prod(sizes), budget, what="left labeling enumeration")
-    best_left, best_val = None, Fraction(-1)
-    for left in itertools.product(*(range(s) for s in sizes)):
-        val = score(left)
-        if val > best_val:
-            best_left, best_val = left, val
-    return best_left, best_val
+    best = max(itertools.product(*(range(s) for s in sizes)), key=score)
+    return best, score(best)
 
 
 def brute_force_val(instance, budget=None):
@@ -355,8 +353,8 @@ def is_prime(q):
     return True
 
 
-def smallest_prime_at_least(lo, prime_budget=10**6):
-    check(lo, prime_budget, what="prime search")
+def smallest_prime_at_least(lo):
+    check(lo, _PRIME_BUDGET, what="prime search")
     q = max(2, lo)
     while not is_prime(q):
         q += 1

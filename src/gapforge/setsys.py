@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import BudgetError, check
+from .budget import check, effective
 from .textformat import read, write
 
 
@@ -107,14 +107,15 @@ def _intersection_mask(set_masks, subcol, universe_mask):
     return m
 
 
-def is_strong_intersection_disperser(system, r, ell, eta, mode="exact", budget=None):
+def is_strong_intersection_disperser(system, r, ell, eta, budget=None):
     """Verdict on the (r, ell, eta) strong-intersection-disperser property.
 
     The property: any r distinct subcollections of size <= ell (distinct as
     index sets, taken as an unordered combination) leave at most eta*|U|
-    elements outside the union of their intersections. Exact mode enumerates
-    every combination; heuristic mode greedily builds one low-coverage
-    candidate tuple and can only refute or give up.
+    elements outside the union of their intersections. When the
+    C(#subcollections, r) combinations fit the budget, every one is checked;
+    otherwise a greedy pass builds one low-coverage candidate tuple and can
+    only refute ("violated") or give up ("inconclusive").
     """
     if r < 1 or ell < 1:
         raise ValueError("r and ell must be at least 1")
@@ -123,33 +124,11 @@ def is_strong_intersection_disperser(system, r, ell, eta, mode="exact", budget=N
     set_masks = masks(system)
     subcols = _subcollections(system.k, ell)
     limit_uncovered = Fraction(eta) * u
+    if len(subcols) < r:
+        return DisperserVerdict("certified-yes", note="fewer than r candidate subcollections")
+    inter = [_intersection_mask(set_masks, sc, universe_mask) for sc in subcols]
 
-    if mode == "exact":
-        if len(subcols) < r:
-            return DisperserVerdict("certified-yes", note="fewer than r candidate subcollections")
-        total = math.comb(len(subcols), r)
-        check(total, budget, what="disperser combination enumeration")
-        inter = [_intersection_mask(set_masks, sc, universe_mask) for sc in subcols]
-        checked = 0
-        for combo in itertools.combinations(range(len(subcols)), r):
-            union = 0
-            for ci in combo:
-                union |= inter[ci]
-            uncovered = (universe_mask & ~union).bit_count()
-            checked += 1
-            if uncovered > limit_uncovered:
-                return DisperserVerdict(
-                    "violated",
-                    witness=tuple(subcols[ci] for ci in combo),
-                    uncovered=uncovered,
-                    combinations_checked=checked,
-                )
-        return DisperserVerdict("certified-yes", combinations_checked=checked)
-
-    if mode == "heuristic":
-        if len(subcols) < r:
-            return DisperserVerdict("inconclusive", note="fewer than r candidate subcollections")
-        inter = [_intersection_mask(set_masks, sc, universe_mask) for sc in subcols]
+    if math.comb(len(subcols), r) > effective(budget):
         chosen = []
         union = 0
         remaining = set(range(len(subcols)))
@@ -168,7 +147,21 @@ def is_strong_intersection_disperser(system, r, ell, eta, mode="exact", budget=N
             )
         return DisperserVerdict("inconclusive", combinations_checked=r)
 
-    raise ValueError(f"unknown mode {mode!r}")
+    checked = 0
+    for combo in itertools.combinations(range(len(subcols)), r):
+        union = 0
+        for ci in combo:
+            union |= inter[ci]
+        uncovered = (universe_mask & ~union).bit_count()
+        checked += 1
+        if uncovered > limit_uncovered:
+            return DisperserVerdict(
+                "violated",
+                witness=tuple(subcols[ci] for ci in combo),
+                uncovered=uncovered,
+                combinations_checked=checked,
+            )
+    return DisperserVerdict("certified-yes", combinations_checked=checked)
 
 
 def pairwise_intersection_max(system):
@@ -358,11 +351,7 @@ def check_sampled_properties(system, p, delta, n, disperser_params, budget=None)
             inter = ms[i] & ms[j]
             elems = [e for e in range(system.universe_size) if inter >> e & 1]
             sub, _ = restrict_system(system, elems, exclude=(i, j))
-            try:
-                v = is_strong_intersection_disperser(sub, r, ell, eta, "exact", budget)
-            except BudgetError:
-                v = is_strong_intersection_disperser(sub, r, ell, eta, "heuristic", budget)
-            verdicts.append((i, j, v))
+            verdicts.append((i, j, is_strong_intersection_disperser(sub, r, ell, eta, budget)))
     return SampledPropertiesReport(
         universe_size=system.universe_size,
         k=system.k,

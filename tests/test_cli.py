@@ -291,6 +291,22 @@ def test_reduce_alphabet_checks_its_output_size(tmp_path, cnf_file, capsys):
     assert code == 0 and doc["summary"]["num_right"] == 33
 
 
+def test_reduce_clustering_checks_its_output_size(tmp_path, capsys):
+    # one set holding all 300 elements: a 301 x 301 distance matrix
+    cov = tmp_path / "big.txt"
+    cov.write_text("cov 300 1 1\n" + " ".join(map(str, range(300))) + "\n")
+    out = tmp_path / "out.txt"
+    code, doc, stdout = run(capsys, "reduce", "clustering", "-i", str(cov), "-o", str(out),
+                            "--seed", "0", "--budget", "10")
+    assert code == 3 and stdout.count("\n") == 1
+    assert doc["status"] == "inconclusive"
+    assert doc["required"] == 301 * 301 and doc["budget"] == 10
+    assert not out.exists()
+    code, doc, _ = run(capsys, "reduce", "clustering", "-i", str(cov), "-o", str(out),
+                       "--seed", "0", "--budget", str(301 * 301))
+    assert code == 0 and doc["summary"]["clients"] == 300
+
+
 def test_unique_cover_rejects_out_of_range_sets(tmp_path, capsys):
     cov = tmp_path / "cov.txt"
     cov.write_text("cov 3 2 1\n0 1\n2\n")

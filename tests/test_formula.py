@@ -55,13 +55,9 @@ def test_parse_comments_and_clauses_spanning_lines():
     assert f.clauses == ((1, 2, 3), (-1, -2))
 
 
-def test_unused_variable_rejected_unless_normalized():
-    text = "p cnf 3 1\n1 3 0"
+def test_unused_variable_rejected():
     with pytest.raises(ValueError, match="never used"):
-        parse_dimacs(text)
-    f = parse_dimacs(text, normalize=True)
-    assert f.num_vars == 2
-    assert f.clauses == ((1, 2),)
+        parse_dimacs("p cnf 3 1\n1 3 0")
 
 
 def test_serialize_round_trip_is_identity_on_clauses():

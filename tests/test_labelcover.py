@@ -263,7 +263,7 @@ def test_prime_helpers():
     assert smallest_prime_at_least(8) == 11
     assert smallest_prime_at_least(14) == 17
     with pytest.raises(BudgetError):
-        smallest_prime_at_least(10**7, prime_budget=10**6)
+        smallest_prime_at_least(10**7)
 
 
 def test_hadamard_examples():

@@ -105,18 +105,20 @@ def test_disperser_vacuous_and_budget():
     v = is_strong_intersection_disperser(SetSystem(3, ((0,),)), 2, 1, 0)
     assert v.status == "certified-yes" and "fewer than r" in v.note
 
+    # C(10 + C(10, 2), 3) combinations are over the budget: the greedy pass
+    # checks one r-tuple instead of raising
     big = sample_random_subsets(12, 10, Fraction(1, 2), seed=0)
-    with pytest.raises(BudgetError) as exc:
-        is_strong_intersection_disperser(big, 3, 2, 0, budget=10)
-    total = math.comb(10 + math.comb(10, 2), 3)
-    assert exc.value.required == total
+    v = is_strong_intersection_disperser(big, 3, 2, 0, budget=10)
+    assert v.status == "violated" and v.combinations_checked == 3
 
 
 def test_disperser_heuristic_modes():
+    # a budget below C(#subcollections, r) takes the greedy refutation path
     empty = SetSystem(3, ((), ()))
-    assert is_strong_intersection_disperser(empty, 1, 1, Fraction(1, 2), mode="heuristic").status == "violated"
+    assert is_strong_intersection_disperser(empty, 1, 1, Fraction(1, 2), budget=1).status == "violated"
     full = SetSystem(4, (tuple(range(4)),) * 3)
-    assert is_strong_intersection_disperser(full, 2, 1, 0, mode="heuristic").status == "inconclusive"
+    assert is_strong_intersection_disperser(full, 2, 1, 0, budget=2).status == "inconclusive"
+    assert is_strong_intersection_disperser(full, 2, 1, 0, budget=3).status == "certified-yes"
 
 
 def _disperser_oracle(system, r, ell, eta):

@@ -2,17 +2,24 @@
 agreement on shared instances."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
-                      CoverageInstance, LatticeInstance, coverage_fraction,
-                      exact_cvp, exact_kmean, exact_kmedian,
-                      exact_max_coverage, exact_min_set_cover, exact_ncp,
-                      greedy_max_coverage, guha_khuller_reduction,
-                      verify_unique_cover)
+                      CoverageInstance, LabelCoverInstance, LatticeInstance,
+                      RedBlueGraph, brute_force_val, brute_force_wval,
+                      coverage_fraction, exact_cvp, exact_kmean,
+                      exact_kmedian, exact_max_coverage, exact_min_set_cover,
+                      exact_ncp, find_non_red_subgraph, greedy_max_coverage,
+                      guha_khuller_reduction, optimal_extension,
+                      verify_unique_cover, weak_agreement_value)
+from gapforge.agreement import _non_red_density
+from gapforge.setsys import bitmask, masks
 
 
 def random_coverage(rng, universe=10, nsets=8, k=3):
@@ -209,5 +216,221 @@ def test_solver_results_carry_accounting():
     inst = CoverageInstance(4, ((0, 1), (2,), (3,)), k=2)
     result = exact_max_coverage(inst)
     assert result.enumerated == 3  # C(3, 2)
-    assert result.wall_time >= 0
     assert result.note == ""
+
+
+# Reference searches: hand-written best-so-far loops that keep the first
+# optimum in lex order through a sentinel and a strict compare. The library's
+# builtin min/max searches must return the same value, witness, count and note.
+
+def _old_greedy(instance):
+    ms = masks(instance)
+    chosen = []
+    covered = 0
+    steps = 0
+    for _ in range(instance.k):
+        best, best_gain = None, -1
+        for j in range(len(ms)):
+            if j in chosen:
+                continue
+            steps += 1
+            gain = (ms[j] & ~covered).bit_count()
+            if gain > best_gain:
+                best, best_gain = j, gain
+        chosen.append(best)
+        covered |= ms[best]
+    return covered.bit_count(), tuple(chosen), steps, ""
+
+
+def _old_max_coverage(instance):
+    n = len(instance.sets)
+    ms = masks(instance)
+    best, best_value = None, -1
+    for combo in itertools.combinations(range(n), instance.k):
+        m = 0
+        for j in combo:
+            m |= ms[j]
+        c = m.bit_count()
+        if c > best_value:
+            best, best_value = combo, c
+    return best_value, tuple(best), math.comb(n, instance.k), ""
+
+
+def _old_min_set_cover(instance):
+    n = len(instance.sets)
+    ms = masks(instance)
+    universe = (1 << instance.universe_size) - 1
+    enumerated = 0
+    for size in range(0, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            enumerated += 1
+            m = 0
+            for j in combo:
+                m |= ms[j]
+            if m == universe:
+                return size, tuple(combo), enumerated, ""
+    raise AssertionError("unreachable: full union covers the universe")
+
+
+def _old_clustering(instance, exponent):
+    nc, nf = instance.num_clients, instance.num_facilities
+    d = instance.dist
+    best, best_cost = None, None
+    for combo in itertools.combinations(range(nf), instance.k):
+        cost = 0
+        for u in range(nc):
+            nearest = min(d[u][nc + f] for f in combo)
+            cost += nearest**exponent
+        if best_cost is None or cost < best_cost:
+            best, best_cost = combo, cost
+    return best_cost, tuple(best), math.comb(nf, instance.k), ""
+
+
+def _old_ncp(instance):
+    cols = instance.num_cols
+    col_masks = [bitmask(r for r, row in enumerate(instance.rows) if row[j])
+                 for j in range(cols)]
+    y_mask = bitmask(r for r, bit in enumerate(instance.target) if bit)
+    best, best_cost = None, None
+    for x in itertools.product((0, 1), repeat=cols):
+        acc = 0
+        for j, bit in enumerate(x):
+            if bit:
+                acc ^= col_masks[j]
+        cost = (acc ^ y_mask).bit_count()
+        if best_cost is None or cost < best_cost:
+            best, best_cost = x, cost
+    return best_cost, best, 1 << cols, ""
+
+
+def _old_cvp(instance, box):
+    cols = instance.num_cols
+    if box is None:
+        box = instance.k + 1
+    best, best_cost = None, None
+    for x in itertools.product(range(-box, box + 1), repeat=cols):
+        cost = 0
+        for row, yr in zip(instance.rows, instance.target):
+            acc = sum(a * xi for a, xi in zip(row, x))
+            cost += abs(acc - yr) ** instance.p
+        if best_cost is None or cost < best_cost:
+            best, best_cost = x, cost
+    return (best_cost, best, (2 * box + 1) ** cols,
+            f"coordinates enumerated in [-{box}, {box}]")
+
+
+def _old_best_left(instance, score):
+    sizes = [len(a) for a in instance.left_alphabets]
+    best_left, best_val = None, Fraction(-1)
+    for left in itertools.product(*(range(s) for s in sizes)):
+        val = score(left)
+        if val > best_val:
+            best_left, best_val = left, val
+    return best_left, best_val
+
+
+def _old_val(instance):
+    best_left, _ = _old_best_left(instance, lambda left: optimal_extension(instance, left)[1])
+    right, val = optimal_extension(instance, best_left)
+    return (best_left, right), val
+
+
+def _old_wval(instance):
+    return _old_best_left(instance, lambda left: weak_agreement_value(instance, left))
+
+
+def _old_non_red_subgraph(graph, d):
+    best, best_density = None, Fraction(-1)
+    for combo in itertools.combinations(range(graph.num_vertices), d):
+        dens = _non_red_density(graph, combo)
+        if dens > best_density:
+            best, best_density = combo, dens
+    return tuple(best), best_density
+
+
+def _fields(result):
+    return result.value, result.witness, result.enumerated, result.note
+
+
+def _same(got, want):
+    """Equal, and equal in type at every position (Fraction 2 is not int 2)."""
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def _tied_coverage(rng):
+    # a few distinct sets drawn with repeats, so many k-subsets tie
+    u = rng.randint(1, 4)
+    pool = [tuple(sorted(rng.sample(range(u), rng.randint(0, u)))) for _ in range(3)]
+    n = rng.randint(1, 6)
+    return CoverageInstance(u, tuple(rng.choice(pool) for _ in range(n)), k=rng.randint(1, n))
+
+
+def _tied_clustering(rng):
+    # off-diagonal distances in [1, 2] always satisfy the triangle inequality
+    nc, nf = rng.randint(1, 4), rng.randint(1, 4)
+    size = nc + nf
+    d = [[0] * size for _ in range(size)]
+    for a, b in itertools.combinations(range(size), 2):
+        d[a][b] = d[b][a] = rng.choice((1, Fraction(3, 2), 2))
+    return ClusteringInstance(nc, nf, tuple(map(tuple, d)), k=rng.randint(1, nf))
+
+
+def _tied_columns(rng, rows, cols, entries):
+    # columns drawn from a pool of two, so messages tie
+    pool = [tuple(rng.choice(entries) for _ in range(rows)) for _ in range(2)]
+    columns = [rng.choice(pool) for _ in range(cols)]
+    return tuple(tuple(c[r] for c in columns) for r in range(rows))
+
+
+def _tied_game(rng):
+    num_left, num_right = rng.randint(1, 3), rng.randint(1, 3)
+    lsizes = [rng.randint(1, 3) for _ in range(num_left)]
+    rsizes = [rng.randint(1, 2) for _ in range(num_right)]
+    edges = [(u, v) for u in range(num_left) for v in range(num_right) if rng.random() < 0.6]
+    if not edges:
+        edges = [(0, 0)]
+    tables = tuple(tuple(rng.randrange(rsizes[v]) for _ in range(lsizes[u])) for u, v in edges)
+    return LabelCoverInstance(
+        num_left=num_left, num_right=num_right, edges=tuple(edges),
+        left_alphabets=tuple(tuple(range(s)) for s in lsizes),
+        right_alphabets=tuple(tuple(range(s)) for s in rsizes),
+        projections=tables)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_builtin_searches_match_the_old_loops(seed):
+    rng = random.Random(seed)
+
+    cov = _tied_coverage(rng)
+    _same(_fields(greedy_max_coverage(cov)), _old_greedy(cov))
+    _same(_fields(exact_max_coverage(cov)), _old_max_coverage(cov))
+    covering = _covering_variant(cov)
+    _same(_fields(exact_min_set_cover(covering)), _old_min_set_cover(covering))
+
+    metric = _tied_clustering(rng)
+    _same(_fields(exact_kmedian(metric)), _old_clustering(metric, 1))
+    _same(_fields(exact_kmean(metric)), _old_clustering(metric, 2))
+
+    rows = rng.randint(1, 5)
+    code = CodeInstance(_tied_columns(rng, rows, rng.randint(0, 4), (0, 1)),
+                        tuple(rng.randrange(2) for _ in range(rows)), k=1)
+    _same(_fields(exact_ncp(code)), _old_ncp(code))
+
+    rows = rng.randint(1, 3)
+    lat = LatticeInstance(_tied_columns(rng, rows, rng.randint(0, 3), (-1, 0, 1)),
+                          tuple(rng.randint(-2, 2) for _ in range(rows)),
+                          p=rng.randint(1, 2), k=0)
+    box = rng.choice((None, 0, 1))
+    _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
+
+    game = _tied_game(rng)
+    _same(brute_force_val(game), _old_val(game))
+    _same(brute_force_wval(game), _old_wval(game))
+
+    k = rng.randint(1, 6)
+    red = frozenset(e for e in itertools.combinations(range(k), 2) if rng.random() < 0.4)
+    graph = RedBlueGraph(k, frozenset(), red)
+    d = rng.randint(1, k)
+    _same(find_non_red_subgraph(graph, d), _old_non_red_subgraph(graph, d))
