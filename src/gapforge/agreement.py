@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .budget import check, effective
 from .formula import clause_value, max_occurrence
-from .labelcover import build_main_reduction
+from .labelcover import UnsatisfiableSubsetError, left_vertices
 from .setsys import SetSystem, bitmask, is_uniform, masks
 
 
@@ -338,34 +338,31 @@ def _non_red_density(graph, vertices):
     return Fraction(size * size - bad, size * size)
 
 
-def find_non_red_subgraph(graph, d, mode="exact", budget=None):
+def find_non_red_subgraph(graph, d, budget=None):
     """A d-vertex subset with high non-red ordered-pair density.
 
-    Exact mode maximizes over all d-subsets (min-lex ties); greedy mode
-    deletes the heaviest red vertex until d remain. Density is recomputed
-    exactly either way.
+    When the C(k, d) subsets fit the budget this maximizes over all of them
+    (min-lex ties); otherwise it deletes the heaviest red vertex until d
+    remain. Density is recomputed exactly either way.
     """
     k = graph.num_vertices
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= num_vertices")
-    if mode == "exact":
-        check(math.comb(k, d), budget, what="subset enumeration")
+    if math.comb(k, d) <= effective(budget):
         best = max(itertools.combinations(range(k), d),
                    key=lambda combo: _non_red_density(graph, combo))
         return best, _non_red_density(graph, best)
-    if mode == "greedy":
-        remaining = set(range(k))
-        while len(remaining) > d:
-            deg = {v: 0 for v in remaining}
-            for u, v in graph.red:
-                if u in remaining and v in remaining:
-                    deg[u] += 1
-                    deg[v] += 1
-            drop = max(remaining, key=lambda v: (deg[v], v))
-            remaining.remove(drop)
-        chosen = tuple(sorted(remaining))
-        return chosen, _non_red_density(graph, chosen)
-    raise ValueError(f"unknown mode {mode!r}")
+    remaining = set(range(k))
+    while len(remaining) > d:
+        deg = {v: 0 for v in remaining}
+        for u, v in graph.red:
+            if u in remaining and v in remaining:
+                deg[u] += 1
+                deg[v] += 1
+        drop = max(remaining, key=lambda v: (deg[v], v))
+        remaining.remove(drop)
+    chosen = tuple(sorted(remaining))
+    return chosen, _non_red_density(graph, chosen)
 
 
 @dataclass(frozen=True)
@@ -499,7 +496,7 @@ def agreement_decode(collection, t, params, budget=None, seed=0):
     rb_ok, rb_witness = check_rb_transitive(graph, h)
     d = math.ceil(delta * k / (8 * t * t))
     subgraph_mode = "exact" if math.comb(k, d) <= effective(budget) else "greedy"
-    subset, density = find_non_red_subgraph(graph, d, mode=subgraph_mode, budget=budget)
+    subset, density = find_non_red_subgraph(graph, d, budget=budget)
     err = Fraction(2048) * t**8 * alpha / delta**4
     density_threshold = 1 - err
     density_ok = density >= density_threshold
@@ -545,22 +542,21 @@ def decode_assignment(formula, system, sigma, params, budget=None, seed=0):
     returned assignment. The report compares the clause fraction it satisfies
     against 1 - mu - 3*nu*Delta/gamma with nu the measured mean disagreement
     over n."""
-    t = params.t
-    instance = build_main_reduction(formula, system, t, budget=budget)
-    if len(sigma) != instance.num_left:
+    domains, alphabets = left_vertices(formula, system)
+    if () in alphabets:
+        u = alphabets.index(())
+        raise UnsatisfiableSubsetError(u, system.sets[u])
+    if len(sigma) != system.k:
         raise ValueError("labeling must cover every left vertex")
     sets = []
     values = []
-    for u in range(instance.num_left):
-        li = sigma[u]
-        if not 0 <= li < len(instance.left_alphabets[u]):
+    for u, (li, dom, alphabet) in enumerate(zip(sigma, domains, alphabets)):
+        if not 0 <= li < len(alphabet):
             raise ValueError(f"label index {li} out of range at vertex {u}")
-        dom = instance.left_domains[u]
-        mask = instance.left_alphabets[u][li]
         sets.append(tuple(v - 1 for v in dom))
-        values.append(tuple((mask >> i) & 1 for i in range(len(dom))))
+        values.append(tuple((alphabet[li] >> i) & 1 for i in range(len(dom))))
     fc = FunctionCollection(SetSystem(formula.num_vars, tuple(sets)), tuple(values))
-    subset, g, agr = agreement_decode(fc, t, params, budget=budget, seed=seed)
+    subset, g, agr = agreement_decode(fc, params.t, params, budget=budget, seed=seed)
     psi = {v + 1: g[v] for v in range(formula.num_vars)}
     nu = agr.stats.mean_disagr / formula.num_vars
     delta_occ = max_occurrence(formula)

@@ -152,29 +152,21 @@ class ClusteringInstance:
             raise ValueError("need 1 <= k <= num_facilities")
         if self.exponent not in (1, 2):
             raise ValueError("exponent must be 1 (median) or 2 (mean)")
-        d = self.dist
-        for a in range(size):
-            if d[a][a] != 0:
-                raise ValueError(f"nonzero diagonal at {a}")
-            for b in range(size):
-                if d[a][b] < 0:
-                    raise ValueError(f"negative distance at ({a}, {b})")
-                if d[a][b] != d[b][a]:
-                    raise ValueError(f"asymmetry at ({a}, {b})")
-        arr = np.array(d)
-        if arr.dtype.kind == "i":
-            for b in range(size):
-                bad = arr > arr[:, b : b + 1] + arr[b : b + 1, :]
-                if bad.any():
-                    a, c = map(int, np.argwhere(bad)[0])
-                    raise ValueError(f"triangle violation at ({a}, {b}, {c})")
-        else:
-            # exact entries (Fractions) stay out of numpy
-            for a in range(size):
-                for b in range(size):
-                    for c in range(size):
-                        if d[a][c] > d[a][b] + d[b][c]:
-                            raise ValueError(f"triangle violation at ({a}, {b}, {c})")
+        # int64 for integer matrices, exact Python numbers in an object array
+        # otherwise; every check names its first offender in row-major order
+        arr = np.array(self.dist)
+        diagonal = np.flatnonzero(arr.diagonal() != 0)
+        if diagonal.size:
+            raise ValueError(f"nonzero diagonal at {diagonal[0]}")
+        for bad, what in ((arr < 0, "negative distance"), (arr != arr.T, "asymmetry")):
+            if bad.any():
+                a, b = map(int, np.argwhere(bad)[0])
+                raise ValueError(f"{what} at ({a}, {b})")
+        for b in range(size):
+            bad = arr > arr[:, b : b + 1] + arr[b : b + 1, :]
+            if bad.any():
+                a, c = map(int, np.argwhere(bad)[0])
+                raise ValueError(f"triangle violation at ({a}, {b}, {c})")
 
 
 def guha_khuller_reduction(coverage, exponent=1, budget=None):

@@ -169,14 +169,13 @@ def max_occurrence(formula):
 def satisfied_counts(formula, variables=None, clause_indices=None):
     """Vector of satisfied-clause counts over all assignments to `variables`.
 
-    Assignment index i encodes the bits of the variables in sorted order with
+    Assignment index i encodes the bits of the variables in the order given,
     the first variable as the most significant bit, so integer order equals
     lexicographic order on bit vectors. Every selected clause must touch only
     listed variables. Used by the brute-force oracles.
     """
     if variables is None:
         variables = range(1, formula.num_vars + 1)
-    variables = sorted(variables)
     nv = len(variables)
     pos = {v: i for i, v in enumerate(variables)}
     if clause_indices is None:

@@ -251,57 +251,53 @@ def brute_force_wval(instance, budget=None):
     return _best_left(instance, budget, lambda left: _weak_agreement(instance, left))
 
 
+def left_vertices(formula, system, var_budget=24):
+    """The clause-subset game's left side: per subset T of `system`, the
+    sorted domain var(T) and the satisfying assignments to it as ascending
+    masks, bit j holding the value of domain[j]. An unsatisfiable subset gets
+    an empty alphabet; a subset over more than var_budget variables is
+    refused."""
+    if system.universe_size != formula.num_clauses:
+        raise ValueError("system universe must be the clause set")
+    domains = []
+    alphabets = []
+    for i, subset in enumerate(system.sets):
+        dom = sorted(vars_of(formula, subset))
+        check(1 << len(dom), 1 << var_budget, what=f"alphabet enumeration for subset {i}")
+        # reversed, so bit j of the enumeration index is dom[j]
+        counts = satisfied_counts(formula, dom[::-1], subset)
+        domains.append(tuple(dom))
+        alphabets.append(tuple(np.flatnonzero(counts == len(subset)).tolist()))
+    return tuple(domains), tuple(alphabets)
+
+
 def build_main_reduction(formula, system, t, var_budget=24, budget=None, allow_vacuous=False):
     """The clause-subset projection game.
 
     Left vertices are the subsets of `system` (a SetSystem over clause
-    indices); left labels are the satisfying assignments to var(T) as
-    bitmasks; right vertices are the t-size subcollections; right labels are
-    all assignments to the t-wise variable intersection; edges project by
-    restriction. An unsatisfiable subset raises unless allow_vacuous.
+    indices) with the labels of `left_vertices`; right vertices are the
+    t-size subcollections; right labels are all assignments to the t-wise
+    variable intersection; edges project by restriction. An unsatisfiable
+    subset raises unless allow_vacuous.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
     k = system.k
     if k < t:
         raise ValueError("need at least t subsets")
-    if system.universe_size != formula.num_clauses:
-        raise ValueError("system universe must be the clause set")
-    left_domains = []
-    left_alphabets = []
-    vacuous = False
-    for i, subset in enumerate(system.sets):
-        dom = sorted(vars_of(formula, subset))
-        if len(dom) > var_budget:
-            check(1 << len(dom), 1 << var_budget, what=f"alphabet enumeration for subset {i}")
-        if dom:
-            counts = satisfied_counts(formula, dom, subset)
-            sat = np.nonzero(counts == len(subset))[0]
-            # mask convention: bit j of the enumeration index is dom[nv-1-j],
-            # re-encode so bit j means dom[j]
-            nv = len(dom)
-            labels = tuple(
-                sum(((int(m) >> (nv - 1 - j)) & 1) << j for j in range(nv)) for m in sat
-            )
-            labels = tuple(sorted(labels))
-        else:
-            labels = (0,)
-        if not labels:
-            if not allow_vacuous:
-                raise UnsatisfiableSubsetError(i, subset)
-            vacuous = True
-        left_domains.append(tuple(dom))
-        left_alphabets.append(labels)
+    left_domains, left_alphabets = left_vertices(formula, system, var_budget)
+    vacuous = not all(left_alphabets)
+    if vacuous and not allow_vacuous:
+        i = left_alphabets.index(())
+        raise UnsatisfiableSubsetError(i, system.sets[i])
     check(math.comb(k, t), budget, what="right vertex enumeration")
     combos = list(itertools.combinations(range(k), t))
     right_domains = []
     right_alphabets = []
     edges = []
+    dom_sets = [set(dom) for dom in left_domains]
     for v_idx, combo in enumerate(combos):
-        rdom = set(left_domains[combo[0]])
-        for i in combo[1:]:
-            rdom &= set(left_domains[i])
-        rdom = tuple(sorted(rdom))
+        rdom = tuple(sorted(set.intersection(*(dom_sets[i] for i in combo))))
         right_domains.append(rdom)
         right_alphabets.append(tuple(range(1 << len(rdom))))
         for i in combo:
@@ -310,10 +306,10 @@ def build_main_reduction(formula, system, t, var_budget=24, budget=None, allow_v
         num_left=k,
         num_right=len(combos),
         edges=tuple(edges),
-        left_alphabets=tuple(left_alphabets),
+        left_alphabets=left_alphabets,
         right_alphabets=tuple(right_alphabets),
         projections=RESTRICTION,
-        left_domains=tuple(left_domains),
+        left_domains=left_domains,
         right_domains=tuple(right_domains),
         bi_regular=True,
         right_degree=t,

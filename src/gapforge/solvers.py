@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budget import check
+from .budget import BudgetError, check, effective
 from .setsys import bitmask, masks
 
 
@@ -65,9 +65,10 @@ def exact_max_coverage(instance, budget=None):
 
 def exact_min_set_cover(instance, budget=None):
     """Smallest family of sets covering the whole universe, by size-ascending
-    enumeration; min-lex witness. Raises if no cover exists."""
+    enumeration; min-lex witness. Raises if no cover exists. The budget
+    counts the candidates visited, not the 2^n the search may reach."""
     n = len(instance.sets)
-    check(1 << n, budget, what="subset enumeration")
+    limit = effective(budget)
     ms = masks(instance)
     universe = (1 << instance.universe_size) - 1
     if bitmask(itertools.chain.from_iterable(instance.sets)) != universe:
@@ -75,6 +76,8 @@ def exact_min_set_cover(instance, budget=None):
     by_size = itertools.chain.from_iterable(
         itertools.combinations(range(n), size) for size in range(n + 1))
     for enumerated, combo in enumerate(by_size, 1):
+        if enumerated > limit:
+            raise BudgetError(1 << n, limit, what="subset enumeration")
         m = 0
         for j in combo:
             m |= ms[j]

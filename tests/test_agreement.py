@@ -21,7 +21,8 @@ from gapforge import (CnfFormula, ConsistencyOverlapError, FunctionCollection,
                       vars_of)
 import gapforge.agreement
 from gapforge.agreement import _SubcollectionHits
-from gapforge.labelcover import build_main_reduction, restriction_labeling
+from gapforge.labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
+                                 build_main_reduction, restriction_labeling)
 
 local_functions = st.builds(
     lambda pairs: LocalFunction(tuple(sorted(pairs)), tuple(v for _, v in sorted(pairs.items()))),
@@ -383,7 +384,7 @@ def test_find_non_red_subgraph():
     _, density = find_non_red_subgraph(complete_red, 2)
     assert density == Fraction(1, 2)  # diagonal pairs are never red
 
-    greedy_subset, greedy_density = find_non_red_subgraph(complete_red, 2, mode="greedy")
+    greedy_subset, greedy_density = find_non_red_subgraph(complete_red, 2, budget=2)
     assert greedy_density == Fraction(1, 2) and greedy_subset == (0, 1)
 
     with pytest.raises(ValueError, match="1 <= d"):
@@ -395,7 +396,7 @@ def test_find_non_red_subgraph_exact_beats_greedy():
     red = frozenset({(0, v) for v in range(1, 5)})
     graph = RedBlueGraph(5, frozenset(), red)
     exact_subset, exact_density = find_non_red_subgraph(graph, 3)
-    greedy_subset, greedy_density = find_non_red_subgraph(graph, 3, mode="greedy")
+    greedy_subset, greedy_density = find_non_red_subgraph(graph, 3, budget=9)
     assert exact_density == 1 and exact_subset == (1, 2, 3)
     assert greedy_density <= exact_density
 
@@ -554,6 +555,41 @@ def test_decode_assignment_end_to_end():
     assert not agr.graph_estimated
     assert agr.subgraph_mode == "greedy"
     assert agr.overrides == ("p", "alpha", "rho", "eta")
+
+
+def test_decode_assignment_builds_no_game(monkeypatch):
+    """The decoder reads only the game's left side, so at k = 320 it
+    constructs none of the C(320, 2) right vertices' game."""
+    formula = _zero_satisfiable_formula(10, 12, seed=13)
+    system = sample_random_subsets(12, 320, Fraction(1, 4), seed=13)
+    zeros = {v: 0 for v in range(1, 11)}
+    sigma = restriction_labeling(build_main_reduction(formula, system, 2), zeros)
+    built = []
+    post_init = LabelCoverInstance.__post_init__
+
+    def counted(self):
+        built.append(self.num_left)
+        post_init(self)
+
+    monkeypatch.setattr(LabelCoverInstance, "__post_init__", counted)
+    psi, report = decode_assignment(formula, system, sigma, _perfect_params(320, Fraction(1)),
+                                    budget=20_000_000)
+    assert built == []
+    assert psi == zeros and report.agreement.wagr == 1
+
+
+def test_decode_assignment_label_errors():
+    formula = CnfFormula(3, ((1, 2), (-1, 3), (-2, -3)))
+    system = SetSystem(3, ((0,), (1,), (2,)))
+    params = _perfect_params(3, Fraction(1, 2))
+    with pytest.raises(ValueError, match="cover every left vertex"):
+        decode_assignment(formula, system, (0, 0), params)
+    with pytest.raises(ValueError, match="label index 3 out of range at vertex 1"):
+        decode_assignment(formula, system, (0, 3, 0), params)
+    unsat = CnfFormula(1, ((1,), (-1,)))
+    with pytest.raises(UnsatisfiableSubsetError) as exc:
+        decode_assignment(unsat, SetSystem(2, ((0,), (0, 1))), (0, 0), params)
+    assert exc.value.index == 1
 
 
 def test_decode_assignment_rejects_zero_agreement():

@@ -191,6 +191,22 @@ def test_budget_exhaustion_is_inconclusive(capsys):
     assert doc["required"] > doc["budget"] == 10
 
 
+def test_min_set_cover_budget_counts_visited_candidates(tmp_path, capsys):
+    # sets {0,1}, {2,3}, {4,5} are the first 3-subset: 1 + 4 + 6 + 1 = 12
+    # candidates are visited, fewer than the 2^4 subsets
+    cov = tmp_path / "toy.txt"
+    cov.write_text(COV)
+    code, doc, _ = run(capsys, "solve", "min-set-cover", "-i", str(cov),
+                       "--seed", "0", "--budget", "12")
+    assert code == 0
+    assert doc["value"] == 3 and doc["witness"] == [0, 1, 2] and doc["enumerated"] == 12
+    code, doc, stdout = run(capsys, "solve", "min-set-cover", "-i", str(cov),
+                            "--seed", "0", "--budget", "11")
+    assert code == 3 and stdout.count("\n") == 1
+    assert doc["status"] == "inconclusive"
+    assert doc["budget"] == 11 and doc["required"] == 16
+
+
 def test_env_budget_override(tmp_path, capsys, monkeypatch):
     cov = tmp_path / "toy.txt"
     cov.write_text(COV)

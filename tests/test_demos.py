@@ -1,4 +1,4 @@
-"""The Python demos print exactly the text recorded in tests/demos_expected/.
+"""The demos print exactly the text recorded in tests/demos_expected/.
 
 Every number a demo prints comes from an exact, seeded computation, so any
 change in a solver's value, witness or tie-break shows up here as a diff.
@@ -23,3 +23,21 @@ def test_demo_stdout_matches_recorded_text(demo):
                           capture_output=True, text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (EXPECTED / f"{demo}.txt").read_text()
+
+
+def test_cli_tour_stdout_matches_recorded_text(tmp_path):
+    # a `gapforge` launcher for this checkout, as an installer would write it
+    script = tmp_path / "bin" / "gapforge"
+    script.parent.mkdir()
+    script.write_text(f"#!{sys.executable}\n"
+                      "import sys\n"
+                      "from gapforge.cli import main\n"
+                      "sys.exit(main())\n")
+    script.chmod(0o755)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PATH=f"{script.parent}{os.pathsep}{os.environ.get('PATH', '')}")
+    env.pop("GAPFORGE_BUDGET", None)
+    proc = subprocess.run(["bash", str(ROOT / "demos" / "cli_tour.sh")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (EXPECTED / "cli_tour.txt").read_text()

@@ -176,6 +176,58 @@ def test_clustering_metric_validation():
         ClusteringInstance(1, 1, ((0, 1), (1, 0)), k=1, exponent=3)
 
 
+def _loop_metric_error(d):
+    """The metric checks as Python loops over the entries: the reference the
+    array checks are compared with."""
+    size = len(d)
+    for a in range(size):
+        if d[a][a] != 0:
+            return f"nonzero diagonal at {a}"
+    for what, bad in (("negative distance", lambda a, b: d[a][b] < 0),
+                      ("asymmetry", lambda a, b: d[a][b] != d[b][a])):
+        for a, b in itertools.product(range(size), repeat=2):
+            if bad(a, b):
+                return f"{what} at ({a}, {b})"
+    for b, a, c in itertools.product(range(size), repeat=3):
+        if d[a][c] > d[a][b] + d[b][c]:
+            return f"triangle violation at ({a}, {b}, {c})"
+    return None
+
+
+def test_metric_checks_match_the_loops():
+    """Line metrics with integer or rational entries, some with one or two
+    broken entries of each kind; every message names the same offender."""
+    messages = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        size = rng.randint(2, 6)
+        points = [rng.randint(0, 4) for _ in range(size)]
+        scale = Fraction(1, 3) if seed % 2 else 1
+        d = [[abs(p - q) * scale for q in points] for p in points]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.randrange(size), rng.randrange(size)
+            kind = rng.randrange(4)
+            if kind == 0:
+                d[a][a] = scale
+            elif kind == 1:
+                d[a][b] = d[b][a] = -scale
+            elif kind == 2:
+                d[a][b] += scale
+            else:
+                d[a][b] = d[b][a] = d[a][b] + 7 * scale
+        dist = tuple(map(tuple, d))
+        expected = _loop_metric_error(dist)
+        messages.add(expected and expected.split(" at ")[0])
+        if expected is None:
+            ClusteringInstance(size - 1, 1, dist, k=1)
+        else:
+            with pytest.raises(ValueError) as exc:
+                ClusteringInstance(size - 1, 1, dist, k=1)
+            assert str(exc.value) == expected
+    assert messages == {None, "nonzero diagonal", "negative distance", "asymmetry",
+                        "triangle violation"}
+
+
 def test_guha_khuller_full_cover_costs():
     cov = CoverageInstance(4, ((0, 1), (2, 3)), k=2)
     inst = guha_khuller_reduction(cov)

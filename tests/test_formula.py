@@ -129,6 +129,22 @@ def test_satisfied_counts_matches_clause_value(seed):
 
 @given(st.integers(0, 2**32 - 1), st.data())
 @settings(max_examples=40, deadline=None)
+def test_satisfied_counts_reversed_variables_reverse_the_bits(seed, data):
+    """Variables are taken in the order given, the first as the most
+    significant bit, so reversing them bit-reverses every index."""
+    f, _ = random_planted_formula(6, 8, seed)
+    clauses = sorted(data.draw(st.sets(st.integers(0, f.num_clauses - 1))))
+    variables = sorted(vars_of(f, clauses))
+    nv = len(variables)
+    forward = satisfied_counts(f, variables, clauses)
+    backward = satisfied_counts(f, variables[::-1], clauses)
+    for idx in range(1 << nv):
+        reversed_idx = int(format(idx, f"0{nv}b")[::-1] or "0", 2)
+        assert backward[reversed_idx] == forward[idx]
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
 def test_satisfied_count_monotone_under_clause_deletion(seed, data):
     f, _ = random_planted_formula(6, 8, seed)
     subset = data.draw(st.sets(st.integers(0, f.num_clauses - 1)))

@@ -5,8 +5,10 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,9 @@ from gapforge import (BudgetError, LabelCoverInstance, SetSystem,
                       sample_random_subsets, smallest_prime_at_least,
                       soundness_params, to_json, weak_agreement_value,
                       wval_to_val_bound)
-from gapforge.labelcover import RESTRICTION, is_prime
+from gapforge.budget import check
+from gapforge.formula import CnfFormula, satisfied_counts, vars_of
+from gapforge.labelcover import RESTRICTION, is_prime, left_vertices
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
 
@@ -244,6 +248,79 @@ def test_main_reduction_completeness(seed):
     assert weak_agreement_value(instance, left) == 1
     for alphabet, dom in zip(instance.left_alphabets, instance.left_domains):
         assert len(alphabet) <= 1 << len(dom)
+
+
+def _reencoded_left_side(formula, system, var_budget):
+    """The left side as the builder made it before `left_vertices`: labels
+    enumerated most significant bit first over the sorted domain, then
+    re-encoded bit by bit so bit j means dom[j]; an empty domain got (0,)."""
+    domains, alphabets = [], []
+    for i, subset in enumerate(system.sets):
+        dom = sorted(vars_of(formula, subset))
+        if len(dom) > var_budget:
+            check(1 << len(dom), 1 << var_budget, what=f"alphabet enumeration for subset {i}")
+        if dom:
+            counts = satisfied_counts(formula, dom, subset)
+            sat = np.nonzero(counts == len(subset))[0]
+            nv = len(dom)
+            labels = tuple(sorted(
+                sum(((int(m) >> (nv - 1 - j)) & 1) << j for j in range(nv)) for m in sat))
+        else:
+            labels = (0,)
+        domains.append(tuple(dom))
+        alphabets.append(labels)
+    return tuple(domains), tuple(alphabets)
+
+
+def _random_narrow_formula(rng):
+    """Unit and two-literal clauses over few variables, so small clause
+    subsets are often unsatisfiable."""
+    n = rng.randint(1, 4)
+    clauses = [(v if rng.random() < 0.5 else -v,) for v in range(1, n + 1)]
+    for _ in range(rng.randint(0, 8)):
+        width = rng.randint(1, min(2, n))
+        clauses.append(tuple(v if rng.random() < 0.5 else -v
+                             for v in rng.sample(range(1, n + 1), width)))
+    rng.shuffle(clauses)
+    return CnfFormula(n, tuple(clauses))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_left_vertices_match_the_reencoded_labels(seed):
+    """Same domains, same ascending masks and the same refusals as the
+    re-encoding; an empty subset's one label is the empty assignment 0 and
+    an unsatisfiable subset's alphabet is empty."""
+    rng = random.Random(seed)
+    if seed % 2:
+        formula, _ = random_planted_formula(rng.randint(3, 9), rng.randint(3, 12), seed)
+    else:
+        formula = _random_narrow_formula(rng)
+    m = formula.num_clauses
+    system = SetSystem(m, tuple(tuple(sorted(rng.sample(range(m), rng.randint(0, min(m, 5)))))
+                                for _ in range(rng.randint(1, 6))))
+    var_budget = rng.choice([2, 4, 8, 24])
+    try:
+        expected = _reencoded_left_side(formula, system, var_budget)
+    except BudgetError as exc:
+        with pytest.raises(BudgetError, match=re.escape(str(exc))):
+            left_vertices(formula, system, var_budget)
+        return
+    assert left_vertices(formula, system, var_budget) == expected
+    for subset, alphabet in zip(system.sets, expected[1]):
+        if not subset:
+            assert alphabet == (0,)
+
+
+def test_left_vertices_edge_cases():
+    formula = parse_dimacs("p cnf 2 3\n1 0\n-1 0\n1 2 0\n")
+    domains, alphabets = left_vertices(formula, SetSystem(3, ((), (0, 1), (2,))))
+    assert domains == ((), (1,), (1, 2))
+    assert alphabets == ((0,), (), (1, 2, 3))
+    with pytest.raises(BudgetError, match="subset 2"):
+        left_vertices(formula, SetSystem(3, ((0,), (1,), (2,))), var_budget=1)
+    with pytest.raises(ValueError, match="clause set"):
+        left_vertices(formula, SetSystem(2, ((0,),)))
 
 
 def test_restriction_labeling_rejects_violations():

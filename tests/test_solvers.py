@@ -190,7 +190,7 @@ def test_solver_budget_errors():
     with pytest.raises(BudgetError):
         exact_max_coverage(cov, budget=10)
     with pytest.raises(BudgetError):
-        exact_min_set_cover(cov, budget=100)
+        exact_min_set_cover(cov, budget=31)
     gk = guha_khuller_reduction(_covering_variant(cov))
     with pytest.raises(BudgetError):
         exact_kmedian(gk, budget=10)
