@@ -78,8 +78,7 @@ params = soundness_params(Fraction(1, 2), 1, Fraction(1, 2), 2, 320,
 print(f"k=320 clause subsets, measured rho = {rho}, "
       f"overrides: {', '.join(params.overrides)}")
 
-psi, report = decode_assignment(formula, big, sigma, params,
-                                budget=20_000_000)
+psi, report = decode_assignment(formula, big, sigma, params)
 agr = report.agreement
 print(f"agreement subset: {len(agr.subset)} sets, wagr {agr.wagr}, "
       f"non-red density {agr.non_red_density}")

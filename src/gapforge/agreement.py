@@ -8,7 +8,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -143,13 +142,24 @@ class _SubcollectionHits:
             self._cache[key] = self._count(diff, ell)
         return self._cache[key]
 
+    def cost(self, diff, ell):
+        """The work of hits(diff, ell): one pass over the k sets and, for
+        ell >= 2, the cheaper of inclusion-exclusion (|diff| steps for each
+        subset of diff) and enumeration of the C(k-2, ell) subcollections."""
+        if ell == 0:
+            return 0
+        if ell == 1:
+            return self._k
+        d = diff.bit_count()
+        return self._k + min(d << d, math.comb(self._k - 2, ell))
+
     def _count(self, diff, ell):
         cuts = [m & diff for m in self._masks]
         if ell == 1:
             # i and j cut nothing off diff, so they count only when diff = ∅
             return cuts.count(0) - (2 if diff == 0 else 0)
         d = diff.bit_count()
-        if d << d > math.comb(self._k - 2, ell):
+        if self.cost(diff, ell) < self._k + (d << d):
             # enumeration is cheaper; two cuts equal to diff stand for i and j
             cuts.remove(diff)
             cuts.remove(diff)
@@ -189,9 +199,9 @@ def pair_consistency(collection, i, j, ell, budget=None):
         raise ValueError("need 0 <= ell <= k - 2")
     base = collection.domain_masks[i] & collection.domain_masks[j]
     diff = (collection.ones_masks[i] ^ collection.ones_masks[j]) & base
-    total = math.comb(k - 2, ell)
-    check(total, budget, what="subcollection enumeration")
-    return Fraction(_SubcollectionHits(collection).hits(diff, ell), total)
+    counter = _SubcollectionHits(collection)
+    check(counter.cost(diff, ell), budget, what="subcollection count")
+    return Fraction(counter.hits(diff, ell), math.comb(k - 2, ell))
 
 
 class ConsistencyOverlapError(ValueError):
@@ -213,6 +223,7 @@ class RedBlueGraph:
     num_vertices: int
     blue: frozenset
     red: frozenset
+    # always False: every graph is exact; kept so recorded graphs still compare
     estimated: bool = False
 
     def __post_init__(self):
@@ -224,15 +235,15 @@ class RedBlueGraph:
             raise ValueError("blue and red edge sets must be disjoint")
 
 
-def build_two_level_graph(collection, alpha, beta, t, seed=0, budget=None):
+def build_two_level_graph(collection, alpha, beta, t, budget=None):
     """Blue edges are (t-2, beta)-consistent pairs; red edges are pairs that
     are not (2t-3, alpha)-consistent. Requires alpha <= beta and k >= 2t-1.
 
-    The consistencies are exact when an enumeration of the subcollections
-    fits the budget, and seeded Monte Carlo estimates otherwise (the graph is
-    then marked estimated). A pair qualifying as both raises
+    The consistencies are exact, from one hit counter shared by all pairs.
+    The budget is charged C(k, 2) pair lookups plus the counter's cost of
+    each distinct (diff, ell) key. A pair qualifying as both raises
     ConsistencyOverlapError (possible only at t=2, where the blue condition
-    is vacuous).
+    is vacuous); the thresholds compare as integers.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not 0 <= alpha <= beta <= 1:
@@ -242,31 +253,17 @@ def build_two_level_graph(collection, alpha, beta, t, seed=0, budget=None):
     k = collection.k
     if k < 2 * t - 1:
         raise ValueError("need k >= 2t - 1 so both subcollection sizes exist")
-    work = math.comb(k, 2) * (math.comb(k - 2, t - 2) + math.comb(k - 2, 2 * t - 3))
-    estimated = work > effective(budget)
-    if estimated:
-        colors = _sampled_colors(collection, alpha, beta, t, seed)
-    else:
-        colors = _counted_colors(collection, alpha, beta, t)
-    blue, red = set(), set()
-    for i, j, is_blue, is_red in colors:
-        if is_blue:
-            blue.add((i, j))
-        if is_red:
-            red.add((i, j))
-    return RedBlueGraph(k, frozenset(blue), frozenset(red), estimated)
-
-
-def _counted_colors(collection, alpha, beta, t):
-    """(i, j, is_blue, is_red) per pair, from one shared hit counter; the
-    consistency thresholds compare as integers."""
-    k = collection.k
+    ones, domains = collection.ones_masks, collection.domain_masks
+    pairs = list(itertools.combinations(range(k), 2))
+    diffs = [(ones[i] ^ ones[j]) & domains[i] & domains[j] for i, j in pairs]
     counter = _SubcollectionHits(collection)
     blue_ell, red_ell = t - 2, 2 * t - 3
+    check(len(pairs) + sum(counter.cost(diff, blue_ell) + counter.cost(diff, red_ell)
+                           for diff in set(diffs)),
+          budget, what="two-level consistency count")
     blue_total, red_total = math.comb(k - 2, blue_ell), math.comb(k - 2, red_ell)
-    ones, domains = collection.ones_masks, collection.domain_masks
-    for i, j in itertools.combinations(range(k), 2):
-        diff = (ones[i] ^ ones[j]) & domains[i] & domains[j]
+    blue, red = set(), set()
+    for (i, j), diff in zip(pairs, diffs):
         blue_hits = counter.hits(diff, blue_ell)
         red_hits = counter.hits(diff, red_ell)
         is_blue = blue_hits * beta.denominator >= beta.numerator * blue_total
@@ -274,43 +271,11 @@ def _counted_colors(collection, alpha, beta, t):
         if is_blue and is_red:
             raise ConsistencyOverlapError(i, j, Fraction(blue_hits, blue_total),
                                           Fraction(red_hits, red_total))
-        yield i, j, is_blue, is_red
-
-
-_TRIALS = 2000
-
-
-def _sampled_colors(collection, alpha, beta, t, seed):
-    """(i, j, is_blue, is_red) per pair, from Monte Carlo estimates: the
-    share of _TRIALS seeded ell-subcollections of the other sets that leave
-    the pair no disagreement, a float compared with the thresholds."""
-    k = collection.k
-    ones, domains = collection.ones_masks, collection.domain_masks
-
-    def estimate(diff, others, ell, pair_seed):
-        if ell == 0:
-            return Fraction(1)
-        rng = random.Random(pair_seed)
-        hits = 0
-        for _ in range(_TRIALS):
-            m = diff
-            for x in rng.sample(others, ell):
-                m &= domains[x]
-            if m == 0:
-                hits += 1
-        return hits / _TRIALS
-
-    for i, j in itertools.combinations(range(k), 2):
-        diff = (ones[i] ^ ones[j]) & domains[i] & domains[j]
-        others = [x for x in range(k) if x != i and x != j]
-        pair_seed = seed * 1_000_003 + i * k + j
-        bval = estimate(diff, others, t - 2, pair_seed)
-        rval = estimate(diff, others, 2 * t - 3, pair_seed + 1)
-        is_blue = bval >= beta
-        is_red = rval < alpha
-        if is_blue and is_red:
-            raise ConsistencyOverlapError(i, j, bval, rval)
-        yield i, j, is_blue, is_red
+        if is_blue:
+            blue.add((i, j))
+        if is_red:
+            red.add((i, j))
+    return RedBlueGraph(k, frozenset(blue), frozenset(red))
 
 
 def check_rb_transitive(graph, h):
@@ -345,13 +310,20 @@ def find_non_red_subgraph(graph, d, budget=None):
     (min-lex ties); otherwise it deletes the heaviest red vertex until d
     remain. Density is recomputed exactly either way.
     """
+    subset, density, _ = _non_red_subgraph(graph, d, budget)
+    return subset, density
+
+
+def _non_red_subgraph(graph, d, budget):
+    """find_non_red_subgraph's (subset, density) and whether it searched
+    every subset."""
     k = graph.num_vertices
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= num_vertices")
     if math.comb(k, d) <= effective(budget):
         best = max(itertools.combinations(range(k), d),
                    key=lambda combo: _non_red_density(graph, combo))
-        return best, _non_red_density(graph, best)
+        return best, _non_red_density(graph, best), True
     remaining = set(range(k))
     while len(remaining) > d:
         deg = {v: 0 for v in remaining}
@@ -362,7 +334,7 @@ def find_non_red_subgraph(graph, d, budget=None):
         drop = max(remaining, key=lambda v: (deg[v], v))
         remaining.remove(drop)
     chosen = tuple(sorted(remaining))
-    return chosen, _non_red_density(graph, chosen)
+    return chosen, _non_red_density(graph, chosen), False
 
 
 @dataclass(frozen=True)
@@ -466,7 +438,7 @@ class AgreementDecodeReport:
     overrides: tuple[str, ...]
 
 
-def agreement_decode(collection, t, params, budget=None, seed=0):
+def agreement_decode(collection, t, params, budget=None):
     """Run the two-level-graph decoding pipeline on a collection at delta =
     its measured t-wise weak agreement.
 
@@ -489,14 +461,13 @@ def agreement_decode(collection, t, params, budget=None, seed=0):
     beta = delta / (4 * t * t)
     if alpha > beta:
         raise ValueError(f"alpha {alpha} exceeds beta {beta}")
-    graph = build_two_level_graph(collection, alpha, beta, t, seed=seed, budget=budget)
+    graph = build_two_level_graph(collection, alpha, beta, t, budget=budget)
     blue_threshold = beta * k * k
     blue_ok = Fraction(len(graph.blue)) >= blue_threshold
     h = math.ceil(2 * alpha / (beta * beta) * k)
     rb_ok, rb_witness = check_rb_transitive(graph, h)
     d = math.ceil(delta * k / (8 * t * t))
-    subgraph_mode = "exact" if math.comb(k, d) <= effective(budget) else "greedy"
-    subset, density = find_non_red_subgraph(graph, d, budget=budget)
+    subset, density, exhaustive = _non_red_subgraph(graph, d, budget)
     err = Fraction(2048) * t**8 * alpha / delta**4
     density_threshold = 1 - err
     density_ok = density >= density_threshold
@@ -515,7 +486,7 @@ def agreement_decode(collection, t, params, budget=None, seed=0):
         final_bound_squared=final_bound_squared,
         final_ok=stats.mean_disagr ** 2 <= final_bound_squared,
         graph_estimated=graph.estimated,
-        subgraph_mode=subgraph_mode,
+        subgraph_mode="exact" if exhaustive else "greedy",
         overrides=params.overrides,
     )
     return subset, g, report
@@ -534,7 +505,7 @@ class DecodeAssignmentReport:
     agreement: AgreementDecodeReport
 
 
-def decode_assignment(formula, system, sigma, params, budget=None, seed=0):
+def decode_assignment(formula, system, sigma, params, budget=None):
     """Decode a left labeling of the clause-subset game into an assignment.
 
     The labeling's local assignments become a function collection over the
@@ -556,7 +527,7 @@ def decode_assignment(formula, system, sigma, params, budget=None, seed=0):
         sets.append(tuple(v - 1 for v in dom))
         values.append(tuple((alphabet[li] >> i) & 1 for i in range(len(dom))))
     fc = FunctionCollection(SetSystem(formula.num_vars, tuple(sets)), tuple(values))
-    subset, g, agr = agreement_decode(fc, params.t, params, budget=budget, seed=seed)
+    subset, g, agr = agreement_decode(fc, params.t, params, budget=budget)
     psi = {v + 1: g[v] for v in range(formula.num_vars)}
     nu = agr.stats.mean_disagr / formula.num_vars
     delta_occ = max_occurrence(formula)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapforge import (CnfFormula, ConsistencyOverlapError, FunctionCollection,
-                      LocalFunction, RedBlueGraph, SetSystem,
+from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
+                      FunctionCollection, LocalFunction, RedBlueGraph, SetSystem,
                       agreement_decode, build_two_level_graph,
                       check_rb_transitive, clause_value, decode_assignment,
                       disagr, find_non_red_subgraph,
@@ -537,8 +537,7 @@ def test_decode_assignment_end_to_end():
     rho = Fraction(pairwise_intersection_max(SetSystem(10, var_sets)), 10)
     params = _perfect_params(320, rho)
 
-    psi, report = decode_assignment(formula, system, sigma, params,
-                                    budget=20_000_000)
+    psi, report = decode_assignment(formula, system, sigma, params)
     assert psi == zeros
     assert report.nu == 0
     assert report.clause_fraction == 1
@@ -572,8 +571,7 @@ def test_decode_assignment_builds_no_game(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(LabelCoverInstance, "__post_init__", counted)
-    psi, report = decode_assignment(formula, system, sigma, _perfect_params(320, Fraction(1)),
-                                    budget=20_000_000)
+    psi, report = decode_assignment(formula, system, sigma, _perfect_params(320, Fraction(1)))
     assert built == []
     assert psi == zeros and report.agreement.wagr == 1
 
@@ -605,36 +603,44 @@ def test_decode_assignment_rejects_zero_agreement():
         decode_assignment(formula, system, tuple(labels), params)
 
 
-# Over budget, the two-level graph is built from Monte Carlo estimates: 2000
-# seeded samples per pair and level, each compared as a float with the
-# thresholds. The thresholds sit on exact consistencies of these collections
-# (alpha = beta = 3/5 at t = 3, alpha = 1/5 at t = 2), so the outcome depends
-# on the seed: at t = 2, seed 1 samples a pair red and raises the overlap.
-SAMPLED_GRAPHS = {
-    (3, 0): ({(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 5), (2, 5), (2, 6), (3, 5)},
-             {(1, 4), (2, 4), (3, 4), (4, 5)}),
-    (3, 1): ({(0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 5), (2, 5), (2, 6), (3, 5)},
-             {(1, 4), (2, 4), (3, 4), (4, 5), (4, 6)}),
-    (2, 0): (set(itertools.combinations(range(7), 2)), set()),
-}
+def _key_cost(collection, diff, ell):
+    """The work the budget charges for one (diff, ell) count: a pass over
+    the k sets and, at ell >= 2, the cheaper of inclusion-exclusion over the
+    subsets of diff and enumeration of the subcollections."""
+    k = collection.k
+    if ell == 0:
+        return 0
+    if ell == 1:
+        return k
+    d = bin(diff).count("1")
+    return k + min(d * 2**d, math.comb(k - 2, ell))
 
 
-@pytest.mark.parametrize("t, seed", sorted(SAMPLED_GRAPHS))
-def test_over_budget_two_level_graph_is_sampled(t, seed):
-    alpha = Fraction(3, 5) if t == 3 else Fraction(1, 5)
-    fc = collection_from_seed(5 if t == 3 else 4, k=7, noise=0.1)
-    graph = build_two_level_graph(fc, alpha, Fraction(3, 5), t, seed=seed, budget=1)
-    assert graph.estimated
-    assert (graph.blue, graph.red) == SAMPLED_GRAPHS[t, seed]
-
-
-def test_over_budget_two_level_graph_overlap_carries_the_estimate():
-    fc = collection_from_seed(4, k=7, noise=0.1)
-    with pytest.raises(ConsistencyOverlapError) as exc:
-        build_two_level_graph(fc, Fraction(1, 5), Fraction(3, 5), 2, seed=1, budget=1)
-    assert exc.value.pair == (0, 5)
-    assert exc.value.blue_consistency == 1
-    assert exc.value.red_consistency == 0.192 == 384 / 2000
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_two_level_graph_charges_the_counted_work(t):
+    fc = collection_from_seed(2, k=9)
+    # at t = 2 every pair is blue, so alpha = 0 keeps every pair off red
+    alpha, beta = (Fraction(0) if t == 2 else Fraction(4, 5)), Fraction(4, 5)
+    ells = (t - 2, 2 * t - 3)
+    diffs = {(i, j): (fc.ones_masks[i] ^ fc.ones_masks[j]) & fc.domain_masks[i] & fc.domain_masks[j]
+             for i, j in itertools.combinations(range(fc.k), 2)}
+    charge = len(diffs) + sum(_key_cost(fc, diff, ell)
+                              for diff in set(diffs.values()) for ell in ells)
+    with pytest.raises(BudgetError) as exc:
+        build_two_level_graph(fc, alpha, beta, t, budget=charge - 1)
+    assert exc.value.required == charge and exc.value.budget == charge - 1
+    graph = build_two_level_graph(fc, alpha, beta, t, budget=charge)
+    assert graph == build_two_level_graph(fc, alpha, beta, t)
+    assert not graph.estimated
+    assert graph.blue and (graph.red or t == 2)
+    for (i, j), diff in diffs.items():
+        for ell in [ell for ell in ells if ell >= 1]:
+            cost = _key_cost(fc, diff, ell)
+            with pytest.raises(BudgetError) as exc:
+                pair_consistency(fc, i, j, ell, budget=cost - 1)
+            assert exc.value.required == cost
+            assert (pair_consistency(fc, i, j, ell, budget=cost)
+                    == _enumerated_pair_consistency(fc, i, j, ell))
 
 
 def test_decode_assignment_measures_agreement_once(monkeypatch):

@@ -191,6 +191,16 @@ def test_budget_exhaustion_is_inconclusive(capsys):
     assert doc["required"] > doc["budget"] == 10
 
 
+def test_rb_transitivity_budget_charges_the_counted_work(capsys):
+    argv = ["verify", "rb-transitivity", "--seed", "3", "--scale", "1"]
+    code, doc, stdout = run(capsys, *argv, "--budget", "10")
+    assert code == 3 and stdout.count("\n") == 1
+    assert doc["status"] == "inconclusive" and doc["budget"] == 10
+    code, _, enough = run(capsys, *argv, "--budget", str(doc["required"]))
+    code_default, _, default = run(capsys, *argv)
+    assert code == code_default == 0 and enough == default
+
+
 def test_min_set_cover_budget_counts_visited_candidates(tmp_path, capsys):
     # sets {0,1}, {2,3}, {4,5} are the first 3-subset: 1 + 4 + 6 + 1 = 12
     # candidates are visited, fewer than the 2^4 subsets
