@@ -4,11 +4,13 @@ encodings of unique cover."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .budget import check
+from .setsys import SetSystem
 from .textformat import read, write
 
 
@@ -64,11 +66,7 @@ class CoverageInstance:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        for i, s in enumerate(self.sets):
-            if list(s) != sorted(set(s)):
-                raise ValueError(f"set {i} is not a sorted duplicate-free list")
-            if s and (s[0] < 0 or s[-1] >= self.universe_size):
-                raise ValueError(f"set {i} has an element outside the universe")
+        SetSystem(self.universe_size, self.sets)
         if self.origins is not None and len(self.origins) != len(self.sets):
             raise ValueError("origins must name every set")
 
@@ -89,18 +87,10 @@ def feige_coverage_reduction(instance, budget=None):
         raise ValueError("right degree must be at least 2")
     if instance.vacuous:
         raise ValueError("vacuous instance has no labels to build sets from")
-    total = 0
-    for v in range(instance.num_right):
-        total += t ** len(instance.right_alphabets[v])
-    check(total, budget, what="coverage universe")
-    offsets = []
-    acc = 0
-    systems = []
-    for v in range(instance.num_right):
-        offsets.append(acc)
-        ps = PartitionSystem(len(instance.right_alphabets[v]), t)
-        systems.append(ps)
-        acc += ps.ground_size
+    offsets = list(itertools.accumulate(
+        (t ** len(alphabet) for alphabet in instance.right_alphabets), initial=0))
+    check(offsets[-1], budget, what="coverage universe")
+    systems = [PartitionSystem(len(alphabet), t) for alphabet in instance.right_alphabets]
     ranks = {}
     for v, pairs in enumerate(instance.incidence):
         neighbors = sorted(u for _, u in pairs)
@@ -112,21 +102,17 @@ def feige_coverage_reduction(instance, budget=None):
     for e, (u, v) in enumerate(instance.edges):
         left_inc[u].append((e, v))
     tables = instance.tables
-    sets = []
-    origins = []
-    for u in range(instance.num_left):
-        for a_idx in range(len(instance.left_alphabets[u])):
-            elems = []
-            for e, v in left_inc[u]:
-                for g in systems[v].part(tables[e][a_idx], ranks[e]):
-                    elems.append(offsets[v] + g)
-            sets.append(tuple(sorted(elems)))
-            origins.append((u, a_idx))
+    origins = tuple((u, a_idx) for u, alphabet in enumerate(instance.left_alphabets)
+                    for a_idx in range(len(alphabet)))
+    sets = tuple(
+        tuple(sorted(offsets[v] + g for e, v in left_inc[u]
+                     for g in systems[v].part(tables[e][a_idx], ranks[e])))
+        for u, a_idx in origins)
     return CoverageInstance(
-        universe_size=acc,
-        sets=tuple(sets),
+        universe_size=offsets[-1],
+        sets=sets,
         k=instance.num_left,
-        origins=tuple(origins),
+        origins=origins,
     )
 
 
@@ -169,6 +155,14 @@ class ClusteringInstance:
                 raise ValueError(f"triangle violation at ({a}, {b}, {c})")
 
 
+def _incidence(coverage):
+    """The elements x sets 0/1 array: entry (u, j) is 1 iff set j holds u."""
+    incidence = np.zeros((coverage.universe_size, len(coverage.sets)), dtype=np.int8)
+    for j, s in enumerate(coverage.sets):
+        incidence[list(s), j] = 1
+    return incidence
+
+
 def guha_khuller_reduction(coverage, exponent=1, budget=None):
     """Unit-distance clustering metric for a coverage instance.
 
@@ -176,39 +170,37 @@ def guha_khuller_reduction(coverage, exponent=1, budget=None):
     from sets containing it and 3 from the rest; distinct clients and
     distinct facilities sit at distance 2. Every element must appear in some
     set, else the construction is degenerate. The budget counts the
-    (clients + facilities)^2 distances.
+    (clients + facilities)^2 distances and is charged before anything is
+    built, the degeneracy check included.
     """
     nc, nf = coverage.universe_size, len(coverage.sets)
-    covered = set()
-    for s in coverage.sets:
-        covered.update(s)
-    missing = sorted(set(range(nc)) - covered)
-    if missing:
-        raise ValueError(f"degenerate: elements {missing} appear in no set")
     size = nc + nf
     check(size * size, budget, what="distance matrix")
-    member = [set(s) for s in coverage.sets]
-    d = [[0] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(size):
-            if a == b:
-                continue
-            a_client, b_client = a < nc, b < nc
-            if a_client and b_client:
-                d[a][b] = 2
-            elif not a_client and not b_client:
-                d[a][b] = 2
-            else:
-                u = a if a_client else b
-                j = (b if a_client else a) - nc
-                d[a][b] = 1 if u in member[j] else 3
+    incidence = _incidence(coverage)
+    missing = np.flatnonzero(~incidence.any(axis=1)).tolist()
+    if missing:
+        raise ValueError(f"degenerate: elements {missing} appear in no set")
+    d = np.full((size, size), 2, dtype=np.int8)
+    d[:nc, nc:] = 3 - 2 * incidence
+    d[nc:, :nc] = d[:nc, nc:].T
+    np.fill_diagonal(d, 0)
     return ClusteringInstance(
         num_clients=nc,
         num_facilities=nf,
-        dist=tuple(tuple(row) for row in d),
+        dist=tuple(map(tuple, d.tolist())),
         k=coverage.k,
         exponent=exponent,
     )
+
+
+def _check_matrix(rows, target):
+    """One target entry per row and every row as wide as the first."""
+    if len(target) != len(rows):
+        raise ValueError("target length must equal the row count")
+    width = len(rows[0]) if rows else 0
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {r} has the wrong width")
 
 
 @dataclass(frozen=True)
@@ -221,12 +213,8 @@ class CodeInstance:
     k: int
 
     def __post_init__(self):
-        if len(self.target) != len(self.rows):
-            raise ValueError("target length must equal the row count")
-        width = len(self.rows[0]) if self.rows else 0
+        _check_matrix(self.rows, self.target)
         for r, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {r} has the wrong width")
             if any(x not in (0, 1) for x in row):
                 raise ValueError(f"row {r} has a non-binary entry")
         if any(x not in (0, 1) for x in self.target):
@@ -250,12 +238,7 @@ class LatticeInstance:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be at least 1")
-        if len(self.target) != len(self.rows):
-            raise ValueError("target length must equal the row count")
-        width = len(self.rows[0]) if self.rows else 0
-        for r, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {r} has the wrong width")
+        _check_matrix(self.rows, self.target)
 
     @property
     def num_cols(self):
@@ -276,18 +259,10 @@ def _abss_rows(coverage, soundness_threshold, multiplicity, budget):
     nsets = len(coverage.sets)
     check((multiplicity * coverage.universe_size + nsets) * nsets, budget,
           what="matrix size")
-    rows = []
-    target = []
-    member = [set(s) for s in coverage.sets]
-    for u in range(coverage.universe_size):
-        row = tuple(1 if u in member[j] else 0 for j in range(nsets))
-        for _ in range(multiplicity):
-            rows.append(row)
-            target.append(1)
-    for j in range(nsets):
-        rows.append(tuple(1 if i == j else 0 for i in range(nsets)))
-        target.append(0)
-    return tuple(rows), tuple(target)
+    elements = map(tuple, _incidence(coverage).tolist())
+    identity = map(tuple, np.eye(nsets, dtype=np.int8).tolist())
+    rows = (*(row for row in elements for _ in range(multiplicity)), *identity)
+    return rows, (1,) * (multiplicity * coverage.universe_size) + (0,) * nsets
 
 
 def abss_ncp_reduction(coverage, soundness_threshold, multiplicity=None, budget=None):

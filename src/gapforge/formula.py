@@ -41,9 +41,14 @@ class CnfFormula:
                 if not 1 <= v <= self.num_vars:
                     raise ValueError(f"clause {idx} references variable {v} out of range")
             seen.update(vs)
-        missing = set(range(1, self.num_vars + 1)) - seen
+        # clause variables are in range, so num_vars - len(seen) are unused
+        # and the first ten of them are at most len(seen) + 10
+        missing = self.num_vars - len(seen)
         if missing:
-            raise ValueError(f"variables never used: {sorted(missing)}")
+            last = min(self.num_vars, len(seen) + 10)
+            first = [v for v in range(1, last + 1) if v not in seen][:10]
+            more = f" ({missing} in all)" if missing > 10 else ""
+            raise ValueError(f"variables never used: {first}{more}")
 
     @property
     def num_clauses(self):

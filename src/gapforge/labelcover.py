@@ -599,7 +599,10 @@ def _rows(doc, key):
 
 
 def from_json(text):
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("labelcover document is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != "labelcover":
         raise ValueError("not a labelcover document")
     restriction = _get(doc, "projection", lambda x: x in (RESTRICTION, "tables")) == RESTRICTION

@@ -206,10 +206,6 @@ class MonotoneDnf:
     def size(self):
         return len(self.terms)
 
-    def evaluate(self, bits):
-        """bits: indexable of 0/1 of length num_vars."""
-        return any(all(bits[i] for i in term) for term in self.terms)
-
 
 def _popcounts(n_bits):
     idx = np.arange(1 << n_bits, dtype=np.uint64)
@@ -272,15 +268,7 @@ def dnf_from_subcollections(k, subcollections):
     An element lies in the union of the subcollections' intersections iff f
     is true on the element's membership vector.
     """
-    terms = []
-    seen = set()
-    for sc in subcollections:
-        term = tuple(sorted(sc))
-        if term in seen:
-            raise ValueError(f"duplicate subcollection {term}")
-        seen.add(term)
-        terms.append(term)
-    return MonotoneDnf(k, tuple(terms))
+    return MonotoneDnf(k, tuple(tuple(sorted(sc)) for sc in subcollections))
 
 
 def restrict_system(system, elements, exclude=()):

@@ -10,6 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .budget import BudgetError, check, effective
 from .setsys import bitmask, masks
@@ -21,6 +22,15 @@ class SolverResult:
     witness: tuple
     enumerated: int
     note: str = ""
+
+
+def _covered(ms, combo):
+    """How many elements the sets `combo` cover together, ms being the
+    instance's set masks."""
+    m = 0
+    for j in combo:
+        m |= ms[j]
+    return m.bit_count()
 
 
 def greedy_max_coverage(instance):
@@ -51,14 +61,7 @@ def exact_max_coverage(instance, budget=None):
         raise ValueError("k exceeds the number of sets")
     total = math.comb(n, instance.k)
     check(total, budget, what="k-subset enumeration")
-    ms = masks(instance)
-
-    def covered(combo):
-        m = 0
-        for j in combo:
-            m |= ms[j]
-        return m.bit_count()
-
+    covered = partial(_covered, masks(instance))
     best = max(itertools.combinations(range(n), instance.k), key=covered)
     return SolverResult(value=covered(best), witness=best, enumerated=total)
 
@@ -69,32 +72,28 @@ def exact_min_set_cover(instance, budget=None):
     counts the candidates visited, not the 2^n the search may reach."""
     n = len(instance.sets)
     limit = effective(budget)
-    ms = masks(instance)
-    universe = (1 << instance.universe_size) - 1
-    if bitmask(itertools.chain.from_iterable(instance.sets)) != universe:
+    covered = partial(_covered, masks(instance))
+    if covered(range(n)) < instance.universe_size:
         raise ValueError("no cover exists: some element is in no set")
     by_size = itertools.chain.from_iterable(
         itertools.combinations(range(n), size) for size in range(n + 1))
     for enumerated, combo in enumerate(by_size, 1):
         if enumerated > limit:
             raise BudgetError(1 << n, limit, what="subset enumeration")
-        m = 0
-        for j in combo:
-            m |= ms[j]
-        if m == universe:
+        if covered(combo) == instance.universe_size:
             return SolverResult(value=len(combo), witness=combo, enumerated=enumerated)
     raise AssertionError("unreachable: full union covers the universe")
 
 
 def verify_unique_cover(instance, chosen):
-    """True iff the chosen sets cover every universe element exactly once."""
-    counts = [0] * instance.universe_size
+    """True iff the chosen sets cover every universe element exactly once:
+    sets hold no duplicates, so iff their elements are all distinct and as
+    many as the universe."""
     for j in chosen:
         if not 0 <= j < len(instance.sets):
             raise ValueError(f"set index {j} is not in [0, {len(instance.sets)})")
-        for e in instance.sets[j]:
-            counts[e] += 1
-    return all(c == 1 for c in counts)
+    elements = [e for j in chosen for e in instance.sets[j]]
+    return len(elements) == len(set(elements)) == instance.universe_size
 
 
 def _exact_clustering(instance, exponent, budget):

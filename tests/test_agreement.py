@@ -22,7 +22,8 @@ from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
 import gapforge.agreement
 from gapforge.agreement import _SubcollectionHits
 from gapforge.labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
-                                 build_main_reduction, restriction_labeling)
+                                 build_main_reduction, left_vertices,
+                                 restriction_labeling, weak_agreement_value)
 
 local_functions = st.builds(
     lambda pairs: LocalFunction(tuple(sorted(pairs)), tuple(v for _, v in sorted(pairs.items()))),
@@ -601,6 +602,28 @@ def test_decode_assignment_rejects_zero_agreement():
     params = _perfect_params(3, Fraction(1, 2))
     with pytest.raises(ValueError, match="zero weak agreement"):
         decode_assignment(formula, system, tuple(labels), params)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_game_and_collection_weak_agreement_agree(t):
+    """The game's weak agreement of a left labeling equals t_wagr of the
+    function collection decode_assignment reads from it: the sets are the
+    0-based left domains and bit i of the chosen label is the value at
+    domain[i]. The decoder's measured delta rests on this."""
+    rng = random.Random(t)
+    for seed in range(20):
+        formula, _ = random_planted_formula(rng.randrange(4, 7), rng.randrange(3, 7), seed)
+        system = sample_random_subsets(formula.num_clauses, rng.randrange(t + 1, 8),
+                                       Fraction(2, 5), seed)
+        game = build_main_reduction(formula, system, t)
+        domains, alphabets = left_vertices(formula, system)
+        sets = SetSystem(formula.num_vars, tuple(tuple(v - 1 for v in d) for d in domains))
+        for _ in range(15):
+            sigma = tuple(rng.randrange(len(a)) for a in alphabets)
+            values = tuple(tuple((a[li] >> i) & 1 for i in range(len(d)))
+                           for li, d, a in zip(sigma, domains, alphabets))
+            collection = FunctionCollection(sets, values)
+            assert weak_agreement_value(game, sigma) == t_wagr(collection, t)
 
 
 def _key_cost(collection, diff, ell):

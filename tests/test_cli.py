@@ -333,6 +333,43 @@ def test_reduce_clustering_checks_its_output_size(tmp_path, capsys):
     assert code == 0 and doc["summary"]["clients"] == 300
 
 
+HUGE_COV = "cov 100000000000 1 1\n0 1\n"
+
+
+@pytest.mark.parametrize("name,text,argv,expected", [
+    ("deep.json", '{"a":' + "[" * 200_000 + "]" * 200_000 + "}", ["info"], 1),
+    ("vars.cnf", "p cnf 1000000000 1\n1 0\n", ["info"], 1),
+    ("huge.txt", HUGE_COV, ["solve", "unique-cover", "--seed", "0", "--choose", "0"], 0),
+    ("huge.txt", HUGE_COV, ["solve", "min-set-cover", "--seed", "0"], 1),
+    ("huge.txt", HUGE_COV, ["reduce", "clustering", "-o", "out.txt", "--seed", "0"], 3),
+], ids=["deep-json", "huge-var-count", "huge-unique-cover", "huge-min-set-cover",
+        "huge-clustering"])
+def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expected):
+    """Inputs whose size is claimed rather than present: none may build what
+    it claims. The child runs under a 1.5 GB address-space cap, so building
+    it fails fast with MemoryError instead of exhausting the machine."""
+    resource = pytest.importorskip("resource")
+    (tmp_path / name).write_text(text)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gapforge.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapforge.cli", *argv[:2], "-i", name, *argv[2:]],
+        cwd=tmp_path, env=env, preexec_fn=cap_memory, capture_output=True,
+        text=True, timeout=60)
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    assert proc.returncode == expected
+    assert proc.stdout.count("\n") == 1
+    doc = json.loads(proc.stdout)
+    if expected == 0:
+        assert doc["unique"] is False
+    else:
+        assert doc["status"] == ("inconclusive" if expected == 3 else "error")
+
+
 def test_unique_cover_rejects_out_of_range_sets(tmp_path, capsys):
     cov = tmp_path / "cov.txt"
     cov.write_text("cov 3 2 1\n0 1\n2\n")

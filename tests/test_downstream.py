@@ -3,9 +3,12 @@ metric, and the nearest-codeword / closest-vector encodings."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
                       CoverageInstance, LabelCoverInstance, LatticeInstance,
@@ -274,6 +277,91 @@ def test_guha_khuller_relation_random(seed):
     assert exact_kmean(inst).value == n * (1 + 8 * tau)
 
 
+def _loop_distances(coverage):
+    """The distance matrix as the element-by-set double loop built it."""
+    nc = coverage.universe_size
+    size = nc + len(coverage.sets)
+    member = [set(s) for s in coverage.sets]
+    d = [[0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(size):
+            if a != b:
+                if (a < nc) == (b < nc):
+                    d[a][b] = 2
+                else:
+                    u, j = min(a, b), max(a, b) - nc
+                    d[a][b] = 1 if u in member[j] else 3
+    return tuple(map(tuple, d))
+
+
+def _loop_abss_rows(coverage, multiplicity):
+    """The ABSS rows and target as the per-row set lookups built them."""
+    nsets = len(coverage.sets)
+    member = [set(s) for s in coverage.sets]
+    rows, target = [], []
+    for u in range(coverage.universe_size):
+        row = tuple(1 if u in member[j] else 0 for j in range(nsets))
+        rows += [row] * multiplicity
+        target += [1] * multiplicity
+    for j in range(nsets):
+        rows.append(tuple(1 if i == j else 0 for i in range(nsets)))
+        target.append(0)
+    return tuple(rows), tuple(target)
+
+
+coverages = st.integers(0, 7).flatmap(lambda universe: st.builds(
+    lambda sets, k: CoverageInstance(universe, tuple(tuple(sorted(s)) for s in sets), k),
+    st.lists(st.sets(st.integers(0, universe - 1)) if universe else st.just(set()),
+             max_size=5),
+    st.integers(1, 3)))
+
+
+def _cell_types(rows):
+    return {type(x) for row in rows for x in row}
+
+
+@given(coverages, st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_incidence_builds_match_the_loops(cov, tbar, extra):
+    """The metric and the ABSS rows read from the incidence array equal the
+    loops' output, as Python ints, and dump to the same text."""
+    multiplicity = tbar + 1 + extra
+    rows, target = _loop_abss_rows(cov, multiplicity)
+    code = abss_ncp_reduction(cov, tbar, multiplicity)
+    lattice = abss_cvp_reduction(cov, tbar, multiplicity, p=2)
+    for inst in (code, lattice):
+        assert (inst.rows, inst.target) == (rows, target)
+        assert _cell_types(inst.rows) | _cell_types([inst.target]) <= {int}
+    assert code_to_text(code) == code_to_text(CodeInstance(rows, target, cov.k))
+    assert lattice_to_text(lattice) == lattice_to_text(LatticeInstance(rows, target, 2, cov.k))
+    covered = set().union(*map(set, cov.sets))
+    if len(covered) < cov.universe_size:
+        missing = sorted(set(range(cov.universe_size)) - covered)
+        with pytest.raises(ValueError, match=re.escape(f"elements {missing} appear")):
+            guha_khuller_reduction(cov)
+        return
+    if cov.k > len(cov.sets):
+        with pytest.raises(ValueError, match="need 1 <= k <= num_facilities"):
+            guha_khuller_reduction(cov)
+        return
+    dist = _loop_distances(cov)
+    for exponent in (1, 2):
+        inst = guha_khuller_reduction(cov, exponent)
+        assert inst.dist == dist and _cell_types(inst.dist) <= {int}
+        assert clustering_to_text(inst) == clustering_to_text(
+            ClusteringInstance(cov.universe_size, len(cov.sets), dist, cov.k, exponent))
+
+
+def test_guha_khuller_charges_before_the_degeneracy_check():
+    # 3 elements and 1 set: 16 distances, element 2 in no set
+    degenerate = CoverageInstance(3, ((0, 1),), k=1)
+    with pytest.raises(BudgetError) as exc:
+        guha_khuller_reduction(degenerate, budget=15)
+    assert exc.value.required == 16
+    with pytest.raises(ValueError, match="degenerate"):
+        guha_khuller_reduction(degenerate, budget=16)
+
+
 def _pair_cover():
     return CoverageInstance(2, ((0,), (1,)), k=2)
 
@@ -434,6 +522,8 @@ def test_instance_validation():
         CoverageInstance(3, ((1, 0),), k=1)
     with pytest.raises(ValueError, match="outside the universe"):
         CoverageInstance(3, ((0, 3),), k=1)
+    with pytest.raises(ValueError, match="universe_size must be nonnegative"):
+        CoverageInstance(-1, (), k=1)
     with pytest.raises(ValueError, match="origins"):
         CoverageInstance(3, ((0,), (1,)), k=1, origins=((0, 0),))
     with pytest.raises(ValueError, match="target length"):

@@ -58,6 +58,15 @@ def test_parse_comments_and_clauses_spanning_lines():
 def test_unused_variable_rejected():
     with pytest.raises(ValueError, match="never used"):
         parse_dimacs("p cnf 3 1\n1 3 0")
+    with pytest.raises(ValueError, match=r"never used: \[2, 4, 5\]$"):
+        parse_dimacs("p cnf 5 1\n1 3 0")
+    # past ten unused variables, the first ten and the count
+    with pytest.raises(ValueError, match=r"never used: \[2, 3, 4, 5, 6, 7, 8, 9, 10, 11\] "
+                                         r"\(11 in all\)$"):
+        parse_dimacs("p cnf 12 1\n1 0")
+    with pytest.raises(ValueError, match=r"never used: \[1, 3, 4, 5, 6, 7, 8, 9, 10, 11\] "
+                                         r"\(999999998 in all\)$"):
+        parse_dimacs("p cnf 1000000000 1\n2 -12 0")
 
 
 def test_serialize_round_trip_is_identity_on_clauses():

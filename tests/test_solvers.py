@@ -79,6 +79,24 @@ def test_unique_cover_rejects_double_coverage():
     assert not verify_unique_cover(inst, (0,))  # element 2 uncovered
 
 
+@given(st.integers(0, 6).flatmap(lambda universe: st.tuples(
+    st.just(universe),
+    st.lists(st.sets(st.integers(0, universe - 1)) if universe else st.just(set()),
+             min_size=1, max_size=5))), st.data())
+@settings(max_examples=100, deadline=None)
+def test_unique_cover_matches_element_counts(drawn, data):
+    """Distinct chosen elements as many as the universe is the same verdict
+    as every element counted exactly once."""
+    universe, sets = drawn
+    inst = CoverageInstance(universe, tuple(tuple(sorted(s)) for s in sets), k=1)
+    chosen = data.draw(st.lists(st.integers(0, len(sets) - 1), max_size=4))
+    counts = [0] * universe
+    for j in chosen:
+        for e in inst.sets[j]:
+            counts[e] += 1
+    assert verify_unique_cover(inst, chosen) == all(c == 1 for c in counts)
+
+
 def test_exact_min_set_cover():
     inst = CoverageInstance(3, ((0, 1, 2), (0,), (1,), (2,)), k=1)
     result = exact_min_set_cover(inst)
