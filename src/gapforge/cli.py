@@ -510,9 +510,10 @@ def main(argv=None):
                "required": e.required, "budget": e.budget})
         _note(f"inconclusive: {e}")
         return 3
-    except (ValueError, OSError) as e:
-        _emit({"status": "error", "message": str(e)})
-        _note(f"error: {e}")
+    except (ValueError, OSError, MemoryError) as e:
+        message = str(e) or type(e).__name__  # a bare MemoryError has no message
+        _emit({"status": "error", "message": message})
+        _note(f"error: {message}")
         return 1
 
 

@@ -80,9 +80,9 @@ def feige_coverage_reduction(instance, budget=None):
     neighbors (sorted by left index). k = number of left vertices; choosing
     the sets of a fully consistent labeling covers everything exactly once.
     """
-    if not instance.bi_regular or instance.right_degree is None:
-        raise ValueError("needs a bi-regular instance with a recorded right degree")
     t = instance.right_degree
+    if t is None:
+        raise ValueError("needs a bi-regular instance with at least one edge")
     if t < 2:
         raise ValueError("right degree must be at least 2")
     if instance.vacuous:
@@ -94,7 +94,7 @@ def feige_coverage_reduction(instance, budget=None):
     ranks = {}
     for v, pairs in enumerate(instance.incidence):
         neighbors = sorted(u for _, u in pairs)
-        if len(neighbors) != t or len(set(neighbors)) != t:
+        if len(set(neighbors)) != t:
             raise ValueError(f"right vertex {v} does not have t distinct neighbors")
         for e, u in pairs:
             ranks[e] = neighbors.index(u)
@@ -257,7 +257,8 @@ def _abss_rows(coverage, soundness_threshold, multiplicity, budget):
     if multiplicity < soundness_threshold + 1:
         raise ValueError("multiplicity must be at least soundness_threshold + 1")
     nsets = len(coverage.sets)
-    check((multiplicity * coverage.universe_size + nsets) * nsets, budget,
+    # every row holds nsets entries and one target entry
+    check((multiplicity * coverage.universe_size + nsets) * (nsets + 1), budget,
           what="matrix size")
     elements = map(tuple, _incidence(coverage).tolist())
     identity = map(tuple, np.eye(nsets, dtype=np.int8).tolist())

@@ -93,6 +93,8 @@ def parse_dimacs(text):
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad literal {tok!r}") from None
             if lit == 0:
+                if not current:
+                    raise DimacsError(f"line {lineno}: empty clause")
                 _finish_clause(current, current_line, clauses, num_vars)
                 current = []
                 current_line = None
@@ -114,10 +116,6 @@ def parse_dimacs(text):
 
 
 def _finish_clause(lits, lineno, clauses, num_vars):
-    if not lits:
-        raise DimacsError(f"line {lineno}: empty clause")
-    if len(lits) > 3:
-        raise DimacsError(f"line {lineno}: clause has more than 3 literals")
     vs = [abs(l) for l in lits]
     for v in vs:
         if v > num_vars:

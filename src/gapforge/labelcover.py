@@ -43,43 +43,48 @@ class LabelCoverInstance:
 
     Labels are opaque objects listed per vertex. Projections are either
     explicit per-edge tables (tables[e][left_label_index] = right_label_index)
-    or the tag "restriction", in which case per-vertex domains are variable
-    lists, labels are bitmasks over them (bit i of a mask is the value of the
-    i-th domain variable), and an edge projects by keeping the bits of the
-    right domain. Oracles read only the derived `tables` and `incidence`.
+    or the tag "restriction": per-vertex domains list distinct variables,
+    labels are bitmasks over them (bit i is the value of the i-th domain
+    variable), left labels are distinct, a right alphabet is every mask in
+    order, and an edge keeps the bits of the right domain. Oracles read only
+    the derived `tables` and `incidence`; the vertex counts, `vacuous`,
+    `right_degree` and `bi_regular` are read off the fields too.
     """
 
-    num_left: int
-    num_right: int
     edges: tuple[tuple[int, int], ...]
     left_alphabets: tuple[tuple, ...]
     right_alphabets: tuple[tuple, ...]
     projections: object = RESTRICTION
     left_domains: tuple[tuple[int, ...], ...] | None = None
     right_domains: tuple[tuple[int, ...], ...] | None = None
-    bi_regular: bool = False
-    right_degree: int | None = None
-    vacuous: bool = False
 
     def __post_init__(self):
-        if len(self.left_alphabets) != self.num_left:
-            raise ValueError("one alphabet per left vertex required")
-        if len(self.right_alphabets) != self.num_right:
-            raise ValueError("one alphabet per right vertex required")
-        if not self.vacuous:
-            for side in (self.left_alphabets, self.right_alphabets):
-                for a in side:
-                    if not a:
-                        raise ValueError("empty alphabet on a non-vacuous instance")
+        num_left, num_right = self.num_left, self.num_right
         for u, v in self.edges:
-            if not (0 <= u < self.num_left and 0 <= v < self.num_right):
+            if not (0 <= u < num_left and 0 <= v < num_right):
                 raise ValueError(f"edge ({u}, {v}) out of range")
         if self.projections == RESTRICTION:
             if self.left_domains is None or self.right_domains is None:
                 raise ValueError("restriction projections need vertex domains")
-            if len(self.left_domains) != self.num_left \
-                    or len(self.right_domains) != self.num_right:
+            if len(self.left_domains) != num_left or len(self.right_domains) != num_right:
                 raise ValueError("one domain per vertex required")
+            for dom in self.left_domains + self.right_domains:
+                if len(set(dom)) != len(dom):
+                    raise ValueError(f"domain {list(dom)} repeats a variable")
+            for u, (dom, alphabet) in enumerate(zip(self.left_domains, self.left_alphabets)):
+                if alphabet and (len(set(alphabet)) != len(alphabet) or min(alphabet) < 0
+                                 or max(alphabet) >= 1 << len(dom)):
+                    raise ValueError(f"left vertex {u}: labels must be distinct masks "
+                                     f"below 2^{len(dom)}")
+            every_mask = {}
+            for v, (dom, alphabet) in enumerate(zip(self.right_domains, self.right_alphabets)):
+                n = len(dom)
+                # lengths first: a claimed domain size alone builds no masks
+                if len(alphabet) == 1 << n and n not in every_mask:
+                    every_mask[n] = tuple(range(1 << n))
+                if alphabet != every_mask.get(n):
+                    raise ValueError(f"right vertex {v}: the alphabet must be every mask "
+                                     f"0..2^{n}-1 in order")
             left_sets = [set(dom) for dom in self.left_domains]
             for u, v in self.edges:
                 if not left_sets[u].issuperset(self.right_domains[v]):
@@ -94,16 +99,33 @@ class LabelCoverInstance:
                 for out in table:
                     if not 0 <= out < len(self.right_alphabets[v]):
                         raise ValueError(f"edge {e}: projection lands outside the right alphabet")
-        if self.bi_regular and self.edges:
-            left_deg = {}
-            right_deg = {}
-            for u, v in self.edges:
-                left_deg[u] = left_deg.get(u, 0) + 1
-                right_deg[v] = right_deg.get(v, 0) + 1
-            if len(set(left_deg.values())) > 1 or len(set(right_deg.values())) > 1:
-                raise ValueError("instance flagged bi-regular but degrees vary")
-            if self.right_degree is not None and set(right_deg.values()) != {self.right_degree}:
-                raise ValueError("recorded right degree does not match the edges")
+
+    @property
+    def num_left(self):
+        return len(self.left_alphabets)
+
+    @property
+    def num_right(self):
+        return len(self.right_alphabets)
+
+    @property
+    def vacuous(self):
+        """Some vertex has an empty alphabet, so the game has no labeling."""
+        return not all(self.left_alphabets) or not all(self.right_alphabets)
+
+    @cached_property
+    def right_degree(self):
+        """The common right degree when the game has edges, every left vertex
+        has one degree and every right vertex another; else None."""
+        left = [0] * self.num_left
+        for u, _ in self.edges:
+            left[u] += 1
+        right = {len(pairs) for pairs in self.incidence}
+        return right.pop() if self.edges and len(set(left)) == len(right) == 1 else None
+
+    @property
+    def bi_regular(self):
+        return self.right_degree is not None
 
     @property
     def num_edges(self):
@@ -286,34 +308,26 @@ def build_main_reduction(formula, system, t, var_budget=24, budget=None, allow_v
     if k < t:
         raise ValueError("need at least t subsets")
     left_domains, left_alphabets = left_vertices(formula, system, var_budget)
-    vacuous = not all(left_alphabets)
-    if vacuous and not allow_vacuous:
+    if not all(left_alphabets) and not allow_vacuous:
         i = left_alphabets.index(())
         raise UnsatisfiableSubsetError(i, system.sets[i])
     check(math.comb(k, t), budget, what="right vertex enumeration")
-    combos = list(itertools.combinations(range(k), t))
     right_domains = []
     right_alphabets = []
     edges = []
     dom_sets = [set(dom) for dom in left_domains]
-    for v_idx, combo in enumerate(combos):
+    for v_idx, combo in enumerate(itertools.combinations(range(k), t)):
         rdom = tuple(sorted(set.intersection(*(dom_sets[i] for i in combo))))
         right_domains.append(rdom)
         right_alphabets.append(tuple(range(1 << len(rdom))))
         for i in combo:
             edges.append((i, v_idx))
     return LabelCoverInstance(
-        num_left=k,
-        num_right=len(combos),
         edges=tuple(edges),
         left_alphabets=left_alphabets,
         right_alphabets=tuple(right_alphabets),
-        projections=RESTRICTION,
         left_domains=left_domains,
         right_domains=tuple(right_domains),
-        bi_regular=True,
-        right_degree=t,
-        vacuous=vacuous,
     )
 
 
@@ -378,11 +392,11 @@ def reduce_alphabet(instance, delta, budget=None):
     its projection-table entries, is checked against the budget before
     anything is built.
     """
-    if not instance.bi_regular or instance.right_degree is None:
-        raise ValueError("needs a bi-regular instance with a recorded right degree")
+    t = instance.right_degree
+    if t is None:
+        raise ValueError("needs a bi-regular instance with at least one edge")
     if instance.vacuous:
         raise ValueError("vacuous instance has no satisfiable labelings to preserve")
-    t = instance.right_degree
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -409,17 +423,11 @@ def reduce_alphabet(instance, delta, budget=None):
                 edges.append((u, v * positions + j))
                 tables.append(tuple(words[ri][j] for ri in table))
     return LabelCoverInstance(
-        num_left=instance.num_left,
-        num_right=instance.num_right * positions,
         edges=tuple(edges),
         left_alphabets=instance.left_alphabets,
         right_alphabets=tuple(right_alphabets),
         projections=tuple(tables),
         left_domains=instance.left_domains,
-        right_domains=None,
-        bi_regular=instance.bi_regular,
-        right_degree=t,
-        vacuous=False,
     )
 
 
@@ -456,8 +464,8 @@ class SoundnessParams:
 
     Rational fields are exact; C and eta are irrational, so their exact
     factors (C_base, C_log_arg, eta_coef, eta_exp_arg) are stored alongside
-    50-digit rational approximations. formulas maps each derived field to
-    the defining expression; overrides lists fields replaced by the caller.
+    50-digit rational approximations. `soundness_params` defines each
+    derived field; overrides lists fields replaced by the caller.
     """
 
     epsilon: Fraction
@@ -479,7 +487,6 @@ class SoundnessParams:
     eta_exp_arg: Fraction
     beta: Fraction
     d: Fraction
-    formulas: tuple[tuple[str, str], ...]
     overrides: tuple[str, ...] = ()
 
     @property
@@ -530,24 +537,12 @@ def soundness_params(epsilon, Delta, delta, t, k, p_override=None,
         overrides.append("eta")
     beta = delta / (4 * t * t)
     d = delta * k / (8 * t * t)
-    formulas = (
-        ("C", "(100*Delta*t/(epsilon*delta))**(100*t) * ln(Delta*t/(epsilon*delta))"),
-        ("p", "C/k"),
-        ("mu", "epsilon/2"),
-        ("gamma", "p/2"),
-        ("kappa", "(100*Delta*t/(epsilon*delta))**(-50*t)"),
-        ("alpha", "(10*t)**(2*t) * kappa * (k-2)**(2*t-3) / k**(2*t-3)"),
-        ("rho", "18*p**2*Delta**2"),
-        ("eta", "6*Delta*(2*t-3) * exp(-p*kappa*(k-2)/(2*t-3))"),
-        ("beta", "delta/(4*t**2)"),
-        ("d", "delta*k/(8*t**2)"),
-    )
     return SoundnessParams(
         epsilon=epsilon, Delta=Delta, delta=delta, t=t, k=k,
         C=c_val, C_base=c_base, C_log_arg=c_log_arg,
         p=p, mu=mu, gamma=gamma, kappa=kappa, alpha=alpha, rho=rho,
         eta=eta, eta_coef=eta_coef, eta_exp_arg=eta_exp_arg,
-        beta=beta, d=d, formulas=formulas, overrides=tuple(overrides),
+        beta=beta, d=d, overrides=tuple(overrides),
     )
 
 
@@ -555,14 +550,10 @@ def to_json(instance):
     """Stable JSON interchange text for an instance."""
     doc = {
         "format": "labelcover",
-        "num_left": instance.num_left,
-        "num_right": instance.num_right,
         "edges": [list(e) for e in instance.edges],
         "left_alphabets": [list(a) for a in instance.left_alphabets],
         "right_alphabets": [list(a) for a in instance.right_alphabets],
-        "bi_regular": instance.bi_regular,
-        "right_degree": instance.right_degree,
-        "vacuous": instance.vacuous,
+        **{key: getattr(instance, key) for key, _ in _DERIVED},
     }
     if instance.projections == RESTRICTION:
         doc["projection"] = RESTRICTION
@@ -578,6 +569,13 @@ def to_json(instance):
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+# attributes read off the game that a document also records, with their JSON types
+_DERIVED = (("num_left", _is_int), ("num_right", _is_int),
+            ("bi_regular", lambda x: isinstance(x, bool)),
+            ("right_degree", lambda x: x is None or _is_int(x)),
+            ("vacuous", lambda x: isinstance(x, bool)))
 
 
 def _is_rows(x):
@@ -606,16 +604,17 @@ def from_json(text):
     if not isinstance(doc, dict) or doc.get("format") != "labelcover":
         raise ValueError("not a labelcover document")
     restriction = _get(doc, "projection", lambda x: x in (RESTRICTION, "tables")) == RESTRICTION
-    return LabelCoverInstance(
-        num_left=_get(doc, "num_left", _is_int),
-        num_right=_get(doc, "num_right", _is_int),
+    recorded = {key: _get(doc, key, ok) for key, ok in _DERIVED}
+    game = LabelCoverInstance(
         edges=_rows(doc, "edges"),
         left_alphabets=_rows(doc, "left_alphabets"),
         right_alphabets=_rows(doc, "right_alphabets"),
         projections=RESTRICTION if restriction else _rows(doc, "tables"),
         left_domains=_rows(doc, "left_domains") if restriction or "left_domains" in doc else None,
         right_domains=_rows(doc, "right_domains") if restriction else None,
-        bi_regular=_get(doc, "bi_regular", lambda x: isinstance(x, bool)),
-        right_degree=_get(doc, "right_degree", lambda x: x is None or _is_int(x)),
-        vacuous=_get(doc, "vacuous", lambda x: isinstance(x, bool)),
     )
+    for key, value in recorded.items():
+        if getattr(game, key) != value:
+            raise ValueError(f"labelcover key {key!r} records {json.dumps(value)}, "
+                             f"but the game has {json.dumps(getattr(game, key))}")
+    return game

@@ -278,10 +278,10 @@ def test_solve_labelcover_rejects_valueless_games(tmp_path, capsys):
         gapforge.parse_dimacs("p cnf 2 3\n1 0\n-1 0\n2 0\n"),
         SetSystem(3, ((0, 1), (2,))), 2, allow_vacuous=True)
     no_edges = gapforge.LabelCoverInstance(
-        num_left=1, num_right=1, edges=(), left_alphabets=((0, 1),),
+        edges=(), left_alphabets=((0, 1),),
         right_alphabets=((0,),), projections=())
     no_right = gapforge.LabelCoverInstance(
-        num_left=1, num_right=0, edges=(), left_alphabets=((0, 1),),
+        edges=(), left_alphabets=((0, 1),),
         right_alphabets=(), projections=())
     for name, game, message in (("vacuous", vacuous, "empty alphabet"),
                                 ("no-edges", no_edges, "no edges"),
@@ -342,8 +342,13 @@ HUGE_COV = "cov 100000000000 1 1\n0 1\n"
     ("huge.txt", HUGE_COV, ["solve", "unique-cover", "--seed", "0", "--choose", "0"], 0),
     ("huge.txt", HUGE_COV, ["solve", "min-set-cover", "--seed", "0"], 1),
     ("huge.txt", HUGE_COV, ["reduce", "clustering", "-o", "out.txt", "--seed", "0"], 3),
+    # a budget that admits the build leaves it to run out of memory
+    ("huge.txt", HUGE_COV, ["reduce", "clustering", "-o", "out.txt", "--seed", "0",
+                            "--budget", "100000000000000000000000"], 1),
+    # no sets, yet the rows of 10^11 elements are charged
+    ("no-sets.txt", "cov 100000000000 0 1\n", ["reduce", "ncp", "-o", "out.txt", "--seed", "0"], 3),
 ], ids=["deep-json", "huge-var-count", "huge-unique-cover", "huge-min-set-cover",
-        "huge-clustering"])
+        "huge-clustering", "huge-clustering-out-of-memory", "huge-ncp-no-sets"])
 def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expected):
     """Inputs whose size is claimed rather than present: none may build what
     it claims. The child runs under a 1.5 GB address-space cap, so building
@@ -449,6 +454,35 @@ def _mutate(data, changes):
             end = start if kind == "insert" else start + 1
         data = data[:start] + (b"" if kind == "delete" else payload) + data[end:]
     return data
+
+
+EVERY_MASK = list(range(8))
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("right_alphabets", [[0, 12, 3, 4, 5, 6, 7], EVERY_MASK, EVERY_MASK], "every mask"),
+    ("right_alphabets", [EVERY_MASK[::-1], EVERY_MASK, EVERY_MASK], "every mask"),
+    ("right_alphabets", [[0, 0, 2, 3, 4, 5, 6, 7], EVERY_MASK, EVERY_MASK], "every mask"),
+    ("left_alphabets", [[2, 5, 6, 99], [0, 2, 4, 5], [1, 2, 3, 5]], "distinct masks below 2^3"),
+    ("left_domains", [[1, 2, 3, 3], [1, 2, 3], [1, 2, 3]], "repeats a variable"),
+    ("right_degree", 3, "'right_degree' records 3"),
+    ("bi_regular", False, "'bi_regular' records false"),
+], ids=["deleted-comma", "reversed-right", "duplicated-right", "left-label-99",
+        "repeated-domain-variable", "wrong-right-degree", "wrong-bi-regular"])
+def test_misread_games_are_refused(tmp_path, capsys, key, value, message):
+    """Edits of the fuzz seed game that a restriction game's tables would
+    misread, or that record what the game is not. Each used to give exit 0
+    and a wrong witness from `solve labelcover`, or (deleted-comma, found by
+    the fuzz test below) a traceback from `reduce alphabet`."""
+    doc = json.loads(FUZZ_SEEDS["labelcover"])
+    assert doc["right_alphabets"][0] == EVERY_MASK and doc["left_domains"][0] == [1, 2, 3]
+    text = json.dumps(dict(doc, **{key: value}))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(text)
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    assert message in error_message(capsys, "solve", "labelcover", "-i", str(path),
+                                    "--seed", "1")
 
 
 @pytest.mark.parametrize("fmt", sorted(FUZZ_SEEDS))

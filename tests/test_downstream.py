@@ -68,14 +68,10 @@ def test_partition_identities_exhaustive():
 
 def _two_left_game():
     return LabelCoverInstance(
-        num_left=2,
-        num_right=1,
         edges=((0, 0), (1, 0)),
         left_alphabets=((0, 1), (0, 1)),
         right_alphabets=((0, 1),),
         projections=((0, 1), (0, 1)),
-        bi_regular=True,
-        right_degree=2,
     )
 
 
@@ -100,28 +96,25 @@ def test_feige_reduction_hand_example():
 
 
 def test_feige_reduction_argument_errors():
-    game = _two_left_game()
-    loose = LabelCoverInstance(
-        game.num_left, game.num_right, game.edges, game.left_alphabets,
-        game.right_alphabets, projections=game.projections)
+    # right vertex 0 has degree 2, right vertex 1 degree 1
+    loose = LabelCoverInstance(((0, 0), (1, 0), (0, 1)), ((0,), (0,)), ((0,), (0,)),
+                               projections=((0,), (0,), (0,)))
     with pytest.raises(ValueError, match="bi-regular"):
         feige_coverage_reduction(loose)
 
-    vacuous = LabelCoverInstance(
-        1, 0, (), ((),), (), projections=(), bi_regular=True, right_degree=2,
-        vacuous=True)
+    # bi-regular with right degree 2, but left vertex 0 has no label
+    vacuous = LabelCoverInstance(((0, 0), (1, 0)), ((), (0,)), ((0,),),
+                                 projections=((), (0,)))
     with pytest.raises(ValueError, match="vacuous"):
         feige_coverage_reduction(vacuous)
 
-    repeated = LabelCoverInstance(
-        1, 1, ((0, 0), (0, 0)), ((0,),), ((0, 1),),
-        projections=((0,), (1,)), bi_regular=True, right_degree=2)
+    repeated = LabelCoverInstance(((0, 0), (0, 0)), ((0,),), ((0, 1),),
+                                  projections=((0,), (1,)))
     with pytest.raises(ValueError, match="distinct neighbors"):
         feige_coverage_reduction(repeated)
 
-    wide = LabelCoverInstance(
-        2, 1, ((0, 0), (1, 0)), ((0,), (0,)), (tuple(range(25)),),
-        projections=((0,), (0,)), bi_regular=True, right_degree=2)
+    wide = LabelCoverInstance(((0, 0), (1, 0)), ((0,), (0,)), (tuple(range(25)),),
+                              projections=((0,), (0,)))
     with pytest.raises(BudgetError):
         feige_coverage_reduction(wide)
 
@@ -404,7 +397,7 @@ def test_abss_reductions_share_their_checks(reduction):
     big = CoverageInstance(40, (tuple(range(40)),) * 80, k=1)
     with pytest.raises(BudgetError) as exc:
         reduction(big, soundness_threshold=40, budget=10_000)
-    assert exc.value.required == (41 * 40 + 80) * 80
+    assert exc.value.required == (41 * 40 + 80) * (80 + 1)  # entries plus targets
     zero = reduction(_pair_cover(), soundness_threshold=0)
     assert zero.rows == ((1, 0), (0, 1), (1, 0), (0, 1))
     assert zero.target == (1, 1, 0, 0)

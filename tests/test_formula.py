@@ -46,8 +46,10 @@ def test_parse_errors_name_the_line():
         parse_dimacs("1 2 0")
     with pytest.raises(DimacsError, match=r"promises 2 clauses, found 1"):
         parse_dimacs("p cnf 2 2\n1 2 0")
-    with pytest.raises(DimacsError, match=r"empty clause"):
+    with pytest.raises(DimacsError, match=r"^line 3: empty clause$"):
         parse_dimacs("p cnf 2 2\n1 2 0\n0")
+    with pytest.raises(DimacsError, match=r"^line 3: empty clause$"):
+        parse_dimacs("p cnf 1 2\n1 0\n0\n")
 
 
 def test_parse_comments_and_clauses_spanning_lines():

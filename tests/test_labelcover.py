@@ -1,6 +1,7 @@
 """Projection games: values, the clause-subset reduction, alphabet shrinking."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -23,6 +24,7 @@ from gapforge import (BudgetError, LabelCoverInstance, SetSystem,
                       soundness_params, to_json, weak_agreement_value,
                       wval_to_val_bound)
 from gapforge.budget import check
+from gapforge.cli import main
 from gapforge.formula import CnfFormula, satisfied_counts, vars_of
 from gapforge.labelcover import RESTRICTION, is_prime, left_vertices
 
@@ -31,7 +33,6 @@ TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
 
 def identity_toy():
     return LabelCoverInstance(
-        num_left=2, num_right=1,
         edges=((0, 0), (1, 0)),
         left_alphabets=((0, 1), (0, 1)),
         right_alphabets=((0, 1),),
@@ -53,7 +54,7 @@ def test_labeling_value_examples():
     assert labeling_value(toy, ((0, 1), (0,))) == Fraction(1, 2)
 
     constant = LabelCoverInstance(
-        num_left=1, num_right=1, edges=((0, 0),),
+        edges=((0, 0),),
         left_alphabets=((0, 1),), right_alphabets=((0, 1),),
         projections=((1, 1),),
     )
@@ -76,7 +77,7 @@ def _random_table_instance(rng, num_left=2, num_right=1, la=2, ra=2, degree=2):
             edges.append((u, v))
     tables = tuple(tuple(rng.randrange(ra) for _ in range(la)) for _ in edges)
     return LabelCoverInstance(
-        num_left=num_left, num_right=num_right, edges=tuple(edges),
+        edges=tuple(edges),
         left_alphabets=(tuple(range(la)),) * num_left,
         right_alphabets=(tuple(range(ra)),) * num_right,
         projections=tables,
@@ -99,7 +100,7 @@ def test_labeling_value_matches_hand_enumeration(seed):
 
 def test_weak_agreement_examples():
     constant = LabelCoverInstance(
-        num_left=2, num_right=1, edges=((0, 0), (1, 0)),
+        edges=((0, 0), (1, 0)),
         left_alphabets=((0, 1), (0, 1)), right_alphabets=((0, 1),),
         projections=((1, 1), (1, 1)),
     )
@@ -107,7 +108,7 @@ def test_weak_agreement_examples():
         assert weak_agreement_value(constant, left) == 1
 
     degree_one = LabelCoverInstance(
-        num_left=1, num_right=1, edges=((0, 0),),
+        edges=((0, 0),),
         left_alphabets=((0, 1),), right_alphabets=((0, 1),),
         projections=((0, 1),),
     )
@@ -145,7 +146,7 @@ def test_brute_force_val_examples():
     assert labeling == ((0, 0), (0,))  # min-lex left, min-index extension
 
     singleton = LabelCoverInstance(
-        num_left=2, num_right=1, edges=((0, 0), (1, 0)),
+        edges=((0, 0), (1, 0)),
         left_alphabets=((0,), (0,)), right_alphabets=((0, 1),),
         projections=((1,), (1,)),
     )
@@ -162,7 +163,7 @@ def test_brute_force_budget():
 
 def test_optimal_extension_tie_breaks_to_smallest_label():
     toy = LabelCoverInstance(
-        num_left=2, num_right=1, edges=((0, 0), (1, 0)),
+        edges=((0, 0), (1, 0)),
         left_alphabets=((0, 1), (0, 1)), right_alphabets=((0, 1),),
         projections=((0, 1), (1, 0)),
     )
@@ -390,8 +391,11 @@ def test_reduce_alphabet_wval_grows_at_most_delta(seed, delta):
 
 
 def test_reduce_alphabet_rejects_unflagged_instances():
+    # right vertex 0 has degree 2, right vertex 1 degree 1
+    irregular = LabelCoverInstance(((0, 0), (1, 0), (0, 1)), ((0, 1), (0, 1)),
+                                   ((0, 1), (0, 1)), ((0, 1), (0, 1), (0, 1)))
     with pytest.raises(ValueError, match="bi-regular"):
-        reduce_alphabet(identity_toy(), Fraction(1, 2))
+        reduce_alphabet(irregular, Fraction(1, 2))
     formula = parse_dimacs("p cnf 2 3\n1 0\n-1 0\n2 0\n")
     vac = build_main_reduction(formula, SetSystem(3, ((0, 1), (2,))), 2, allow_vacuous=True)
     with pytest.raises(ValueError, match="vacuous"):
@@ -418,10 +422,10 @@ def valueless_games():
     """A vacuous game, a game with no edges and one with no right vertices."""
     vacuous = build_main_reduction(parse_dimacs("p cnf 2 3\n1 0\n-1 0\n2 0\n"),
                                    SetSystem(3, ((0, 1), (2,))), 2, allow_vacuous=True)
-    no_edges = LabelCoverInstance(num_left=1, num_right=1, edges=(),
+    no_edges = LabelCoverInstance(edges=(),
                                   left_alphabets=((0, 1),), right_alphabets=((0,),),
                                   projections=())
-    no_right = LabelCoverInstance(num_left=1, num_right=0, edges=(),
+    no_right = LabelCoverInstance(edges=(),
                                   left_alphabets=((0, 1),), right_alphabets=(),
                                   projections=())
     return vacuous, no_edges, no_right
@@ -538,38 +542,54 @@ def test_from_json_names_the_first_bad_key():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError, match="alphabet per left"):
-        LabelCoverInstance(2, 1, ((0, 0),), ((0,),), ((0,),), ((0,),))
-    with pytest.raises(ValueError, match="empty alphabet"):
-        LabelCoverInstance(1, 1, ((0, 0),), ((),), ((0,),), ((0,),))
     with pytest.raises(ValueError, match="out of range"):
-        LabelCoverInstance(1, 1, ((0, 1),), ((0,),), ((0,),), ((0,),))
+        LabelCoverInstance(((0, 1),), ((0,),), ((0,),), ((0,),))
     with pytest.raises(ValueError, match="not total"):
-        LabelCoverInstance(1, 1, ((0, 0),), ((0, 1),), ((0,),), ((0,),))
+        LabelCoverInstance(((0, 0),), ((0, 1),), ((0,),), ((0,),))
     with pytest.raises(ValueError, match="outside the right"):
-        LabelCoverInstance(1, 1, ((0, 0),), ((0,),), ((0,),), ((1,),))
-    with pytest.raises(ValueError, match="degrees vary"):
-        LabelCoverInstance(
-            2, 2, ((0, 0), (0, 1), (1, 1)),
-            ((0,), (0,)), ((0,), (0,)),
-            ((0,), (0,), (0,)), bi_regular=True,
-        )
-    with pytest.raises(ValueError, match="right degree"):
-        LabelCoverInstance(
-            2, 1, ((0, 0), (1, 0)),
-            ((0,), (0,)), ((0,),),
-            ((0,), (0,)), bi_regular=True, right_degree=3,
-        )
+        LabelCoverInstance(((0, 0),), ((0,),), ((0,),), ((1,),))
+
+
+def test_counts_regularity_and_vacuity_are_read_off_the_game():
+    assert [f.name for f in dataclasses.fields(LabelCoverInstance)] == [
+        "edges", "left_alphabets", "right_alphabets", "projections",
+        "left_domains", "right_domains"]
+    toy = identity_toy()
+    assert (toy.num_left, toy.num_right, toy.right_degree) == (2, 1, 2)
+    assert toy.bi_regular and not toy.vacuous
+    # right degrees 2 and 1; left degrees 2 and 1; a left vertex of degree 0;
+    # no edges at all
+    for edges, num_left, num_right in ((((0, 0), (1, 0), (2, 1)), 3, 2),
+                                       (((0, 0), (0, 1), (1, 2)), 2, 3),
+                                       (((0, 0), (1, 0)), 3, 1), ((), 1, 1)):
+        game = LabelCoverInstance(edges, ((0,),) * num_left, ((0,),) * num_right,
+                                  ((0,),) * len(edges))
+        assert game.right_degree is None and not game.bi_regular
+    empty_right = LabelCoverInstance((), ((0,),), ((),), ())
+    assert empty_right.vacuous and (empty_right.num_left, empty_right.num_right) == (1, 1)
+
+
+def test_from_json_refuses_recorded_values_the_game_lacks():
+    instance, _ = singleton_reduction(num_clauses=3, seed=6)
+    doc = json.loads(to_json(instance))
+    for key, value in (("num_left", 4), ("num_right", 0), ("bi_regular", False),
+                       ("right_degree", 3), ("right_degree", None), ("vacuous", True)):
+        with pytest.raises(ValueError, match=f"'{key}' records {json.dumps(value)}"):
+            from_json(json.dumps(dict(doc, **{key: value})))
 
 
 @pytest.mark.parametrize("domains, message", [
     ({}, "restriction projections need vertex domains"),
     ({"left_domains": ((1,), (2,)), "right_domains": ((1,),)}, "one domain per vertex required"),
     ({"left_domains": ((1,),), "right_domains": ((2,),)}, "right domain not inside left domain"),
+    ({"left_domains": ((1, 1),), "right_domains": ((1,),)}, "repeats a variable"),
+    ({"left_domains": ((1,),), "right_domains": ((1, 1),)}, "repeats a variable"),
+    ({"left_domains": ((),), "right_domains": ((),)}, "distinct masks below 2"),
+    ({"left_domains": ((1, 2),), "right_domains": ((1, 2),)}, "every mask 0..2"),
 ])
 def test_restriction_validation(domains, message):
     with pytest.raises(ValueError, match=message):
-        LabelCoverInstance(1, 1, ((0, 0),), ((0, 1),), ((0, 1),), RESTRICTION, **domains)
+        LabelCoverInstance(((0, 0),), ((0, 1),), ((0, 1),), RESTRICTION, **domains)
 
 
 def _restrict(instance, edge_index, left_label_index):
@@ -592,6 +612,79 @@ def _seeded_games():
                                SetSystem(2, ((0,), (1,))), 2)
     yield build_main_reduction(parse_dimacs("p cnf 2 3\n1 0\n-1 0\n2 0\n"),
                                SetSystem(3, ((0, 1), (2,))), 2, allow_vacuous=True)
+
+
+def _golden_games():
+    """The seeded games, a vacuous t = 3 game, and the alphabet reductions
+    of the first six."""
+    games = list(_seeded_games())
+    games.append(build_main_reduction(parse_dimacs("p cnf 2 3\n1 0\n-1 0\n2 0\n"),
+                                      SetSystem(3, ((0, 1), (2,), (1, 2))), 3,
+                                      allow_vacuous=True))
+    return games + [reduce_alphabet(game, Fraction(1, 2)) for game in games[:6]]
+
+
+# SHA-256 of to_json and of `gapforge info` stdout, per game of _golden_games;
+# a change here is a change of the interchange format
+GOLDEN = (
+    ("d315d5a453491d9b5caa3bc5794d192e4f5222031f30d942fd807c252f82c59a",
+     "821fd6dde82eae181457f70ee3e561859f949f4a17b8639537fd1e3923ad951e"),
+    ("bd12200aab89b7c58ba53fdbbe301a402b8f0c4af83c9564eb9c3d0d831474e2",
+     "264fe428c5304882a1d48aa04fb6f9739142ef9051a2742580e943144abbb90d"),
+    ("19f34d27c74acae0b91f8d355754e4603b5c2fb23e7e77341d030272c0c94475",
+     "65e1334ce4df88a5e6ed44e965c20e1ce8dbdf9e2b265ce6693295aaaa4ee5ab"),
+    ("e7b10f62060c1e1ffc591550c1f924328ebf31d738212de2062f39cdd150151b",
+     "cfea26f91b90158d24ad2a71c0a82764502516a7e1bc88337a9e94b08c02bb71"),
+    ("2fd2a2e318b9d6268c10837d14a2baa131abdfe9ab08db574b203e055f8af202",
+     "b7049727c4d70e8e1f6d49287f27b93cc909bd0012e412ad74f202de15d91093"),
+    ("66536398a744e0d06bfb6adf2d81763b40bfb015397bc03b8de0f6930323a728",
+     "4a560def807a33ae5c95bfbd518f5c97df9b9dc95d76fef7128a23946bbd863e"),
+    ("7fb348a442e517110a6b376a7b8b759cdfc65b34b001e956163004c2d4b43c54",
+     "821fd6dde82eae181457f70ee3e561859f949f4a17b8639537fd1e3923ad951e"),
+    ("bee666da23eceb1bcd58de79ad353c1f5311a87f617b4cdc03585a7115debacf",
+     "264fe428c5304882a1d48aa04fb6f9739142ef9051a2742580e943144abbb90d"),
+    ("ee71f9287b1627f2a9ed0f8b417e157c0b4c259f076afe7886fd22aed91e613a",
+     "65e1334ce4df88a5e6ed44e965c20e1ce8dbdf9e2b265ce6693295aaaa4ee5ab"),
+    ("3e708de032536dd56c65c8985cba3becd7ef34ccd2453322d67ee7868cd7af90",
+     "cfea26f91b90158d24ad2a71c0a82764502516a7e1bc88337a9e94b08c02bb71"),
+    ("2a49bf15174d4a6b950485a17838e44db1007ba747169c578c39be80543fcb0d",
+     "b7049727c4d70e8e1f6d49287f27b93cc909bd0012e412ad74f202de15d91093"),
+    ("534c20e2f6e54361a32c0ebef3227782d1039847352f15a00e1364beda23df09",
+     "4a560def807a33ae5c95bfbd518f5c97df9b9dc95d76fef7128a23946bbd863e"),
+    ("2cbad5075810e4e133851a32a56d160348ebb71f17fb147b707f9827cd6ca032",
+     "fb2b4091fb57b5cbe1669328baec3f5c7a7d0f66d5a4c5a7bfae49736b188c7e"),
+    ("b31e5178e1645c175974e375fe9ae57c3d41547d33568dcc334fc064652ccc80",
+     "40ac9957ef35f854b751e2df8a36db8f2aa091c75f6ac63127796402c3a82926"),
+    ("990bab61d1494487ca34247962061095923aa220de34e11dc3d886f4ddff48d4",
+     "bd4a10fc2344232dd2bbd97993ccdd4e04384271d6fb247ca047f25ff331a46e"),
+    ("b31babfd3a0ce7bf1da3a0807187a55838b1d3cd2e82fb9e179801e66eb4e5cb",
+     "65c4d58c38393f1a43a2247f22ac69b7100d3b90315cd232043cd192a9e6eb41"),
+    ("338787a47fc16e1ce386fe092b8b7d9008d72d0a296cd8e4aae26a8c07c351eb",
+     "88aff7204d2a9e4b9c0c66bf0eadd997516cc9bcd9af27ab719a1c2d0b5581fa"),
+    ("1bb13dc1dc42e0fb49cbb0d57c81738ace1e8de2db9dcef39103685ed1b98e01",
+     "2b51769e06e883352c831144aca414f227b4c94a786c7a60733105ad55996db8"),
+    ("61c0466a23b2bccf69b55b4de488ccc61a8efc69f8491388168080ba4e57d411",
+     "10a69e90eade4ce9e69139a8a9cc90fd14c123272a23bc3f9758f399a9f656f5"),
+    ("3e8db76ec1757d7a2b9d22301bc32dd23777bc38f83671326eb14e66587985b0",
+     "e89f6ce7173e42c8d1de6df54e62bfdc0da67c8c9a6f1062887e46547db1f1b2"),
+    ("59f137b88d73a1053db3ab2d93caf82a619fbf5014dd3ba7bd01ef77d05accdd",
+     "1a1790dc1692234d9e085f98a2aadfe904b5635e682de6627593f40f891e90fe"),
+)
+
+
+def test_built_games_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    for game in _golden_games():
+        text = to_json(game)
+        (tmp_path / "game.json").write_text(text)
+        assert main(["info", "-i", "game.json"]) == 0
+        seen.append((_sha256(text), _sha256(capsys.readouterr().out)))
+    assert tuple(seen) == GOLDEN
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_tables_match_the_bit_restriction():

@@ -410,7 +410,7 @@ def _tied_game(rng):
         edges = [(0, 0)]
     tables = tuple(tuple(rng.randrange(rsizes[v]) for _ in range(lsizes[u])) for u, v in edges)
     return LabelCoverInstance(
-        num_left=num_left, num_right=num_right, edges=tuple(edges),
+        edges=tuple(edges),
         left_alphabets=tuple(tuple(range(s)) for s in lsizes),
         right_alphabets=tuple(tuple(range(s)) for s in rsizes),
         projections=tables)
