@@ -7,7 +7,7 @@ checks its completeness/soundness promises at desk scale.
 
 from types import ModuleType as _ModuleType
 
-from .budget import DEFAULT_BUDGET, BudgetError, check, effective
+from .budget import DEFAULT_BUDGET, BudgetError, check
 from .formula import (CnfFormula, DimacsError, brute_force_max_val,
                       clause_satisfied, clause_value, max_occurrence,
                       parse_dimacs, random_planted_formula, satisfied_counts,

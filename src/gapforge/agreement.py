@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .budget import check, effective
+from .budget import check, effective, search
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
 from .setsys import SetSystem, bitmask, is_uniform, masks
@@ -320,19 +320,17 @@ def _non_red_subgraph(graph, d, budget):
     k = graph.num_vertices
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= num_vertices")
-    if math.comb(k, d) <= effective(budget):
-        best = max(itertools.combinations(range(k), d),
-                   key=lambda combo: _non_red_density(graph, combo))
-        return best, _non_red_density(graph, best), True
+    total = math.comb(k, d)
+    if total <= effective(budget):
+        subset, density = search(max, itertools.combinations(range(k), d), total,
+                                 lambda combo: _non_red_density(graph, combo), budget,
+                                 "d-subset enumeration")
+        return subset, density, True
     remaining = set(range(k))
     while len(remaining) > d:
-        deg = {v: 0 for v in remaining}
-        for u, v in graph.red:
-            if u in remaining and v in remaining:
-                deg[u] += 1
-                deg[v] += 1
-        drop = max(remaining, key=lambda v: (deg[v], v))
-        remaining.remove(drop)
+        deg = collections.Counter(x for u, v in graph.red
+                                  if u in remaining and v in remaining for x in (u, v))
+        remaining.remove(max(remaining, key=lambda v: (deg[v], v)))
     chosen = tuple(sorted(remaining))
     return chosen, _non_red_density(graph, chosen), False
 

@@ -1,12 +1,10 @@
-"""Enumeration budgets shared by all brute-force operations."""
+"""Enumeration budgets shared by all brute-force operations. A budget is the
+caller's argument, None meaning DEFAULT_BUDGET; only the command line reads
+GAPFORGE_BUDGET."""
 
 from __future__ import annotations
 
-import os
-
 DEFAULT_BUDGET = 10_000_000
-
-ENV_VAR = "GAPFORGE_BUDGET"
 
 
 class BudgetError(Exception):
@@ -24,18 +22,21 @@ class BudgetError(Exception):
 
 
 def effective(budget=None):
-    """Resolve a budget argument: explicit value wins, then GAPFORGE_BUDGET, then the default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+    """The limit a budget argument sets."""
+    return DEFAULT_BUDGET if budget is None else int(budget)
 
 
 def check(required, budget=None, what="enumeration"):
-    """Return the effective budget after verifying `required` fits in it."""
-    limit = effective(budget)
-    if required > limit:
-        raise BudgetError(required, limit, what)
-    return limit
+    """Raise BudgetError unless `required` candidates fit in the budget."""
+    if required > effective(budget):
+        raise BudgetError(required, effective(budget), what)
+
+
+def search(pick, candidates, count, cost, budget, what):
+    """Charge `count` candidates, then return (best, cost(best)) for the
+    builtin `pick` (min or max) of `cost` over the candidates in the order
+    given. Both builtins keep the first optimum they meet, so candidates in
+    lex order give the min-lex witness."""
+    check(count, budget, what)
+    best = pick(candidates, key=cost)
+    return best, cost(best)

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -20,7 +21,7 @@ from fractions import Fraction
 from . import labelcover as lc
 from .agreement import (FunctionCollection, build_two_level_graph,
                         check_rb_transitive, majority_decode)
-from .budget import BudgetError
+from .budget import DEFAULT_BUDGET, BudgetError
 from .downstream import (PartitionSystem, abss_cvp_reduction,
                          abss_ncp_reduction, clustering_to_text,
                          coverage_to_text, code_to_text,
@@ -446,6 +447,13 @@ def _cmd_info(args, argv):
     return 0
 
 
+def _at_least_one(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gapforge",
@@ -477,7 +485,7 @@ def _build_parser():
     solve_p.add_argument("problem", choices=list(_PROBLEMS))
     solve_p.add_argument("--input", "-i", required=True)
     solve_p.add_argument("--seed", type=int, required=True,
-                         help="mandatory; recorded for reproducibility")
+                         help="mandatory; ignored, since every solver is deterministic")
     solve_p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     solve_p.add_argument("--budget", type=int, default=None)
     solve_p.add_argument("--box", type=int, default=None)
@@ -488,7 +496,7 @@ def _build_parser():
     verify_p = sub.add_parser("verify", help="run a named property suite")
     verify_p.add_argument("suite", choices=sorted(_SUITES))
     verify_p.add_argument("--seed", type=int, required=True)
-    verify_p.add_argument("--scale", type=int, default=10)
+    verify_p.add_argument("--scale", type=_at_least_one, default=10)
     verify_p.add_argument("--budget", type=int, default=None)
     verify_p.set_defaults(func=_cmd_verify)
 
@@ -504,6 +512,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # reduce, solve and verify: --budget, then GAPFORGE_BUDGET, then the default
+        if args.command != "info" and args.budget is None:
+            args.budget = int(os.environ.get("GAPFORGE_BUDGET", DEFAULT_BUDGET))
         return args.func(args, argv)
     except BudgetError as e:
         _emit({"status": "inconclusive", "what": e.what,

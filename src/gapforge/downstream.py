@@ -79,6 +79,8 @@ def feige_coverage_reduction(instance, budget=None):
     right neighbor v, the part of the projected label at u's rank among v's
     neighbors (sorted by left index). k = number of left vertices; choosing
     the sets of a fully consistent labeling covers everything exactly once.
+    The budget is charged the universe plus every set entry, t^(|Sigma_v| - 1)
+    per edge (u, v) and label of u, before anything is built.
     """
     t = instance.right_degree
     if t is None:
@@ -89,7 +91,9 @@ def feige_coverage_reduction(instance, budget=None):
         raise ValueError("vacuous instance has no labels to build sets from")
     offsets = list(itertools.accumulate(
         (t ** len(alphabet) for alphabet in instance.right_alphabets), initial=0))
-    check(offsets[-1], budget, what="coverage universe")
+    entries = sum(len(instance.left_alphabets[u]) * t ** (len(instance.right_alphabets[v]) - 1)
+                  for u, v in instance.edges)
+    check(offsets[-1] + entries, budget, what="coverage universe")
     systems = [PartitionSystem(len(alphabet), t) for alphabet in instance.right_alphabets]
     ranks = {}
     for v, pairs in enumerate(instance.incidence):

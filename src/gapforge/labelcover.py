@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .budget import check
+from .budget import check, search
 from .formula import satisfied_counts, vars_of
 from .setsys import bitmask
 
@@ -21,8 +21,6 @@ RESTRICTION = "restriction"
 
 _NO_EDGES = "the game has no edges, so its value is undefined"
 _NO_RIGHT = "the game has no right vertices, so its value is undefined"
-# largest lower end a prime search starts from
-_PRIME_BUDGET = 10**6
 
 
 class UnsatisfiableSubsetError(ValueError):
@@ -248,9 +246,8 @@ def _best_left(instance, budget, score):
     if 0 in sizes:
         raise ValueError(f"left vertex {sizes.index(0)} has an empty alphabet, "
                          "so the game has no left labeling")
-    check(math.prod(sizes), budget, what="left labeling enumeration")
-    best = max(itertools.product(*(range(s) for s in sizes)), key=score)
-    return best, score(best)
+    return search(max, itertools.product(*(range(s) for s in sizes)), math.prod(sizes),
+                  score, budget, "left labeling enumeration")
 
 
 def brute_force_val(instance, budget=None):
@@ -353,22 +350,11 @@ def restriction_labeling(instance, phi):
 
 
 def is_prime(q):
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
+    return q >= 2 and all(q % f for f in range(2, math.isqrt(q) + 1))
 
 
 def smallest_prime_at_least(lo):
-    check(lo, _PRIME_BUDGET, what="prime search")
-    q = max(2, lo)
-    while not is_prime(q):
-        q += 1
-    return q
+    return next(q for q in itertools.count(max(2, lo)) if is_prime(q))
 
 
 def hadamard_codeword(message, q, ell):
@@ -388,9 +374,9 @@ def reduce_alphabet(instance, delta, budget=None):
 
     q is the smallest prime >= t^2/delta; messages are the right-label
     indices written in base q. Weak agreement value grows by at most delta;
-    satisfiability is preserved. The output's size, its right labels plus
-    its projection-table entries, is checked against the budget before
-    anything is built.
+    satisfiability is preserved. The prime search's lower end, then the
+    output's size, its right labels plus its projection-table entries, are
+    checked against the budget before anything is built.
     """
     t = instance.right_degree
     if t is None:
@@ -400,7 +386,9 @@ def reduce_alphabet(instance, delta, budget=None):
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    q = smallest_prime_at_least(math.ceil(Fraction(t * t) / delta))
+    lo = math.ceil(Fraction(t * t) / delta)
+    check(lo, budget, what="prime search")
+    q = smallest_prime_at_least(lo)
     big_r = max(len(a) for a in instance.right_alphabets)
     ell = 1
     while q**ell < big_r:

@@ -1,8 +1,8 @@
 """Exact enumeration solvers and the greedy coverage baseline; every result
 carries its witness and enumeration count so reports are checkable.
 
-Each exhaustive search is one builtin min or max over its candidates in lex
-order; both keep the first optimum they meet, which is the min-lex witness."""
+Each exhaustive search is one budget.search over its candidates in lex
+order, which returns the min-lex witness."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .budget import BudgetError, check, effective
+from .budget import BudgetError, effective, search
 from .setsys import bitmask, masks
 
 
@@ -60,10 +60,9 @@ def exact_max_coverage(instance, budget=None):
     if instance.k > n:
         raise ValueError("k exceeds the number of sets")
     total = math.comb(n, instance.k)
-    check(total, budget, what="k-subset enumeration")
-    covered = partial(_covered, masks(instance))
-    best = max(itertools.combinations(range(n), instance.k), key=covered)
-    return SolverResult(value=covered(best), witness=best, enumerated=total)
+    best, value = search(max, itertools.combinations(range(n), instance.k), total,
+                         partial(_covered, masks(instance)), budget, "k-subset enumeration")
+    return SolverResult(value=value, witness=best, enumerated=total)
 
 
 def exact_min_set_cover(instance, budget=None):
@@ -99,14 +98,14 @@ def verify_unique_cover(instance, chosen):
 def _exact_clustering(instance, exponent, budget):
     nc, nf = instance.num_clients, instance.num_facilities
     total = math.comb(nf, instance.k)
-    check(total, budget, what="facility subset enumeration")
     clients = instance.dist[:nc]
 
     def cost(combo):
         return sum(min([row[nc + f] for f in combo]) ** exponent for row in clients)
 
-    best = min(itertools.combinations(range(nf), instance.k), key=cost)
-    return SolverResult(value=cost(best), witness=best, enumerated=total)
+    best, value = search(min, itertools.combinations(range(nf), instance.k), total, cost,
+                         budget, "facility subset enumeration")
+    return SolverResult(value=value, witness=best, enumerated=total)
 
 
 def exact_kmedian(instance, budget=None):
@@ -124,7 +123,6 @@ def exact_ncp(instance, budget=None):
     """Exact nearest-codeword distance over all binary messages."""
     cols = instance.num_cols
     total = 1 << cols
-    check(total, budget, what="message enumeration")
     col_masks = [bitmask(r for r, row in enumerate(instance.rows) if row[j])
                  for j in range(cols)]
     y_mask = bitmask(r for r, bit in enumerate(instance.target) if bit)
@@ -136,8 +134,9 @@ def exact_ncp(instance, budget=None):
                 acc ^= col_masks[j]
         return (acc ^ y_mask).bit_count()
 
-    best = min(itertools.product((0, 1), repeat=cols), key=distance)
-    return SolverResult(value=distance(best), witness=best, enumerated=total)
+    best, value = search(min, itertools.product((0, 1), repeat=cols), total, distance,
+                         budget, "message enumeration")
+    return SolverResult(value=value, witness=best, enumerated=total)
 
 
 def exact_cvp(instance, box=None, budget=None):
@@ -149,9 +148,7 @@ def exact_cvp(instance, box=None, budget=None):
         box = instance.k + 1
     if box < 0:
         raise ValueError("box must be nonnegative")
-    width = 2 * box + 1
-    total = width**cols
-    check(total, budget, what="coordinate box enumeration")
+    total = (2 * box + 1) ** cols
     rows, target, p = instance.rows, instance.target, instance.p
 
     def cost(x):
@@ -160,13 +157,10 @@ def exact_cvp(instance, box=None, budget=None):
             norm += abs(sum(a * xi for a, xi in zip(row, x)) - yr) ** p
         return norm
 
-    best = min(itertools.product(range(-box, box + 1), repeat=cols), key=cost)
-    return SolverResult(
-        value=cost(best),
-        witness=best,
-        enumerated=total,
-        note=f"coordinates enumerated in [-{box}, {box}]",
-    )
+    best, value = search(min, itertools.product(range(-box, box + 1), repeat=cols), total,
+                         cost, budget, "coordinate box enumeration")
+    return SolverResult(value=value, witness=best, enumerated=total,
+                        note=f"coordinates enumerated in [-{box}, {box}]")
 
 
 def coverage_fraction(instance, result_value):

@@ -392,6 +392,14 @@ def test_find_non_red_subgraph():
         find_non_red_subgraph(red_free, 6)
 
 
+def test_find_non_red_subgraph_ignores_the_budget_variable(monkeypatch):
+    # C(4, 2) = 6 subsets; a library call reads only its budget argument
+    monkeypatch.setenv("GAPFORGE_BUDGET", "5")
+    red_path = RedBlueGraph(4, frozenset(), frozenset({(0, 1), (1, 2), (2, 3)}))
+    assert find_non_red_subgraph(red_path, 2) == ((0, 2), Fraction(1))
+    assert find_non_red_subgraph(red_path, 2, budget=5) == ((0, 3), Fraction(1))
+
+
 def test_find_non_red_subgraph_exact_beats_greedy():
     # red star at vertex 0: greedy and exact must both avoid it
     red = frozenset({(0, v) for v in range(1, 5)})

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import gapforge
 from gapforge import from_json, parse_clustering, parse_coverage
-from gapforge.cli import _PROBLEMS, _STAGES, main
+from gapforge.cli import _PROBLEMS, _STAGES, _SUITES, main
 from gapforge.setsys import (MonotoneDnf, SetSystem, dnf_to_text,
                              setsys_to_text)
 
@@ -230,6 +231,37 @@ def test_env_budget_override(tmp_path, capsys, monkeypatch):
     assert code == 0 and doc["value"] == 4
 
 
+BUDGETED = ([("reduce", stage, "-o", "out") for stage in _STAGES]
+            + [("solve", problem) for problem in _PROBLEMS]
+            + [("verify", suite) for suite in sorted(_SUITES)])
+
+
+@pytest.mark.parametrize("command", BUDGETED, ids=[" ".join(c[:2]) for c in BUDGETED])
+def test_malformed_env_budget_is_an_error(tmp_path, cnf_file, capsys, monkeypatch, command):
+    """Every command that takes a budget reads GAPFORGE_BUDGET once, before
+    its work, whether or not its work is budgeted."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GAPFORGE_BUDGET", "lots")
+    inputs = () if command[0] == "verify" else ("-i", str(cnf_file))
+    message = error_message(capsys, *command, *inputs, "--seed", "0")
+    assert message == "invalid literal for int() with base 10: 'lots'"
+    assert not (tmp_path / "out").exists()
+
+
+def test_info_ignores_env_budget(cnf_file, capsys, monkeypatch):
+    monkeypatch.setenv("GAPFORGE_BUDGET", "lots")
+    code, doc, _ = run(capsys, "info", "-i", str(cnf_file))
+    assert code == 0 and doc["format"] == "dimacs"
+
+
+def test_verify_scale_below_one_is_a_usage_error(capsys):
+    for scale in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "monotone-dnf", "--seed", "1", "--scale", scale])
+        assert exc.value.code == 2
+    assert "is below 1" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_one(tmp_path, cnf_file, capsys):
     code, doc, _ = run(capsys, "solve", "max-coverage", "-i", str(cnf_file),
                        "--seed", "0")
@@ -315,6 +347,41 @@ def test_reduce_alphabet_checks_its_output_size(tmp_path, cnf_file, capsys):
     code, doc, _ = run(capsys, "reduce", "alphabet", "-i", str(game), "-o", str(out),
                        "--seed", "7", "--delta", "0.5", "--budget", "495")
     assert code == 0 and doc["summary"]["num_right"] == 33
+
+
+def test_reduce_alphabet_charges_the_prime_search(tmp_path, cnf_file, capsys):
+    game = tmp_path / "game.json"
+    run(capsys, "reduce", "labelcover", "-i", str(cnf_file), "-o", str(game), "--seed", "7")
+    out = tmp_path / "small.json"
+    argv = ["reduce", "alphabet", "-i", str(game), "-o", str(out), "--seed", "7",
+            "--delta", "1/10000000"]
+    # the search starts at t^2/delta = 4 * 10^7
+    for budget in ([], ["--budget", "1000"]):
+        code, doc, _ = run(capsys, *argv, *budget)
+        assert code == 3 and doc["what"] == "prime search"
+        assert doc["required"] == 40_000_000
+        assert doc["budget"] == (int(budget[1]) if budget else 10_000_000)
+    code, doc, _ = run(capsys, *argv, "--budget", "40000000")
+    assert code == 3 and doc["what"].startswith("reduced game size")
+    assert doc["required"] > doc["budget"] == 40_000_000
+    assert not out.exists()
+
+
+def test_reduce_coverage_charges_every_set_entry(tmp_path, capsys):
+    """A game whose gadget has a 743,424-element universe and 18,337,792 set
+    entries: charging only the universe let `--budget 1000000` build it."""
+    formula, _ = gapforge.random_planted_formula(6, 8, seed=1, max_occurrence=5)
+    system = gapforge.sample_random_subsets(8, 3, Fraction(1, 2), seed=2)
+    game = gapforge.reduce_alphabet(gapforge.build_main_reduction(formula, system, 2),
+                                    Fraction(1, 2))
+    path = tmp_path / "game.json"
+    path.write_text(gapforge.to_json(game))
+    out = tmp_path / "cov.txt"
+    code, doc, stdout = run(capsys, "reduce", "coverage", "-i", str(path), "-o", str(out),
+                            "--seed", "0", "--budget", "1000000")
+    assert code == 3 and stdout.count("\n") == 1
+    assert doc["required"] == 743_424 + 18_337_792 and doc["budget"] == 1_000_000
+    assert not out.exists()
 
 
 def test_reduce_clustering_checks_its_output_size(tmp_path, capsys):
