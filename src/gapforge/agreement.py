@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .budget import check, effective, search
+from .budget import BudgetError, check, search
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
 from .setsys import SetSystem, bitmask, is_uniform, masks
@@ -321,11 +321,13 @@ def _non_red_subgraph(graph, d, budget):
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= num_vertices")
     total = math.comb(k, d)
-    if total <= effective(budget):
-        subset, density = search(max, itertools.combinations(range(k), d), total,
-                                 lambda combo: _non_red_density(graph, combo), budget,
-                                 "d-subset enumeration")
+    try:
+        subset, density = search(max, lambda: itertools.combinations(range(k), d),
+                                 total, lambda combo: _non_red_density(graph, combo),
+                                 budget, "d-subset enumeration")
         return subset, density, True
+    except BudgetError:
+        pass  # too many d-subsets: delete red-heavy vertices instead
     remaining = set(range(k))
     while len(remaining) > d:
         deg = collections.Counter(x for u, v in graph.red

@@ -33,10 +33,10 @@ def check(required, budget=None, what="enumeration"):
 
 
 def search(pick, candidates, count, cost, budget, what):
-    """Charge `count` candidates, then return (best, cost(best)) for the
-    builtin `pick` (min or max) of `cost` over the candidates in the order
-    given. Both builtins keep the first optimum they meet, so candidates in
-    lex order give the min-lex witness."""
+    """Charge `count`, then return (best, cost(best)) for the builtin `pick`
+    (min or max) of `cost` over `candidates()` in the order given; nothing is
+    built before the charge. Both builtins keep the first optimum they meet,
+    so candidates in lex order give the min-lex witness."""
     check(count, budget, what)
-    best = pick(candidates, key=cost)
+    best = pick(candidates(), key=cost)
     return best, cost(best)

@@ -93,7 +93,7 @@ def feige_coverage_reduction(instance, budget=None):
         (t ** len(alphabet) for alphabet in instance.right_alphabets), initial=0))
     entries = sum(len(instance.left_alphabets[u]) * t ** (len(instance.right_alphabets[v]) - 1)
                   for u, v in instance.edges)
-    check(offsets[-1] + entries, budget, what="coverage universe")
+    check(offsets[-1] + entries, budget, what="coverage universe and set entries")
     systems = [PartitionSystem(len(alphabet), t) for alphabet in instance.right_alphabets]
     ranks = {}
     for v, pairs in enumerate(instance.incidence):

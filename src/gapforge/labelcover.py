@@ -246,8 +246,8 @@ def _best_left(instance, budget, score):
     if 0 in sizes:
         raise ValueError(f"left vertex {sizes.index(0)} has an empty alphabet, "
                          "so the game has no left labeling")
-    return search(max, itertools.product(*(range(s) for s in sizes)), math.prod(sizes),
-                  score, budget, "left labeling enumeration")
+    return search(max, lambda: itertools.product(*(range(s) for s in sizes)),
+                  math.prod(sizes), score, budget, "left labeling enumeration")
 
 
 def brute_force_val(instance, budget=None):

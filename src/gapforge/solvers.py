@@ -60,7 +60,7 @@ def exact_max_coverage(instance, budget=None):
     if instance.k > n:
         raise ValueError("k exceeds the number of sets")
     total = math.comb(n, instance.k)
-    best, value = search(max, itertools.combinations(range(n), instance.k), total,
+    best, value = search(max, lambda: itertools.combinations(range(n), instance.k), total,
                          partial(_covered, masks(instance)), budget, "k-subset enumeration")
     return SolverResult(value=value, witness=best, enumerated=total)
 
@@ -103,8 +103,8 @@ def _exact_clustering(instance, exponent, budget):
     def cost(combo):
         return sum(min([row[nc + f] for f in combo]) ** exponent for row in clients)
 
-    best, value = search(min, itertools.combinations(range(nf), instance.k), total, cost,
-                         budget, "facility subset enumeration")
+    best, value = search(min, lambda: itertools.combinations(range(nf), instance.k),
+                         total, cost, budget, "facility subset enumeration")
     return SolverResult(value=value, witness=best, enumerated=total)
 
 
@@ -134,8 +134,8 @@ def exact_ncp(instance, budget=None):
                 acc ^= col_masks[j]
         return (acc ^ y_mask).bit_count()
 
-    best, value = search(min, itertools.product((0, 1), repeat=cols), total, distance,
-                         budget, "message enumeration")
+    best, value = search(min, lambda: itertools.product((0, 1), repeat=cols), total,
+                         distance, budget, "message enumeration")
     return SolverResult(value=value, witness=best, enumerated=total)
 
 
@@ -157,8 +157,8 @@ def exact_cvp(instance, box=None, budget=None):
             norm += abs(sum(a * xi for a, xi in zip(row, x)) - yr) ** p
         return norm
 
-    best, value = search(min, itertools.product(range(-box, box + 1), repeat=cols), total,
-                         cost, budget, "coordinate box enumeration")
+    best, value = search(min, lambda: itertools.product(range(-box, box + 1), repeat=cols),
+                         total, cost, budget, "coordinate box enumeration")
     return SolverResult(value=value, witness=best, enumerated=total,
                         note=f"coordinates enumerated in [-{box}, {box}]")
 

@@ -381,6 +381,7 @@ def test_reduce_coverage_charges_every_set_entry(tmp_path, capsys):
                             "--seed", "0", "--budget", "1000000")
     assert code == 3 and stdout.count("\n") == 1
     assert doc["required"] == 743_424 + 18_337_792 and doc["budget"] == 1_000_000
+    assert doc["what"] == "coverage universe and set entries"
     assert not out.exists()
 
 
@@ -414,8 +415,12 @@ HUGE_COV = "cov 100000000000 1 1\n0 1\n"
                             "--budget", "100000000000000000000000"], 1),
     # no sets, yet the rows of 10^11 elements are charged
     ("no-sets.txt", "cov 100000000000 0 1\n", ["reduce", "ncp", "-o", "out.txt", "--seed", "0"], 3),
+    # a box of 2*10^9 + 1 coordinates per column is refused before any is built
+    ("one.txt", "cvp 1 1 1 1\n1\n0\n", ["solve", "cvp", "--seed", "0", "--box", "1000000000"], 3),
+    ("big-k.txt", "cvp 1 1 1000000000 1\n1\n0\n", ["solve", "cvp", "--seed", "0"], 3),
 ], ids=["deep-json", "huge-var-count", "huge-unique-cover", "huge-min-set-cover",
-        "huge-clustering", "huge-clustering-out-of-memory", "huge-ncp-no-sets"])
+        "huge-clustering", "huge-clustering-out-of-memory", "huge-ncp-no-sets",
+        "huge-cvp-box", "huge-cvp-default-box"])
 def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expected):
     """Inputs whose size is claimed rather than present: none may build what
     it claims. The child runs under a 1.5 GB address-space cap, so building
