@@ -306,6 +306,7 @@ def _suite_majority_bound(seed, scale, budget):
 
 
 def _suite_partition_identity(seed, scale, budget):
+    """Every identity for t in {2, 3} and s <= 4; the seed and scale are unused."""
     cases = 0
     violations = []
     for t in (2, 3):
@@ -447,11 +448,14 @@ def _cmd_info(args, argv):
     return 0
 
 
-def _at_least_one(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
+def _at_least(low):
+    """An argparse type: an integer, refused (exit 2) below `low`."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
 
 
 def _build_parser():
@@ -468,7 +472,7 @@ def _build_parser():
     reduce_p.add_argument("--output", "-o", required=True)
     reduce_p.add_argument("--seed", type=int, required=True,
                           help="mandatory; no ambient randomness")
-    reduce_p.add_argument("--budget", type=int, default=None)
+    reduce_p.add_argument("--budget", type=_at_least(0), default=None)
     reduce_p.add_argument("--k", type=int, default=3)
     reduce_p.add_argument("--t", type=int, default=2)
     reduce_p.add_argument("--p", default="0.5", help="sampling probability (rational ok)")
@@ -487,17 +491,20 @@ def _build_parser():
     solve_p.add_argument("--seed", type=int, required=True,
                          help="mandatory; ignored, since every solver is deterministic")
     solve_p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    solve_p.add_argument("--budget", type=int, default=None)
+    solve_p.add_argument("--budget", type=_at_least(0), default=None)
     solve_p.add_argument("--box", type=int, default=None)
     solve_p.add_argument("--choose", default="",
                          help="comma-separated set indices for unique-cover")
     solve_p.set_defaults(func=_cmd_solve)
 
     verify_p = sub.add_parser("verify", help="run a named property suite")
-    verify_p.add_argument("suite", choices=sorted(_SUITES))
+    verify_p.add_argument("suite", choices=sorted(_SUITES),
+                          help="partition-identity checks every identity for "
+                               "t in {2, 3} and s <= 4, and reads neither "
+                               "--seed nor --scale")
     verify_p.add_argument("--seed", type=int, required=True)
-    verify_p.add_argument("--scale", type=_at_least_one, default=10)
-    verify_p.add_argument("--budget", type=int, default=None)
+    verify_p.add_argument("--scale", type=_at_least(1), default=10)
+    verify_p.add_argument("--budget", type=_at_least(0), default=None)
     verify_p.set_defaults(func=_cmd_verify)
 
     info_p = sub.add_parser("info", help="describe an instance file")
@@ -515,6 +522,8 @@ def main(argv=None):
         # reduce, solve and verify: --budget, then GAPFORGE_BUDGET, then the default
         if args.command != "info" and args.budget is None:
             args.budget = int(os.environ.get("GAPFORGE_BUDGET", DEFAULT_BUDGET))
+            if args.budget < 0:
+                raise ValueError(f"GAPFORGE_BUDGET {args.budget} is below 0")
         return args.func(args, argv)
     except BudgetError as e:
         _emit({"status": "inconclusive", "what": e.what,

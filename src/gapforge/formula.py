@@ -61,8 +61,6 @@ def parse_dimacs(text):
     Comment lines (c/%) are skipped; clauses may span lines and end with 0.
     A variable that occurs in no clause is an error.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     num_vars = None
     num_clauses = None
     header_line = None

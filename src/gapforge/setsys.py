@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .budget import check, effective
+from .budget import check, search
 from .textformat import read, write
 
 
@@ -85,26 +87,11 @@ def is_uniform(system, gamma, mu):
 
 @dataclass(frozen=True)
 class DisperserVerdict:
-    status: str  # certified-yes | violated | inconclusive
-    witness: tuple | None = None
+    status: str  # certified-yes | violated
+    witness: tuple | None = None  # the lex-first r-tuple leaving the most uncovered
     uncovered: int | None = None
     combinations_checked: int = 0
     note: str = ""
-
-
-def _subcollections(k, ell):
-    """All nonempty subcollections of set indices of size at most ell, ordered by (size, lex)."""
-    out = []
-    for size in range(1, ell + 1):
-        out.extend(itertools.combinations(range(k), size))
-    return out
-
-
-def _intersection_mask(set_masks, subcol, universe_mask):
-    m = universe_mask
-    for i in subcol:
-        m &= set_masks[i]
-    return m
 
 
 def is_strong_intersection_disperser(system, r, ell, eta, budget=None):
@@ -112,56 +99,38 @@ def is_strong_intersection_disperser(system, r, ell, eta, budget=None):
 
     The property: any r distinct subcollections of size <= ell (distinct as
     index sets, taken as an unordered combination) leave at most eta*|U|
-    elements outside the union of their intersections. When the
-    C(#subcollections, r) combinations fit the budget, every one is checked;
-    otherwise a greedy pass builds one low-coverage candidate tuple and can
-    only refute ("violated") or give up ("inconclusive").
+    elements outside the union of their intersections. One search over all
+    C(#subcollections, r) r-tuples, in (size, lex) then combinations order,
+    finds the lex-first tuple leaving the most elements uncovered; the
+    verdict compares that count with eta*|U| once. Over budget it raises
+    BudgetError.
     """
     if r < 1 or ell < 1:
         raise ValueError("r and ell must be at least 1")
     u = system.universe_size
-    universe_mask = (1 << u) - 1
-    set_masks = masks(system)
-    subcols = _subcollections(system.k, ell)
-    limit_uncovered = Fraction(eta) * u
-    if len(subcols) < r:
+    sizes = range(1, min(ell, system.k) + 1)
+    pool_size = sum(math.comb(system.k, size) for size in sizes)
+    if pool_size < r:
         return DisperserVerdict("certified-yes", note="fewer than r candidate subcollections")
-    inter = [_intersection_mask(set_masks, sc, universe_mask) for sc in subcols]
 
-    if math.comb(len(subcols), r) > effective(budget):
-        chosen = []
-        union = 0
-        remaining = set(range(len(subcols)))
-        for _ in range(r):
-            best = min(remaining, key=lambda ci: ((inter[ci] & ~union).bit_count(), ci))
-            chosen.append(best)
-            union |= inter[best]
-            remaining.discard(best)
-        uncovered = (universe_mask & ~union).bit_count()
-        if uncovered > limit_uncovered:
-            return DisperserVerdict(
-                "violated",
-                witness=tuple(subcols[ci] for ci in chosen),
-                uncovered=uncovered,
-                combinations_checked=r,
-            )
-        return DisperserVerdict("inconclusive", combinations_checked=r)
+    def tuples():
+        set_masks = masks(system)
+        pool = [(sc, functools.reduce(operator.and_, (set_masks[i] for i in sc)))
+                for size in sizes for sc in itertools.combinations(range(system.k), size)]
+        return itertools.combinations(pool, r)
 
-    checked = 0
-    for combo in itertools.combinations(range(len(subcols)), r):
+    def uncovered(combo):
         union = 0
-        for ci in combo:
-            union |= inter[ci]
-        uncovered = (universe_mask & ~union).bit_count()
-        checked += 1
-        if uncovered > limit_uncovered:
-            return DisperserVerdict(
-                "violated",
-                witness=tuple(subcols[ci] for ci in combo),
-                uncovered=uncovered,
-                combinations_checked=checked,
-            )
-    return DisperserVerdict("certified-yes", combinations_checked=checked)
+        for _, m in combo:
+            union |= m
+        return u - union.bit_count()
+
+    count = math.comb(pool_size, r)
+    worst, most = search(max, tuples, count, uncovered, budget,
+                         "subcollection r-tuple enumeration")
+    return DisperserVerdict("violated" if most > Fraction(eta) * u else "certified-yes",
+                            witness=tuple(sc for sc, _ in worst), uncovered=most,
+                            combinations_checked=count)
 
 
 def pairwise_intersection_max(system):
@@ -317,7 +286,7 @@ def check_sampled_properties(system, p, delta, n, disperser_params, budget=None)
     gamma = p/2 with mu = min(1, 2e^{-pk/8}), and runs the
     strong-intersection-disperser check on each pair's restriction
     (S minus the pair, cut down to the pair's intersection) at the supplied
-    (r, ell, eta), exact when it fits the budget, greedy otherwise.
+    (r, ell, eta), exact, and refused over budget.
     """
     r, ell, eta = disperser_params
     pf = Fraction(p)

@@ -241,11 +241,12 @@ def test_malformed_env_budget_is_an_error(tmp_path, cnf_file, capsys, monkeypatc
     """Every command that takes a budget reads GAPFORGE_BUDGET once, before
     its work, whether or not its work is budgeted."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("GAPFORGE_BUDGET", "lots")
     inputs = () if command[0] == "verify" else ("-i", str(cnf_file))
-    message = error_message(capsys, *command, *inputs, "--seed", "0")
-    assert message == "invalid literal for int() with base 10: 'lots'"
-    assert not (tmp_path / "out").exists()
+    for value, expected in (("lots", "invalid literal for int() with base 10: 'lots'"),
+                            ("-5", "GAPFORGE_BUDGET -5 is below 0")):
+        monkeypatch.setenv("GAPFORGE_BUDGET", value)
+        assert error_message(capsys, *command, *inputs, "--seed", "0") == expected
+        assert not (tmp_path / "out").exists()
 
 
 def test_info_ignores_env_budget(cnf_file, capsys, monkeypatch):
@@ -260,6 +261,14 @@ def test_verify_scale_below_one_is_a_usage_error(capsys):
             main(["verify", "monotone-dnf", "--seed", "1", "--scale", scale])
         assert exc.value.code == 2
     assert "is below 1" in capsys.readouterr().err
+    # a negative budget is a usage error too; a budget of 0 is valid
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "monotone-dnf", "--seed", "1", "--scale", "1", "--budget", "-5"])
+    assert exc.value.code == 2
+    assert "-5 is below 0" in capsys.readouterr().err
+    code, doc, _ = run(capsys, "verify", "monotone-dnf", "--seed", "1", "--scale", "1",
+                       "--budget", "0")
+    assert code == 3 and doc["budget"] == 0
 
 
 def test_runtime_errors_exit_one(tmp_path, cnf_file, capsys):

@@ -55,6 +55,22 @@ def test_parse_errors_name_the_line():
 def test_parse_comments_and_clauses_spanning_lines():
     f = parse_dimacs("c hi\np cnf 3 2\n1 2\n3 0 -1 -2 0\n% tail\n")
     assert f.clauses == ((1, 2, 3), (-1, -2))
+    # the last clause needs no terminating 0
+    f = parse_dimacs("p cnf 3 2\n1 2 0\n-1 3")
+    assert f.clauses == ((1, 2), (-1, 3))
+
+
+def test_formula_built_in_code_is_checked():
+    # parse_dimacs refuses each of these first; the constructor refuses
+    # them for formulas built without a parser
+    with pytest.raises(ValueError, match="at least one variable"):
+        CnfFormula(0, ())
+    with pytest.raises(ValueError, match="clause 0 has 4 literals"):
+        CnfFormula(4, ((1, 2, 3, 4),))
+    with pytest.raises(ValueError, match="clause 1 repeats a variable"):
+        CnfFormula(2, ((1, 2), (2, -2)))
+    with pytest.raises(ValueError, match="clause 0 references variable 3 out of range"):
+        CnfFormula(2, ((1, 2, -3),))
 
 
 def test_unused_variable_rejected():

@@ -333,6 +333,8 @@ def test_restriction_labeling_rejects_violations():
     left = restriction_labeling(instance, {1: 0, 2: 1, 3: 0})
     _, val = optimal_extension(instance, left)
     assert val == 1
+    with pytest.raises(ValueError, match="restriction-projection"):
+        restriction_labeling(identity_toy(), {1: 0})
 
 
 def test_prime_helpers():

@@ -91,13 +91,16 @@ def test_disperser_examples():
     v = is_strong_intersection_disperser(empty, 1, 1, Fraction(1, 2))
     assert v.status == "violated" and v.uncovered == 3
 
+    # pairs of the chain leave 1, 0 and 1 elements uncovered: both verdicts
+    # carry the lex-first worst pair, a certified one its margin below eta*|U|
     chain = SetSystem(4, ((0, 1), (1, 2), (2, 3)))
     ok = is_strong_intersection_disperser(chain, 2, 1, Fraction(1, 4))
     assert ok.status == "certified-yes"
+    assert ok.witness == ((0,), (1,)) and ok.uncovered == 1
     bad = is_strong_intersection_disperser(chain, 2, 1, Fraction(1, 8))
     assert bad.status == "violated"
     assert bad.witness == ((0,), (1,)) and bad.uncovered == 1
-    assert bad.combinations_checked == 1
+    assert bad.combinations_checked == ok.combinations_checked == 3
 
 
 def test_disperser_vacuous_and_budget():
@@ -105,31 +108,40 @@ def test_disperser_vacuous_and_budget():
     v = is_strong_intersection_disperser(SetSystem(3, ((0,),)), 2, 1, 0)
     assert v.status == "certified-yes" and "fewer than r" in v.note
 
-    # C(10 + C(10, 2), 3) combinations are over the budget: the greedy pass
-    # checks one r-tuple instead of raising
+    # C(10 + C(10, 2), 3) r-tuples are over the budget: refused, like every
+    # other exhaustive oracle
     big = sample_random_subsets(12, 10, Fraction(1, 2), seed=0)
-    v = is_strong_intersection_disperser(big, 3, 2, 0, budget=10)
-    assert v.status == "violated" and v.combinations_checked == 3
+    with pytest.raises(BudgetError) as err:
+        is_strong_intersection_disperser(big, 3, 2, 0, budget=10)
+    assert err.value.required == math.comb(55, 3) == 26_235
+    assert err.value.budget == 10
 
 
 def test_disperser_heuristic_modes():
-    # a budget below C(#subcollections, r) takes the greedy refutation path
+    # no heuristic fallback is left: a budget below C(#subcollections, r)
+    # is refused, and a budget equal to it runs the exact search
     empty = SetSystem(3, ((), ()))
-    assert is_strong_intersection_disperser(empty, 1, 1, Fraction(1, 2), budget=1).status == "violated"
+    with pytest.raises(BudgetError) as err:
+        is_strong_intersection_disperser(empty, 1, 1, Fraction(1, 2), budget=1)
+    assert err.value.required == 2
+    assert is_strong_intersection_disperser(empty, 1, 1, Fraction(1, 2), budget=2).status == "violated"
     full = SetSystem(4, (tuple(range(4)),) * 3)
-    assert is_strong_intersection_disperser(full, 2, 1, 0, budget=2).status == "inconclusive"
+    with pytest.raises(BudgetError):
+        is_strong_intersection_disperser(full, 2, 1, 0, budget=2)
     assert is_strong_intersection_disperser(full, 2, 1, 0, budget=3).status == "certified-yes"
 
 
 def _disperser_oracle(system, r, ell, eta):
-    """From-scratch recheck: materialize every union of intersections."""
+    """From-scratch recheck: materialize every union of intersections.
+    Returns the status and the most elements any r-tuple leaves uncovered."""
     subcols = []
     for size in range(1, ell + 1):
         subcols.extend(itertools.combinations(range(system.k), size))
     if len(subcols) < r:
-        return "certified-yes"
+        return "certified-yes", None
     sets = [set(s) for s in system.sets]
     universe = set(range(system.universe_size))
+    most = 0
     for combo in itertools.combinations(subcols, r):
         covered = set()
         for sc in combo:
@@ -137,16 +149,16 @@ def _disperser_oracle(system, r, ell, eta):
             for i in sc[1:]:
                 inter &= sets[i]
             covered |= inter
-        if len(universe - covered) > Fraction(eta) * system.universe_size:
-            return "violated"
-    return "certified-yes"
+        most = max(most, len(universe - covered))
+    status = "violated" if most > Fraction(eta) * system.universe_size else "certified-yes"
+    return status, most
 
 
 @given(systems, st.integers(1, 2), st.integers(1, 2), st.fractions(0, 1))
 @settings(max_examples=80, deadline=None)
 def test_disperser_matches_oracle(system, r, ell, eta):
     got = is_strong_intersection_disperser(system, r, ell, eta)
-    assert got.status == _disperser_oracle(system, r, ell, eta)
+    assert (got.status, got.uncovered) == _disperser_oracle(system, r, ell, eta)
 
 
 @given(systems, st.integers(1, 2), st.integers(1, 2), st.fractions(0, 1))
