@@ -12,13 +12,12 @@ from .formula import (CnfFormula, DimacsError, brute_force_max_val,
                       clause_satisfied, clause_value, max_occurrence,
                       parse_dimacs, random_planted_formula, satisfied_counts,
                       to_dimacs, vars_of)
-from .setsys import (MonotoneDnf, SetSystem, check_sampled_properties,
-                     dnf_bound_holds, dnf_false_count_by_weight, dnf_false_prob,
+from .setsys import (MonotoneDnf, SetSystem, dnf_bound_holds,
+                     dnf_false_count_by_weight, dnf_false_prob,
                      dnf_from_subcollections, dnf_to_text,
                      is_strong_intersection_disperser, is_uniform, masks,
-                     max_set_size, pairwise_intersection_max, parse_dnf,
-                     parse_setsys, restrict_system, sample_random_subsets,
-                     setsys_to_text)
+                     pairwise_intersection_max, parse_dnf, parse_setsys,
+                     sample_random_subsets, setsys_to_text)
 from .labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
                          brute_force_val, brute_force_wval,
                          build_main_reduction, from_json, hadamard_codeword,

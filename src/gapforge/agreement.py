@@ -513,7 +513,7 @@ def decode_assignment(formula, system, sigma, params, budget=None):
     returned assignment. The report compares the clause fraction it satisfies
     against 1 - mu - 3*nu*Delta/gamma with nu the measured mean disagreement
     over n."""
-    domains, alphabets = left_vertices(formula, system)
+    domains, alphabets = left_vertices(formula, system, budget=budget)
     if () in alphabets:
         u = alphabets.index(())
         raise UnsatisfiableSubsetError(u, system.sets[u])

@@ -476,7 +476,7 @@ def _build_parser():
     reduce_p.add_argument("--k", type=int, default=3)
     reduce_p.add_argument("--t", type=int, default=2)
     reduce_p.add_argument("--p", default="0.5", help="sampling probability (rational ok)")
-    reduce_p.add_argument("--var-budget", type=int, default=24)
+    reduce_p.add_argument("--var-budget", type=_at_least(0), default=24)
     reduce_p.add_argument("--allow-vacuous", action="store_true")
     reduce_p.add_argument("--delta", default="0.5", help="alphabet stage error budget")
     reduce_p.add_argument("--exponent", type=int, choices=[1, 2], default=1)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .budget import check, search
+from .budget import BudgetError, check, search
 from .formula import satisfied_counts, vars_of
 from .setsys import bitmask
 
@@ -270,24 +270,28 @@ def brute_force_wval(instance, budget=None):
     return _best_left(instance, budget, lambda left: _weak_agreement(instance, left))
 
 
-def left_vertices(formula, system, var_budget=24):
+def left_vertices(formula, system, var_budget=24, budget=None):
     """The clause-subset game's left side: per subset T of `system`, the
     sorted domain var(T) and the satisfying assignments to it as ascending
     masks, bit j holding the value of domain[j]. An unsatisfiable subset gets
     an empty alphabet; a subset over more than var_budget variables is
-    refused."""
+    refused, and all sum_T 2^|var(T)| assignments are charged to `budget`
+    before any is enumerated."""
     if system.universe_size != formula.num_clauses:
         raise ValueError("system universe must be the clause set")
-    domains = []
+    domains = tuple(tuple(sorted(vars_of(formula, subset))) for subset in system.sets)
+    for i, dom in enumerate(domains):
+        # compare widths: 2^var_budget itself may be too large to build
+        if len(dom) > var_budget:
+            raise BudgetError(1 << len(dom), 1 << var_budget,
+                              f"alphabet enumeration for subset {i}")
+    check(sum(1 << len(dom) for dom in domains), budget, what="left alphabet enumeration")
     alphabets = []
-    for i, subset in enumerate(system.sets):
-        dom = sorted(vars_of(formula, subset))
-        check(1 << len(dom), 1 << var_budget, what=f"alphabet enumeration for subset {i}")
+    for subset, dom in zip(system.sets, domains):
         # reversed, so bit j of the enumeration index is dom[j]
         counts = satisfied_counts(formula, dom[::-1], subset)
-        domains.append(tuple(dom))
         alphabets.append(tuple(np.flatnonzero(counts == len(subset)).tolist()))
-    return tuple(domains), tuple(alphabets)
+    return domains, tuple(alphabets)
 
 
 def build_main_reduction(formula, system, t, var_budget=24, budget=None, allow_vacuous=False):
@@ -304,7 +308,7 @@ def build_main_reduction(formula, system, t, var_budget=24, budget=None, allow_v
     k = system.k
     if k < t:
         raise ValueError("need at least t subsets")
-    left_domains, left_alphabets = left_vertices(formula, system, var_budget)
+    left_domains, left_alphabets = left_vertices(formula, system, var_budget, budget)
     if not all(left_alphabets) and not allow_vacuous:
         i = left_alphabets.index(())
         raise UnsatisfiableSubsetError(i, system.sets[i])
@@ -450,10 +454,12 @@ def _exp(frac):
 class SoundnessParams:
     """The parameter bundle driving the decode pipeline.
 
-    Rational fields are exact; C and eta are irrational, so their exact
-    factors (C_base, C_log_arg, eta_coef, eta_exp_arg) are stored alongside
-    50-digit rational approximations. `soundness_params` defines each
-    derived field; overrides lists fields replaced by the caller.
+    It stores the inputs (epsilon, Delta, delta, t, k), the constant C, the
+    sampling probability p, the uniformity pair (mu, gamma), the decoder's
+    alpha, rho and eta, and the names of the fields the caller overrode.
+    Every field is exact except C and eta, which are irrational and stored
+    as 50-digit rational approximations. `soundness_params` defines each
+    derived field.
     """
 
     epsilon: Fraction
@@ -462,25 +468,13 @@ class SoundnessParams:
     t: int
     k: int
     C: Fraction
-    C_base: Fraction
-    C_log_arg: Fraction
     p: Fraction
     mu: Fraction
     gamma: Fraction
-    kappa: Fraction
     alpha: Fraction
     rho: Fraction
     eta: Fraction
-    eta_coef: Fraction
-    eta_exp_arg: Fraction
-    beta: Fraction
-    d: Fraction
     overrides: tuple[str, ...] = ()
-
-    @property
-    def theory_only(self):
-        """True when p is not a usable sampling probability."""
-        return not 0 < self.p <= 1
 
 
 def soundness_params(epsilon, Delta, delta, t, k, p_override=None,
@@ -497,9 +491,7 @@ def soundness_params(epsilon, Delta, delta, t, k, p_override=None,
     if t < 2 or Delta < 1 or k < 1:
         raise ValueError("need t >= 2, Delta >= 1, k >= 1")
     base_arg = Fraction(100 * Delta * t) / (epsilon * delta)
-    c_base = base_arg ** (100 * t)
-    c_log_arg = Fraction(Delta * t) / (epsilon * delta)
-    c_val = c_base * _ln(c_log_arg)
+    c_val = base_arg ** (100 * t) * _ln(Fraction(Delta * t) / (epsilon * delta))
     kappa = base_arg ** (-50 * t)
     alpha = Fraction(10 * t) ** (2 * t) * kappa * Fraction(k - 2) ** (2 * t - 3) / Fraction(k) ** (2 * t - 3) if k > 2 else Fraction(0)
     overrides = []
@@ -511,9 +503,7 @@ def soundness_params(epsilon, Delta, delta, t, k, p_override=None,
     mu = epsilon / 2
     gamma = p / 2
     rho = 18 * p * p * Delta * Delta
-    eta_coef = Fraction(6 * Delta * (2 * t - 3))
-    eta_exp_arg = -p * kappa * (k - 2) / (2 * t - 3)
-    eta = eta_coef * _exp(eta_exp_arg)
+    eta = Fraction(6 * Delta * (2 * t - 3)) * _exp(-p * kappa * (k - 2) / (2 * t - 3))
     if alpha_override is not None:
         alpha = Fraction(alpha_override)
         overrides.append("alpha")
@@ -523,14 +513,9 @@ def soundness_params(epsilon, Delta, delta, t, k, p_override=None,
     if eta_override is not None:
         eta = Fraction(eta_override)
         overrides.append("eta")
-    beta = delta / (4 * t * t)
-    d = delta * k / (8 * t * t)
     return SoundnessParams(
-        epsilon=epsilon, Delta=Delta, delta=delta, t=t, k=k,
-        C=c_val, C_base=c_base, C_log_arg=c_log_arg,
-        p=p, mu=mu, gamma=gamma, kappa=kappa, alpha=alpha, rho=rho,
-        eta=eta, eta_coef=eta_coef, eta_exp_arg=eta_exp_arg,
-        beta=beta, d=d, overrides=tuple(overrides),
+        epsilon=epsilon, Delta=Delta, delta=delta, t=t, k=k, C=c_val, p=p, mu=mu,
+        gamma=gamma, alpha=alpha, rho=rho, eta=eta, overrides=tuple(overrides),
     )
 
 

@@ -7,7 +7,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -141,12 +141,6 @@ def pairwise_intersection_max(system):
     return max((ms[i] & ms[j]).bit_count() for i in range(system.k) for j in range(i + 1, system.k))
 
 
-def max_set_size(system):
-    if not system.sets:
-        return 0
-    return max(len(s) for s in system.sets)
-
-
 @dataclass(frozen=True)
 class MonotoneDnf:
     """OR of distinct AND-terms over k boolean variables, all terms positive."""
@@ -238,96 +232,6 @@ def dnf_from_subcollections(k, subcollections):
     is true on the element's membership vector.
     """
     return MonotoneDnf(k, tuple(tuple(sorted(sc)) for sc in subcollections))
-
-
-def restrict_system(system, elements, exclude=()):
-    """The subsystem (sets minus `exclude`) restricted to `elements`.
-
-    Returns (SetSystem over [len(elements)], sorted element list); element i
-    of the new universe is the i-th smallest member of `elements`.
-    """
-    elems = sorted(elements)
-    pos = {e: i for i, e in enumerate(elems)}
-    excluded = set(exclude)
-    sets = tuple(
-        tuple(pos[e] for e in s if e in pos)
-        for i, s in enumerate(system.sets)
-        if i not in excluded
-    )
-    return SetSystem(len(elems), sets), elems
-
-
-@dataclass(frozen=True)
-class SampledPropertiesReport:
-    universe_size: int
-    k: int
-    p: float
-    delta: int
-    n: int
-    max_set_size: int
-    size_bound: Fraction
-    size_ok: bool
-    pairwise_max: int | None
-    pairwise_bound: Fraction
-    pairwise_ok: bool | None
-    gamma: Fraction
-    mu: float
-    uniform_ok: bool
-    uniform_failing: tuple[int, ...]
-    disperser_params: tuple
-    disperser: tuple = field(default_factory=tuple)  # (i, j, DisperserVerdict)
-
-
-def check_sampled_properties(system, p, delta, n, disperser_params, budget=None):
-    """Audit a sampled system against the bounds expected of random subsets.
-
-    Checks max set size against 2*p*universe, max pairwise intersection
-    against 18*p^2*delta^2*n (n supplied by the caller), uniformity at
-    gamma = p/2 with mu = min(1, 2e^{-pk/8}), and runs the
-    strong-intersection-disperser check on each pair's restriction
-    (S minus the pair, cut down to the pair's intersection) at the supplied
-    (r, ell, eta), exact, and refused over budget.
-    """
-    r, ell, eta = disperser_params
-    pf = Fraction(p)
-    size_bound = 2 * pf * system.universe_size
-    size_max = max_set_size(system)
-    pair_bound = 18 * pf * pf * delta * delta * n
-    if system.k >= 2:
-        pair_max = pairwise_intersection_max(system)
-        pair_ok = Fraction(pair_max) <= pair_bound
-    else:
-        pair_max, pair_ok = None, None
-    gamma = pf / 2
-    mu = min(1.0, 2 * math.exp(-p * system.k / 8))
-    uniform_ok, failing = is_uniform(system, gamma, mu)
-    ms = masks(system)
-    verdicts = []
-    for i in range(system.k):
-        for j in range(i + 1, system.k):
-            inter = ms[i] & ms[j]
-            elems = [e for e in range(system.universe_size) if inter >> e & 1]
-            sub, _ = restrict_system(system, elems, exclude=(i, j))
-            verdicts.append((i, j, is_strong_intersection_disperser(sub, r, ell, eta, budget)))
-    return SampledPropertiesReport(
-        universe_size=system.universe_size,
-        k=system.k,
-        p=float(p),
-        delta=delta,
-        n=n,
-        max_set_size=size_max,
-        size_bound=size_bound,
-        size_ok=Fraction(size_max) <= size_bound,
-        pairwise_max=pair_max,
-        pairwise_bound=pair_bound,
-        pairwise_ok=pair_ok,
-        gamma=gamma,
-        mu=mu,
-        uniform_ok=uniform_ok,
-        uniform_failing=tuple(sorted(failing)),
-        disperser_params=(r, ell, eta),
-        disperser=tuple(verdicts),
-    )
 
 
 def setsys_to_text(system):

@@ -94,6 +94,8 @@ RUNS = [(line, None) for line in [
     ("verify monotone-dnf --seed 1 --scale 3 --budget 10", None),
     ("verify monotone-dnf --seed 1 --scale 3", "2"),
     ("verify monotone-dnf --seed 1 --scale 3 --budget 100000", "2"),
+    # three full subsets over 18 variables: the left alphabets exceed the budget
+    ("reduce labelcover -i wide.cnf -o r.json --seed 7 --k 3 --p 1 --budget 3", None),
 ]
 
 

@@ -411,6 +411,7 @@ def test_reduce_clustering_checks_its_output_size(tmp_path, capsys):
 
 
 HUGE_COV = "cov 100000000000 1 1\n0 1\n"
+WIDE_CNF = gapforge.to_dimacs(gapforge.random_planted_formula(18, 6, seed=1)[0])
 
 
 @pytest.mark.parametrize("name,text,argv,expected", [
@@ -427,9 +428,16 @@ HUGE_COV = "cov 100000000000 1 1\n0 1\n"
     # a box of 2*10^9 + 1 coordinates per column is refused before any is built
     ("one.txt", "cvp 1 1 1 1\n1\n0\n", ["solve", "cvp", "--seed", "0", "--box", "1000000000"], 3),
     ("big-k.txt", "cvp 1 1 1000000000 1\n1\n0\n", ["solve", "cvp", "--seed", "0"], 3),
+    # three subsets over 18 variables: 786,432 left labels, charged to the budget
+    ("wide.cnf", WIDE_CNF, ["reduce", "labelcover", "-o", "out.json", "--seed", "0",
+                            "--k", "3", "--p", "1", "--budget", "3"], 3),
+    # the per-subset width cap is compared, not raised to a power of two
+    ("tiny.cnf", TINY, ["reduce", "labelcover", "-o", "out.json", "--seed", "0",
+                        "--var-budget", "100000000000"], 0),
 ], ids=["deep-json", "huge-var-count", "huge-unique-cover", "huge-min-set-cover",
         "huge-clustering", "huge-clustering-out-of-memory", "huge-ncp-no-sets",
-        "huge-cvp-box", "huge-cvp-default-box"])
+        "huge-cvp-box", "huge-cvp-default-box", "wide-labelcover-budget",
+        "huge-var-budget"])
 def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expected):
     """Inputs whose size is claimed rather than present: none may build what
     it claims. The child runs under a 1.5 GB address-space cap, so building
@@ -450,10 +458,14 @@ def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expec
     assert proc.returncode == expected
     assert proc.stdout.count("\n") == 1
     doc = json.loads(proc.stdout)
-    if expected == 0:
+    if "-o" in argv:
+        assert (tmp_path / argv[argv.index("-o") + 1]).exists() == (expected == 0)
+    if expected != 0:
+        assert doc["status"] == ("inconclusive" if expected == 3 else "error")
+    elif argv[1] == "unique-cover":
         assert doc["unique"] is False
     else:
-        assert doc["status"] == ("inconclusive" if expected == 3 else "error")
+        assert "status" not in doc
 
 
 def test_unique_cover_rejects_out_of_range_sets(tmp_path, capsys):
@@ -604,6 +616,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "labelcover", "-i", "x", "-o", "y", "--seed", "0", "--var-budget", "-1"])
     assert exc.value.code == 2
     capsys.readouterr()
 

@@ -228,11 +228,16 @@ def test_main_reduction_var_budget():
 
 
 def test_main_reduction_right_budget():
+    """The left alphabets are charged first, then the right vertices."""
     formula, _ = random_planted_formula(5, 8, seed=2)
-    system = sample_random_subsets(8, 6, Fraction(1, 2), seed=3)
-    with pytest.raises(BudgetError) as exc:
-        build_main_reduction(formula, system, 3, budget=10)
-    assert exc.value.required == math.comb(6, 3)
+    system = sample_random_subsets(8, 12, Fraction(1, 4), seed=3)
+    left = sum(1 << len(vars_of(formula, s)) for s in system.sets)
+    with pytest.raises(BudgetError, match="left alphabet enumeration") as exc:
+        build_main_reduction(formula, system, 3, budget=left - 1)
+    assert exc.value.required == left
+    with pytest.raises(BudgetError, match="right vertex enumeration") as exc:
+        build_main_reduction(formula, system, 3, budget=left)
+    assert exc.value.required == math.comb(12, 3) > left
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -477,16 +482,11 @@ def test_full_value_bridge_per_labeling(seed, t):
 
 def test_soundness_params_examples():
     params = soundness_params(Fraction(1, 2), 1, Fraction(1, 2), 2, 10)
-    assert params.C_base == Fraction(800) ** 200
-    assert params.C_log_arg == 8
-    assert math.isclose(float(params.C / params.C_base), math.log(8), rel_tol=1e-12)
-    assert params.kappa == Fraction(800) ** -100
+    assert math.isclose(float(params.C / Fraction(800) ** 200), math.log(8), rel_tol=1e-12)
     assert params.mu == Fraction(1, 4)
-    assert params.beta == Fraction(1, 32)
-    assert params.alpha == Fraction(20) ** 4 * params.kappa * Fraction(8, 10)
-    assert params.d == Fraction(10, 64)
+    assert params.alpha == Fraction(20) ** 4 * Fraction(800) ** -100 * Fraction(8, 10)
     assert params.p == params.C / 10 and params.gamma == params.p / 2
-    assert params.theory_only
+    assert params.p > 1
     assert params.overrides == ()
 
 
@@ -496,7 +496,6 @@ def test_soundness_params_overrides():
     assert params.p == Fraction(1, 10)
     assert params.rho == Fraction(18, 25)  # 18 p^2 Delta^2
     assert params.gamma == Fraction(1, 20)
-    assert not params.theory_only
     assert params.overrides == ("p",)
     more = soundness_params(Fraction(1, 2), 2, Fraction(1, 2), 2, 10,
                             p_override=Fraction(1, 10),

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapforge import (BudgetError, MonotoneDnf, SetSystem,
-                      check_sampled_properties, dnf_bound_holds,
+from gapforge import (BudgetError, MonotoneDnf, SetSystem, dnf_bound_holds,
                       dnf_false_prob, dnf_from_subcollections, dnf_to_text,
                       is_strong_intersection_disperser, is_uniform, masks,
-                      max_set_size, pairwise_intersection_max, parse_dnf,
-                      parse_setsys, restrict_system, sample_random_subsets,
-                      setsys_to_text)
+                      pairwise_intersection_max, parse_dnf, parse_setsys,
+                      sample_random_subsets, setsys_to_text)
 
 systems = st.builds(
     lambda u, raw: SetSystem(u, tuple(tuple(sorted(e for e in s if e < u)) for s in raw)),
@@ -183,12 +181,6 @@ def test_pairwise_intersection_max():
         pairwise_intersection_max(SetSystem(4, ((0,),)))
 
 
-def test_max_set_size():
-    assert max_set_size(SetSystem(4, ((), ()))) == 0
-    assert max_set_size(sample_random_subsets(7, 2, 1, seed=0)) == 7
-    assert max_set_size(SetSystem(3, ((0,), (0, 1)))) == 2
-
-
 def test_dnf_validation():
     with pytest.raises(ValueError, match="duplicate"):
         MonotoneDnf(3, ((0, 1), (0, 1)))
@@ -281,39 +273,6 @@ def test_dnf_bound_small_sweep(seed):
         f = MonotoneDnf(k, tuple(sorted(rng.sample(pool, size))))
         for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)):
             assert dnf_bound_holds(dnf_false_prob(f, p), ell, p, eps, k)
-
-
-def test_restrict_system():
-    system = SetSystem(6, ((0, 2, 4), (1, 2, 5), (0, 5)))
-    sub, elems = restrict_system(system, {2, 4, 5})
-    assert elems == [2, 4, 5]
-    assert sub.universe_size == 3
-    assert sub.sets == ((0, 1), (0, 2), (2,))
-    dropped, _ = restrict_system(system, {2, 4, 5}, exclude=(1,))
-    assert dropped.sets == ((0, 1), (2,))
-
-
-def test_check_sampled_properties_endpoints():
-    empty = sample_random_subsets(8, 3, 0, seed=0)
-    rep = check_sampled_properties(empty, 0, 2, 8, (1, 1, Fraction(1, 2)))
-    assert rep.size_ok and rep.uniform_ok
-    full = sample_random_subsets(8, 3, 1, seed=0)
-    rep = check_sampled_properties(full, 1, 2, 8, (1, 1, Fraction(1, 2)))
-    assert rep.size_ok and rep.max_set_size == 8
-
-
-def test_check_sampled_properties_deterministic_and_recounted():
-    system = sample_random_subsets(60, 6, Fraction(2, 5), seed=21)
-    args = (Fraction(2, 5), 3, 30, (2, 1, Fraction(1, 2)))
-    rep1 = check_sampled_properties(system, *args)
-    rep2 = check_sampled_properties(system, *args)
-    assert rep1 == rep2
-    assert rep1.max_set_size == max(len(s) for s in system.sets)
-    assert rep1.pairwise_max == max(
-        len(set(a) & set(b)) for a, b in itertools.combinations(system.sets, 2)
-    )
-    assert rep1.size_bound == 2 * Fraction(2, 5) * 60
-    assert len(rep1.disperser) == math.comb(6, 2)
 
 
 def test_setsys_text_round_trip():
