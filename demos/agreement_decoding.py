@@ -32,7 +32,7 @@ values = tuple(
 )
 fc = FunctionCollection(system, values)
 print("set sizes:", [len(s) for s in system.sets])
-print("disagr(f0, f1) =", disagr(fc.function(0), fc.function(1)),
+print("disagr(f0, f1) =", disagr(fc, 0, 1),
       "| pair consistency at overlap 1:", pair_consistency(fc, 0, 1, 1))
 print("weak agreement: t=2 ->", t_wagr(fc, 2), " t=3 ->", t_wagr(fc, 3))
 

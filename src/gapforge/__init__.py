@@ -26,7 +26,7 @@ from .labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
                          soundness_params, to_json, weak_agreement_value,
                          wval_to_val_bound)
 from .agreement import (ConsistencyOverlapError, FunctionCollection,
-                        LocalFunction, RedBlueGraph, agreement_decode,
+                        RedBlueGraph, agreement_decode,
                         build_two_level_graph, check_rb_transitive,
                         decode_assignment, disagr,
                         find_non_red_subgraph, majority_decode,

@@ -19,37 +19,6 @@ from .setsys import SetSystem, bitmask, is_uniform, masks
 
 
 @dataclass(frozen=True)
-class LocalFunction:
-    """A boolean function on a subset of [n], elements sorted ascending."""
-
-    elements: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.elements) != len(self.values):
-            raise ValueError("one value per element required")
-        if any(e < 0 for e in self.elements):
-            raise ValueError("elements must be nonnegative")
-        if any(self.elements[i] >= self.elements[i + 1] for i in range(len(self.elements) - 1)):
-            raise ValueError("elements must be sorted and distinct")
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("values must be bits")
-
-    @cached_property
-    def domain_mask(self):
-        return bitmask(self.elements)
-
-    @cached_property
-    def ones_mask(self):
-        return bitmask(e for e, v in zip(self.elements, self.values) if v)
-
-
-def disagr(f1, f2):
-    """|{u in dom(f1) ∩ dom(f2) : f1(u) != f2(u)}|; disjoint domains give 0."""
-    return ((f1.ones_mask ^ f2.ones_mask) & f1.domain_mask & f2.domain_mask).bit_count()
-
-
-@dataclass(frozen=True)
 class FunctionCollection:
     """One boolean function per set of a SetSystem, bits aligned with the
     set's sorted elements."""
@@ -90,20 +59,25 @@ class FunctionCollection:
         return tuple(bitmask(e for e, v in zip(s, vals) if v)
                      for s, vals in zip(self.system.sets, self.values))
 
-    def function(self, i):
-        return LocalFunction(self.system.sets[i], self.values[i])
+    def disagreement(self, i, j):
+        """The mask of the points of S_i ∩ S_j where f_i and f_j differ."""
+        return ((self.ones_masks[i] ^ self.ones_masks[j])
+                & self.domain_masks[i] & self.domain_masks[j])
 
 
-def _pair_agrees(collection, i, j, domain_mask):
-    return ((collection.ones_masks[i] ^ collection.ones_masks[j]) & domain_mask) == 0
+def disagr(collection, i, j):
+    """|{u in S_i ∩ S_j : f_i(u) != f_j(u)}|; disjoint sets give 0."""
+    return collection.disagreement(i, j).bit_count()
 
 
 def _combo_agrees(collection, combo):
+    # each pair's disagreement lies inside S_i ∩ S_j, which holds the t-wise
+    # intersection, so masking it by that intersection is exact
     inter = collection.domain_masks[combo[0]]
     for i in combo[1:]:
         inter &= collection.domain_masks[i]
     for i, j in itertools.combinations(combo, 2):
-        if _pair_agrees(collection, i, j, inter):
+        if collection.disagreement(i, j) & inter == 0:
             return True
     return False
 
@@ -197,8 +171,7 @@ def pair_consistency(collection, i, j, ell, budget=None):
         return Fraction(1)
     if not 1 <= ell <= k - 2:
         raise ValueError("need 0 <= ell <= k - 2")
-    base = collection.domain_masks[i] & collection.domain_masks[j]
-    diff = (collection.ones_masks[i] ^ collection.ones_masks[j]) & base
+    diff = collection.disagreement(i, j)
     counter = _SubcollectionHits(collection)
     check(counter.cost(diff, ell), budget, what="subcollection count")
     return Fraction(counter.hits(diff, ell), math.comb(k - 2, ell))
@@ -253,9 +226,8 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
     k = collection.k
     if k < 2 * t - 1:
         raise ValueError("need k >= 2t - 1 so both subcollection sizes exist")
-    ones, domains = collection.ones_masks, collection.domain_masks
     pairs = list(itertools.combinations(range(k), 2))
-    diffs = [(ones[i] ^ ones[j]) & domains[i] & domains[j] for i, j in pairs]
+    diffs = [collection.disagreement(i, j) for i, j in pairs]
     counter = _SubcollectionHits(collection)
     blue_ell, red_ell = t - 2, 2 * t - 3
     check(len(pairs) + sum(counter.cost(diff, blue_ell) + counter.cost(diff, red_ell)
@@ -385,8 +357,7 @@ def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
     kappa_hits = 0
     for i in members:
         for j in members:
-            dij = ((collection.ones_masks[i] ^ collection.ones_masks[j])
-                   & collection.domain_masks[i] & collection.domain_masks[j]).bit_count()
+            dij = collection.disagreement(i, j).bit_count()
             pair_total += dij
             if Fraction(dij) > zeta * n:
                 kappa_hits += 1

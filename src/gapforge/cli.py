@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import labelcover as lc
 from .agreement import (FunctionCollection, build_two_level_graph,
                         check_rb_transitive, majority_decode)
-from .budget import DEFAULT_BUDGET, BudgetError
+from .budget import DEFAULT_BUDGET, BudgetError, check
 from .downstream import (PartitionSystem, abss_cvp_reduction,
                          abss_ncp_reduction, clustering_to_text,
                          coverage_to_text, code_to_text,
@@ -101,6 +101,7 @@ def _matrix_shape(m):
 def _reduce_labelcover(text, args):
     formula = parse_dimacs(text)
     p = fraction(args.p)
+    check(args.k * formula.num_clauses, args.budget, what="subset sampling")
     subsets = sample_random_subsets(formula.num_clauses, args.k, p, args.seed)
     instance = lc.build_main_reduction(formula, subsets, args.t,
                                        var_budget=args.var_budget,

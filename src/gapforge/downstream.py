@@ -37,17 +37,16 @@ class PartitionSystem:
     def ground_size(self):
         return self.t ** self.num_labels
 
-    def value_at(self, g, a):
-        if not 0 <= g < self.ground_size:
-            raise ValueError("ground element out of range")
-        if not 0 <= a < self.num_labels:
-            raise ValueError("label index out of range")
-        return (g // self.t ** (self.num_labels - 1 - a)) % self.t
-
     def part(self, a, j):
         if not 0 <= j < self.t:
             raise ValueError("part value out of range")
-        return tuple(g for g in range(self.ground_size) if self.value_at(g, a) == j)
+        if not 0 <= a < self.num_labels:
+            raise ValueError("label index out of range")
+        # digit a has weight w: the elements with digit a = j are hi + j*w + lo
+        # for every higher-digit block hi and every lower-digit remainder lo
+        w = self.t ** (self.num_labels - 1 - a)
+        return tuple(hi + j * w + lo for hi in range(0, self.ground_size, w * self.t)
+                     for lo in range(w))
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,11 @@ RUNS = [(line, None) for line in [
     ("verify monotone-dnf --seed 1 --scale 3 --budget 10", None),
     ("verify monotone-dnf --seed 1 --scale 3", "2"),
     ("verify monotone-dnf --seed 1 --scale 3 --budget 100000", "2"),
-    # three full subsets over 18 variables: the left alphabets exceed the budget
+    # three full subsets over 18 variables: the 3 * 6 coin flips exceed the budget
     ("reduce labelcover -i wide.cnf -o r.json --seed 7 --k 3 --p 1 --budget 3", None),
+    # the coin flips fit, the left alphabets (44 and 786,432) do not
+    ("reduce labelcover -i phi.cnf -o r.json --seed 7 --k 6 --budget 20", None),
+    ("reduce labelcover -i wide.cnf -o r.json --seed 7 --k 3 --p 1 --budget 18", None),
 ]
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
-                      FunctionCollection, LocalFunction, RedBlueGraph, SetSystem,
+                      FunctionCollection, RedBlueGraph, SetSystem,
                       agreement_decode, build_two_level_graph,
                       check_rb_transitive, clause_value, decode_assignment,
                       disagr, find_non_red_subgraph,
@@ -25,10 +25,7 @@ from gapforge.labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
                                  build_main_reduction, left_vertices,
                                  restriction_labeling, weak_agreement_value)
 
-local_functions = st.builds(
-    lambda pairs: LocalFunction(tuple(sorted(pairs)), tuple(v for _, v in sorted(pairs.items()))),
-    st.dictionaries(st.integers(0, 11), st.integers(0, 1), max_size=8),
-)
+local_functions = st.dictionaries(st.integers(0, 11), st.integers(0, 1), max_size=8)
 
 
 def collection_from_seed(seed, n=12, k=6, p=Fraction(1, 2), noise=0.3):
@@ -42,36 +39,32 @@ def collection_from_seed(seed, n=12, k=6, p=Fraction(1, 2), noise=0.3):
     return FunctionCollection(system, values)
 
 
-def test_local_function_validation():
-    with pytest.raises(ValueError, match="one value per element"):
-        LocalFunction((0, 1), (1,))
-    with pytest.raises(ValueError, match="sorted"):
-        LocalFunction((1, 0), (0, 1))
-    with pytest.raises(ValueError, match="bits"):
-        LocalFunction((0,), (2,))
-
-
 def test_disagr_examples():
-    f = LocalFunction((0, 2, 5), (1, 0, 1))
-    assert disagr(f, f) == 0
-    g = LocalFunction((1, 3), (0, 0))
-    assert disagr(f, g) == 0  # disjoint domains
-    f1 = LocalFunction((1, 2, 3), (0, 1, 0))
-    f2 = LocalFunction((2, 3, 4), (1, 1, 0))
-    assert disagr(f1, f2) == 1
-    assert disagr(f2, f1) == 1
+    system = SetSystem(6, ((0, 2, 5), (0, 2, 5), (1, 3), (1, 2, 3), (2, 3, 4)))
+    fc = FunctionCollection(system, ((1, 0, 1), (1, 0, 1), (0, 0), (0, 1, 0), (1, 1, 0)))
+    assert disagr(fc, 0, 0) == 0 and disagr(fc, 0, 1) == 0
+    assert disagr(fc, 0, 2) == 0  # disjoint sets
+    assert disagr(fc, 3, 4) == 1 and disagr(fc, 4, 3) == 1
+    assert fc.disagreement(3, 4) == 1 << 3
 
 
 @given(local_functions, local_functions, local_functions)
 @settings(max_examples=80, deadline=None)
 def test_disagr_triangle_on_triple_intersection(f1, f2, f3):
-    triple = [e for e in f1.elements if e in f2.elements and e in f3.elements]
+    # three functions restricted to the triple intersection, one set each
+    triple = tuple(sorted(set(f1) & set(f2) & set(f3)))
+    fc = FunctionCollection(SetSystem(12, (triple,) * 3),
+                            tuple(tuple(f[e] for e in triple) for f in (f1, f2, f3)))
+    assert disagr(fc, 0, 2) <= disagr(fc, 0, 1) + disagr(fc, 1, 2)
 
-    def on_triple(f):
-        return LocalFunction(tuple(triple), tuple(f.values[f.elements.index(e)] for e in triple))
 
-    g1, g2, g3 = map(on_triple, (f1, f2, f3))
-    assert disagr(g1, g3) <= disagr(g1, g2) + disagr(g2, g3)
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_disagr_matches_recount(seed):
+    fc = collection_from_seed(seed, k=5)
+    on = [dict(zip(s, vals)) for s, vals in zip(fc.system.sets, fc.values)]
+    for i, j in itertools.product(range(fc.k), repeat=2):
+        assert disagr(fc, i, j) == sum(on[i][e] != on[j][e] for e in on[i] if e in on[j])
 
 
 def test_function_collection_validation():
@@ -84,7 +77,6 @@ def test_function_collection_validation():
         FunctionCollection.from_global(system, (0, 1))
     fc = FunctionCollection.from_global(system, (1, 0, 1, 0))
     assert fc.values == ((1, 0), (1,))
-    assert fc.function(0) == LocalFunction((0, 1), (1, 0))
 
 
 def test_t_wagr_restrictions_give_one():
@@ -101,22 +93,15 @@ def test_t_wagr_two_function_disagreement():
 
 
 def _wagr_recount(fc, t):
+    on = [dict(zip(s, vals)) for s, vals in zip(fc.system.sets, fc.values)]
     hits = 0
     combos = list(itertools.combinations(range(fc.k), t))
     for combo in combos:
         inter = set(fc.system.sets[combo[0]])
         for i in combo[1:]:
             inter &= set(fc.system.sets[i])
-        found = False
-        for i, j in itertools.combinations(combo, 2):
-            fi, fj = fc.function(i), fc.function(j)
-            if all(
-                fi.values[fi.elements.index(e)] == fj.values[fj.elements.index(e)]
-                for e in inter
-            ):
-                found = True
-                break
-        if found:
+        if any(all(on[i][e] == on[j][e] for e in inter)
+               for i, j in itertools.combinations(combo, 2)):
             hits += 1
     return Fraction(hits, len(combos))
 

@@ -430,18 +430,22 @@ WIDE_CNF = gapforge.to_dimacs(gapforge.random_planted_formula(18, 6, seed=1)[0])
     ("big-k.txt", "cvp 1 1 1000000000 1\n1\n0\n", ["solve", "cvp", "--seed", "0"], 3),
     # three subsets over 18 variables: 786,432 left labels, charged to the budget
     ("wide.cnf", WIDE_CNF, ["reduce", "labelcover", "-o", "out.json", "--seed", "0",
-                            "--k", "3", "--p", "1", "--budget", "3"], 3),
+                            "--k", "3", "--p", "1", "--budget", "18"], 3),
+    # 2,000,000 subsets of 3 clauses: the coin flips are charged before any is drawn
+    ("tiny.cnf", TINY, ["reduce", "labelcover", "-o", "out.json", "--seed", "0",
+                        "--k", "2000000", "--budget", "10"], 3),
     # the per-subset width cap is compared, not raised to a power of two
     ("tiny.cnf", TINY, ["reduce", "labelcover", "-o", "out.json", "--seed", "0",
                         "--var-budget", "100000000000"], 0),
 ], ids=["deep-json", "huge-var-count", "huge-unique-cover", "huge-min-set-cover",
         "huge-clustering", "huge-clustering-out-of-memory", "huge-ncp-no-sets",
         "huge-cvp-box", "huge-cvp-default-box", "wide-labelcover-budget",
-        "huge-var-budget"])
+        "huge-k-labelcover", "huge-var-budget"])
 def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expected):
     """Inputs whose size is claimed rather than present: none may build what
     it claims. The child runs under a 1.5 GB address-space cap, so building
-    it fails fast with MemoryError instead of exhausting the machine."""
+    it fails fast with MemoryError instead of exhausting the machine; a
+    refusal (exit 3) comes before any work, so it gets 5 s."""
     resource = pytest.importorskip("resource")
     (tmp_path / name).write_text(text)
 
@@ -453,7 +457,7 @@ def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expec
     proc = subprocess.run(
         [sys.executable, "-m", "gapforge.cli", *argv[:2], "-i", name, *argv[2:]],
         cwd=tmp_path, env=env, preexec_fn=cap_memory, capture_output=True,
-        text=True, timeout=60)
+        text=True, timeout=5 if expected == 3 else 60)
     assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
     assert proc.returncode == expected
     assert proc.stdout.count("\n") == 1

@@ -37,10 +37,8 @@ def test_partition_system_validation():
     with pytest.raises(ValueError, match="t must be at least 2"):
         PartitionSystem(2, 1)
     ps = PartitionSystem(2, 2)
-    with pytest.raises(ValueError, match="ground element"):
-        ps.value_at(4, 0)
     with pytest.raises(ValueError, match="label index"):
-        ps.value_at(0, 2)
+        ps.part(2, 0)
     with pytest.raises(ValueError, match="part value"):
         ps.part(0, 2)
 

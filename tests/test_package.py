@@ -24,7 +24,7 @@ def test_star_import_binds_exactly_all():
 PUBLIC = [
     "BudgetError", "ClusteringInstance", "CnfFormula", "CodeInstance",
     "ConsistencyOverlapError", "CoverageInstance", "DEFAULT_BUDGET", "DimacsError",
-    "FunctionCollection", "LabelCoverInstance", "LatticeInstance", "LocalFunction",
+    "FunctionCollection", "LabelCoverInstance", "LatticeInstance",
     "MonotoneDnf", "PartitionSystem", "RedBlueGraph", "SetSystem", "SolverResult",
     "UnsatisfiableSubsetError", "abss_cvp_reduction", "abss_ncp_reduction",
     "agreement_decode", "brute_force_max_val", "brute_force_val",
@@ -50,4 +50,4 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(gapforge.__all__) == PUBLIC
-    assert len(PUBLIC) == 85
+    assert len(PUBLIC) == 84
