@@ -12,8 +12,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from .budget import BudgetError, effective, search
 from .setsys import bitmask, masks
+
+# Cap on the cells of one scored block (box points x rows for CVP, facility
+# subsets x clients x k for clustering), so that a larger instance makes
+# blocks shorter instead of larger.
+_BLOCK_CELLS = 1 << 16
+
+
+def _block_search(blocks, count, budget, what):
+    """budget.search over lex-ordered blocks: `blocks()` yields (label, costs)
+    pairs, costs a numpy array in lex order. The first block holding the
+    least cost wins, as does the first least cost in it, so the witness is
+    min-lex. Returns the label, the position in the block and the cost as a
+    Python number."""
+    (label, costs), _ = search(min, blocks, count, lambda block: block[1].min(), budget, what)
+    i = int(costs.argmin())
+    return label, i, costs.item(i)
 
 
 @dataclass(frozen=True)
@@ -96,16 +114,23 @@ def verify_unique_cover(instance, chosen):
 
 
 def _exact_clustering(instance, exponent, budget):
-    nc, nf = instance.num_clients, instance.num_facilities
-    total = math.comb(nf, instance.k)
-    clients = instance.dist[:nc]
+    nc, nf, k = instance.num_clients, instance.num_facilities, instance.k
+    total = math.comb(nf, k)
+    clients = [row[nc:] for row in instance.dist[:nc]]
+    # int64 when every distance is an int and no client sum can reach 2^63
+    fits = (all(type(d) is int for row in clients for d in row)
+            and nc * max((d for row in clients for d in row), default=0) ** exponent < 2 ** 63)
+    size = max(1, _BLOCK_CELLS // (max(nc, 1) * k))
 
-    def cost(combo):
-        return sum(min([row[nc + f] for f in combo]) ** exponent for row in clients)
+    def blocks():
+        dist = np.array(clients, np.int64 if fits else object).reshape(nc, nf)
+        combos = itertools.combinations(range(nf), k)
+        while chunk := list(itertools.islice(combos, size)):
+            nearest = dist[:, np.array(chunk)].min(axis=2)
+            yield chunk, (nearest ** exponent).sum(axis=0)
 
-    best, value = search(min, lambda: itertools.combinations(range(nf), instance.k),
-                         total, cost, budget, "facility subset enumeration")
-    return SolverResult(value=value, witness=best, enumerated=total)
+    chunk, i, value = _block_search(blocks, total, budget, "facility subset enumeration")
+    return SolverResult(value=value, witness=chunk[i], enumerated=total)
 
 
 def exact_kmedian(instance, budget=None):
@@ -142,24 +167,45 @@ def exact_ncp(instance, budget=None):
 def exact_cvp(instance, box=None, budget=None):
     """Exact ||Ax - y||_p^p over integer x with every coordinate in
     [-box, box]. The default box k+1 is safe for the unique-cover encoding:
-    a coordinate beyond it already pays more than k on its identity row."""
+    a coordinate beyond it already pays more than k on its identity row.
+
+    The box is scored in lex-ordered blocks: each prefix of the leading
+    coordinates, in lex order, meets one fixed grid of the trailing ones,
+    and numpy scores the whole block. The arithmetic is int64 when no
+    partial sum can reach 2^63, and exact Python ints otherwise."""
     cols = instance.num_cols
     if box is None:
         box = instance.k + 1
     if box < 0:
         raise ValueError("box must be nonnegative")
-    total = (2 * box + 1) ** cols
+    side = 2 * box + 1
+    total = side ** cols
     rows, target, p = instance.rows, instance.target, instance.p
+    height = len(rows)
+    tail = 0
+    while tail < cols and side ** (tail + 1) * height <= _BLOCK_CELLS:
+        tail += 1
+    head = cols - tail
+    # every |Ax - y| is at most `reach`; p is capped at 64 because
+    # reach >= 2 fails the bound there anyway
+    reach = (max((abs(a) for row in rows for a in row), default=0) * box * cols
+             + max(map(abs, target), default=0))
+    dtype = np.int64 if height * reach ** min(p, 64) < 2 ** 63 else object
 
-    def cost(x):
-        norm = 0
-        for row, yr in zip(rows, target):
-            norm += abs(sum(a * xi for a, xi in zip(row, x)) - yr) ** p
-        return norm
+    def blocks():
+        matrix = np.array(rows, dtype).reshape(height, cols)
+        # residual of every trailing grid point at prefix 0, in lex order
+        grid = -np.array(target, dtype)
+        for c in range(head, cols):
+            grid = grid[..., None, :] + np.array(range(-box, box + 1), dtype)[:, None] * matrix[:, c]
+        grid = grid.reshape(side ** tail, height)
+        lead = matrix[:, :head]
+        return ((x, (abs(grid + lead @ np.array(x, dtype)) ** p).sum(axis=1))
+                for x in itertools.product(range(-box, box + 1), repeat=head))
 
-    best, value = search(min, lambda: itertools.product(range(-box, box + 1), repeat=cols),
-                         total, cost, budget, "coordinate box enumeration")
-    return SolverResult(value=value, witness=best, enumerated=total,
+    prefix, i, value = _block_search(blocks, total, budget, "coordinate box enumeration")
+    witness = prefix + tuple(int(j) - box for j in np.unravel_index(i, (side,) * tail))
+    return SolverResult(value=value, witness=witness, enumerated=total,
                         note=f"coordinates enumerated in [-{box}, {box}]")
 
 

@@ -4,7 +4,9 @@ agreement on shared instances."""
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
                       exact_ncp, find_non_red_subgraph, greedy_max_coverage,
                       guha_khuller_reduction, optimal_extension,
                       verify_unique_cover, weak_agreement_value)
+from gapforge import solvers
 from gapforge.agreement import _non_red_density
 from gapforge.setsys import bitmask, masks
 
@@ -218,6 +221,68 @@ def test_solver_budget_errors():
     lat = LatticeInstance(((1,) * 8,), (1,), p=1, k=1)
     with pytest.raises(BudgetError):
         exact_cvp(lat, box=2, budget=100)
+
+
+@pytest.mark.parametrize("box, cols", [(0, 3), (1, 0), (1, 4), (2, 3)])
+def test_exact_cvp_budget_threshold(box, cols):
+    lat = LatticeInstance(((1,) * cols, (0,) * cols), (1, 2), p=2, k=0)
+    total = (2 * box + 1) ** cols
+    with pytest.raises(BudgetError) as refused:
+        exact_cvp(lat, box=box, budget=total - 1)
+    assert refused.value.required == total
+    assert refused.value.what == "coordinate box enumeration"
+    assert exact_cvp(lat, box=box, budget=total).enumerated == total
+
+
+def test_exact_cvp_huge_box_is_refused_before_anything_is_built():
+    lat = LatticeInstance(((1,) * 8,), (1,), p=1, k=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as refused:
+            exact_cvp(lat, box=10**6, budget=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refused.value.required == (2 * 10**6 + 1) ** 8
+    assert peak < 64 * 1024
+
+
+def test_exact_ints_past_the_int64_bound():
+    # (10^10)^2 wraps in int64; the bound sends these instances to Python ints
+    rng = random.Random(5)
+    rows = tuple(tuple(rng.choice((-1, 1)) * 10**10 for _ in range(2)) for _ in range(3))
+    target = tuple(rng.randint(-10**11, 10**11) for _ in range(3))
+    for p in (1, 2, 3):
+        lat = LatticeInstance(rows, target, p=p, k=0)
+        _same(_fields(exact_cvp(lat, box=2)), _old_cvp(lat, 2))
+    # the same for clustering: distances in [10^10, 2*10^10] form a metric
+    size = 7
+    d = [[0] * size for _ in range(size)]
+    for a, b in itertools.combinations(range(size), 2):
+        d[a][b] = d[b][a] = rng.randint(10**10, 2 * 10**10)
+    metric = ClusteringInstance(4, 3, tuple(map(tuple, d)), k=2)
+    _same(_fields(exact_kmean(metric)), _old_clustering(metric, 2))
+
+
+@pytest.mark.parametrize("margin", [0, 1])
+def test_exact_cvp_either_side_of_the_int64_bound(margin):
+    # rows * (max|a| * box * cols + max|y|)^2 is just under 2^63 at margin 0
+    # and just over at margin 1, so each dtype scores this lattice once; every
+    # row reaches the bound's residual at x = (1, 1), where int64 would wrap
+    height, box, cols, y = 3, 1, 2, 5
+    a = (math.isqrt((2**63 - 1) // height) - y) // (box * cols) + margin
+    assert (height * (a * box * cols + y) ** 2 < 2**63) == (margin == 0)
+    lat = LatticeInstance(((a, a),) * height, (-y,) * height, p=2, k=0)
+    _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
+
+
+def test_exact_cvp_tall_matrix_spans_blocks():
+    # tall enough that a block holds one trailing coordinate: 9 points, 3 blocks
+    height = solvers._BLOCK_CELLS // 9 + 1
+    rng = random.Random(3)
+    lat = LatticeInstance(_tied_columns(rng, height, 2, (-1, 0, 1)),
+                          tuple(rng.randint(-1, 1) for _ in range(height)), p=1, k=0)
+    _same(_fields(exact_cvp(lat, box=1)), _old_cvp(lat, 1))
 
 
 def test_k_larger_than_collection_rejected():
@@ -442,6 +507,12 @@ def test_builtin_searches_match_the_old_loops(seed):
                           p=rng.randint(1, 2), k=0)
     box = rng.choice((None, 0, 1))
     _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
+    # blocks of a few cells, so each search spans many blocks and ties fall
+    # on both sides of a block boundary
+    with mock.patch.object(solvers, "_BLOCK_CELLS", rng.randint(0, 12)):
+        _same(_fields(exact_kmedian(metric)), _old_clustering(metric, 1))
+        _same(_fields(exact_kmean(metric)), _old_clustering(metric, 2))
+        _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
 
     game = _tied_game(rng)
     _same(brute_force_val(game), _old_val(game))
