@@ -7,28 +7,24 @@ checks its completeness/soundness promises at desk scale.
 
 from types import ModuleType as _ModuleType
 
-from .budget import DEFAULT_BUDGET, BudgetError, check
+from .budget import DEFAULT_BUDGET, BudgetError
 from .formula import (CnfFormula, DimacsError, brute_force_max_val,
-                      clause_satisfied, clause_value, max_occurrence,
-                      parse_dimacs, random_planted_formula, satisfied_counts,
-                      to_dimacs, vars_of)
+                      clause_value, max_occurrence, parse_dimacs,
+                      random_planted_formula, to_dimacs, vars_of)
 from .setsys import (MonotoneDnf, SetSystem, dnf_bound_holds,
                      dnf_false_count_by_weight, dnf_false_prob,
-                     dnf_from_subcollections, dnf_to_text,
-                     is_strong_intersection_disperser, is_uniform, masks,
+                     is_strong_intersection_disperser,
                      pairwise_intersection_max, parse_dnf, parse_setsys,
-                     sample_random_subsets, setsys_to_text)
+                     sample_random_subsets)
 from .labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
                          brute_force_val, brute_force_wval,
-                         build_main_reduction, from_json, hadamard_codeword,
-                         labeling_value, optimal_extension, reduce_alphabet,
-                         restriction_labeling, smallest_prime_at_least,
+                         build_main_reduction, from_json, optimal_extension,
+                         reduce_alphabet, restriction_labeling,
                          soundness_params, to_json, weak_agreement_value,
                          wval_to_val_bound)
 from .agreement import (ConsistencyOverlapError, FunctionCollection,
-                        RedBlueGraph, agreement_decode,
-                        build_two_level_graph, check_rb_transitive,
-                        decode_assignment, disagr,
+                        RedBlueGraph, build_two_level_graph,
+                        check_rb_transitive, decode_assignment, disagr,
                         find_non_red_subgraph, majority_decode,
                         pair_consistency, t_wagr)
 from .downstream import (ClusteringInstance, CodeInstance, CoverageInstance,

@@ -409,7 +409,7 @@ class AgreementDecodeReport:
     overrides: tuple[str, ...]
 
 
-def agreement_decode(collection, t, params, budget=None):
+def _agreement_decode(collection, t, params, budget=None):
     """Run the two-level-graph decoding pipeline on a collection at delta =
     its measured t-wise weak agreement.
 
@@ -498,7 +498,7 @@ def decode_assignment(formula, system, sigma, params, budget=None):
         sets.append(tuple(v - 1 for v in dom))
         values.append(tuple((alphabet[li] >> i) & 1 for i in range(len(dom))))
     fc = FunctionCollection(SetSystem(formula.num_vars, tuple(sets)), tuple(values))
-    subset, g, agr = agreement_decode(fc, params.t, params, budget=budget)
+    subset, g, agr = _agreement_decode(fc, params.t, params, budget=budget)
     psi = {v + 1: g[v] for v in range(formula.num_vars)}
     nu = agr.stats.mean_disagr / formula.num_vars
     delta_occ = max_occurrence(formula)

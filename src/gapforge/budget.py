@@ -14,7 +14,7 @@ class BudgetError(Exception):
     so callers can report the budget a rerun would need.
     """
 
-    def __init__(self, required, budget, what="enumeration"):
+    def __init__(self, required, budget, what):
         self.required = required
         self.budget = budget
         self.what = what
@@ -26,7 +26,7 @@ def effective(budget=None):
     return DEFAULT_BUDGET if budget is None else int(budget)
 
 
-def check(required, budget=None, what="enumeration"):
+def check(required, budget, what):
     """Raise BudgetError unless `required` candidates fit in the budget."""
     if required > effective(budget):
         raise BudgetError(required, effective(budget), what)

@@ -72,6 +72,8 @@ def parse_dimacs(text):
         if not line or line[0] in "c%":
             continue
         if line.startswith("p"):
+            if header_line is not None:
+                raise DimacsError(f"line {lineno}: second header")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
@@ -137,14 +139,14 @@ def _require_total(formula, phi):
             raise ValueError(f"assignment is partial: variable {v} unset")
 
 
-def clause_satisfied(clause, phi):
+def _clause_satisfied(clause, phi):
     return any(phi[abs(lit)] == (1 if lit > 0 else 0) for lit in clause)
 
 
 def clause_value(formula, phi):
     """Fraction of clauses satisfied by a total assignment, as an exact rational."""
     _require_total(formula, phi)
-    sat = sum(1 for cl in formula.clauses if clause_satisfied(cl, phi))
+    sat = sum(1 for cl in formula.clauses if _clause_satisfied(cl, phi))
     return Fraction(sat, formula.num_clauses)
 
 
@@ -230,7 +232,7 @@ def random_planted_formula(num_vars, num_clauses, seed, max_occurrence=None):
                 vs.extend(rng.sample(avail, 3 - len(vs)))
             lits = [v if rng.randrange(2) else -v for v in vs]
             phi = {v: planted[v] for v in vs}
-            if not clause_satisfied(lits, phi):
+            if not _clause_satisfied(lits, phi):
                 i = rng.randrange(3)
                 lits[i] = -lits[i]
             for v in vs:

@@ -155,7 +155,7 @@ class LabelCoverInstance:
         return tuple(map(tuple, inc))
 
 
-def labeling_value(instance, labeling):
+def _labeling_value(instance, labeling):
     """Fraction of edges satisfied by a full labeling (left indices, right indices)."""
     left, right = labeling
     _check_labeling(instance, left, right)
@@ -353,15 +353,7 @@ def restriction_labeling(instance, phi):
     return tuple(labeling)
 
 
-def is_prime(q):
-    return q >= 2 and all(q % f for f in range(2, math.isqrt(q) + 1))
-
-
-def smallest_prime_at_least(lo):
-    return next(q for q in itertools.count(max(2, lo)) if is_prime(q))
-
-
-def hadamard_codeword(message, q, ell):
+def _hadamard_codeword(message, q, ell):
     """All inner products <message, j> over F_q, j running over F_q^ell
     (position index j decodes little-endian in base q)."""
     return tuple(sum(m * c for m, c in zip(message, _digits(j, q, ell), strict=True)) % q
@@ -392,7 +384,8 @@ def reduce_alphabet(instance, delta, budget=None):
         raise ValueError("delta must be positive")
     lo = math.ceil(Fraction(t * t) / delta)
     check(lo, budget, what="prime search")
-    q = smallest_prime_at_least(lo)
+    q = next(q for q in itertools.count(max(2, lo))
+             if all(q % f for f in range(2, math.isqrt(q) + 1)))
     big_r = max(len(a) for a in instance.right_alphabets)
     ell = 1
     while q**ell < big_r:
@@ -406,7 +399,7 @@ def reduce_alphabet(instance, delta, budget=None):
     right_alphabets = []
     fq = tuple(range(q))
     for v in range(instance.num_right):
-        words = [hadamard_codeword(_digits(ri, q, ell), q, ell)
+        words = [_hadamard_codeword(_digits(ri, q, ell), q, ell)
                  for ri in range(len(instance.right_alphabets[v]))]
         proj_tables = [(u, instance.tables[e]) for e, u in instance.incidence[v]]
         for j in range(positions):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import check, search
-from .textformat import read, write
+from .textformat import read
 
 
 @dataclass(frozen=True)
@@ -225,26 +225,9 @@ def dnf_bound_holds(false_prob, ell, p, eps, k):
     return u**b <= base**a
 
 
-def dnf_from_subcollections(k, subcollections):
-    """The DNF with one term per subcollection: f = OR_j (AND_{i in j} X_i).
-
-    An element lies in the union of the subcollections' intersections iff f
-    is true on the element's membership vector.
-    """
-    return MonotoneDnf(k, tuple(tuple(sorted(sc)) for sc in subcollections))
-
-
-def setsys_to_text(system):
-    return write("setsys", (system.universe_size, system.k), system.sets)
-
-
 def parse_setsys(text):
     (u, _), sets = read("setsys", text)
     return SetSystem(u, sets)
-
-
-def dnf_to_text(f):
-    return write("dnf", (f.num_vars, f.size), f.terms)
 
 
 def parse_dnf(text):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
                       FunctionCollection, RedBlueGraph, SetSystem,
-                      agreement_decode, build_two_level_graph,
+                      build_two_level_graph,
                       check_rb_transitive, clause_value, decode_assignment,
                       disagr, find_non_red_subgraph,
                       majority_decode, max_occurrence, pair_consistency,
@@ -20,7 +20,7 @@ from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
                       sample_random_subsets, soundness_params, t_wagr,
                       vars_of)
 import gapforge.agreement
-from gapforge.agreement import _SubcollectionHits
+from gapforge.agreement import _SubcollectionHits, _agreement_decode
 from gapforge.labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
                                  build_main_reduction, left_vertices,
                                  restriction_labeling, weak_agreement_value)
@@ -489,22 +489,22 @@ def test_agreement_decode_argument_errors():
     agree = FunctionCollection.from_global(system, (0,) * 8)
     params = _perfect_params(5, Fraction(1, 2))
     with pytest.raises(ValueError, match="k >= 10t/alpha"):
-        agreement_decode(agree, 2, params)
+        _agreement_decode(agree, 2, params)
 
     disagreeing = FunctionCollection(SetSystem(3, ((0, 1), (1, 2))), ((0, 1), (0, 0)))
     with pytest.raises(ValueError, match="zero weak agreement"):
-        agreement_decode(disagreeing, 2, params)
+        _agreement_decode(disagreeing, 2, params)
 
     zero_alpha = soundness_params(Fraction(1, 2), 1, Fraction(1, 2), 2, 2)
     with pytest.raises(ValueError, match="alpha must be positive"):
-        agreement_decode(agree, 2, zero_alpha)
+        _agreement_decode(agree, 2, zero_alpha)
 
     big_system = sample_random_subsets(8, 80, Fraction(1, 2), seed=4)
     big_agree = FunctionCollection.from_global(big_system, (0,) * 8)
     wide = soundness_params(Fraction(1, 2), 1, Fraction(1, 2), 2, 80,
                             alpha_override=Fraction(1, 4))
     with pytest.raises(ValueError, match="exceeds beta"):
-        agreement_decode(big_agree, 2, wide)
+        _agreement_decode(big_agree, 2, wide)
 
 
 def _zero_satisfiable_formula(n, m, seed):

@@ -1,0 +1,62 @@
+"""Every refusal names the budget that admits its stage: at `required` - 1
+the call is refused for the same reason, at `required` it passes that stage.
+The command-line refusals are checked against the golden chain in
+tests/test_golden.py; this table holds the sites no command reaches."""
+
+from fractions import Fraction
+
+import pytest
+
+from gapforge import (BudgetError, FunctionCollection, brute_force_max_val,
+                      build_main_reduction, is_strong_intersection_disperser,
+                      pair_consistency, random_planted_formula,
+                      sample_random_subsets, t_wagr, vars_of)
+
+FORMULA, _ = random_planted_formula(5, 8, seed=2)
+SYSTEM = sample_random_subsets(8, 12, Fraction(1, 4), seed=3)
+COLLECTION = FunctionCollection.from_global(
+    sample_random_subsets(10, 7, Fraction(1, 2), seed=4), (0, 1) * 5)
+
+SITES = {
+    "t-subset enumeration": lambda budget: t_wagr(COLLECTION, 3, budget=budget),
+    "subcollection count": lambda budget: pair_consistency(COLLECTION, 0, 1, 2, budget=budget),
+    "subcollection r-tuple enumeration": lambda budget: is_strong_intersection_disperser(
+        SYSTEM, 2, 2, Fraction(1, 2), budget=budget),
+    "assignment enumeration": lambda budget: brute_force_max_val(FORMULA, budget=budget),
+    "right vertex enumeration": lambda budget: build_main_reduction(
+        FORMULA, SYSTEM, 3, budget=budget),
+}
+
+
+def _refusal(call, budget):
+    try:
+        call(budget)
+    except BudgetError as e:
+        return e
+    return None
+
+
+@pytest.mark.parametrize("what", sorted(SITES))
+def test_library_refusal_is_a_threshold(what):
+    call = SITES[what]
+    # rerun at each earlier stage's `required` until this stage refuses
+    budget, refusal = 0, _refusal(call, 0)
+    while refusal is not None and refusal.what != what:
+        earlier = refusal.what
+        budget, refusal = refusal.required, _refusal(call, refusal.required)
+        assert refusal is None or refusal.what != earlier
+    assert refusal is not None and refusal.budget == budget
+    required = refusal.required
+    below, at = _refusal(call, required - 1), _refusal(call, required)
+    assert below is not None and (below.what, below.required) == (what, required)
+    assert at is None or at.what != what
+
+
+def test_var_budget_refusal_is_a_width_threshold():
+    """`var_budget` caps the width of var(T): the refusal reports 2^width and
+    2^var_budget, and var_budget = width admits the subset."""
+    width = max(len(vars_of(FORMULA, s)) for s in SYSTEM.sets)
+    with pytest.raises(BudgetError, match="alphabet enumeration for subset") as exc:
+        build_main_reduction(FORMULA, SYSTEM, 3, var_budget=width - 1)
+    assert (exc.value.required, exc.value.budget) == (1 << width, 1 << (width - 1))
+    assert build_main_reduction(FORMULA, SYSTEM, 3, var_budget=width).num_left == 12

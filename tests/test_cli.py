@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import gapforge
 from gapforge import from_json, parse_clustering, parse_coverage
 from gapforge.cli import _PROBLEMS, _STAGES, _SUITES, main
-from gapforge.setsys import (MonotoneDnf, SetSystem, dnf_to_text,
-                             setsys_to_text)
+from gapforge.setsys import SetSystem
+from gapforge.textformat import write
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
 COV = "cov 6 4 2\n0 1\n2 3\n4 5\n0 2 4\n"
@@ -417,6 +417,8 @@ WIDE_CNF = gapforge.to_dimacs(gapforge.random_planted_formula(18, 6, seed=1)[0])
 @pytest.mark.parametrize("name,text,argv,expected", [
     ("deep.json", '{"a":' + "[" * 200_000 + "]" * 200_000 + "}", ["info"], 1),
     ("vars.cnf", "p cnf 1000000000 1\n1 0\n", ["info"], 1),
+    # a second header used to replace the first: info reported 1 clause
+    ("two-headers.cnf", "p cnf 3 5\n1 2 3 0\np cnf 3 1\n", ["info"], 1),
     ("huge.txt", HUGE_COV, ["solve", "unique-cover", "--seed", "0", "--choose", "0"], 0),
     ("huge.txt", HUGE_COV, ["solve", "min-set-cover", "--seed", "0"], 1),
     ("huge.txt", HUGE_COV, ["reduce", "clustering", "-o", "out.txt", "--seed", "0"], 3),
@@ -437,9 +439,9 @@ WIDE_CNF = gapforge.to_dimacs(gapforge.random_planted_formula(18, 6, seed=1)[0])
     # the per-subset width cap is compared, not raised to a power of two
     ("tiny.cnf", TINY, ["reduce", "labelcover", "-o", "out.json", "--seed", "0",
                         "--var-budget", "100000000000"], 0),
-], ids=["deep-json", "huge-var-count", "huge-unique-cover", "huge-min-set-cover",
-        "huge-clustering", "huge-clustering-out-of-memory", "huge-ncp-no-sets",
-        "huge-cvp-box", "huge-cvp-default-box", "wide-labelcover-budget",
+], ids=["deep-json", "huge-var-count", "two-dimacs-headers", "huge-unique-cover",
+        "huge-min-set-cover", "huge-clustering", "huge-clustering-out-of-memory",
+        "huge-ncp-no-sets", "huge-cvp-box", "huge-cvp-default-box", "wide-labelcover-budget",
         "huge-k-labelcover", "huge-var-budget"])
 def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expected):
     """Inputs whose size is claimed rather than present: none may build what
@@ -523,8 +525,8 @@ def _fuzz_seeds():
         "dimacs": TINY,
         "labelcover": gapforge.to_json(game),
         "cov": COV,
-        "setsys": setsys_to_text(SetSystem(4, ((0, 1), (2,)))),
-        "dnf": dnf_to_text(MonotoneDnf(3, ((0,), (1, 2)))),
+        "setsys": write("setsys", (4, 2), ((0, 1), (2,))),
+        "dnf": write("dnf", (3, 2), ((0,), (1, 2))),
         "clustering": gapforge.clustering_to_text(gapforge.guha_khuller_reduction(pair)),
         "ncp": gapforge.code_to_text(gapforge.abss_ncp_reduction(pair, 1)),
         "cvp": gapforge.lattice_to_text(gapforge.abss_cvp_reduction(pair, 1)),
@@ -641,8 +643,8 @@ def test_info_reports_every_format(tmp_path, cnf_file, capsys):
 
     files = {
         "cov": COV,
-        "setsys": setsys_to_text(SetSystem(4, ((0, 1), (2,)))),
-        "dnf": dnf_to_text(MonotoneDnf(3, ((0,), (1, 2)))),
+        "setsys": write("setsys", (4, 2), ((0, 1), (2,))),
+        "dnf": write("dnf", (3, 2), ((0,), (1, 2))),
         "ncp": "ncp 1 1 1\n1\n1\n",
         "cvp": "cvp 1 1 1 2\n1\n1\n",
     }

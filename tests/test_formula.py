@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapforge import (BudgetError, CnfFormula, DimacsError,
-                      brute_force_max_val, clause_satisfied, clause_value,
-                      max_occurrence, parse_dimacs, random_planted_formula,
-                      satisfied_counts, to_dimacs, vars_of)
+                      brute_force_max_val, clause_value, max_occurrence,
+                      parse_dimacs, random_planted_formula, to_dimacs,
+                      vars_of)
+from gapforge.formula import satisfied_counts
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
 
@@ -50,6 +51,11 @@ def test_parse_errors_name_the_line():
         parse_dimacs("p cnf 2 2\n1 2 0\n0")
     with pytest.raises(DimacsError, match=r"^line 3: empty clause$"):
         parse_dimacs("p cnf 1 2\n1 0\n0\n")
+    # a later header used to replace the first, and its clause count won
+    with pytest.raises(DimacsError, match=r"^line 3: second header$"):
+        parse_dimacs("p cnf 3 5\n1 2 3 0\np cnf 3 1\n")
+    with pytest.raises(DimacsError, match=r"^line 4: second header$"):
+        parse_dimacs("p cnf 3 1\n1 -2 3 0\n1 2 0\np cnf 3 2\n")
 
 
 def test_parse_comments_and_clauses_spanning_lines():

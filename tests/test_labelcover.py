@@ -17,16 +17,16 @@ from hypothesis import strategies as st
 from gapforge import (BudgetError, LabelCoverInstance, SetSystem,
                       UnsatisfiableSubsetError, brute_force_val,
                       brute_force_wval, build_main_reduction, from_json,
-                      hadamard_codeword, labeling_value, optimal_extension,
-                      parse_dimacs, random_planted_formula,
-                      reduce_alphabet, restriction_labeling,
-                      sample_random_subsets, smallest_prime_at_least,
+                      optimal_extension, parse_dimacs,
+                      random_planted_formula, reduce_alphabet,
+                      restriction_labeling, sample_random_subsets,
                       soundness_params, to_json, weak_agreement_value,
                       wval_to_val_bound)
 from gapforge.budget import check
 from gapforge.cli import main
 from gapforge.formula import CnfFormula, satisfied_counts, vars_of
-from gapforge.labelcover import RESTRICTION, is_prime, left_vertices
+from gapforge.labelcover import (RESTRICTION, _hadamard_codeword,
+                                 _labeling_value, left_vertices)
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
 
@@ -49,25 +49,25 @@ def singleton_reduction(t=2, num_clauses=3, seed=0, n=5, m=None):
 
 def test_labeling_value_examples():
     toy = identity_toy()
-    assert labeling_value(toy, ((0, 0), (0,))) == 1
-    assert labeling_value(toy, ((1, 1), (1,))) == 1
-    assert labeling_value(toy, ((0, 1), (0,))) == Fraction(1, 2)
+    assert _labeling_value(toy, ((0, 0), (0,))) == 1
+    assert _labeling_value(toy, ((1, 1), (1,))) == 1
+    assert _labeling_value(toy, ((0, 1), (0,))) == Fraction(1, 2)
 
     constant = LabelCoverInstance(
         edges=((0, 0),),
         left_alphabets=((0, 1),), right_alphabets=((0, 1),),
         projections=((1, 1),),
     )
-    assert labeling_value(constant, ((0,), (0,))) == 0
-    assert labeling_value(constant, ((0,), (1,))) == 1
+    assert _labeling_value(constant, ((0,), (0,))) == 0
+    assert _labeling_value(constant, ((0,), (1,))) == 1
 
 
 def test_labeling_value_rejects_partial_or_out_of_range():
     toy = identity_toy()
     with pytest.raises(ValueError, match="every left vertex"):
-        labeling_value(toy, ((0,), (0,)))
+        _labeling_value(toy, ((0,), (0,)))
     with pytest.raises(ValueError, match="out of range"):
-        labeling_value(toy, ((0, 2), (0,)))
+        _labeling_value(toy, ((0, 2), (0,)))
 
 
 def _random_table_instance(rng, num_left=2, num_right=1, la=2, ra=2, degree=2):
@@ -95,7 +95,7 @@ def test_labeling_value_matches_hand_enumeration(seed):
                 1 for e, (u, v) in enumerate(toy.edges)
                 if toy.projections[e][left[u]] == right[v]
             )
-            assert labeling_value(toy, (left, right)) == Fraction(sat, toy.num_edges)
+            assert _labeling_value(toy, (left, right)) == Fraction(sat, toy.num_edges)
 
 
 def test_weak_agreement_examples():
@@ -342,24 +342,34 @@ def test_restriction_labeling_rejects_violations():
         restriction_labeling(identity_toy(), {1: 0})
 
 
-def test_prime_helpers():
-    assert [q for q in range(20) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert smallest_prime_at_least(1) == 2
-    assert smallest_prime_at_least(8) == 11
-    assert smallest_prime_at_least(14) == 17
-    assert smallest_prime_at_least(10**7) == 10**7 + 19
+def test_reduce_alphabet_right_alphabet_is_the_least_prime():
+    """q, the size of every reduced right alphabet, is the least prime at
+    least t^2/delta; at t = 2, delta = 4/lo puts that lower end at lo."""
+    instance = build_main_reduction(parse_dimacs(TINY), SetSystem(3, ((0,), (1,))), 2)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for lo in range(1, 21):
+        q = min(p for p in primes if p >= lo)
+        reduced = reduce_alphabet(instance, Fraction(4, lo))
+        assert all(a == tuple(range(q)) for a in reduced.right_alphabets), lo
+    # from 10^7 the search passes 19 composites; the game it would then
+    # build, q (num_right q + projection entries), is refused and names q
+    with pytest.raises(BudgetError, match="reduced game size") as exc:
+        reduce_alphabet(instance, Fraction(4, 10**7), budget=10**7)
+    q = 10**7 + 19
+    entries = sum(len(instance.left_alphabets[u]) for u, _ in instance.edges)
+    assert exc.value.required == q * (instance.num_right * q + entries)
 
 
 def test_hadamard_examples():
-    assert hadamard_codeword((0,), 2, 1) == (0, 0)
-    assert hadamard_codeword((1,), 2, 1) == (0, 1)
-    assert hadamard_codeword((2,), 3, 1) == (0, 2, 1)
+    assert _hadamard_codeword((0,), 2, 1) == (0, 0)
+    assert _hadamard_codeword((1,), 2, 1) == (0, 1)
+    assert _hadamard_codeword((2,), 3, 1) == (0, 2, 1)
 
 
 def test_hadamard_distance():
     """Distinct messages disagree on exactly (1 - 1/q) q^ell positions."""
     for q, ell in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1)):
-        words = [hadamard_codeword(m, q, ell)
+        words = [_hadamard_codeword(m, q, ell)
                  for m in itertools.product(range(q), repeat=ell)]
         expect = (q - 1) * q ** (ell - 1)
         for a, b in itertools.combinations(words, 2):
@@ -444,7 +454,7 @@ def test_valueless_games_are_rejected():
             oracle(vacuous)
     for game in (no_edges, no_right):
         with pytest.raises(ValueError, match="no edges"):
-            labeling_value(game, ((0,), (0,) * game.num_right))
+            _labeling_value(game, ((0,), (0,) * game.num_right))
         with pytest.raises(ValueError, match="no edges"):
             optimal_extension(game, (0,))
         with pytest.raises(ValueError, match="no edges"):

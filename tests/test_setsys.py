@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapforge import (BudgetError, MonotoneDnf, SetSystem, dnf_bound_holds,
-                      dnf_false_prob, dnf_from_subcollections, dnf_to_text,
-                      is_strong_intersection_disperser, is_uniform, masks,
+                      dnf_false_prob, is_strong_intersection_disperser,
                       pairwise_intersection_max, parse_dnf, parse_setsys,
-                      sample_random_subsets, setsys_to_text)
+                      sample_random_subsets)
+from gapforge.setsys import is_uniform, masks
+from gapforge.textformat import write
 
 systems = st.builds(
     lambda u, raw: SetSystem(u, tuple(tuple(sorted(e for e in s if e < u)) for s in raw)),
@@ -211,28 +212,17 @@ def _accepts(f, bits):
     return any(all(bits[i] for i in term) for term in f.terms)
 
 
-def test_dnf_from_subcollections():
-    f = dnf_from_subcollections(2, [{0}, {1}])
-    assert f.terms == ((0,), (1,))
-    g = dnf_from_subcollections(2, [{0, 1}])
-    assert g.terms == ((0, 1),)
-    h = dnf_from_subcollections(3, [{0, 1}, {2}])
-    assert _accepts(h, (1, 1, 0)) and not _accepts(h, (0, 0, 0))
-    with pytest.raises(ValueError, match="duplicate"):
-        dnf_from_subcollections(3, [{0, 1}, {1, 0}])
-
-
 @given(systems, st.data())
 @settings(max_examples=60, deadline=None)
 def test_dnf_membership_equivalence(system, data):
     """u is in the union of the subcollections' intersections iff the DNF
-    accepts u's membership vector."""
+    with one term per subcollection accepts u's membership vector."""
     k = system.k
     subcols = data.draw(
         st.lists(st.sets(st.integers(0, k - 1), min_size=1, max_size=k),
                  min_size=1, max_size=4, unique_by=frozenset)
     )
-    f = dnf_from_subcollections(k, subcols)
+    f = MonotoneDnf(k, tuple(tuple(sorted(sc)) for sc in subcols))
     sets = [set(s) for s in system.sets]
     union = set()
     for sc in subcols:
@@ -277,13 +267,13 @@ def test_dnf_bound_small_sweep(seed):
 
 def test_setsys_text_round_trip():
     system = SetSystem(5, ((0, 2), (), (1, 3, 4)))
-    assert parse_setsys(setsys_to_text(system)) == system
+    assert parse_setsys(write("setsys", (5, 3), system.sets)) == system
     with pytest.raises(ValueError, match="header"):
         parse_setsys("bogus 3 1\n0\n")
 
 
 def test_dnf_text_round_trip():
     f = MonotoneDnf(4, ((0,), (1, 3)))
-    assert parse_dnf(dnf_to_text(f)) == f
+    assert parse_dnf(write("dnf", (4, 2), f.terms)) == f
     with pytest.raises(ValueError, match="header"):
         parse_dnf("setsys 3 0\n")

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from gapforge import (ClusteringInstance, CodeInstance, CoverageInstance,
                       LatticeInstance, MonotoneDnf, SetSystem,
                       clustering_to_text, code_to_text, coverage_to_text,
-                      dnf_to_text, lattice_to_text, parse_clustering,
-                      parse_code, parse_coverage, parse_dnf, parse_lattice,
-                      parse_setsys, setsys_to_text)
+                      lattice_to_text, parse_clustering, parse_code,
+                      parse_coverage, parse_dnf, parse_lattice, parse_setsys)
+from gapforge.textformat import write
 
 small = settings(max_examples=40, deadline=None)
 
@@ -69,13 +69,14 @@ def test_coverage_round_trip(cov):
 @small
 def test_setsys_round_trip(shape):
     system = SetSystem(*shape)
-    assert parse_setsys(setsys_to_text(system)) == system
+    text = write("setsys", (system.universe_size, system.k), system.sets)
+    assert parse_setsys(text) == system
 
 
 @given(dnfs())
 @small
 def test_dnf_round_trip(f):
-    assert parse_dnf(dnf_to_text(f)) == f
+    assert parse_dnf(write("dnf", (f.num_vars, f.size), f.terms)) == f
 
 
 @given(clusterings())
@@ -130,7 +131,7 @@ def test_reader_rejects_broken_promises(tag):
 
 
 def test_dnf_header_counts_terms():
-    assert dnf_to_text(MonotoneDnf(4, ((0,), (1, 3)))) == "dnf 4 2\n0\n1 3\n"
+    assert write("dnf", (4, 2), ((0,), (1, 3))) == "dnf 4 2\n0\n1 3\n"
     with pytest.raises(ValueError, match="empty term"):
         parse_dnf("dnf 2 2\n0\n\n")
 
