@@ -21,15 +21,11 @@ class BudgetError(Exception):
         super().__init__(f"{what} needs {required} candidates, budget is {budget}")
 
 
-def effective(budget=None):
-    """The limit a budget argument sets."""
-    return DEFAULT_BUDGET if budget is None else int(budget)
-
-
 def check(required, budget, what):
     """Raise BudgetError unless `required` candidates fit in the budget."""
-    if required > effective(budget):
-        raise BudgetError(required, effective(budget), what)
+    limit = DEFAULT_BUDGET if budget is None else int(budget)
+    if required > limit:
+        raise BudgetError(required, limit, what)
 
 
 def search(pick, candidates, count, cost, budget, what):

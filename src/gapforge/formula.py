@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import check
+from .textformat import integer
 
 
 class DimacsError(ValueError):
@@ -78,9 +79,9 @@ def parse_dimacs(text):
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
             try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
+                num_vars, num_clauses = integer(parts[2]), integer(parts[3])
+            except ValueError as e:
+                raise DimacsError(f"line {lineno}: malformed header: {e}") from None
             if num_vars < 1 or num_clauses < 0:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
             header_line = lineno
@@ -89,7 +90,7 @@ def parse_dimacs(text):
             raise DimacsError(f"line {lineno}: clause before header")
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = integer(tok)
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad literal {tok!r}") from None
             if lit == 0:

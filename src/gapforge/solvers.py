@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .budget import BudgetError, effective, search
+from .budget import check, search
 from .setsys import bitmask, masks
 
 # Cap on the cells of one scored block (box points x rows for CVP, facility
@@ -85,20 +85,19 @@ def exact_max_coverage(instance, budget=None):
 
 def exact_min_set_cover(instance, budget=None):
     """Smallest family of sets covering the whole universe, by size-ascending
-    enumeration; min-lex witness. Raises if no cover exists. The budget
-    counts the candidates visited, not the 2^n the search may reach."""
+    enumeration; min-lex witness. Raises if no cover exists. Each size level
+    is charged before it is searched, so `enumerated` counts every subset up
+    to the cover's size: the least budget that admits a rerun."""
     n = len(instance.sets)
-    limit = effective(budget)
     covered = partial(_covered, masks(instance))
     if covered(range(n)) < instance.universe_size:
         raise ValueError("no cover exists: some element is in no set")
-    by_size = itertools.chain.from_iterable(
-        itertools.combinations(range(n), size) for size in range(n + 1))
-    for enumerated, combo in enumerate(by_size, 1):
-        if enumerated > limit:
-            raise BudgetError(1 << n, limit, what="subset enumeration")
-        if covered(combo) == instance.universe_size:
-            return SolverResult(value=len(combo), witness=combo, enumerated=enumerated)
+    for size in range(n + 1):
+        charged = sum(math.comb(n, j) for j in range(size + 1))
+        check(charged, budget, f"subset enumeration through size {size}")
+        for combo in itertools.combinations(range(n), size):
+            if covered(combo) == instance.universe_size:
+                return SolverResult(value=size, witness=combo, enumerated=charged)
     raise AssertionError("unreachable: full union covers the universe")
 
 

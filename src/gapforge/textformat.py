@@ -6,8 +6,10 @@ the body. Each body line is a row of whitespace-separated tokens: a set, a
 DNF term, or a matrix row. `ncp` and `cvp` end the body with a target line.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 
 def fraction(tok):
@@ -19,7 +21,20 @@ def fraction(tok):
         raise ValueError(f"number {tok!r} has a zero denominator") from None
 
 
+# most tokens repeat (0, 1, small counts), so a hit skips the pattern match
+@lru_cache(maxsize=4096)
+def integer(tok):
+    """int(tok) for ASCII digits after an optional '-'; a '+', an underscore
+    or a non-ASCII digit, which int() would take, raises ValueError."""
+    if not re.fullmatch("-?[0-9]+", tok):
+        raise ValueError(f"{tok!r} is not an integer")
+    return int(tok)
+
+
 def _number(tok):
+    """An integer, or an exact Fraction: an integer, one '/' or '.', digits."""
+    if not re.fullmatch("-?[0-9]+([/.][0-9]+)?", tok):
+        raise ValueError(f"{tok!r} is not a number")
     return fraction(tok) if "/" in tok or "." in tok else int(tok)
 
 
@@ -28,7 +43,7 @@ def _number(tok):
 # is given, then a target line when `target` is set. `noun` names the rows in
 # error messages and `token` converts each token of a row.
 Layout = namedtuple("Layout", "fields rows noun width target token",
-                    defaults=((), False, int))
+                    defaults=((), False, integer))
 
 
 LAYOUTS = {

@@ -1,14 +1,19 @@
 """Every refusal names the budget that admits its stage: at `required` - 1
 the call is refused for the same reason, at `required` it passes that stage.
 The command-line refusals are checked against the golden chain in
-tests/test_golden.py; this table holds the sites no command reaches."""
+tests/test_golden.py; this table holds the sites no command reaches. Every
+exact solver reports as `enumerated` the least budget that admits it."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from gapforge import (BudgetError, FunctionCollection, brute_force_max_val,
-                      build_main_reduction, is_strong_intersection_disperser,
+from gapforge import (BudgetError, CoverageInstance, FunctionCollection,
+                      abss_cvp_reduction, abss_ncp_reduction, brute_force_max_val,
+                      build_main_reduction, exact_cvp, exact_kmean, exact_kmedian,
+                      exact_max_coverage, exact_min_set_cover, exact_ncp,
+                      guha_khuller_reduction, is_strong_intersection_disperser,
                       pair_consistency, random_planted_formula,
                       sample_random_subsets, t_wagr, vars_of)
 
@@ -60,3 +65,36 @@ def test_var_budget_refusal_is_a_width_threshold():
         build_main_reduction(FORMULA, SYSTEM, 3, var_budget=width - 1)
     assert (exc.value.required, exc.value.budget) == (1 << width, 1 << (width - 1))
     assert build_main_reduction(FORMULA, SYSTEM, 3, var_budget=width).num_left == 12
+
+
+def _covering(seed):
+    """A seeded coverage instance with 2 to 5 sets and k at most 2, in which
+    every element lies in some set."""
+    rng = random.Random(seed)
+    u, n = rng.randint(1, 5), rng.randint(2, 5)
+    sets = [set(rng.sample(range(u), rng.randint(0, u))) for _ in range(n)]
+    for e in range(u):
+        sets[rng.randrange(n)].add(e)
+    return CoverageInstance(u, tuple(tuple(sorted(s)) for s in sets), rng.randint(1, 2))
+
+
+SOLVERS = {
+    "exact_max_coverage": exact_max_coverage,
+    "exact_min_set_cover": exact_min_set_cover,
+    "exact_kmedian": lambda cov, budget: exact_kmedian(guha_khuller_reduction(cov), budget),
+    "exact_kmean": lambda cov, budget: exact_kmean(guha_khuller_reduction(cov, 2), budget),
+    "exact_ncp": lambda cov, budget: exact_ncp(abss_ncp_reduction(cov, 1), budget),
+    "exact_cvp": lambda cov, budget: exact_cvp(abss_cvp_reduction(cov, 1, p=2), budget=budget),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_enumerated_is_the_least_budget_that_admits_a_rerun(name):
+    solve = SOLVERS[name]
+    for seed in range(6):
+        cov = _covering(seed)
+        result = solve(cov, None)
+        assert solve(cov, result.enumerated) == result
+        with pytest.raises(BudgetError) as exc:
+            solve(cov, result.enumerated - 1)
+        assert exc.value.required == result.enumerated

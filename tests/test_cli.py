@@ -202,20 +202,20 @@ def test_rb_transitivity_budget_charges_the_counted_work(capsys):
     assert code == code_default == 0 and enough == default
 
 
-def test_min_set_cover_budget_counts_visited_candidates(tmp_path, capsys):
-    # sets {0,1}, {2,3}, {4,5} are the first 3-subset: 1 + 4 + 6 + 1 = 12
-    # candidates are visited, fewer than the 2^4 subsets
+def test_min_set_cover_budget_charges_each_size_level(tmp_path, capsys):
+    # the cover {0,1}, {2,3}, {4,5} has size 3, so the levels through size 3
+    # are charged: 1 + 4 + 6 + 4 = 15 of the 2^4 subsets
     cov = tmp_path / "toy.txt"
     cov.write_text(COV)
     code, doc, _ = run(capsys, "solve", "min-set-cover", "-i", str(cov),
-                       "--seed", "0", "--budget", "12")
+                       "--seed", "0", "--budget", "15")
     assert code == 0
-    assert doc["value"] == 3 and doc["witness"] == [0, 1, 2] and doc["enumerated"] == 12
+    assert doc["value"] == 3 and doc["witness"] == [0, 1, 2] and doc["enumerated"] == 15
     code, doc, stdout = run(capsys, "solve", "min-set-cover", "-i", str(cov),
-                            "--seed", "0", "--budget", "11")
+                            "--seed", "0", "--budget", "14")
     assert code == 3 and stdout.count("\n") == 1
-    assert doc["status"] == "inconclusive"
-    assert doc["budget"] == 11 and doc["required"] == 16
+    assert doc["status"] == "inconclusive" and doc["what"] == "subset enumeration through size 3"
+    assert doc["budget"] == 14 and doc["required"] == 15
 
 
 def test_env_budget_override(tmp_path, capsys, monkeypatch):

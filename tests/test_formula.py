@@ -56,6 +56,17 @@ def test_parse_errors_name_the_line():
         parse_dimacs("p cnf 3 5\n1 2 3 0\np cnf 3 1\n")
     with pytest.raises(DimacsError, match=r"^line 4: second header$"):
         parse_dimacs("p cnf 3 1\n1 -2 3 0\n1 2 0\np cnf 3 2\n")
+    # a number is ASCII digits after an optional '-', as in the text formats
+    with pytest.raises(DimacsError, match=r"^line 1: malformed header: '\+3' is not an integer$"):
+        parse_dimacs("p cnf +3 1\n1 0")
+    with pytest.raises(DimacsError, match=r"^line 1: malformed header: '1_0' is not an integer$"):
+        parse_dimacs("p cnf 3 1_0\n1 0")
+    with pytest.raises(DimacsError, match=r"^line 2: bad literal '\+3'$"):
+        parse_dimacs("p cnf 3 1\n1 +3 0")
+    with pytest.raises(DimacsError, match=r"^line 3: bad literal '1_0'$"):
+        parse_dimacs("p cnf 12 1\n1\n1_0 0")
+    with pytest.raises(DimacsError, match="^line 2: bad literal '\u0663'$"):
+        parse_dimacs("p cnf 3 1\n1 \u0663 0")
 
 
 def test_parse_comments_and_clauses_spanning_lines():

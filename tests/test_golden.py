@@ -57,12 +57,6 @@ def _refusals():
     return refusals
 
 
-# Known defect: exact_min_set_cover counts the candidates it visits, and on
-# refusal reports 2^6 = 64 sets as `required`, while a budget of 28 already
-# finds the cover. Fixing it must remove this entry.
-NOT_A_THRESHOLD = {"solve min-set-cover -i cov.txt --seed 1"}
-
-
 def _what_at(command, budget):
     """The `what` of a refusal at this budget, or None for a clean exit."""
     code, stdout = cli_runs._run(f"{command} --budget {budget}", None)
@@ -79,7 +73,6 @@ def test_every_refusal_is_a_threshold(replayed, workdir, monkeypatch):
     wrong = []
     for (command, what), required in refusals.items():
         below, at = _what_at(command, required - 1), _what_at(command, required)
-        threshold = below == what and at != what
-        if threshold == (command in NOT_A_THRESHOLD):
+        if not (below == what and at != what):
             wrong.append((command, what, required, below, at))
     assert not wrong

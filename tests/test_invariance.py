@@ -1,28 +1,132 @@
-"""Relabeling invariance of the coverage-side oracles: permuting the elements
+"""Relabeling invariance of the oracles. Permuting the vertices and edges of
+a projection game, reordering a restriction game's domains or writing it
+out as explicit tables changes neither val nor wval. Permuting the elements
 and the sets of a coverage instance changes no optimum, here or in the
 Guha-Khuller clustering, ABSS nearest-codeword and ABSS closest-vector
 instances built from it. Values are compared, never min-lex witnesses (a
 min-lex witness is not invariant); each witness, mapped through the
 relabeling, must score the same value on the other side."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapforge import (CoverageInstance, abss_cvp_reduction, abss_ncp_reduction,
+from gapforge import (CoverageInstance, LabelCoverInstance, abss_cvp_reduction,
+                      abss_ncp_reduction, brute_force_val, brute_force_wval,
                       exact_cvp, exact_kmean, exact_kmedian, exact_max_coverage,
                       exact_min_set_cover, exact_ncp, guha_khuller_reduction,
-                      verify_unique_cover)
+                      solvers, verify_unique_cover, weak_agreement_value)
+from gapforge.labelcover import RESTRICTION, _labeling_value
 
 small = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def relabeled(draw, max_sets=5):
+def games(draw):
+    """A projection game on at most 3 + 3 vertices: explicit tables, or a
+    restriction game over the variables 0..3 in which every right vertex has
+    at least one edge."""
+    num_left, num_right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        lsizes = [draw(st.integers(1, 3)) for _ in range(num_left)]
+        rsizes = [draw(st.integers(1, 3)) for _ in range(num_right)]
+        edges = draw(st.lists(st.tuples(st.integers(0, num_left - 1),
+                                        st.integers(0, num_right - 1)), min_size=1, max_size=6))
+        tables = tuple(tuple(draw(st.integers(0, rsizes[v] - 1)) for _ in range(lsizes[u]))
+                       for u, v in edges)
+        return LabelCoverInstance(tuple(edges), tuple(tuple(range(s)) for s in lsizes),
+                                  tuple(tuple(range(s)) for s in rsizes), tables)
+    ldoms = [draw(st.permutations(range(4)))[:draw(st.integers(1, 3))] for _ in range(num_left)]
+    labels = [draw(st.lists(st.integers(0, (1 << len(d)) - 1), min_size=1, unique=True))
+              for d in ldoms]
+    parents = [draw(st.integers(0, num_left - 1)) for _ in range(num_right)]
+    rdoms = [draw(st.permutations(ldoms[u]))[:draw(st.integers(0, len(ldoms[u])))]
+             for u in parents]
+    edges = [(u, v) for u in range(num_left) for v in range(num_right)
+             if u == parents[v] or set(rdoms[v]) <= set(ldoms[u]) and draw(st.booleans())]
+    return LabelCoverInstance(tuple(edges), tuple(map(tuple, labels)),
+                              tuple(tuple(range(1 << len(d))) for d in rdoms), RESTRICTION,
+                              tuple(map(tuple, ldoms)), tuple(map(tuple, rdoms)))
+
+
+def _moved(items, where):
+    """items[i] placed at position where[i]."""
+    out = [None] * len(items)
+    for i, item in enumerate(items):
+        out[where[i]] = item
+    return tuple(out)
+
+
+def _relabel(game, left_map, right_map, edge_order):
+    """Left vertex u renamed left_map[u], right vertex v renamed right_map[v],
+    and the edges listed in `edge_order`."""
+    edges = tuple((left_map[u], right_map[v]) for u, v in (game.edges[e] for e in edge_order))
+    lefts, rights = _moved(game.left_alphabets, left_map), _moved(game.right_alphabets, right_map)
+    if game.projections != RESTRICTION:
+        return LabelCoverInstance(edges, lefts, rights,
+                                  tuple(game.projections[e] for e in edge_order))
+    return LabelCoverInstance(edges, lefts, rights, RESTRICTION,
+                              _moved(game.left_domains, left_map),
+                              _moved(game.right_domains, right_map))
+
+
+def _reorder_left_domains(game, orders):
+    """Left vertex u lists its domain as dom[orders[u][i]] for i = 0, 1, ...,
+    and each of its labels moves its bits to match; label indices stay."""
+    domains, alphabets = [], []
+    for dom, alphabet, order in zip(game.left_domains, game.left_alphabets, orders):
+        domains.append(tuple(dom[j] for j in order))
+        alphabets.append(tuple(sum(((label >> j) & 1) << i for i, j in enumerate(order))
+                               for label in alphabet))
+    return LabelCoverInstance(game.edges, tuple(alphabets), game.right_alphabets, RESTRICTION,
+                              tuple(domains), game.right_domains)
+
+
+def _explicit(game):
+    """The restriction game as a tables game, each projection worked out bit
+    by bit from the domains."""
+    tables = []
+    for u, v in game.edges:
+        where = [game.left_domains[u].index(var) for var in game.right_domains[v]]
+        tables.append(tuple(sum(((label >> i) & 1) << j for j, i in enumerate(where))
+                            for label in game.left_alphabets[u]))
+    return LabelCoverInstance(game.edges, game.left_alphabets, game.right_alphabets,
+                              tuple(tables))
+
+
+@given(games(), st.data())
+@small
+def test_game_values_are_invariant(game, data):
+    (left, right), val = brute_force_val(game)
+    weak_left, wval = brute_force_wval(game)
+    left_map = data.draw(st.permutations(range(game.num_left)))
+    right_map = data.draw(st.permutations(range(game.num_right)))
+    edge_order = data.draw(st.permutations(range(game.num_edges)))
+    same = tuple(range(game.num_left)), tuple(range(game.num_right))
+    others = [(_relabel(game, left_map, right_map, edge_order), (left_map, right_map))]
+    if game.projections == RESTRICTION:
+        orders = [data.draw(st.permutations(range(len(d)))) for d in game.left_domains]
+        others += [(_explicit(game), same), (_reorder_left_domains(game, orders), same)]
+    for other, (lmap, rmap) in others:
+        (other_left, other_right), other_val = brute_force_val(other)
+        other_weak, other_wval = brute_force_wval(other)
+        assert (other_val, other_wval) == (val, wval)
+        assert _labeling_value(other, (_moved(left, lmap), _moved(right, rmap))) == val
+        assert weak_agreement_value(other, _moved(weak_left, lmap)) == wval
+        back = [_back(lmap), _back(rmap)]
+        assert _labeling_value(game, (_moved(other_left, back[0]),
+                                      _moved(other_right, back[1]))) == val
+        assert weak_agreement_value(game, _moved(other_weak, back[0])) == wval
+
+
+@st.composite
+def relabeled(draw, min_sets=1, max_sets=5):
     """(instance, its relabeling, set map): set j of the instance becomes set
     set_map[j] of the relabeling, and element e becomes element_map[e]."""
     u = draw(st.integers(1, 5))
-    n = draw(st.integers(1, max_sets))
+    n = draw(st.integers(min_sets, max_sets))
     subsets = st.lists(st.integers(0, u - 1), unique=True).map(lambda s: tuple(sorted(s)))
     sets = draw(st.lists(subsets, min_size=n, max_size=n))
     k = draw(st.integers(1, n))
@@ -122,12 +226,26 @@ def test_abss_ncp_optimum_is_invariant(case, tbar):
     assert hamming(inst, _column_vector(_back(set_map), other.witness)) == best.value
 
 
-@given(relabeled(max_sets=4), st.sampled_from((1, 2)))
-@small
-def test_abss_cvp_optimum_is_invariant(case, p):
+def _check_cvp(case, p):
     cov, moved, set_map = case
     inst, other_inst = abss_cvp_reduction(cov, 1, p=p), abss_cvp_reduction(moved, 1, p=p)
     best, other = exact_cvp(inst), exact_cvp(other_inst)
     assert best.value == other.value
     assert _residual_cost(other_inst, _column_vector(set_map, best.witness), p) == best.value
     assert _residual_cost(inst, _column_vector(_back(set_map), other.witness), p) == best.value
+
+
+@given(relabeled(max_sets=4), st.sampled_from((1, 2)))
+@small
+def test_abss_cvp_optimum_is_invariant(case, p):
+    _check_cvp(case, p)
+
+
+@given(relabeled(min_sets=3, max_sets=3), st.sampled_from((1, 2)))
+@small
+def test_abss_cvp_optimum_is_invariant_across_a_long_prefix(case, p):
+    """Blocks of one trailing column, so the lex prefix holds the other two."""
+    cov, _, _ = case
+    side, height = 2 * (cov.k + 1) + 1, len(abss_cvp_reduction(cov, 1).rows)
+    with mock.patch.object(solvers, "_BLOCK_CELLS", side * height):
+        _check_cvp(case, p)

@@ -103,7 +103,7 @@ def test_unique_cover_matches_element_counts(drawn, data):
 def test_exact_min_set_cover():
     inst = CoverageInstance(3, ((0, 1, 2), (0,), (1,), (2,)), k=1)
     result = exact_min_set_cover(inst)
-    assert result.value == 1 and result.witness == (0,)
+    assert result.value == 1 and result.witness == (0,) and result.enumerated == 1 + 4
 
     no_cover = CoverageInstance(3, ((0,), (1,)), k=1)
     with pytest.raises(ValueError, match="no cover exists"):
@@ -490,7 +490,11 @@ def test_builtin_searches_match_the_old_loops(seed):
     _same(_fields(greedy_max_coverage(cov)), _old_greedy(cov))
     _same(_fields(exact_max_coverage(cov)), _old_max_coverage(cov))
     covering = _covering_variant(cov)
-    _same(_fields(exact_min_set_cover(covering)), _old_min_set_cover(covering))
+    # same value and witness; `enumerated` is the charge of the levels
+    # searched, not the candidates the old loop visited
+    got, old = _fields(exact_min_set_cover(covering)), _old_min_set_cover(covering)
+    _same(got[:2] + got[3:], old[:2] + old[3:])
+    assert got[2] == sum(math.comb(len(covering.sets), s) for s in range(got[0] + 1))
 
     metric = _tied_clustering(rng)
     _same(_fields(exact_kmedian(metric)), _old_clustering(metric, 1))

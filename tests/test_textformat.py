@@ -109,6 +109,10 @@ SAMPLES = {
 }
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+
 @pytest.mark.parametrize("tag", sorted(SAMPLES))
 def test_reader_rejects_broken_promises(tag):
     parse, text = SAMPLES[tag]
@@ -124,6 +128,19 @@ def test_reader_rejects_broken_promises(tag):
         "negative count": "\n".join([" ".join([tag, "-1", *fields[2:]]), *body]) + "\n",
         "suffixed tag": tag + "x" + text[len(tag):],
     }
+    # a number is ASCII digits after an optional '-'; int() would take these
+    first, *rest = body[0].split()
+
+    def with_first(tok):
+        return "\n".join([header, " ".join([tok, *rest]), *body[1:]]) + "\n"
+
+    broken["plus sign"] = with_first("+" + first)
+    broken["underscore"] = with_first(first + "_0")
+    broken["Arabic-Indic digit"] = with_first(first.translate(ARABIC_INDIC))
+    if tag == "clustering":
+        broken["plus sign in a rational"] = with_first(f"+{first}/1")
+        broken["underscore in a rational"] = with_first(f"{first}/1_0")
+        broken["Arabic-Indic digit in a rational"] = with_first(f"{first}.\u0665")
     for what, bad in broken.items():
         with pytest.raises(ValueError):
             parse(bad)
@@ -134,6 +151,16 @@ def test_dnf_header_counts_terms():
     assert write("dnf", (4, 2), ((0,), (1, 3))) == "dnf 4 2\n0\n1 3\n"
     with pytest.raises(ValueError, match="empty term"):
         parse_dnf("dnf 2 2\n0\n\n")
+
+
+def test_number_errors_name_the_token():
+    with pytest.raises(ValueError, match=r"^'1_0' is not an integer$"):
+        parse_coverage("cov 12 2 1\n0 1_0\n2\n")
+    with pytest.raises(ValueError, match=r"^'\+1/2' is not a number$"):
+        parse_clustering("clustering 1 1 1 1\n0 +1/2\n1/2 0\n")
+    # the rational forms that are accepted
+    half = Fraction(1, 2)
+    assert parse_clustering("clustering 1 1 1 1\n0 0.5\n1/2 0\n").dist == ((0, half), (half, 0))
 
 
 def test_clustering_rows_must_be_square():
