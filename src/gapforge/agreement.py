@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .budget import BudgetError, check, search
+from .budget import check, search
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
 from .setsys import SetSystem, bitmask, is_uniform, masks
@@ -213,10 +213,11 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
     are not (2t-3, alpha)-consistent. Requires alpha <= beta and k >= 2t-1.
 
     The consistencies are exact, from one hit counter shared by all pairs.
-    The budget is charged C(k, 2) pair lookups plus the counter's cost of
-    each distinct (diff, ell) key. A pair qualifying as both raises
-    ConsistencyOverlapError (possible only at t=2, where the blue condition
-    is vacuous); the thresholds compare as integers.
+    The budget is charged the C(k, 2) pair lookups before any is made, then
+    those lookups plus the counter's cost of each distinct (diff, ell) key.
+    A pair qualifying as both raises ConsistencyOverlapError (possible only
+    at t=2, where the blue condition is vacuous); the thresholds compare as
+    integers.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not 0 <= alpha <= beta <= 1:
@@ -226,6 +227,7 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
     k = collection.k
     if k < 2 * t - 1:
         raise ValueError("need k >= 2t - 1 so both subcollection sizes exist")
+    check(math.comb(k, 2), budget, what="two-level pair enumeration")
     pairs = list(itertools.combinations(range(k), 2))
     diffs = [collection.disagreement(i, j) for i, j in pairs]
     counter = _SubcollectionHits(collection)
@@ -276,37 +278,26 @@ def _non_red_density(graph, vertices):
 
 
 def find_non_red_subgraph(graph, d, budget=None):
-    """A d-vertex subset with high non-red ordered-pair density.
-
-    When the C(k, d) subsets fit the budget this maximizes over all of them
-    (min-lex ties); otherwise it deletes the heaviest red vertex until d
-    remain. Density is recomputed exactly either way.
-    """
-    subset, density, _ = _non_red_subgraph(graph, d, budget)
-    return subset, density
-
-
-def _non_red_subgraph(graph, d, budget):
-    """find_non_red_subgraph's (subset, density) and whether it searched
-    every subset."""
+    """The d-vertex subset of highest non-red ordered-pair density over all
+    C(k, d) of them (min-lex ties), and that density; refused with
+    BudgetError when C(k, d) exceeds the budget."""
     k = graph.num_vertices
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= num_vertices")
-    total = math.comb(k, d)
-    try:
-        subset, density = search(max, lambda: itertools.combinations(range(k), d),
-                                 total, lambda combo: _non_red_density(graph, combo),
-                                 budget, "d-subset enumeration")
-        return subset, density, True
-    except BudgetError:
-        pass  # too many d-subsets: delete red-heavy vertices instead
-    remaining = set(range(k))
+    return search(max, lambda: itertools.combinations(range(k), d), math.comb(k, d),
+                  lambda combo: _non_red_density(graph, combo), budget, "d-subset enumeration")
+
+
+def _peel_red_vertices(graph, d):
+    """Delete the vertex with the most red edges inside what remains (the
+    larger index on ties) until d remain; (subset, non-red density)."""
+    remaining = set(range(graph.num_vertices))
     while len(remaining) > d:
         deg = collections.Counter(x for u, v in graph.red
                                   if u in remaining and v in remaining for x in (u, v))
         remaining.remove(max(remaining, key=lambda v: (deg[v], v)))
     chosen = tuple(sorted(remaining))
-    return chosen, _non_red_density(graph, chosen), False
+    return chosen, _non_red_density(graph, chosen)
 
 
 @dataclass(frozen=True)
@@ -438,7 +429,8 @@ def _agreement_decode(collection, t, params, budget=None):
     h = math.ceil(2 * alpha / (beta * beta) * k)
     rb_ok, rb_witness = check_rb_transitive(graph, h)
     d = math.ceil(delta * k / (8 * t * t))
-    subset, density, exhaustive = _non_red_subgraph(graph, d, budget)
+    # the checks above force k >= 40t^3/delta and d >= 5t, so C(k, d) >= C(320, 10) ~ 2.7e18
+    subset, density = _peel_red_vertices(graph, d)
     err = Fraction(2048) * t**8 * alpha / delta**4
     density_threshold = 1 - err
     density_ok = density >= density_threshold
@@ -457,7 +449,7 @@ def _agreement_decode(collection, t, params, budget=None):
         final_bound_squared=final_bound_squared,
         final_ok=stats.mean_disagr ** 2 <= final_bound_squared,
         graph_estimated=graph.estimated,
-        subgraph_mode="exact" if exhaustive else "greedy",
+        subgraph_mode="greedy",
         overrides=params.overrides,
     )
     return subset, g, report

@@ -19,6 +19,7 @@ import time
 from fractions import Fraction
 
 from . import labelcover as lc
+from . import textformat
 from .agreement import (FunctionCollection, build_two_level_graph,
                         check_rb_transitive, majority_decode)
 from .budget import DEFAULT_BUDGET, BudgetError, check
@@ -198,7 +199,7 @@ def _solve_max_coverage(text, args):
 
 def _solve_unique_cover(text, args):
     inst = parse_coverage(text)
-    chosen = tuple(int(x) for x in args.choose.split(",")) if args.choose else ()
+    chosen = tuple(map(textformat.integer, args.choose.split(","))) if args.choose else ()
     return {"chosen": list(chosen), "unique": verify_unique_cover(inst, chosen)}
 
 
@@ -452,7 +453,7 @@ def _cmd_info(args, argv):
 def _at_least(low):
     """An argparse type: an integer, refused (exit 2) below `low`."""
     def integer(text):
-        value = int(text)
+        value = textformat.integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is below {low}")
         return value
@@ -471,29 +472,29 @@ def _build_parser():
     reduce_p.add_argument("stage", choices=list(_STAGES))
     reduce_p.add_argument("--input", "-i", required=True)
     reduce_p.add_argument("--output", "-o", required=True)
-    reduce_p.add_argument("--seed", type=int, required=True,
+    reduce_p.add_argument("--seed", type=textformat.integer, required=True,
                           help="mandatory; no ambient randomness")
     reduce_p.add_argument("--budget", type=_at_least(0), default=None)
-    reduce_p.add_argument("--k", type=int, default=3)
-    reduce_p.add_argument("--t", type=int, default=2)
+    reduce_p.add_argument("--k", type=textformat.integer, default=3)
+    reduce_p.add_argument("--t", type=textformat.integer, default=2)
     reduce_p.add_argument("--p", default="0.5", help="sampling probability (rational ok)")
     reduce_p.add_argument("--var-budget", type=_at_least(0), default=24)
     reduce_p.add_argument("--allow-vacuous", action="store_true")
     reduce_p.add_argument("--delta", default="0.5", help="alphabet stage error budget")
-    reduce_p.add_argument("--exponent", type=int, choices=[1, 2], default=1)
-    reduce_p.add_argument("--tbar", type=int, default=2)
-    reduce_p.add_argument("--multiplicity", type=int, default=None)
-    reduce_p.add_argument("--p-norm", type=int, default=1)
+    reduce_p.add_argument("--exponent", type=textformat.integer, choices=[1, 2], default=1)
+    reduce_p.add_argument("--tbar", type=textformat.integer, default=2)
+    reduce_p.add_argument("--multiplicity", type=textformat.integer, default=None)
+    reduce_p.add_argument("--p-norm", type=textformat.integer, default=1)
     reduce_p.set_defaults(func=_cmd_reduce)
 
     solve_p = sub.add_parser("solve", help="run a solver on an instance file")
     solve_p.add_argument("problem", choices=list(_PROBLEMS))
     solve_p.add_argument("--input", "-i", required=True)
-    solve_p.add_argument("--seed", type=int, required=True,
+    solve_p.add_argument("--seed", type=textformat.integer, required=True,
                          help="mandatory; ignored, since every solver is deterministic")
     solve_p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     solve_p.add_argument("--budget", type=_at_least(0), default=None)
-    solve_p.add_argument("--box", type=int, default=None)
+    solve_p.add_argument("--box", type=textformat.integer, default=None)
     solve_p.add_argument("--choose", default="",
                          help="comma-separated set indices for unique-cover")
     solve_p.set_defaults(func=_cmd_solve)
@@ -503,7 +504,7 @@ def _build_parser():
                           help="partition-identity checks every identity for "
                                "t in {2, 3} and s <= 4, and reads neither "
                                "--seed nor --scale")
-    verify_p.add_argument("--seed", type=int, required=True)
+    verify_p.add_argument("--seed", type=textformat.integer, required=True)
     verify_p.add_argument("--scale", type=_at_least(1), default=10)
     verify_p.add_argument("--budget", type=_at_least(0), default=None)
     verify_p.set_defaults(func=_cmd_verify)
@@ -522,7 +523,8 @@ def main(argv=None):
     try:
         # reduce, solve and verify: --budget, then GAPFORGE_BUDGET, then the default
         if args.command != "info" and args.budget is None:
-            args.budget = int(os.environ.get("GAPFORGE_BUDGET", DEFAULT_BUDGET))
+            env = os.environ.get("GAPFORGE_BUDGET", str(DEFAULT_BUDGET))
+            args.budget = textformat.integer(env)
             if args.budget < 0:
                 raise ValueError(f"GAPFORGE_BUDGET {args.budget} is below 0")
         return args.func(args, argv)

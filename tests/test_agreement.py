@@ -20,7 +20,7 @@ from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
                       sample_random_subsets, soundness_params, t_wagr,
                       vars_of)
 import gapforge.agreement
-from gapforge.agreement import _SubcollectionHits, _agreement_decode
+from gapforge.agreement import _SubcollectionHits, _agreement_decode, _peel_red_vertices
 from gapforge.labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
                                  build_main_reduction, left_vertices,
                                  restriction_labeling, weak_agreement_value)
@@ -370,7 +370,7 @@ def test_find_non_red_subgraph():
     _, density = find_non_red_subgraph(complete_red, 2)
     assert density == Fraction(1, 2)  # diagonal pairs are never red
 
-    greedy_subset, greedy_density = find_non_red_subgraph(complete_red, 2, budget=2)
+    greedy_subset, greedy_density = _peel_red_vertices(complete_red, 2)
     assert greedy_density == Fraction(1, 2) and greedy_subset == (0, 1)
 
     with pytest.raises(ValueError, match="1 <= d"):
@@ -378,11 +378,15 @@ def test_find_non_red_subgraph():
 
 
 def test_find_non_red_subgraph_ignores_the_budget_variable(monkeypatch):
-    # C(4, 2) = 6 subsets; a library call reads only its budget argument
+    # C(4, 2) = 6 subsets; a library call reads only its budget argument,
+    # and a budget below the count refuses rather than peeling
     monkeypatch.setenv("GAPFORGE_BUDGET", "5")
     red_path = RedBlueGraph(4, frozenset(), frozenset({(0, 1), (1, 2), (2, 3)}))
     assert find_non_red_subgraph(red_path, 2) == ((0, 2), Fraction(1))
-    assert find_non_red_subgraph(red_path, 2, budget=5) == ((0, 3), Fraction(1))
+    with pytest.raises(BudgetError) as exc:
+        find_non_red_subgraph(red_path, 2, budget=5)
+    assert (exc.value.required, exc.value.what) == (6, "d-subset enumeration")
+    assert _peel_red_vertices(red_path, 2) == ((0, 3), Fraction(1))
 
 
 def test_find_non_red_subgraph_exact_beats_greedy():
@@ -390,7 +394,7 @@ def test_find_non_red_subgraph_exact_beats_greedy():
     red = frozenset({(0, v) for v in range(1, 5)})
     graph = RedBlueGraph(5, frozenset(), red)
     exact_subset, exact_density = find_non_red_subgraph(graph, 3)
-    greedy_subset, greedy_density = find_non_red_subgraph(graph, 3, budget=9)
+    greedy_subset, greedy_density = _peel_red_vertices(graph, 3)
     assert exact_density == 1 and exact_subset == (1, 2, 3)
     assert greedy_density <= exact_density
 

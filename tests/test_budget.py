@@ -2,25 +2,36 @@
 the call is refused for the same reason, at `required` it passes that stage.
 The command-line refusals are checked against the golden chain in
 tests/test_golden.py; this table holds the sites no command reaches. Every
-exact solver reports as `enumerated` the least budget that admits it."""
+exact solver reports as `enumerated` the least budget that admits it, and
+no library call catches a refusal to answer some other way."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gapforge
 from gapforge import (BudgetError, CoverageInstance, FunctionCollection,
-                      abss_cvp_reduction, abss_ncp_reduction, brute_force_max_val,
-                      build_main_reduction, exact_cvp, exact_kmean, exact_kmedian,
-                      exact_max_coverage, exact_min_set_cover, exact_ncp,
-                      guha_khuller_reduction, is_strong_intersection_disperser,
-                      pair_consistency, random_planted_formula,
-                      sample_random_subsets, t_wagr, vars_of)
+                      RedBlueGraph, abss_cvp_reduction, abss_ncp_reduction,
+                      brute_force_max_val, build_main_reduction,
+                      build_two_level_graph, exact_cvp, exact_kmean,
+                      exact_kmedian, exact_max_coverage, exact_min_set_cover,
+                      exact_ncp, find_non_red_subgraph, guha_khuller_reduction,
+                      is_strong_intersection_disperser, pair_consistency,
+                      random_planted_formula, sample_random_subsets, t_wagr,
+                      vars_of)
 
 FORMULA, _ = random_planted_formula(5, 8, seed=2)
 SYSTEM = sample_random_subsets(8, 12, Fraction(1, 4), seed=3)
 COLLECTION = FunctionCollection.from_global(
     sample_random_subsets(10, 7, Fraction(1, 2), seed=4), (0, 1) * 5)
+
+
+def _two_level(budget):
+    return build_two_level_graph(COLLECTION, Fraction(1, 2), Fraction(1), 3, budget=budget)
+
 
 SITES = {
     "t-subset enumeration": lambda budget: t_wagr(COLLECTION, 3, budget=budget),
@@ -30,6 +41,12 @@ SITES = {
     "assignment enumeration": lambda budget: brute_force_max_val(FORMULA, budget=budget),
     "right vertex enumeration": lambda budget: build_main_reduction(
         FORMULA, SYSTEM, 3, budget=budget),
+    "d-subset enumeration": lambda budget: find_non_red_subgraph(
+        RedBlueGraph(8, frozenset(), frozenset({(0, 1), (1, 2), (2, 5), (3, 7)})), 3,
+        budget=budget),
+    # one call, charged its pair lookups before its consistency count
+    "two-level pair enumeration": _two_level,
+    "two-level consistency count": _two_level,
 }
 
 
@@ -65,6 +82,26 @@ def test_var_budget_refusal_is_a_width_threshold():
         build_main_reduction(FORMULA, SYSTEM, 3, var_budget=width - 1)
     assert (exc.value.required, exc.value.budget) == (1 << width, 1 << (width - 1))
     assert build_main_reduction(FORMULA, SYSTEM, 3, var_budget=width).num_left == 12
+
+
+def test_two_level_graph_charges_its_pairs_before_it_builds_them():
+    # 3000 sets over 8 points have at most 256 distinct disagreement masks,
+    # but the C(3000, 2) pair lookups are refused before any is made
+    wide = FunctionCollection.from_global(
+        sample_random_subsets(8, 3000, Fraction(1, 2), seed=5), (0, 1) * 4)
+    with pytest.raises(BudgetError) as exc:
+        build_two_level_graph(wide, Fraction(1, 2), Fraction(1), 3, budget=10)
+    assert (exc.value.what, exc.value.required) == ("two-level pair enumeration", 4_498_500)
+
+
+def test_no_library_module_catches_a_refusal():
+    """A refusal reaches the caller: only the command line turns it into an
+    exit code."""
+    catchers = [path.name for path in sorted(Path(gapforge.__file__).parent.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "BudgetError" in ast.unparse(node.type)]
+    assert catchers == ["cli.py"]
 
 
 def _covering(seed):

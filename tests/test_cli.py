@@ -197,6 +197,10 @@ def test_rb_transitivity_budget_charges_the_counted_work(capsys):
     code, doc, stdout = run(capsys, *argv, "--budget", "10")
     assert code == 3 and stdout.count("\n") == 1
     assert doc["status"] == "inconclusive" and doc["budget"] == 10
+    # the C(50, 2) pair lookups are charged first, then the consistency count
+    assert (doc["what"], doc["required"]) == ("two-level pair enumeration", 1225)
+    code, doc, _ = run(capsys, *argv, "--budget", str(doc["required"]))
+    assert code == 3 and doc["what"] == "two-level consistency count"
     code, _, enough = run(capsys, *argv, "--budget", str(doc["required"]))
     code_default, _, default = run(capsys, *argv)
     assert code == code_default == 0 and enough == default
@@ -242,11 +246,33 @@ def test_malformed_env_budget_is_an_error(tmp_path, cnf_file, capsys, monkeypatc
     its work, whether or not its work is budgeted."""
     monkeypatch.chdir(tmp_path)
     inputs = () if command[0] == "verify" else ("-i", str(cnf_file))
-    for value, expected in (("lots", "invalid literal for int() with base 10: 'lots'"),
+    for value, expected in (("lots", "'lots' is not an integer"),
                             ("-5", "GAPFORGE_BUDGET -5 is below 0")):
         monkeypatch.setenv("GAPFORGE_BUDGET", value)
         assert error_message(capsys, *command, *inputs, "--seed", "0") == expected
         assert not (tmp_path / "out").exists()
+
+
+def test_integer_options_are_ascii_digits(tmp_path, capsys, monkeypatch):
+    """Integer flags, GAPFORGE_BUDGET and --choose indices take what the file
+    readers take: ASCII digits after an optional '-', no '+', no underscore,
+    no other script's digits."""
+    cov = tmp_path / "cov.txt"
+    cov.write_text(COV)
+    solve = ("solve", "max-coverage", "-i", str(cov))
+    reduce = ("reduce", "clustering", "-i", str(cov), "-o", str(tmp_path / "out"), "--seed", "0")
+    for argv in ((*solve, "--seed", "0", "--budget", "\u0661_\u0660"), (*solve, "--seed", "\u0660"),
+                 (*solve, "--seed", "+1"), (*solve, "--seed", "0", "--box", "1_0"),
+                 (*reduce, "--k", "+3"), (*reduce, "--exponent", "\u0662")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"invalid integer value: {argv[-1]!r}" in capsys.readouterr().err
+    monkeypatch.setenv("GAPFORGE_BUDGET", "+1_0")
+    assert error_message(capsys, *solve, "--seed", "0") == "'+1_0' is not an integer"
+    monkeypatch.delenv("GAPFORGE_BUDGET")
+    assert error_message(capsys, "solve", "unique-cover", "-i", str(cov), "--seed", "0",
+                         "--choose", "0,\u0661,2_0") == "'\u0661' is not an integer"
 
 
 def test_info_ignores_env_budget(cnf_file, capsys, monkeypatch):

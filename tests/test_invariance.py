@@ -5,19 +5,27 @@ and the sets of a coverage instance changes no optimum, here or in the
 Guha-Khuller clustering, ABSS nearest-codeword and ABSS closest-vector
 instances built from it. Values are compared, never min-lex witnesses (a
 min-lex witness is not invariant); each witness, mapped through the
-relabeling, must score the same value on the other side."""
+relabeling, must score the same value on the other side. Permuting the
+points and the local functions of a collection changes no agreement
+measure, and permuting the vertices of a red-blue graph changes neither its
+best non-red density nor its red-blue transitivity."""
 
+import itertools
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapforge import (CoverageInstance, LabelCoverInstance, abss_cvp_reduction,
+from gapforge import (CoverageInstance, FunctionCollection, LabelCoverInstance,
+                      RedBlueGraph, SetSystem, abss_cvp_reduction,
                       abss_ncp_reduction, brute_force_val, brute_force_wval,
-                      exact_cvp, exact_kmean, exact_kmedian, exact_max_coverage,
-                      exact_min_set_cover, exact_ncp, guha_khuller_reduction,
-                      solvers, verify_unique_cover, weak_agreement_value)
+                      check_rb_transitive, disagr, exact_cvp, exact_kmean,
+                      exact_kmedian, exact_max_coverage, exact_min_set_cover,
+                      exact_ncp, find_non_red_subgraph, guha_khuller_reduction,
+                      pair_consistency, solvers, t_wagr, verify_unique_cover,
+                      weak_agreement_value)
+from gapforge.agreement import _non_red_density
 from gapforge.labelcover import RESTRICTION, _labeling_value
 
 small = settings(max_examples=60, deadline=None)
@@ -249,3 +257,67 @@ def test_abss_cvp_optimum_is_invariant_across_a_long_prefix(case, p):
     side, height = 2 * (cov.k + 1) + 1, len(abss_cvp_reduction(cov, 1).rows)
     with mock.patch.object(solvers, "_BLOCK_CELLS", side * height):
         _check_cvp(case, p)
+
+
+@st.composite
+def relabeled_collections(draw):
+    """(collection, its relabeling, set map): 2 to 5 local functions over at
+    most 6 points; function j becomes function set_map[j], and point e
+    becomes point point_map[e], keeping its value."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    subsets = st.lists(st.integers(0, n - 1), unique=True).map(lambda s: tuple(sorted(s)))
+    sets = draw(st.lists(subsets, min_size=k, max_size=k))
+    values = [tuple(draw(st.lists(st.integers(0, 1), min_size=len(s), max_size=len(s))))
+              for s in sets]
+    point_map = draw(st.permutations(range(n)))
+    set_map = draw(st.permutations(range(k)))
+    moved_sets, moved_values = [None] * k, [None] * k
+    for j, (s, vals) in enumerate(zip(sets, values)):
+        points = sorted((point_map[e], v) for e, v in zip(s, vals))
+        moved_sets[set_map[j]] = tuple(e for e, _ in points)
+        moved_values[set_map[j]] = tuple(v for _, v in points)
+    return (FunctionCollection(SetSystem(n, tuple(sets)), tuple(values)),
+            FunctionCollection(SetSystem(n, tuple(moved_sets)), tuple(moved_values)),
+            set_map)
+
+
+@given(relabeled_collections())
+@small
+def test_agreement_measures_are_invariant(case):
+    fc, moved, set_map = case
+    for i, j in itertools.combinations(range(fc.k), 2):
+        assert disagr(fc, i, j) == disagr(moved, set_map[i], set_map[j])
+        for ell in range(fc.k - 1):
+            assert (pair_consistency(fc, i, j, ell)
+                    == pair_consistency(moved, set_map[i], set_map[j], ell))
+    for t in range(2, fc.k + 1):
+        assert t_wagr(fc, t) == t_wagr(moved, t)
+
+
+@st.composite
+def relabeled_graphs(draw):
+    """(graph, its relabeling, vertex map): at most 7 vertices, each pair
+    blue, red or neither; vertex v becomes vertex vertex_map[v]."""
+    k = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(k), 2))
+    colours = draw(st.lists(st.sampled_from("br-"), min_size=len(pairs), max_size=len(pairs)))
+    vertex_map = draw(st.permutations(range(k)))
+
+    def graph(vertex):
+        edges = {c: frozenset(tuple(sorted((vertex[u], vertex[v])))
+                              for (u, v), colour in zip(pairs, colours) if colour == c)
+                 for c in "br"}
+        return RedBlueGraph(k, edges["b"], edges["r"])
+    return graph(range(k)), graph(vertex_map), vertex_map
+
+
+@given(relabeled_graphs())
+@small
+def test_red_blue_graph_verdicts_are_invariant(case):
+    graph, moved, vertex_map = case
+    for d in range(1, graph.num_vertices + 1):
+        subset, density = find_non_red_subgraph(graph, d)
+        assert find_non_red_subgraph(moved, d)[1] == density
+        assert _non_red_density(moved, tuple(sorted(vertex_map[v] for v in subset))) == density
+    for h in range(graph.num_vertices):
+        assert check_rb_transitive(graph, h)[0] == check_rb_transitive(moved, h)[0]
