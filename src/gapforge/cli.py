@@ -36,21 +36,22 @@ from .setsys import (SetSystem, dnf_bound_holds, dnf_false_prob,
 from .solvers import (exact_cvp, exact_kmean, exact_kmedian,
                       exact_max_coverage, exact_min_set_cover, exact_ncp,
                       greedy_max_coverage, verify_unique_cover)
-from .textformat import LAYOUTS, fraction
+from .textformat import LAYOUTS, number
 
 
-def _jsonable(obj):
+def _fraction_text(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonable(x) for x in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(doc):
+    """One compact JSON line, keys sorted, a Fraction written as its string."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_fraction_text) + "\n"
 
 
 def _emit(doc):
-    sys.stdout.write(json.dumps(_jsonable(doc), sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_dumps(doc))
 
 
 def _note(msg):
@@ -75,11 +76,10 @@ def _write_provenance(output, argv, seed, params, input_text):
     doc = {
         "command": list(argv),
         "input_sha256": _digest(input_text),
-        "params": _jsonable(params),
+        "params": params,
         "seed": seed,
     }
-    _write(output + ".prov.json",
-           json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _write(output + ".prov.json", _dumps(doc))
 
 
 # Shapes of instances, shared by `reduce` summaries and `info` documents.
@@ -101,7 +101,7 @@ def _matrix_shape(m):
 
 def _reduce_labelcover(text, args):
     formula = parse_dimacs(text)
-    p = fraction(args.p)
+    p = number(args.p)
     check(args.k * formula.num_clauses, args.budget, what="subset sampling")
     subsets = sample_random_subsets(formula.num_clauses, args.k, p, args.seed)
     instance = lc.build_main_reduction(formula, subsets, args.t,
@@ -116,7 +116,7 @@ def _reduce_labelcover(text, args):
 
 def _reduce_alphabet(text, args):
     game = lc.from_json(text)
-    delta = fraction(args.delta)
+    delta = number(args.delta)
     g = lc.reduce_alphabet(game, delta, budget=args.budget)
     right_alphabet = len(g.right_alphabets[0]) if g.num_right else 0
     return (lc.to_json(g), {"delta": str(delta)},

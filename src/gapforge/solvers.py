@@ -2,7 +2,9 @@
 carries its witness and enumeration count so reports are checkable.
 
 Each exhaustive search is one budget.search over its candidates in lex
-order, which returns the min-lex witness."""
+order, which returns the min-lex witness. NCP and CVP are one box search:
+the min-lex x in a box of coordinates minimizing a row-wise cost of Ax - y,
+parity over {0, 1} for NCP and |r|^p over [-box, box] for CVP."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .budget import check, search
-from .setsys import bitmask, masks
+from .setsys import masks
 
 # Cap on the cells of one scored block (box points x rows for CVP, facility
 # subsets x clients x k for clustering), so that a larger instance makes
@@ -143,24 +145,44 @@ def exact_kmean(instance, budget=None):
     return _exact_clustering(instance, 2, budget)
 
 
+def _box_search(instance, values, dtype, cost, budget, what):
+    """The min-lex x in values^cols (values ascending) that minimizes the sum
+    over rows of cost(Ax - y), cost acting elementwise on a numpy array of
+    `dtype`, and that sum as a Python number; charged len(values)^cols.
+
+    The box is scored in lex-ordered blocks: each prefix of the leading
+    coordinates, in lex order, meets one fixed grid of the trailing ones,
+    and numpy scores the whole block."""
+    rows, cols, side = instance.rows, instance.num_cols, len(values)
+    height = len(rows)
+    tail = 0
+    while tail < cols and side ** (tail + 1) * max(height, 1) <= _BLOCK_CELLS:
+        tail += 1
+    head = cols - tail
+
+    def blocks():
+        matrix = np.array(rows, dtype).reshape(height, cols)
+        coords = np.array(values, dtype)[:, None]
+        # residual of every trailing grid point at prefix 0, in lex order
+        grid = -np.array(instance.target, dtype)
+        for c in range(head, cols):
+            grid = grid[..., None, :] + coords * matrix[:, c]
+        grid = grid.reshape(side ** tail, height)
+        lead = matrix[:, :head]
+        return ((x, cost(grid + lead @ np.array(x, dtype)).sum(axis=1))
+                for x in itertools.product(values, repeat=head))
+
+    prefix, i, value = _block_search(blocks, side ** cols, budget, what)
+    return prefix + tuple(values[j] for j in np.unravel_index(i, (side,) * tail)), value
+
+
 def exact_ncp(instance, budget=None):
-    """Exact nearest-codeword distance over all binary messages."""
-    cols = instance.num_cols
-    total = 1 << cols
-    col_masks = [bitmask(r for r, row in enumerate(instance.rows) if row[j])
-                 for j in range(cols)]
-    y_mask = bitmask(r for r, bit in enumerate(instance.target) if bit)
-
-    def distance(x):
-        acc = 0
-        for j, bit in enumerate(x):
-            if bit:
-                acc ^= col_masks[j]
-        return (acc ^ y_mask).bit_count()
-
-    best, value = search(min, lambda: itertools.product((0, 1), repeat=cols), total,
-                         distance, budget, "message enumeration")
-    return SolverResult(value=value, witness=best, enumerated=total)
+    """Exact nearest-codeword distance over all binary messages: the box
+    search over {0, 1}, since the parity of the integer residual is the F_2
+    residual."""
+    witness, value = _box_search(instance, (0, 1), np.int64, lambda r: r & 1, budget,
+                                 "message enumeration")
+    return SolverResult(value=value, witness=witness, enumerated=1 << instance.num_cols)
 
 
 def exact_cvp(instance, box=None, budget=None):
@@ -168,43 +190,22 @@ def exact_cvp(instance, box=None, budget=None):
     [-box, box]. The default box k+1 is safe for the unique-cover encoding:
     a coordinate beyond it already pays more than k on its identity row.
 
-    The box is scored in lex-ordered blocks: each prefix of the leading
-    coordinates, in lex order, meets one fixed grid of the trailing ones,
-    and numpy scores the whole block. The arithmetic is int64 when no
-    partial sum can reach 2^63, and exact Python ints otherwise."""
+    The arithmetic is int64 when no partial sum can reach 2^63, and exact
+    Python ints otherwise."""
     cols = instance.num_cols
     if box is None:
         box = instance.k + 1
     if box < 0:
         raise ValueError("box must be nonnegative")
-    side = 2 * box + 1
-    total = side ** cols
     rows, target, p = instance.rows, instance.target, instance.p
-    height = len(rows)
-    tail = 0
-    while tail < cols and side ** (tail + 1) * height <= _BLOCK_CELLS:
-        tail += 1
-    head = cols - tail
     # every |Ax - y| is at most `reach`; p is capped at 64 because
     # reach >= 2 fails the bound there anyway
     reach = (max((abs(a) for row in rows for a in row), default=0) * box * cols
              + max(map(abs, target), default=0))
-    dtype = np.int64 if height * reach ** min(p, 64) < 2 ** 63 else object
-
-    def blocks():
-        matrix = np.array(rows, dtype).reshape(height, cols)
-        # residual of every trailing grid point at prefix 0, in lex order
-        grid = -np.array(target, dtype)
-        for c in range(head, cols):
-            grid = grid[..., None, :] + np.array(range(-box, box + 1), dtype)[:, None] * matrix[:, c]
-        grid = grid.reshape(side ** tail, height)
-        lead = matrix[:, :head]
-        return ((x, (abs(grid + lead @ np.array(x, dtype)) ** p).sum(axis=1))
-                for x in itertools.product(range(-box, box + 1), repeat=head))
-
-    prefix, i, value = _block_search(blocks, total, budget, "coordinate box enumeration")
-    witness = prefix + tuple(int(j) - box for j in np.unravel_index(i, (side,) * tail))
-    return SolverResult(value=value, witness=witness, enumerated=total,
+    dtype = np.int64 if len(rows) * reach ** min(p, 64) < 2 ** 63 else object
+    witness, value = _box_search(instance, range(-box, box + 1), dtype, lambda r: abs(r) ** p,
+                                 budget, "coordinate box enumeration")
+    return SolverResult(value=value, witness=witness, enumerated=(2 * box + 1) ** cols,
                         note=f"coordinates enumerated in [-{box}, {box}]")
 
 

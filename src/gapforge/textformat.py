@@ -12,15 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-def fraction(tok):
-    """Fraction(tok); a zero denominator raises ValueError, as any other
-    malformed number does."""
-    try:
-        return Fraction(tok)
-    except ZeroDivisionError:
-        raise ValueError(f"number {tok!r} has a zero denominator") from None
-
-
 # most tokens repeat (0, 1, small counts), so a hit skips the pattern match
 @lru_cache(maxsize=4096)
 def integer(tok):
@@ -31,11 +22,14 @@ def integer(tok):
     return int(tok)
 
 
-def _number(tok):
-    """An integer, or an exact Fraction: an integer, one '/' or '.', digits."""
+def number(tok):
+    """An integer, or an exact Fraction: an integer, one '/' or '.', digits.
+    A zero denominator raises ValueError, as any other malformed number does."""
     if not re.fullmatch("-?[0-9]+([/.][0-9]+)?", tok):
         raise ValueError(f"{tok!r} is not a number")
-    return fraction(tok) if "/" in tok or "." in tok else int(tok)
+    if re.fullmatch("-?[0-9]+/0+", tok):
+        raise ValueError(f"number {tok!r} has a zero denominator")
+    return Fraction(tok) if "/" in tok or "." in tok else int(tok)
 
 
 # One format's header field names and body: as many rows as the `rows` header
@@ -52,7 +46,7 @@ LAYOUTS = {
     "dnf": Layout(("vars", "terms"), ("terms",), "term lines"),
     "clustering": Layout(("clients", "facilities", "k", "exponent"),
                          ("clients", "facilities"), "matrix rows",
-                         width=("clients", "facilities"), token=_number),
+                         width=("clients", "facilities"), token=number),
     "ncp": Layout(("rows", "cols", "k"), ("rows",), "matrix rows",
                   width=("cols",), target=True),
     "cvp": Layout(("rows", "cols", "k", "p"), ("rows",), "matrix rows",

@@ -369,7 +369,7 @@ def test_reduce_alphabet_checks_its_output_size(tmp_path, cnf_file, capsys):
     # edges whose tables have 2 entries
     q = 400009
     code, doc, stdout = run(capsys, "reduce", "alphabet", "-i", str(game), "-o", str(out),
-                            "--seed", "7", "--delta", "1e-5")
+                            "--seed", "7", "--delta", "1/100000")
     assert code == 3 and stdout.count("\n") == 1
     assert doc["status"] == "inconclusive"
     assert doc["required"] == q * (3 * q + 6 * 2) and doc["budget"] == 10_000_000
@@ -528,6 +528,20 @@ def test_zero_denominators_are_errors(tmp_path, cnf_file, capsys):
     assert "'1/0'" in error_message(capsys, "reduce", "alphabet", "-i", str(game),
                                     "-o", str(out), "--seed", "7", "--delta", "1/0")
     assert not out.exists()
+
+
+def test_p_and_delta_are_strict_numbers(tmp_path, cnf_file, capsys):
+    """--p and --delta take what the clustering reader takes: an optional '-',
+    ASCII digits, then at most one '/' or '.' and digits."""
+    game = tmp_path / "game.json"
+    run(capsys, "reduce", "labelcover", "-i", str(cnf_file), "-o", str(game), "--seed", "7")
+    out = tmp_path / "out.json"
+    for form in ("+\u0661/\u0662", "1_0/2_0", "0.5e0", " 1/2", "1/2 "):
+        assert error_message(capsys, "reduce", "labelcover", "-i", str(cnf_file), "-o", str(out),
+                             "--seed", "7", "--p", form) == f"{form!r} is not a number"
+        assert error_message(capsys, "reduce", "alphabet", "-i", str(game), "-o", str(out),
+                             "--seed", "7", "--delta", form) == f"{form!r} is not a number"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["ncp", "cvp"])

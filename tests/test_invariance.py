@@ -1,4 +1,7 @@
-"""Relabeling invariance of the oracles. Permuting the vertices and edges of
+"""Relabeling invariance of the oracles. Renaming the variables of a CNF
+formula and reordering its clauses (and each clause's literals), with the
+clause subsets mapped to match, changes neither val nor wval of the
+clause-subset game. Permuting the vertices and edges of
 a projection game, reordering a restriction game's domains or writing it
 out as explicit tables changes neither val nor wval. Permuting the elements
 and the sets of a coverage instance changes no optimum, here or in the
@@ -17,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapforge import (CoverageInstance, FunctionCollection, LabelCoverInstance,
-                      RedBlueGraph, SetSystem, abss_cvp_reduction,
-                      abss_ncp_reduction, brute_force_val, brute_force_wval,
+from gapforge import (CnfFormula, CoverageInstance, FunctionCollection,
+                      LabelCoverInstance, RedBlueGraph, SetSystem,
+                      abss_cvp_reduction, abss_ncp_reduction, brute_force_val,
+                      brute_force_wval, build_main_reduction,
                       check_rb_transitive, disagr, exact_cvp, exact_kmean,
                       exact_kmedian, exact_max_coverage, exact_min_set_cover,
                       exact_ncp, find_non_red_subgraph, guha_khuller_reduction,
@@ -127,6 +131,76 @@ def test_game_values_are_invariant(game, data):
         assert _labeling_value(game, (_moved(other_left, back[0]),
                                       _moved(other_right, back[1]))) == val
         assert weak_agreement_value(game, _moved(other_weak, back[0])) == wval
+
+
+@st.composite
+def renamed_formulas(draw):
+    """(formula, clause subsets, the renamed formula, its subsets, variable
+    map): six clauses of width 1 to 3 over at most 3 variables, split into 2
+    or 3 subsets, so that about a third of the games have value below 1.
+    Variable v becomes var_map[v], clause i becomes clause clause_map[i] with
+    its literals reordered, and each subset follows its clauses."""
+    m, k = 6, draw(st.sampled_from((2, 3)))
+    clauses = [tuple(v if draw(st.booleans()) else -v
+                     for v in draw(st.permutations((1, 2, 3)))[:draw(st.sampled_from((1, 2, 3)))])
+               for _ in range(m)]
+    # number the variables that occur 1, 2, ..., so that every one is used
+    used = sorted({abs(lit) for clause in clauses for lit in clause})
+    clauses = [tuple((used.index(abs(lit)) + 1) * (1 if lit > 0 else -1) for lit in clause)
+               for clause in clauses]
+    n = len(used)
+    order = draw(st.permutations(range(m)))
+    sets = [tuple(sorted(order[j::k])) for j in range(k)]
+    var_map = (0, *draw(st.permutations(range(1, n + 1))))
+    clause_map = draw(st.permutations(range(m)))
+    moved = [None] * m
+    for i, clause in enumerate(clauses):
+        renamed = tuple(var_map[abs(lit)] * (1 if lit > 0 else -1) for lit in clause)
+        moved[clause_map[i]] = tuple(draw(st.permutations(renamed)))
+    moved_sets = tuple(tuple(sorted(clause_map[c] for c in s)) for s in sets)
+    return (CnfFormula(n, tuple(clauses)), SetSystem(m, tuple(sets)),
+            CnfFormula(n, tuple(moved)), SetSystem(m, moved_sets), var_map)
+
+
+def _renamed(mask, dom, other_dom, var_map):
+    """The assignment `mask` to `dom` (bit j the value of dom[j]) as a mask
+    over other_dom, variable v renamed var_map[v]."""
+    return sum(((mask >> j) & 1) << other_dom.index(var_map[v]) for j, v in enumerate(dom))
+
+
+def _renamed_labeling(game, other, var_map, left, right=None):
+    """A labeling of `game` as the labeling of `other` that gives each
+    vertex the same assignment, renamed; right labels are their masks."""
+    moved = tuple(other.left_alphabets[u].index(_renamed(game.left_alphabets[u][a],
+                                                         game.left_domains[u],
+                                                         other.left_domains[u], var_map))
+                  for u, a in enumerate(left))
+    if right is None:
+        return moved
+    return moved, tuple(_renamed(b, game.right_domains[v], other.right_domains[v], var_map)
+                        for v, b in enumerate(right))
+
+
+@given(renamed_formulas())
+@small
+def test_clause_game_values_are_invariant(case):
+    formula, system, other_formula, other_system, var_map = case
+    game = build_main_reduction(formula, system, 2, allow_vacuous=True)
+    other = build_main_reduction(other_formula, other_system, 2, allow_vacuous=True)
+    assert [len(a) for a in other.left_alphabets] == [len(a) for a in game.left_alphabets]
+    if not all(game.left_alphabets):
+        return  # a subset holds two opposite unit clauses: no left labeling
+    (left, right), val = brute_force_val(game)
+    weak_left, wval = brute_force_wval(game)
+    (other_left, other_right), other_val = brute_force_val(other)
+    other_weak, other_wval = brute_force_wval(other)
+    assert (other_val, other_wval) == (val, wval)
+    back = _back(var_map)
+    assert _labeling_value(other, _renamed_labeling(game, other, var_map, left, right)) == val
+    assert weak_agreement_value(other, _renamed_labeling(game, other, var_map, weak_left)) == wval
+    assert _labeling_value(game, _renamed_labeling(other, game, back, other_left,
+                                                   other_right)) == val
+    assert weak_agreement_value(game, _renamed_labeling(other, game, back, other_weak)) == wval
 
 
 @st.composite

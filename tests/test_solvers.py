@@ -234,6 +234,17 @@ def test_exact_cvp_budget_threshold(box, cols):
     assert exact_cvp(lat, box=box, budget=total).enumerated == total
 
 
+@pytest.mark.parametrize("cols", [0, 1, 4])
+def test_exact_ncp_budget_threshold(cols):
+    code = CodeInstance(((1,) * cols, (0,) * cols), (1, 1), k=0)
+    total = 1 << cols
+    with pytest.raises(BudgetError) as refused:
+        exact_ncp(code, budget=total - 1)
+    assert refused.value.required == total
+    assert refused.value.what == "message enumeration"
+    assert exact_ncp(code, budget=total).enumerated == total
+
+
 def test_exact_cvp_huge_box_is_refused_before_anything_is_built():
     lat = LatticeInstance(((1,) * 8,), (1,), p=1, k=1)
     tracemalloc.start()
@@ -283,6 +294,15 @@ def test_exact_cvp_tall_matrix_spans_blocks():
     lat = LatticeInstance(_tied_columns(rng, height, 2, (-1, 0, 1)),
                           tuple(rng.randint(-1, 1) for _ in range(height)), p=1, k=0)
     _same(_fields(exact_cvp(lat, box=1)), _old_cvp(lat, 1))
+
+
+def test_exact_ncp_tall_code_spans_blocks():
+    # tall enough that a block holds one trailing coordinate: 8 messages, 4 blocks
+    height = solvers._BLOCK_CELLS // 4 + 1
+    rng = random.Random(3)
+    code = CodeInstance(_tied_columns(rng, height, 3, (0, 1)),
+                        tuple(rng.randrange(2) for _ in range(height)), k=0)
+    _same(_fields(exact_ncp(code)), _old_ncp(code))
 
 
 def test_k_larger_than_collection_rejected():
@@ -500,7 +520,7 @@ def test_builtin_searches_match_the_old_loops(seed):
     _same(_fields(exact_kmedian(metric)), _old_clustering(metric, 1))
     _same(_fields(exact_kmean(metric)), _old_clustering(metric, 2))
 
-    rows = rng.randint(1, 5)
+    rows = rng.randint(0, 5)
     code = CodeInstance(_tied_columns(rng, rows, rng.randint(0, 4), (0, 1)),
                         tuple(rng.randrange(2) for _ in range(rows)), k=1)
     _same(_fields(exact_ncp(code)), _old_ncp(code))
@@ -516,6 +536,7 @@ def test_builtin_searches_match_the_old_loops(seed):
     with mock.patch.object(solvers, "_BLOCK_CELLS", rng.randint(0, 12)):
         _same(_fields(exact_kmedian(metric)), _old_clustering(metric, 1))
         _same(_fields(exact_kmean(metric)), _old_clustering(metric, 2))
+        _same(_fields(exact_ncp(code)), _old_ncp(code))
         _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
 
     game = _tied_game(rng)
