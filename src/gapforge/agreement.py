@@ -266,15 +266,16 @@ def check_rb_transitive(graph, h):
     return True, None
 
 
+def _red_pairs(graph, vertices):
+    """The number of red edges with both ends in `vertices`."""
+    vs = set(vertices)
+    return sum(u in vs and v in vs for u, v in graph.red)
+
+
 def _non_red_density(graph, vertices):
     # ordered pairs over B x B, diagonal included; only red pairs count against
-    bad = 0
-    vs = set(vertices)
-    for u, v in graph.red:
-        if u in vs and v in vs:
-            bad += 2
     size = len(vertices)
-    return Fraction(size * size - bad, size * size)
+    return Fraction(size * size - 2 * _red_pairs(graph, vertices), size * size)
 
 
 def find_non_red_subgraph(graph, d, budget=None):
@@ -284,8 +285,10 @@ def find_non_red_subgraph(graph, d, budget=None):
     k = graph.num_vertices
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= num_vertices")
-    return search(max, lambda: itertools.combinations(range(k), d), math.comb(k, d),
-                  lambda combo: _non_red_density(graph, combo), budget, "d-subset enumeration")
+    # at fixed d the density falls as the red count rises
+    best, _ = search(max, lambda: itertools.combinations(range(k), d), math.comb(k, d),
+                     lambda combo: -_red_pairs(graph, combo), budget, "d-subset enumeration")
+    return best, _non_red_density(graph, best)
 
 
 def _peel_red_vertices(graph, d):
@@ -346,11 +349,13 @@ def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
     mean = Fraction(total, len(members))
     pair_total = 0
     kappa_hits = 0
+    # dij > zeta * n, in integers
+    limit, scale = zeta.numerator * n, zeta.denominator
     for i in members:
         for j in members:
             dij = collection.disagreement(i, j).bit_count()
             pair_total += dij
-            if Fraction(dij) > zeta * n:
+            if dij * scale > limit:
                 kappa_hits += 1
     pairs = len(members) ** 2
     kappa = Fraction(kappa_hits, pairs)

@@ -8,6 +8,7 @@ every file written.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -460,6 +461,7 @@ def _at_least(low):
     return integer
 
 
+@functools.cache  # parse_args still builds a fresh namespace per call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gapforge",

@@ -191,10 +191,11 @@ def weak_agreement_value(instance, left):
     _check_labeling(instance, left)
     if not instance.num_right:
         raise ValueError(_NO_RIGHT)
-    return _weak_agreement(instance, left)
+    return Fraction(_weak_agreement(instance, left), instance.num_right)
 
 
 def _weak_agreement(instance, left):
+    """The number of weakly agreed right vertices."""
     tables = instance.tables
     agreed = 0
     for pairs in instance.incidence:
@@ -205,7 +206,7 @@ def _weak_agreement(instance, left):
                 agreed += 1
                 break
             seen.add(val)
-    return Fraction(agreed, instance.num_right)
+    return agreed
 
 
 def optimal_extension(instance, left):
@@ -215,30 +216,34 @@ def optimal_extension(instance, left):
     _check_labeling(instance, left)
     if not instance.edges:
         raise ValueError(_NO_EDGES)
-    return _extension(instance, left)
+    right, sat = _extension(instance, left)
+    return right, Fraction(sat, instance.num_edges)
 
 
 def _extension(instance, left):
+    """The plurality right labeling and the number of edges it satisfies.
+
+    One pass per right vertex keeps the top count and the smallest label at
+    that count; a right vertex without edges takes label 0 and adds 0."""
     tables = instance.tables
     right = []
     sat = 0
     for pairs in instance.incidence:
         counts = {}
+        top = best = 0
         for e, u in pairs:
             val = tables[e][left[u]]
-            counts[val] = counts.get(val, 0) + 1
-        if counts:
-            best = max(sorted(counts), key=lambda val: counts[val])
-            # max keeps the first maximum, so sorting first gives min-index ties
-            right.append(best)
-            sat += counts[best]
-        else:
-            right.append(0)
-    return tuple(right), Fraction(sat, instance.num_edges)
+            count = counts[val] = counts.get(val, 0) + 1
+            if count > top or (count == top and val < best):
+                top, best = count, val
+        right.append(best)
+        sat += top
+    return tuple(right), sat
 
 
 def _best_left(instance, budget, score):
-    """The lexicographically first left labeling of maximum score, and the score.
+    """The lexicographically first left labeling of maximum integer score, and
+    the score.
 
     Every enumerated labeling is in range, so `score` skips the public
     oracles' checks."""
@@ -255,19 +260,22 @@ def brute_force_val(instance, budget=None):
 
     Returns ((left, right), Fraction). Ties break to the lexicographically
     smallest left labeling (and the plurality extension's min-index rule).
+    Every score is an edge count over the same |E|, so the search compares
+    counts and divides once.
     """
     if not instance.edges:
         raise ValueError(_NO_EDGES)
     best_left, _ = _best_left(instance, budget, lambda left: _extension(instance, left)[1])
-    right, val = _extension(instance, best_left)
-    return (best_left, right), val
+    right, sat = _extension(instance, best_left)
+    return (best_left, right), Fraction(sat, instance.num_edges)
 
 
 def brute_force_wval(instance, budget=None):
     """Maximum weak agreement value over all left labelings, with min-lex witness."""
     if not instance.num_right:
         raise ValueError(_NO_RIGHT)
-    return _best_left(instance, budget, lambda left: _weak_agreement(instance, left))
+    best_left, agreed = _best_left(instance, budget, lambda left: _weak_agreement(instance, left))
+    return best_left, Fraction(agreed, instance.num_right)
 
 
 def left_vertices(formula, system, var_budget=24, budget=None):

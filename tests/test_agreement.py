@@ -439,6 +439,13 @@ def test_majority_decode_hand_example():
     _, high_zeta = majority_decode(fc, (0, 1, 2), zeta=Fraction(1, 2))
     assert high_zeta.kappa == 0
 
+    # the four disagreeing ordered pairs differ at one point; at zeta * n = 1
+    # exactly they no longer count, since kappa counts disagr > zeta * n
+    _, at_zeta = majority_decode(fc, (0, 1, 2), zeta=Fraction(1, 4))
+    assert at_zeta.kappa == 0
+    _, below_zeta = majority_decode(fc, (0, 1, 2), zeta=Fraction(1, 4) - Fraction(1, 10**9))
+    assert below_zeta.kappa == Fraction(4, 9)
+
 
 def test_majority_decode_restrictions_and_single():
     system = sample_random_subsets(9, 4, Fraction(1, 2), seed=8)

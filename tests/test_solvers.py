@@ -20,8 +20,9 @@ from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
                       exact_ncp, find_non_red_subgraph, greedy_max_coverage,
                       guha_khuller_reduction, optimal_extension,
                       verify_unique_cover, weak_agreement_value)
-from gapforge import solvers
+from gapforge import agreement, labelcover, solvers
 from gapforge.agreement import _non_red_density
+from gapforge.budget import search as budget_search
 from gapforge.setsys import bitmask, masks
 
 
@@ -432,9 +433,28 @@ def _old_best_left(instance, score):
     return best_left, best_val
 
 
+def _old_extension(instance, left):
+    # the sort-based plurality: max keeps the first maximum of the sorted labels
+    tables = instance.tables
+    right = []
+    sat = 0
+    for pairs in instance.incidence:
+        counts = {}
+        for e, u in pairs:
+            val = tables[e][left[u]]
+            counts[val] = counts.get(val, 0) + 1
+        if counts:
+            best = max(sorted(counts), key=lambda val: counts[val])
+            right.append(best)
+            sat += counts[best]
+        else:
+            right.append(0)
+    return tuple(right), Fraction(sat, instance.num_edges)
+
+
 def _old_val(instance):
-    best_left, _ = _old_best_left(instance, lambda left: optimal_extension(instance, left)[1])
-    right, val = optimal_extension(instance, best_left)
+    best_left, _ = _old_best_left(instance, lambda left: _old_extension(instance, left)[1])
+    right, val = _old_extension(instance, best_left)
     return (best_left, right), val
 
 
@@ -489,7 +509,8 @@ def _tied_columns(rng, rows, cols, entries):
 def _tied_game(rng):
     num_left, num_right = rng.randint(1, 3), rng.randint(1, 3)
     lsizes = [rng.randint(1, 3) for _ in range(num_left)]
-    rsizes = [rng.randint(1, 2) for _ in range(num_right)]
+    # the last right vertex sometimes gets no edges
+    rsizes = [rng.randint(1, 2) for _ in range(num_right + rng.randint(0, 1))]
     edges = [(u, v) for u in range(num_left) for v in range(num_right) if rng.random() < 0.6]
     if not edges:
         edges = [(0, 0)]
@@ -540,6 +561,8 @@ def test_builtin_searches_match_the_old_loops(seed):
         _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
 
     game = _tied_game(rng)
+    for left in itertools.product(*(range(len(a)) for a in game.left_alphabets)):
+        _same(optimal_extension(game, left), _old_extension(game, left))
     _same(brute_force_val(game), _old_val(game))
     _same(brute_force_wval(game), _old_wval(game))
 
@@ -548,3 +571,22 @@ def test_builtin_searches_match_the_old_loops(seed):
     graph = RedBlueGraph(k, frozenset(), red)
     d = rng.randint(1, k)
     _same(find_non_red_subgraph(graph, d), _old_non_red_subgraph(graph, d))
+
+
+def test_label_cover_and_subgraph_searches_score_by_int():
+    # every candidate's score shares one denominator, so the searches compare
+    # integers and only the returned value is a Fraction
+    scores = []
+
+    def spy(pick, candidates, count, cost, budget, what):
+        best, score = budget_search(pick, candidates, count, cost, budget, what)
+        scores.append(score)
+        return best, score
+
+    game = _tied_game(random.Random(3))
+    graph = RedBlueGraph(4, frozenset(), frozenset({(0, 1), (2, 3)}))
+    with mock.patch.object(labelcover, "search", spy), mock.patch.object(agreement, "search", spy):
+        results = [brute_force_val(game)[1], brute_force_wval(game)[1],
+                   find_non_red_subgraph(graph, 3)[1]]
+    assert [type(s) for s in scores] == [int, int, int]
+    assert [type(r) for r in results] == [Fraction, Fraction, Fraction]
