@@ -5,17 +5,28 @@ decoder turning a good left labeling back into an assignment."""
 
 from __future__ import annotations
 
-import collections
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .budget import check, search
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
 from .setsys import SetSystem, bitmask, is_uniform, masks
+
+# Cap on the cells of one counted block (diffs x sets, x subcollections or x
+# submasks x sets), so that a larger collection makes blocks shorter.
+_BLOCK_CELLS = 1 << 16
+
+
+def _popcount(masks):
+    count = np.frompyfunc(int.bit_count, 1, 1) if masks.dtype == object else np.bitwise_count
+    return count(masks).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,16 @@ class FunctionCollection:
         return ((self.ones_masks[i] ^ self.ones_masks[j])
                 & self.domain_masks[i] & self.domain_masks[j])
 
+    @cached_property
+    def _mask_arrays(self):
+        dtype = np.int64 if self.n <= 62 else object  # else exact Python ints
+        return np.array(self.ones_masks, dtype), np.array(self.domain_masks, dtype)
+
+    def _disagreements(self, rows):
+        """One array of pair masks: [a, b] is disagreement(rows[a], rows[b])."""
+        ones, dom = (side[list(rows)] for side in self._mask_arrays)
+        return (ones[:, None] ^ ones) & (dom[:, None] & dom)
+
 
 def disagr(collection, i, j):
     """|{u in S_i ∩ S_j : f_i(u) != f_j(u)}|; disjoint sets give 0."""
@@ -90,34 +111,24 @@ def t_wagr(collection, t, budget=None):
         raise ValueError("need 2 <= t <= k")
     total = math.comb(k, t)
     check(total, budget, what="t-subset enumeration")
+    if t == 2:  # the diagonal is zero, and each agreeing pair is zero twice off it
+        zeros = int(np.count_nonzero(collection._disagreements(range(k)) == 0))
+        return Fraction((zeros - k) // 2, total)
     hits = sum(1 for combo in itertools.combinations(range(k), t) if _combo_agrees(collection, combo))
     return Fraction(hits, total)
 
 
 class _SubcollectionHits:
-    """hits(diff, ell): how many ell-subsets S' of the sets other than a pair
-    (i, j) give diff ∩ ⋂S' = ∅, for diff inside S_i ∩ S_j.
-
-    S_i and S_j both contain diff, so they never empty it: the count depends
-    on the pair only through diff and is cached by (diff, ell) for the whole
-    collection. ell = 0 counts the empty subcollection as consistent.
-    """
+    """hits(diffs, ell): for each diff inside some S_i ∩ S_j, how many ell-subsets
+    S' of the sets other than i and j give diff ∩ ⋂S' = ∅. S_i and S_j contain
+    diff and never empty it, so the count depends on the pair only through
+    diff. ell = 0 counts the empty subcollection as consistent."""
 
     def __init__(self, collection):
-        self._masks = collection.domain_masks
-        self._k = collection.k
-        self._cache = {}
-
-    def hits(self, diff, ell):
-        if ell == 0:
-            return 1
-        key = (diff, ell)
-        if key not in self._cache:
-            self._cache[key] = self._count(diff, ell)
-        return self._cache[key]
+        self._masks, self._k = collection._mask_arrays[1], collection.k
 
     def cost(self, diff, ell):
-        """The work of hits(diff, ell): one pass over the k sets and, for
+        """The work of one diff's count: one pass over the k sets and, for
         ell >= 2, the cheaper of inclusion-exclusion (|diff| steps for each
         subset of diff) and enumeration of the C(k-2, ell) subcollections."""
         if ell == 0:
@@ -127,38 +138,48 @@ class _SubcollectionHits:
         d = diff.bit_count()
         return self._k + min(d << d, math.comb(self._k - 2, ell))
 
-    def _count(self, diff, ell):
-        cuts = [m & diff for m in self._masks]
-        if ell == 1:
-            # i and j cut nothing off diff, so they count only when diff = ∅
-            return cuts.count(0) - (2 if diff == 0 else 0)
-        d = diff.bit_count()
-        if self.cost(diff, ell) < self._k + (d << d):
-            # enumeration is cheaper; two cuts equal to diff stand for i and j
-            cuts.remove(diff)
-            cuts.remove(diff)
-            hits = 0
-            for combo in itertools.combinations(cuts, ell):
-                m = diff
-                for c in combo:
-                    m &= c
-                if m == 0:
-                    hits += 1
-            return hits
-        # inclusion-exclusion: sum over D ⊆ diff of (-1)^|D| C(N_D - 2, ell),
-        # N_D = |{x : D ⊆ S_x}| from one superset sum over the cuts, with the
-        # bits of diff renumbered 0..d-1
-        bits = [1 << p for p in range(diff.bit_length()) if diff >> p & 1]
-        supersets = [0] * (1 << d)
-        for cut, times in collections.Counter(cuts).items():
-            supersets[sum(1 << r for r, b in enumerate(bits) if cut & b)] += times
-        for r in range(d):
-            step = 1 << r
-            for sub in range(1 << d):
-                if not sub & step:
-                    supersets[sub] += supersets[sub | step]
-        return sum((-1) ** sub.bit_count() * math.comb(n - 2, ell)
-                   for sub, n in enumerate(supersets))
+    def hits(self, diffs, ell):
+        """The count of each of `diffs`, as a list of ints."""
+        diffs = np.asarray(diffs, self._masks.dtype)
+        if ell == 0:
+            return [1] * len(diffs)
+        # enumeration where it is cheaper (always at ell = 1), else inclusion-exclusion
+        paths = np.array([d if ell > 1 and d << d <= math.comb(self._k - 2, ell) else -1
+                          for d in _popcount(diffs).tolist()], np.int64)
+        counts = np.zeros(len(diffs), object)
+        step = max(1, _BLOCK_CELLS // self._k)
+        for d in set(paths.tolist()):
+            rows, count = np.flatnonzero(paths == d), self._included if d >= 0 else self._enumerated
+            for part in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+                counts[part] = count(diffs[part], diffs[part, None] & self._masks, ell, d)
+        return counts.tolist()
+
+    def _enumerated(self, diffs, cuts, ell, _):
+        if ell == 1:  # i and j cut nothing off diff, so they count only when diff = ∅
+            return (np.count_nonzero(cuts == 0, axis=1) - 2 * (diffs == 0)).tolist()
+        # two cuts equal to diff stand for i and j; AND the rest ell at a time
+        equal = cuts == diffs[:, None]
+        rest = cuts[~(equal & (equal.cumsum(axis=1) <= 2))].reshape(len(diffs), self._k - 2)
+        hits = np.zeros(len(diffs), np.int64)
+        combos = itertools.combinations(range(self._k - 2), ell)
+        while chunk := list(itertools.islice(combos, max(1, _BLOCK_CELLS // len(diffs)))):
+            hits += np.count_nonzero(np.bitwise_and.reduce(rest[:, chunk], axis=2) == 0, axis=1)
+        return hits.tolist()
+
+    def _included(self, diffs, cuts, ell, d):
+        # sum over D ⊆ diff of (-1)^|D| C(N_D - 2, ell), N_D = |{x : D ⊆ S_x}| >= 2;
+        # submask s of diff has bit r iff s has the r-th lowest bit of diff
+        bits = np.array([[1 << p for p in range(diff.bit_length()) if diff >> p & 1]
+                         for diff in diffs.tolist()], self._masks.dtype)
+        tally = np.zeros((len(diffs), self._k + 1), np.int64)
+        width = max(1, _BLOCK_CELLS // (len(diffs) * self._k))
+        for lo in range(0, 1 << d, width):
+            picks = (np.arange(lo, min(lo + width, 1 << d))[:, None] >> np.arange(d)) & 1
+            subs = (bits @ picks.T)[:, :, None]
+            sizes = np.count_nonzero(cuts[:, None, :] & subs == subs, axis=2)
+            np.add.at(tally, (np.arange(len(diffs))[:, None], sizes), 1 - 2 * (picks.sum(1) & 1))
+        terms = [math.comb(max(x - 2, 0), ell) for x in range(self._k + 1)]
+        return [sum(c * n for c, n in zip(terms, row) if n) for row in tally.tolist()]
 
 
 def pair_consistency(collection, i, j, ell, budget=None):
@@ -174,7 +195,7 @@ def pair_consistency(collection, i, j, ell, budget=None):
     diff = collection.disagreement(i, j)
     counter = _SubcollectionHits(collection)
     check(counter.cost(diff, ell), budget, what="subcollection count")
-    return Fraction(counter.hits(diff, ell), math.comb(k - 2, ell))
+    return Fraction(counter.hits([diff], ell)[0], math.comb(k - 2, ell))
 
 
 class ConsistencyOverlapError(ValueError):
@@ -185,10 +206,8 @@ class ConsistencyOverlapError(ValueError):
         self.pair = (i, j)
         self.blue_consistency = blue_consistency
         self.red_consistency = red_consistency
-        super().__init__(
-            f"pair ({i}, {j}) is both blue and red "
-            f"(consistency {blue_consistency} vs {red_consistency})"
-        )
+        super().__init__(f"pair ({i}, {j}) is both blue and red "
+                         f"(consistency {blue_consistency} vs {red_consistency})")
 
 
 @dataclass(frozen=True)
@@ -212,13 +231,12 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
     """Blue edges are (t-2, beta)-consistent pairs; red edges are pairs that
     are not (2t-3, alpha)-consistent. Requires alpha <= beta and k >= 2t-1.
 
-    The consistencies are exact, from one hit counter shared by all pairs.
-    The budget is charged the C(k, 2) pair lookups before any is made, then
-    those lookups plus the counter's cost of each distinct (diff, ell) key.
-    A pair qualifying as both raises ConsistencyOverlapError (possible only
-    at t=2, where the blue condition is vacuous); the thresholds compare as
-    integers.
-    """
+    The pairs come from one disagreement block, and each distinct diff is
+    counted and colored once, in integers. The budget is charged the C(k, 2)
+    pair lookups before any is made, then those lookups plus the counter's
+    cost of each distinct (diff, ell) key. The lex-first pair qualifying as
+    both raises ConsistencyOverlapError (possible only at t=2, where the blue
+    condition is vacuous)."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not 0 <= alpha <= beta <= 1:
         raise ValueError("need 0 <= alpha <= beta <= 1")
@@ -228,37 +246,37 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
     if k < 2 * t - 1:
         raise ValueError("need k >= 2t - 1 so both subcollection sizes exist")
     check(math.comb(k, 2), budget, what="two-level pair enumeration")
-    pairs = list(itertools.combinations(range(k), 2))
-    diffs = [collection.disagreement(i, j) for i, j in pairs]
+    # the pairs (rows[p], cols[p]) in lex order; pair p has diff diffs[inverse[p]]
+    rows, cols = np.triu_indices(k, 1)
+    diffs, inverse = np.unique(collection._disagreements(range(k))[rows, cols],
+                               return_inverse=True)
     counter = _SubcollectionHits(collection)
     blue_ell, red_ell = t - 2, 2 * t - 3
-    check(len(pairs) + sum(counter.cost(diff, blue_ell) + counter.cost(diff, red_ell)
-                           for diff in set(diffs)),
+    check(len(rows) + sum(counter.cost(diff, blue_ell) + counter.cost(diff, red_ell)
+                          for diff in diffs.tolist()),
           budget, what="two-level consistency count")
     blue_total, red_total = math.comb(k - 2, blue_ell), math.comb(k - 2, red_ell)
-    blue, red = set(), set()
-    for (i, j), diff in zip(pairs, diffs):
-        blue_hits = counter.hits(diff, blue_ell)
-        red_hits = counter.hits(diff, red_ell)
-        is_blue = blue_hits * beta.denominator >= beta.numerator * blue_total
-        is_red = red_hits * alpha.denominator < alpha.numerator * red_total
-        if is_blue and is_red:
-            raise ConsistencyOverlapError(i, j, Fraction(blue_hits, blue_total),
-                                          Fraction(red_hits, red_total))
-        if is_blue:
-            blue.add((i, j))
-        if is_red:
-            red.add((i, j))
-    return RedBlueGraph(k, frozenset(blue), frozenset(red))
+    blue_hits, red_hits = counter.hits(diffs, blue_ell), counter.hits(diffs, red_ell)
+    blue = np.array([h * beta.denominator >= beta.numerator * blue_total for h in blue_hits])
+    red = np.array([h * alpha.denominator < alpha.numerator * red_total for h in red_hits])
+    if (both := np.flatnonzero((blue & red)[inverse])).size:
+        p, u = both[0], inverse[both[0]]
+        raise ConsistencyOverlapError(int(rows[p]), int(cols[p]),
+                                      Fraction(blue_hits[u], blue_total),
+                                      Fraction(red_hits[u], red_total))
+    return RedBlueGraph(k, *(frozenset(zip(rows[on].tolist(), cols[on].tolist()))
+                             for on in (blue[inverse], red[inverse])))
 
 
 def check_rb_transitive(graph, h):
     """True iff every red edge's endpoints share fewer than h common blue
     neighbors; otherwise (False, (u, v, common_count)) for the first violation."""
-    adj = [set() for _ in range(graph.num_vertices)]
-    for u, v in graph.blue:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = {x: set() for edge in graph.red for x in edge}  # red endpoints only
+    for u, v in graph.blue if adj else ():
+        if u in adj:
+            adj[u].add(v)
+        if v in adj:
+            adj[v].add(u)
     for u, v in sorted(graph.red):
         common = len(adj[u] & adj[v])
         if common >= h:
@@ -294,12 +312,23 @@ def find_non_red_subgraph(graph, d, budget=None):
 def _peel_red_vertices(graph, d):
     """Delete the vertex with the most red edges inside what remains (the
     larger index on ties) until d remain; (subset, non-red density)."""
-    remaining = set(range(graph.num_vertices))
-    while len(remaining) > d:
-        deg = collections.Counter(x for u, v in graph.red
-                                  if u in remaining and v in remaining for x in (u, v))
-        remaining.remove(max(remaining, key=lambda v: (deg[v], v)))
-    chosen = tuple(sorted(remaining))
+    k = graph.num_vertices
+    red = [set() for _ in range(k)]
+    for u, v in graph.red:
+        red[u].add(v)
+        red[v].add(u)
+    # a max-heap on (red degree, v); an entry goes stale when the degree falls
+    heap = [(-len(red[v]), -v, v) for v in range(k)]
+    heapq.heapify(heap)
+    removed = set()
+    while k - len(removed) > d:
+        minus_deg, _, v = heapq.heappop(heap)
+        if v not in removed and -minus_deg == len(red[v]):
+            removed.add(v)
+            for w in red[v]:
+                red[w].discard(v)
+                heapq.heappush(heap, (-len(red[w]), -w, w))
+    chosen = tuple(v for v in range(k) if v not in removed)
     return chosen, _non_red_density(graph, chosen)
 
 
@@ -330,8 +359,7 @@ def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
         raise ValueError("need a nonempty subcollection")
     if len(set(members)) != len(members):
         raise ValueError("members must be distinct")
-    k = collection.k
-    if any(not 0 <= i < k for i in members):
+    if any(not 0 <= i < collection.k for i in members):
         raise ValueError("member index out of range")
     n = collection.n
     zeta, rho = Fraction(zeta), Fraction(rho)
@@ -347,32 +375,17 @@ def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
     for i in members:
         total += ((g_ones ^ collection.ones_masks[i]) & collection.domain_masks[i]).bit_count()
     mean = Fraction(total, len(members))
-    pair_total = 0
-    kappa_hits = 0
-    # dij > zeta * n, in integers
-    limit, scale = zeta.numerator * n, zeta.denominator
-    for i in members:
-        for j in members:
-            dij = collection.disagreement(i, j).bit_count()
-            pair_total += dij
-            if dij * scale > limit:
-                kappa_hits += 1
-    pairs = len(members) ** 2
-    kappa = Fraction(kappa_hits, pairs)
-    pair_mean = Fraction(pair_total, pairs)
+    # how many ordered member pairs disagree at each size; dij > zeta * n in integers
+    sizes = np.bincount(_popcount(collection._disagreements(members)).ravel()).tolist()
+    pair_total = sum(dij * times for dij, times in enumerate(sizes))
+    kappa_hits = sum(times for dij, times in enumerate(sizes)
+                     if dij * zeta.denominator > zeta.numerator * n)
+    kappa, pair_mean = (Fraction(x, len(members) ** 2) for x in (kappa_hits, pair_total))
     bound_squared = Fraction(n * n) * (rho * kappa + zeta)
-    stats = MajorityStats(
-        members=members,
-        mean_disagr=mean,
-        kappa=kappa,
-        zeta=zeta,
-        rho=rho,
-        bound_squared=bound_squared,
-        bound_holds=mean * mean <= bound_squared,
-        pair_mean_disagr=pair_mean,
-        power_mean_holds=pair_mean * n >= mean * mean,
-    )
-    return g, stats
+    return g, MajorityStats(
+        members=members, mean_disagr=mean, kappa=kappa, zeta=zeta, rho=rho,
+        bound_squared=bound_squared, bound_holds=mean * mean <= bound_squared,
+        pair_mean_disagr=pair_mean, power_mean_holds=pair_mean * n >= mean * mean)
 
 
 @dataclass(frozen=True)
@@ -415,8 +428,7 @@ def _agreement_decode(collection, t, params, budget=None):
     subset of high non-red density, majority-decode it at zeta = rho*eta, and
     compare every stage quantity against its target. Returns
     (subset, g, report)."""
-    k = collection.k
-    n = collection.n
+    k, n = collection.k, collection.n
     delta = wagr = t_wagr(collection, t, budget=budget)
     if wagr == 0:
         raise ValueError("collection has zero weak agreement; nothing to decode")
@@ -442,22 +454,15 @@ def _agreement_decode(collection, t, params, budget=None):
     zeta = params.rho * params.eta
     g, stats = majority_decode(collection, subset, zeta=zeta, rho=params.rho)
     final_bound_squared = Fraction(n * n) * params.rho * (err + params.eta)
-    report = AgreementDecodeReport(
+    return subset, g, AgreementDecodeReport(
         t=t, k=k, n=n, delta=delta, wagr=wagr,
-        alpha=alpha, beta=beta, rho=params.rho, eta=params.eta,
-        h=h, d=d,
+        alpha=alpha, beta=beta, rho=params.rho, eta=params.eta, h=h, d=d,
         blue_count=len(graph.blue), blue_threshold=blue_threshold, blue_ok=blue_ok,
-        rb_transitive=rb_ok, rb_witness=rb_witness,
-        subset=subset, non_red_density=density,
-        density_threshold=density_threshold, density_ok=density_ok,
-        stats=stats,
+        rb_transitive=rb_ok, rb_witness=rb_witness, subset=subset, non_red_density=density,
+        density_threshold=density_threshold, density_ok=density_ok, stats=stats,
         final_bound_squared=final_bound_squared,
         final_ok=stats.mean_disagr ** 2 <= final_bound_squared,
-        graph_estimated=graph.estimated,
-        subgraph_mode="greedy",
-        overrides=params.overrides,
-    )
-    return subset, g, report
+        graph_estimated=graph.estimated, subgraph_mode="greedy", overrides=params.overrides)
 
 
 @dataclass(frozen=True)
@@ -487,8 +492,7 @@ def decode_assignment(formula, system, sigma, params, budget=None):
         raise UnsatisfiableSubsetError(u, system.sets[u])
     if len(sigma) != system.k:
         raise ValueError("labeling must cover every left vertex")
-    sets = []
-    values = []
+    sets, values = [], []
     for u, (li, dom, alphabet) in enumerate(zip(sigma, domains, alphabets)):
         if not 0 <= li < len(alphabet):
             raise ValueError(f"label index {li} out of range at vertex {u}")
@@ -503,13 +507,9 @@ def decode_assignment(formula, system, sigma, params, budget=None):
     bound = 1 - params.mu - 3 * nu * delta_occ / params.gamma
     # the clause-fraction bound is only promised when the decoded
     # subcollection is itself (gamma, mu)-uniform over the clause universe
-    sub_system = SetSystem(system.universe_size,
-                           tuple(system.sets[i] for i in subset))
+    sub_system = SetSystem(system.universe_size, tuple(system.sets[i] for i in subset))
     uniform_ok, _ = is_uniform(sub_system, params.gamma, params.mu)
-    report = DecodeAssignmentReport(
+    return psi, DecodeAssignmentReport(
         nu=nu, mu=params.mu, gamma=params.gamma, Delta=delta_occ,
         clause_fraction=value, bound=bound, holds=value >= bound,
-        subcollection_uniform=uniform_ok,
-        agreement=agr,
-    )
-    return psi, report
+        subcollection_uniform=uniform_ok, agreement=agr)

@@ -1,6 +1,7 @@
 """Agreement testing: disagr, consistency graphs, majority decoding, the
 assignment decoder."""
 
+import collections
 import itertools
 import math
 import random
@@ -20,7 +21,8 @@ from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
                       sample_random_subsets, soundness_params, t_wagr,
                       vars_of)
 import gapforge.agreement
-from gapforge.agreement import _SubcollectionHits, _agreement_decode, _peel_red_vertices
+from gapforge.agreement import (MajorityStats, _SubcollectionHits, _agreement_decode,
+                                _peel_red_vertices)
 from gapforge.labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
                                  build_main_reduction, left_vertices,
                                  restriction_labeling, weak_agreement_value)
@@ -316,9 +318,9 @@ def test_counted_consistency_corpus_takes_every_path():
     assert paths == {"empty", "closed", "counted", "enumerated"}
 
 
-def test_shared_counter_reuses_a_diff_across_pairs():
+def test_shared_counter_reuses_a_diff_across_pairs(monkeypatch):
     # pairs (0, 1) and (2, 3) differ exactly at point 0; their "other" sets
-    # differ, yet each pair's count is the same cached number
+    # differ, yet each pair's count is the same number, counted once
     system = SetSystem(4, ((0, 1, 2), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2),
                            (1, 2), (0, 3), (0, 1), (2,)))
     values = ((0, 0, 0), (1, 0, 0), (1, 1, 1, 0), (0, 1, 1),
@@ -326,12 +328,120 @@ def test_shared_counter_reuses_a_diff_across_pairs():
     fc = FunctionCollection(system, values)
     counter = _SubcollectionHits(fc)
     for ell in range(1, 7):
-        first = counter.hits(0b1, ell)
-        cached = len(counter._cache)
+        [count] = counter.hits([0b1], ell)
         for i, j in ((0, 1), (2, 3)):
-            assert Fraction(counter.hits(0b1, ell), math.comb(6, ell)) \
-                == _enumerated_pair_consistency(fc, i, j, ell)
-        assert counter.hits(0b1, ell) == first and len(counter._cache) == cached
+            assert Fraction(count, math.comb(6, ell)) == _enumerated_pair_consistency(fc, i, j, ell)
+    batches = []
+    hits = _SubcollectionHits.hits
+
+    def spy(self, diffs, ell):
+        batches.append((ell, [int(diff) for diff in diffs]))
+        return hits(self, diffs, ell)
+
+    monkeypatch.setattr(_SubcollectionHits, "hits", spy)
+    build_two_level_graph(fc, Fraction(0), Fraction(1, 2), 3)
+    distinct = sorted({fc.disagreement(i, j) for i, j in itertools.combinations(range(8), 2)})
+    assert batches == [(1, distinct), (3, distinct)]
+
+
+def _seeded_wide_collection(seed, n):
+    """A collection over n points whose pairs differ on a few points each:
+    some functions are exact restrictions, the others flip each value with
+    probability 1/20."""
+    rng = random.Random(seed)
+    k = rng.randint(5, 9)
+    system = sample_random_subsets(n, k, Fraction(1, 2), rng.randrange(2**32))
+    base = [rng.randrange(2) for _ in range(n)]
+    noisy = [rng.random() < 0.6 for _ in range(k)]
+    return FunctionCollection(system, tuple(
+        tuple(base[e] ^ (noisy[x] and rng.random() < 0.05) for e in s)
+        for x, s in enumerate(system.sets)))
+
+
+def _old_majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
+    """majority_decode with its per-pair disagreement loop, as before the
+    disagreement block."""
+    n = collection.n
+    g = tuple(1 if 2 * sum(collection.values[i][collection.system.sets[i].index(x)]
+                           for i in members if x in collection.system.sets[i])
+              > sum(x in collection.system.sets[i] for i in members) else 0
+              for x in range(n))
+    g_ones = sum(1 << x for x in range(n) if g[x])
+    total = sum(((g_ones ^ collection.ones_masks[i]) & collection.domain_masks[i]).bit_count()
+                for i in members)
+    mean = Fraction(total, len(members))
+    pair_total = kappa_hits = 0
+    for i in members:
+        for j in members:
+            dij = collection.disagreement(i, j).bit_count()
+            pair_total += dij
+            if dij > zeta * n:
+                kappa_hits += 1
+    pairs = len(members) ** 2
+    kappa, pair_mean = Fraction(kappa_hits, pairs), Fraction(pair_total, pairs)
+    bound_squared = Fraction(n * n) * (rho * kappa + zeta)
+    return g, MajorityStats(tuple(members), mean, kappa, zeta, rho, bound_squared,
+                            mean * mean <= bound_squared, pair_mean, pair_mean * n >= mean * mean)
+
+
+def _exact(*values):
+    """The first value, after checking that every value is a Fraction of
+    Python ints, not of numpy integers."""
+    assert all(type(v) is Fraction and type(v.numerator) is type(v.denominator) is int
+               for v in values)
+    return values[0]
+
+
+def _check_two_level_graphs(fc, alpha, beta):
+    for t in (2, 3):
+        expected = _enumerated_two_level_graph(fc, alpha, beta, t)
+        if isinstance(expected, RedBlueGraph):
+            graph = build_two_level_graph(fc, alpha, beta, t)
+            assert graph == expected
+            assert {type(x) for edge in graph.blue | graph.red for x in edge} <= {int}
+        else:
+            with pytest.raises(ConsistencyOverlapError) as exc:
+                build_two_level_graph(fc, alpha, beta, t)
+            assert ("overlap", exc.value.pair, exc.value.blue_consistency,
+                    exc.value.red_consistency) == expected
+            assert {type(x) for x in exc.value.pair} == {int}
+            _exact(exc.value.blue_consistency, exc.value.red_consistency)
+
+
+THRESHOLDS = [(Fraction(0), Fraction(1, 2)), (Fraction(9, 10), Fraction(9, 10)),
+              (Fraction(1), Fraction(1)), (Fraction(3, 4), Fraction(4, 5)),
+              (Fraction(1, 2), Fraction(1)), (Fraction(19, 20), Fraction(1))]
+
+
+@pytest.mark.parametrize("n", [61, 62, 63, 64, 130])
+def test_wide_collections_match_the_pairwise_oracles(n, monkeypatch):
+    # int64 masks up to n = 62, exact ints above (int64 cannot hold 64 bits);
+    # a few points of difference per pair reach both counting branches at ell = 3
+    paths = set()
+    for seed in range(6):
+        fc = _seeded_wide_collection(seed, n)
+        assert _exact(t_wagr(fc, 2)) == _wagr_recount(fc, 2)
+        for i, j in itertools.combinations(range(fc.k), 2):
+            for ell in range(1, fc.k - 1):
+                assert _exact(pair_consistency(fc, i, j, ell)) \
+                    == _enumerated_pair_consistency(fc, i, j, ell)
+                paths.add("closed" if ell == 1 else "enumerated"
+                          if _counts_by_enumeration(fc, fc.disagreement(i, j), ell) else "counted")
+        for zeta in (Fraction(0), Fraction(1, 40), Fraction(1, 10)):
+            members = range(seed % 2, fc.k)
+            g, stats = majority_decode(fc, members, zeta, Fraction(1, 3))
+            assert (g, stats) == _old_majority_decode(fc, members, zeta, Fraction(1, 3))
+            assert {type(x) for x in g} <= {int} and {type(stats.bound_holds)} == {bool}
+            _exact(stats.mean_disagr, stats.kappa, stats.pair_mean_disagr)
+        # graphs with no red edges, with both colors, and overlaps at t = 2
+        alpha, beta = THRESHOLDS[seed]
+        _check_two_level_graphs(fc, alpha, beta)
+        # one cell and small primes per block: every batch spans many blocks
+        for cells in (1, 7, 97):
+            monkeypatch.setattr(gapforge.agreement, "_BLOCK_CELLS", cells)
+            _check_two_level_graphs(fc, alpha, beta)
+        monkeypatch.undo()
+    assert paths == {"closed", "counted", "enumerated"}
 
 
 def test_two_level_graph_argument_errors():
@@ -375,6 +485,48 @@ def test_find_non_red_subgraph():
 
     with pytest.raises(ValueError, match="1 <= d"):
         find_non_red_subgraph(red_free, 6)
+
+
+def _old_peel(graph, d):
+    """_peel_red_vertices as a red-degree recount on every step."""
+    remaining = set(range(graph.num_vertices))
+    while len(remaining) > d:
+        deg = collections.Counter(x for u, v in graph.red
+                                  if u in remaining and v in remaining for x in (u, v))
+        remaining.remove(max(remaining, key=lambda v: (deg[v], v)))
+    chosen = tuple(sorted(remaining))
+    return chosen, Fraction(len(chosen) ** 2 - 2 * sum(u in remaining and v in remaining
+                                                       for u, v in graph.red),
+                            len(chosen) ** 2)
+
+
+def _old_rb_check(graph, h):
+    """check_rb_transitive with blue neighbour sets for every vertex."""
+    adj = [set() for _ in range(graph.num_vertices)]
+    for u, v in graph.blue:
+        adj[u].add(v)
+        adj[v].add(u)
+    for u, v in sorted(graph.red):
+        common = len(adj[u] & adj[v])
+        if common >= h:
+            return False, (u, v, common)
+    return True, None
+
+
+def test_peel_and_rb_check_match_the_old_loops():
+    rng = random.Random(7)
+    for _ in range(40):
+        k = rng.randint(1, 40)
+        red_share, blue_share = rng.random(), rng.random()
+        pairs = list(itertools.combinations(range(k), 2))
+        colors = [rng.random() for _ in pairs]
+        red = frozenset(pair for pair, c in zip(pairs, colors) if c < red_share)
+        blue = frozenset(pair for pair, c in zip(pairs, colors) if c >= 1 - blue_share) - red
+        graph = RedBlueGraph(k, blue, red)
+        for d in range(1, k + 1):
+            assert _peel_red_vertices(graph, d) == _old_peel(graph, d)
+        for h in range(0, k + 1, 3):
+            assert check_rb_transitive(graph, h) == _old_rb_check(graph, h)
 
 
 def test_find_non_red_subgraph_ignores_the_budget_variable(monkeypatch):

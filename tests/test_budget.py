@@ -94,6 +94,22 @@ def test_two_level_graph_charges_its_pairs_before_it_builds_them():
     assert (exc.value.what, exc.value.required) == ("two-level pair enumeration", 4_498_500)
 
 
+def test_no_disagreement_block_is_built_before_its_charge(monkeypatch):
+    def refuse(self, rows):
+        raise AssertionError("disagreement block built before the charge")
+
+    monkeypatch.setattr(FunctionCollection, "_disagreements", refuse)
+    wide = FunctionCollection.from_global(
+        sample_random_subsets(8, 3000, Fraction(1, 2), seed=5), (0, 1) * 4)
+    with pytest.raises(BudgetError) as exc:
+        build_two_level_graph(wide, Fraction(1, 2), Fraction(1), 3, budget=10)
+    assert (exc.value.what, exc.value.required) == ("two-level pair enumeration", 4_498_500)
+    pairs = COLLECTION.k * (COLLECTION.k - 1) // 2
+    with pytest.raises(BudgetError) as exc:
+        t_wagr(COLLECTION, 2, budget=pairs - 1)
+    assert (exc.value.what, exc.value.required) == ("t-subset enumeration", pairs)
+
+
 def test_no_library_module_catches_a_refusal():
     """A refusal reaches the caller: only the command line turns it into an
     exit code."""
