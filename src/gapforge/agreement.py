@@ -29,6 +29,14 @@ def _popcount(masks):
     return count(masks).astype(np.int64)
 
 
+def _bit_rows(masks, rows, n):
+    """masks[i] for i in rows as a 0/1 int64 array with n columns (bit e in column e)."""
+    size = (n + 7) // 8
+    raw = b"".join(masks[i].to_bytes(size, "little") for i in rows)
+    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), size),
+                         axis=1, count=n, bitorder="little").astype(np.int64)
+
+
 @dataclass(frozen=True)
 class FunctionCollection:
     """One boolean function per set of a SetSystem, bits aligned with the
@@ -80,10 +88,11 @@ class FunctionCollection:
         dtype = np.int64 if self.n <= 62 else object  # else exact Python ints
         return np.array(self.ones_masks, dtype), np.array(self.domain_masks, dtype)
 
-    def _disagreements(self, rows):
-        """One array of pair masks: [a, b] is disagreement(rows[a], rows[b])."""
-        ones, dom = (side[list(rows)] for side in self._mask_arrays)
-        return (ones[:, None] ^ ones) & (dom[:, None] & dom)
+    def _disagreements(self, rows=slice(None)):
+        """The pair masks of a slice of the sets against all k of them: entry
+        [a, b] is disagreement(i, b) for the a-th index i of the slice."""
+        ones, dom = self._mask_arrays
+        return (ones[rows, None] ^ ones) & (dom[rows, None] & dom)
 
 
 def disagr(collection, i, j):
@@ -112,7 +121,10 @@ def t_wagr(collection, t, budget=None):
     total = math.comb(k, t)
     check(total, budget, what="t-subset enumeration")
     if t == 2:  # the diagonal is zero, and each agreeing pair is zero twice off it
-        zeros = int(np.count_nonzero(collection._disagreements(range(k)) == 0))
+        step = max(1, _BLOCK_CELLS // k)  # rows of the k x k block at a time
+        blocks = (collection._disagreements(slice(lo, lo + step))
+                  for lo in range(0, k, step))
+        zeros = sum(int(np.count_nonzero(block == 0)) for block in blocks)
         return Fraction((zeros - k) // 2, total)
     hits = sum(1 for combo in itertools.combinations(range(k), t) if _combo_agrees(collection, combo))
     return Fraction(hits, total)
@@ -248,7 +260,7 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
     check(math.comb(k, 2), budget, what="two-level pair enumeration")
     # the pairs (rows[p], cols[p]) in lex order; pair p has diff diffs[inverse[p]]
     rows, cols = np.triu_indices(k, 1)
-    diffs, inverse = np.unique(collection._disagreements(range(k))[rows, cols],
+    diffs, inverse = np.unique(collection._disagreements()[rows, cols],
                                return_inverse=True)
     counter = _SubcollectionHits(collection)
     blue_ell, red_ell = t - 2, 2 * t - 3
@@ -363,26 +375,24 @@ def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
         raise ValueError("member index out of range")
     n = collection.n
     zeta, rho = Fraction(zeta), Fraction(rho)
-    cover = [0] * n
-    ones = [0] * n
-    for i in members:
-        for e, v in zip(collection.system.sets[i], collection.values[i]):
-            cover[e] += 1
-            ones[e] += v
-    g = tuple(1 if 2 * ones[x] > cover[x] else 0 for x in range(n))
-    g_ones = bitmask(x for x in range(n) if g[x])
-    total = 0
-    for i in members:
-        total += ((g_ones ^ collection.ones_masks[i]) & collection.domain_masks[i]).bit_count()
-    mean = Fraction(total, len(members))
-    # how many ordered member pairs disagree at each size; dij > zeta * n in integers
-    sizes = np.bincount(_popcount(collection._disagreements(members)).ravel()).tolist()
+    # dense rows of the members only: dom marks S_i and ones marks f_i = 1
+    dom, ones = (_bit_rows(side, members, n)
+                 for side in (collection.domain_masks, collection.ones_masks))
+    g = (2 * ones.sum(axis=0) > dom.sum(axis=0)).astype(np.int64)
+    mean = Fraction(int(((g ^ ones) & dom).sum()), len(members))
+    # ordered member pairs by disagreement size: a point of S_i ∩ S_j counts when
+    # exactly one of f_i, f_j is 1 there. The products run in float64, where
+    # numpy has BLAS; every partial sum is an integer of at most n, so exact.
+    o, d = ones.astype(float), dom.astype(float)
+    cross = o @ d.T
+    sizes = np.bincount((cross + cross.T - 2 * (o @ o.T)).astype(np.int64).ravel()).tolist()
     pair_total = sum(dij * times for dij, times in enumerate(sizes))
+    # dij > zeta * n in integers
     kappa_hits = sum(times for dij, times in enumerate(sizes)
                      if dij * zeta.denominator > zeta.numerator * n)
     kappa, pair_mean = (Fraction(x, len(members) ** 2) for x in (kappa_hits, pair_total))
     bound_squared = Fraction(n * n) * (rho * kappa + zeta)
-    return g, MajorityStats(
+    return tuple(g.tolist()), MajorityStats(
         members=members, mean_disagr=mean, kappa=kappa, zeta=zeta, rho=rho,
         bound_squared=bound_squared, bound_holds=mean * mean <= bound_squared,
         pair_mean_disagr=pair_mean, power_mean_holds=pair_mean * n >= mean * mean)

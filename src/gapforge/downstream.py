@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,16 +38,23 @@ class PartitionSystem:
     def ground_size(self):
         return self.t ** self.num_labels
 
+    @cached_property
+    def _parts(self):
+        return {}
+
     def part(self, a, j):
         if not 0 <= j < self.t:
             raise ValueError("part value out of range")
         if not 0 <= a < self.num_labels:
             raise ValueError("label index out of range")
-        # digit a has weight w: the elements with digit a = j are hi + j*w + lo
-        # for every higher-digit block hi and every lower-digit remainder lo
-        w = self.t ** (self.num_labels - 1 - a)
-        return tuple(hi + j * w + lo for hi in range(0, self.ground_size, w * self.t)
-                     for lo in range(w))
+        if (a, j) not in self._parts:
+            # digit a has weight w: the elements with digit a = j are hi + j*w + lo
+            # for every higher-digit block hi and every lower-digit remainder lo
+            w = self.t ** (self.num_labels - 1 - a)
+            self._parts[a, j] = tuple(hi + j * w + lo
+                                      for hi in range(0, self.ground_size, w * self.t)
+                                      for lo in range(w))
+        return self._parts[a, j]
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,10 @@ def feige_coverage_reduction(instance, budget=None):
     entries = sum(len(instance.left_alphabets[u]) * t ** (len(instance.right_alphabets[v]) - 1)
                   for u, v in instance.edges)
     check(offsets[-1] + entries, budget, what="coverage universe and set entries")
-    systems = [PartitionSystem(len(alphabet), t) for alphabet in instance.right_alphabets]
+    # one system per alphabet size, so its parts are built once for all of them
+    shared = {size: PartitionSystem(size, t)
+              for size in set(map(len, instance.right_alphabets))}
+    systems = [shared[len(alphabet)] for alphabet in instance.right_alphabets]
     ranks = {}
     for v, pairs in enumerate(instance.incidence):
         neighbors = sorted(u for _, u in pairs)

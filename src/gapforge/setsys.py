@@ -61,14 +61,12 @@ def sample_random_subsets(universe_size, k, p, seed):
     if not 0 <= p <= 1:
         raise ValueError("p must be a probability")
     p = Fraction(p)
-    rng = random.Random(seed)
-    sets = []
-    for _ in range(k):
-        # x < p in integers: a float-to-Fraction comparison per draw is slow
-        draws = (rng.random().as_integer_ratio() for _ in range(universe_size))
-        sets.append(tuple(e for e, (xn, xd) in enumerate(draws)
-                          if xn * p.denominator < p.numerator * xd))
-    return SetSystem(universe_size, tuple(sets))
+    # random() is i / 2^53 for an integer i, so x < p iff i < ceil(p 2^53), and
+    # that threshold over 2^53 is a float with no rounding: one exact comparison
+    bound = math.ceil(p * (1 << 53)) / (1 << 53)
+    draw = random.Random(seed).random
+    return SetSystem(universe_size, tuple(
+        tuple(e for e in range(universe_size) if draw() < bound) for _ in range(k)))
 
 
 def is_uniform(system, gamma, mu):

@@ -5,6 +5,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,23 @@ def _wagr_recount(fc, t):
 def test_t_wagr_matches_recount(seed):
     fc = collection_from_seed(seed, k=4)
     assert t_wagr(fc, 2) == _wagr_recount(fc, 2)
+
+
+def test_t_wagr_counts_pairs_in_bounded_blocks(monkeypatch):
+    fc = collection_from_seed(4, n=8, k=2000, noise=0.05)
+    fc._mask_arrays  # the k masks themselves are the collection's, not the count's
+    tracemalloc.start()
+    try:
+        value = t_wagr(fc, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < value < 1 and peak < 4 << 20
+    small = [collection_from_seed(seed, k=k) for seed, k in zip(range(6), (2, 3, 5, 7, 9, 11))]
+    for cells in (1, 7, 97):
+        monkeypatch.setattr(gapforge.agreement, "_BLOCK_CELLS", cells)
+        assert t_wagr(fc, 2) == value
+        assert all(t_wagr(c, 2) == _wagr_recount(c, 2) for c in small)
 
 
 def test_t_wagr_errors():
@@ -442,6 +460,27 @@ def test_wide_collections_match_the_pairwise_oracles(n, monkeypatch):
             _check_two_level_graphs(fc, alpha, beta)
         monkeypatch.undo()
     assert paths == {"closed", "counted", "enumerated"}
+
+
+def test_dense_majority_decode_matches_the_old_loop():
+    """The shapes of `verify majority-bound` (n from 60 to 200, k from 4 to 12,
+    every zeta j/10), with one more set that is empty, over all members,
+    unsorted members, an unsorted proper subset and the empty set alone."""
+    rng = random.Random(23)
+    for _ in range(6):
+        n, k = rng.randrange(60, 201), rng.randrange(4, 13)
+        fc = collection_from_seed(rng.randrange(2**32), n, k, Fraction(2, 5), noise=0.1)
+        fc = FunctionCollection(SetSystem(n, fc.system.sets + ((),)), fc.values + ((),))
+        rho = Fraction(pairwise_intersection_max(fc.system), n)
+        shuffled = rng.sample(range(k + 1), k + 1)
+        for members in (range(k + 1), shuffled, shuffled[:rng.randint(2, k)], (k,)):
+            for zeta in (Fraction(j, 10) for j in range(10)):
+                g, stats = majority_decode(fc, members, zeta, rho)
+                assert (g, stats) == _old_majority_decode(fc, tuple(members), zeta, rho)
+                assert {type(x) for x in g} == {int}
+                assert {type(stats.bound_holds), type(stats.power_mean_holds)} == {bool}
+                _exact(stats.mean_disagr, stats.kappa, stats.zeta, stats.rho,
+                       stats.bound_squared, stats.pair_mean_disagr)
 
 
 def test_two_level_graph_argument_errors():

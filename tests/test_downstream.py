@@ -43,6 +43,21 @@ def test_partition_system_validation():
         ps.part(0, 2)
 
 
+def test_partition_parts_are_cached_and_still_checked():
+    for t in range(2, 5):
+        for s in range(1, 6):
+            ps = PartitionSystem(s, t)
+            for a, j in itertools.product(range(s), range(t)):
+                closed_form = tuple(g for g in range(t**s) if g // t ** (s - 1 - a) % t == j)
+                assert ps.part(a, j) == closed_form
+                assert ps.part(a, j) is ps.part(a, j) == closed_form
+            for a, j, message in ((s, 0, "label index"), (-1, 0, "label index"),
+                                  (0, t, "part value"), (0, -1, "part value"),
+                                  (s, t, "part value")):
+                with pytest.raises(ValueError, match=message):
+                    ps.part(a, j)
+
+
 def test_partition_identities_exhaustive():
     """Fixing values at r distinct labels leaves (t-1)^r t^(s-r) functions
     unfixed; each single partition covers everything exactly once."""

@@ -52,6 +52,32 @@ def test_sample_compares_exactly_at_the_draw():
         assert sample_random_subsets(1, 1, draw + Fraction(1, 2**80), seed).sets == ((0,),)
 
 
+def _old_sample_random_subsets(universe_size, k, p, seed):
+    """The sampler as it was before its one float threshold: every draw
+    compared with p in integers."""
+    p = Fraction(p)
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(k):
+        draws = (rng.random().as_integer_ratio() for _ in range(universe_size))
+        sets.append(tuple(e for e, (xn, xd) in enumerate(draws)
+                          if xn * p.denominator < p.numerator * xd))
+    return tuple(sets)
+
+
+def test_sample_matches_the_integer_comparison():
+    long_denominator = Fraction(3 * 10**29 + 1, 10**30 + 7)
+    assert len(str(long_denominator.denominator)) == 31
+    for seed in range(100):
+        drawn, tiny = Fraction(random.Random(seed).random()), Fraction(1, 2**80)
+        for p in (0, 1, Fraction(1, 3), Fraction(2, 5), Fraction(0.1), 0.3,
+                  drawn, drawn + tiny, drawn - tiny, Fraction(1, 2**60),
+                  1 - Fraction(1, 2**53), long_denominator):
+            for universe_size in (0, 17):
+                assert sample_random_subsets(universe_size, 3, p, seed).sets == \
+                    _old_sample_random_subsets(universe_size, 3, p, seed)
+
+
 def test_sample_determinism():
     a = sample_random_subsets(10, 3, Fraction(1, 2), seed=99)
     b = sample_random_subsets(10, 3, Fraction(1, 2), seed=99)
