@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .budget import BudgetError, check, search
+from .budget import BudgetError, check
 from .formula import satisfied_counts, vars_of
 from .setsys import bitmask
 
@@ -44,8 +44,9 @@ class LabelCoverInstance:
     or the tag "restriction": per-vertex domains list distinct variables,
     labels are bitmasks over them (bit i is the value of the i-th domain
     variable), left labels are distinct, a right alphabet is every mask in
-    order, and an edge keeps the bits of the right domain. Oracles read only
-    the derived `tables` and `incidence`; the vertex counts, `vacuous`,
+    order, and an edge keeps the bits of the right domain. A tables game may
+    keep left domains (as `reduce_alphabet` does), not right ones. Oracles read
+    only the derived `tables` and `incidence`; the vertex counts, `vacuous`,
     `right_degree` and `bi_regular` are read off the fields too.
     """
 
@@ -61,14 +62,18 @@ class LabelCoverInstance:
         for u, v in self.edges:
             if not (0 <= u < num_left and 0 <= v < num_right):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-        if self.projections == RESTRICTION:
-            if self.left_domains is None or self.right_domains is None:
-                raise ValueError("restriction projections need vertex domains")
-            if len(self.left_domains) != num_left or len(self.right_domains) != num_right:
-                raise ValueError("one domain per vertex required")
-            for dom in self.left_domains + self.right_domains:
-                if len(set(dom)) != len(dom):
-                    raise ValueError(f"domain {list(dom)} repeats a variable")
+        restriction = self.projections == RESTRICTION
+        if restriction and (self.left_domains is None or self.right_domains is None):
+            raise ValueError("restriction projections need vertex domains")
+        if not restriction and self.right_domains is not None:
+            raise ValueError("tables projections take no right domains")
+        sides = ((self.left_domains, num_left), (self.right_domains, num_right))
+        if any(doms is not None and len(doms) != count for doms, count in sides):
+            raise ValueError("one domain per vertex required")
+        for dom in (self.left_domains or ()) + (self.right_domains or ()):
+            if len(set(dom)) != len(dom):
+                raise ValueError(f"domain {list(dom)} repeats a variable")
+        if restriction:
             for u, (dom, alphabet) in enumerate(zip(self.left_domains, self.left_alphabets)):
                 if alphabet and (len(set(alphabet)) != len(alphabet) or min(alphabet) < 0
                                  or max(alphabet) >= 1 << len(dom)):
@@ -154,6 +159,21 @@ class LabelCoverInstance:
             inc[v].append((e, u))
         return tuple(map(tuple, inc))
 
+    @cached_property
+    def _optima(self):
+        """((left, sat), (left, agreed)): one enumeration of the left box keeps
+        the lex-first labelings of most satisfied edges and of most weakly
+        agreed right vertices. Read through `_left_optima`; not a field."""
+        val_left = wval_left = None
+        top_sat = top_agreed = -1
+        for left in itertools.product(*(range(len(a)) for a in self.left_alphabets)):
+            _, sat, agreed = _extension(self, left)
+            if sat > top_sat:
+                val_left, top_sat = left, sat
+            if agreed > top_agreed:
+                wval_left, top_agreed = left, agreed
+        return (val_left, top_sat), (wval_left, top_agreed)
+
 
 def _labeling_value(instance, labeling):
     """Fraction of edges satisfied by a full labeling (left indices, right indices)."""
@@ -191,22 +211,7 @@ def weak_agreement_value(instance, left):
     _check_labeling(instance, left)
     if not instance.num_right:
         raise ValueError(_NO_RIGHT)
-    return Fraction(_weak_agreement(instance, left), instance.num_right)
-
-
-def _weak_agreement(instance, left):
-    """The number of weakly agreed right vertices."""
-    tables = instance.tables
-    agreed = 0
-    for pairs in instance.incidence:
-        seen = set()
-        for e, u in pairs:
-            val = tables[e][left[u]]
-            if val in seen:
-                agreed += 1
-                break
-            seen.add(val)
-    return agreed
+    return Fraction(_extension(instance, left)[2], instance.num_right)
 
 
 def optimal_extension(instance, left):
@@ -216,18 +221,19 @@ def optimal_extension(instance, left):
     _check_labeling(instance, left)
     if not instance.edges:
         raise ValueError(_NO_EDGES)
-    right, sat = _extension(instance, left)
+    right, sat, _ = _extension(instance, left)
     return right, Fraction(sat, instance.num_edges)
 
 
 def _extension(instance, left):
-    """The plurality right labeling and the number of edges it satisfies.
+    """The plurality right labeling, the number of edges it satisfies, and the
+    number of weakly agreed right vertices (those whose top count is 2 or more).
 
     One pass per right vertex keeps the top count and the smallest label at
     that count; a right vertex without edges takes label 0 and adds 0."""
     tables = instance.tables
     right = []
-    sat = 0
+    sat = agreed = 0
     for pairs in instance.incidence:
         counts = {}
         top = best = 0
@@ -238,21 +244,19 @@ def _extension(instance, left):
                 top, best = count, val
         right.append(best)
         sat += top
-    return tuple(right), sat
+        agreed += top > 1
+    return tuple(right), sat, agreed
 
 
-def _best_left(instance, budget, score):
-    """The lexicographically first left labeling of maximum integer score, and
-    the score.
-
-    Every enumerated labeling is in range, so `score` skips the public
-    oracles' checks."""
+def _left_optima(instance, budget):
+    """Charge every left labeling on every call, cached or not, and only then
+    read the game's `_optima`, so a refused game enumerates nothing."""
     sizes = [len(a) for a in instance.left_alphabets]
     if 0 in sizes:
         raise ValueError(f"left vertex {sizes.index(0)} has an empty alphabet, "
                          "so the game has no left labeling")
-    return search(max, lambda: itertools.product(*(range(s) for s in sizes)),
-                  math.prod(sizes), score, budget, "left labeling enumeration")
+    check(math.prod(sizes), budget, "left labeling enumeration")
+    return instance._optima
 
 
 def brute_force_val(instance, budget=None):
@@ -265,8 +269,8 @@ def brute_force_val(instance, budget=None):
     """
     if not instance.edges:
         raise ValueError(_NO_EDGES)
-    best_left, _ = _best_left(instance, budget, lambda left: _extension(instance, left)[1])
-    right, sat = _extension(instance, best_left)
+    (best_left, _), _ = _left_optima(instance, budget)
+    right, sat, _ = _extension(instance, best_left)
     return (best_left, right), Fraction(sat, instance.num_edges)
 
 
@@ -274,7 +278,7 @@ def brute_force_wval(instance, budget=None):
     """Maximum weak agreement value over all left labelings, with min-lex witness."""
     if not instance.num_right:
         raise ValueError(_NO_RIGHT)
-    best_left, agreed = _best_left(instance, budget, lambda left: _weak_agreement(instance, left))
+    _, (best_left, agreed) = _left_optima(instance, budget)
     return best_left, Fraction(agreed, instance.num_right)
 
 
@@ -584,8 +588,8 @@ def from_json(text):
         left_alphabets=_rows(doc, "left_alphabets"),
         right_alphabets=_rows(doc, "right_alphabets"),
         projections=RESTRICTION if restriction else _rows(doc, "tables"),
-        left_domains=_rows(doc, "left_domains") if restriction or "left_domains" in doc else None,
-        right_domains=_rows(doc, "right_domains") if restriction else None,
+        **{key: _rows(doc, key) if restriction or key in doc else None
+           for key in ("left_domains", "right_domains")},
     )
     for key, value in recorded.items():
         if getattr(game, key) != value:

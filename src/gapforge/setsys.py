@@ -168,14 +168,6 @@ class MonotoneDnf:
         return len(self.terms)
 
 
-def _popcounts(n_bits):
-    idx = np.arange(1 << n_bits, dtype=np.uint64)
-    pc = np.zeros(1 << n_bits, dtype=np.uint8)
-    for shift in range(n_bits):
-        pc += ((idx >> np.uint64(shift)) & np.uint64(1)).astype(np.uint8)
-    return pc
-
-
 def dnf_false_count_by_weight(f):
     """counts[w] = number of weight-w assignments falsifying every term."""
     k = f.num_vars
@@ -184,8 +176,7 @@ def dnf_false_count_by_weight(f):
     for term in f.terms:
         mask = np.uint64(bitmask(term))
         true |= (idx & mask) == mask
-    pc = _popcounts(k)
-    counts = np.bincount(pc[~true], minlength=k + 1)
+    counts = np.bincount(np.bitwise_count(idx[~true]), minlength=k + 1)
     return [int(c) for c in counts]
 
 

@@ -6,6 +6,8 @@ exact solver reports as `enumerated` the least budget that admits it, and
 no library call catches a refusal to answer some other way."""
 
 import ast
+import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +24,8 @@ from gapforge import (BudgetError, CoverageInstance, FunctionCollection,
                       is_strong_intersection_disperser, pair_consistency,
                       random_planted_formula, sample_random_subsets, t_wagr,
                       vars_of)
+from gapforge import labelcover
+from gapforge.cli import main
 
 FORMULA, _ = random_planted_formula(5, 8, seed=2)
 SYSTEM = sample_random_subsets(8, 12, Fraction(1, 4), seed=3)
@@ -118,6 +122,35 @@ def test_no_library_module_catches_a_refusal():
                 if isinstance(node, ast.ExceptHandler) and node.type is not None
                 and "BudgetError" in ast.unparse(node.type)]
     assert catchers == ["cli.py"]
+
+
+def test_solve_labelcover_scores_what_it_is_charged(tmp_path, capsys, monkeypatch):
+    """Both label-cover values come from one charged enumeration: at the
+    charge, every left labeling is scored once and the val witness once
+    more; one below it, the run is refused with the charge as `required`."""
+    game = tmp_path / "game6.json"
+    phi = Path(__file__).resolve().parent / "golden" / "inputs" / "phi.cnf"
+    assert main(["reduce", "labelcover", "-i", str(phi), "-o", str(game),
+                 "--seed", "7", "--k", "6"]) == 0
+    labelings = math.prod(map(len, labelcover.from_json(game.read_text()).left_alphabets))
+    assert labelings == 1536
+    calls = []
+    extension = labelcover._extension
+
+    def counted(instance, left):
+        calls.append(left)
+        return extension(instance, left)
+
+    monkeypatch.setattr(labelcover, "_extension", counted)
+    solve = ["solve", "labelcover", "-i", str(game), "--seed", "1", "--budget"]
+    capsys.readouterr()
+    assert main(solve + [str(labelings)]) == 0
+    assert len(calls) == labelings + 1
+    capsys.readouterr()
+    assert main(solve + [str(labelings - 1)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["required"], doc["budget"]) == (labelings, labelings - 1)
+    assert len(calls) == labelings + 1
 
 
 def _covering(seed):

@@ -624,6 +624,28 @@ def test_misread_games_are_refused(tmp_path, capsys, key, value, message):
                                     "--seed", "1")
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("left_domains", [[5, 5, 5]], "one domain per vertex required"),
+    ("left_domains", [[5], [6, 6]], "repeats a variable"),
+    ("right_domains", [[]], "tables projections take no right domains"),
+], ids=["one-left-domain", "repeated-left-variable", "right-domains"])
+def test_tables_game_domains_are_refused(tmp_path, capsys, key, value, message):
+    """A tables game keeps at most one distinct-variable domain per left
+    vertex and no right domains, which its document could not record."""
+    doc = {"format": "labelcover", "projection": "tables", "edges": [[0, 0], [1, 0]],
+           "left_alphabets": [[0, 1], [0, 1]], "right_alphabets": [[0, 1]],
+           "tables": [[0, 1], [1, 0]], "num_left": 2, "num_right": 1,
+           "bi_regular": True, "right_degree": 2, "vacuous": False}
+    assert from_json(json.dumps(doc)).left_domains is None
+    text = json.dumps(dict(doc, **{key: value}))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(text)
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    assert message in error_message(capsys, "solve", "labelcover", "-i", str(path),
+                                    "--seed", "1")
+
+
 @pytest.mark.parametrize("fmt", sorted(FUZZ_SEEDS))
 @given(changes=edits)
 @settings(max_examples=40, deadline=None)

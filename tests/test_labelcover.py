@@ -159,6 +159,13 @@ def test_brute_force_budget():
     with pytest.raises(BudgetError) as exc:
         brute_force_val(toy, budget=3)
     assert exc.value.required == 4
+    # the search a game keeps is charged again on every call
+    assert brute_force_val(toy, budget=4) == (((0, 0), (0,)), 1)
+    for oracle in (brute_force_val, brute_force_wval):
+        with pytest.raises(BudgetError) as exc:
+            oracle(toy, budget=3)
+        assert (exc.value.required, exc.value.what) == (4, "left labeling enumeration")
+    assert brute_force_wval(toy, budget=4) == ((0, 0), 1)
 
 
 def test_optimal_extension_tie_breaks_to_smallest_label():
@@ -467,6 +474,99 @@ def test_valueless_games_are_rejected():
     assert brute_force_wval(no_edges) == ((0,), 0)
 
 
+def _frozen_weak_agreement(instance, left):
+    """The per-right-vertex set scan that scored weak agreement before the
+    plurality pass counted it."""
+    tables = instance.tables
+    agreed = 0
+    for pairs in instance.incidence:
+        seen = set()
+        for e, u in pairs:
+            val = tables[e][left[u]]
+            if val in seen:
+                agreed += 1
+                break
+            seen.add(val)
+    return agreed
+
+
+def _frozen_best_left(instance, score):
+    """The per-value search: builtin max over the lex-ordered left box keeps
+    the first maximum."""
+    box = itertools.product(*(range(len(a)) for a in instance.left_alphabets))
+    best = max(box, key=score)
+    return best, score(best)
+
+
+def _frozen_val(game):
+    best, _ = _frozen_best_left(game, lambda left: optimal_extension(game, left)[1])
+    right, val = optimal_extension(game, best)
+    return (best, right), val
+
+
+def _frozen_wval(game):
+    best, agreed = _frozen_best_left(game, lambda left: _frozen_weak_agreement(game, left))
+    return best, Fraction(agreed, game.num_right)
+
+
+def _degree_tables_game(rng):
+    """Right degrees 0-4, drawn with repeats, so (u, v) edges repeat."""
+    num_left = rng.randint(1, 3)
+    lsizes = [rng.randint(1, 3) for _ in range(num_left)]
+    rsizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    edges = [(rng.randrange(num_left), v) for v, _ in enumerate(rsizes)
+             for _ in range(rng.randint(0, 4))]
+    return LabelCoverInstance(
+        edges=tuple(edges),
+        left_alphabets=tuple(tuple(range(s)) for s in lsizes),
+        right_alphabets=tuple(tuple(range(s)) for s in rsizes),
+        projections=tuple(tuple(rng.randrange(rsizes[v]) for _ in range(lsizes[u]))
+                          for u, v in edges))
+
+
+def _small_reductions(t, count, most=400):
+    """Seeded clause-subset games at this t with at most `most` left labelings."""
+    rng = random.Random(t)
+    while count:
+        formula, _ = random_planted_formula(rng.randint(3, 5), rng.randint(2, 5),
+                                            rng.randrange(2**32))
+        system = sample_random_subsets(formula.num_clauses, rng.randint(t, t + 1),
+                                       Fraction(1, 3), rng.randrange(2**32))
+        game = build_main_reduction(formula, system, t, allow_vacuous=True)
+        if not game.vacuous and math.prod(map(len, game.left_alphabets)) <= most:
+            count -= 1
+            yield game
+
+
+def _cross_check_corpus():
+    rng = random.Random(24)
+    games = [_degree_tables_game(rng) for _ in range(60)]
+    reductions = [*_small_reductions(2, 6), *_small_reductions(3, 6)]
+    degrees = {len(pairs) for game in games for pairs in game.incidence}
+    assert degrees == {0, 1, 2, 3, 4}
+    assert any(len(set(game.edges)) < game.num_edges for game in games)
+    return games + reductions + [reduce_alphabet(game, 2) for game in reductions[::3]]
+
+
+def test_joint_search_matches_the_per_value_searches():
+    """One enumeration keeps both lex-first maxima: values and witnesses
+    equal the old per-value searches whichever oracle runs first."""
+    for game in _cross_check_corpus():
+        want_val = _frozen_val(game) if game.edges else None
+        want_wval = _frozen_wval(game)
+        for left in itertools.product(*(range(len(a)) for a in game.left_alphabets)):
+            assert weak_agreement_value(game, left) == Fraction(
+                _frozen_weak_agreement(game, left), game.num_right)
+        # a field-equal copy starts with no cached search
+        val_first, wval_first, wval_alone = (dataclasses.replace(game) for _ in range(3))
+        if game.edges:
+            assert brute_force_val(val_first) == want_val
+            assert brute_force_wval(wval_first) == want_wval
+            assert brute_force_val(wval_first) == want_val
+        assert brute_force_wval(val_first) == want_wval
+        assert brute_force_wval(wval_alone) == want_wval
+
+
 def test_wval_to_val_bound_examples():
     assert wval_to_val_bound(0, 2) == Fraction(1, 2)
     assert wval_to_val_bound(1, 5) == 1
@@ -558,6 +658,19 @@ def test_instance_validation():
         LabelCoverInstance(((0, 0),), ((0, 1),), ((0,),), ((0,),))
     with pytest.raises(ValueError, match="outside the right"):
         LabelCoverInstance(((0, 0),), ((0,),), ((0,),), ((1,),))
+
+
+@pytest.mark.parametrize("domains, message", [
+    ({"right_domains": ((),)}, "tables projections take no right domains"),
+    ({"left_domains": ((5, 5, 5),)}, "one domain per vertex required"),
+    ({"left_domains": ((5,), (5, 6), (7,))}, "one domain per vertex required"),
+    ({"left_domains": ((5,), (6, 6))}, "repeats a variable"),
+])
+def test_tables_game_domains_are_checked(domains, message):
+    args = (((0, 0), (1, 0)), ((0, 1), (0, 1)), ((0, 1),), ((0, 1), (1, 0)))
+    assert LabelCoverInstance(*args, left_domains=((5,), (5, 6))).left_domains == ((5,), (5, 6))
+    with pytest.raises(ValueError, match=message):
+        LabelCoverInstance(*args, **domains)
 
 
 def test_counts_regularity_and_vacuity_are_read_off_the_game():

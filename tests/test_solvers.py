@@ -583,10 +583,21 @@ def test_label_cover_and_subgraph_searches_score_by_int():
         scores.append(score)
         return best, score
 
+    extension = labelcover._extension
+
+    def scorer(instance, left):
+        right, sat, agreed = extension(instance, left)
+        scores.extend((sat, agreed))
+        return right, sat, agreed
+
     game = _tied_game(random.Random(3))
     graph = RedBlueGraph(4, frozenset(), frozenset({(0, 1), (2, 3)}))
-    with mock.patch.object(labelcover, "search", spy), mock.patch.object(agreement, "search", spy):
+    with mock.patch.object(labelcover, "_extension", scorer), \
+            mock.patch.object(agreement, "search", spy):
         results = [brute_force_val(game)[1], brute_force_wval(game)[1],
                    find_non_red_subgraph(graph, 3)[1]]
-    assert [type(s) for s in scores] == [int, int, int]
+    # the joint label-cover search keeps both maxima as counts
+    (_, top_sat), (_, top_agreed) = game._optima
+    assert len(scores) > 3
+    assert {type(s) for s in scores + [top_sat, top_agreed]} == {int}
     assert [type(r) for r in results] == [Fraction, Fraction, Fraction]
