@@ -14,14 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import budget as _budget
 from .budget import check, search
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
 from .setsys import SetSystem, bitmask, is_uniform, masks
-
-# Cap on the cells of one counted block (diffs x sets, x subcollections or x
-# submasks x sets), so that a larger collection makes blocks shorter.
-_BLOCK_CELLS = 1 << 16
 
 
 def _popcount(masks):
@@ -121,7 +118,7 @@ def t_wagr(collection, t, budget=None):
     total = math.comb(k, t)
     check(total, budget, what="t-subset enumeration")
     if t == 2:  # the diagonal is zero, and each agreeing pair is zero twice off it
-        step = max(1, _BLOCK_CELLS // k)  # rows of the k x k block at a time
+        step = max(1, _budget.BLOCK_CELLS // k)  # rows of the k x k block at a time
         blocks = (collection._disagreements(slice(lo, lo + step))
                   for lo in range(0, k, step))
         zeros = sum(int(np.count_nonzero(block == 0)) for block in blocks)
@@ -139,27 +136,36 @@ class _SubcollectionHits:
     def __init__(self, collection):
         self._masks, self._k = collection._mask_arrays[1], collection.k
 
-    def cost(self, diff, ell):
-        """The work of one diff's count: one pass over the k sets and, for
-        ell >= 2, the cheaper of inclusion-exclusion (|diff| steps for each
-        subset of diff) and enumeration of the C(k-2, ell) subcollections."""
+    def _paths(self, diffs, ell):
+        """The path rule, for ell >= 1: each diff's count is one pass over the
+        k sets and then, for ell >= 2, the cheaper of inclusion-exclusion
+        (|diff| steps for each subset of diff) and enumeration of the
+        C(k-2, ell) subcollections, ties going to inclusion-exclusion. At
+        ell = 1 the pass alone enumerates. Returns each diff's |diff| where
+        inclusion-exclusion counts it, else -1, and its steps after the pass."""
+        total = math.comb(self._k - 2, ell) if ell > 1 else 0
+        paths, steps = [], []
+        for d in _popcount(diffs).tolist():
+            included = ell > 1 and d << d <= total
+            paths.append(d if included else -1)
+            steps.append(d << d if included else total)
+        return np.array(paths, np.int64), steps
+
+    def cost(self, diffs, ell):
+        """The work of counting every one of `diffs`, by the path rule."""
         if ell == 0:
             return 0
-        if ell == 1:
-            return self._k
-        d = diff.bit_count()
-        return self._k + min(d << d, math.comb(self._k - 2, ell))
+        _, steps = self._paths(np.asarray(diffs, self._masks.dtype), ell)
+        return len(steps) * self._k + sum(steps)
 
     def hits(self, diffs, ell):
         """The count of each of `diffs`, as a list of ints."""
         diffs = np.asarray(diffs, self._masks.dtype)
         if ell == 0:
             return [1] * len(diffs)
-        # enumeration where it is cheaper (always at ell = 1), else inclusion-exclusion
-        paths = np.array([d if ell > 1 and d << d <= math.comb(self._k - 2, ell) else -1
-                          for d in _popcount(diffs).tolist()], np.int64)
+        paths, _ = self._paths(diffs, ell)
         counts = np.zeros(len(diffs), object)
-        step = max(1, _BLOCK_CELLS // self._k)
+        step = max(1, _budget.BLOCK_CELLS // self._k)
         for d in set(paths.tolist()):
             rows, count = np.flatnonzero(paths == d), self._included if d >= 0 else self._enumerated
             for part in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
@@ -174,7 +180,7 @@ class _SubcollectionHits:
         rest = cuts[~(equal & (equal.cumsum(axis=1) <= 2))].reshape(len(diffs), self._k - 2)
         hits = np.zeros(len(diffs), np.int64)
         combos = itertools.combinations(range(self._k - 2), ell)
-        while chunk := list(itertools.islice(combos, max(1, _BLOCK_CELLS // len(diffs)))):
+        while chunk := list(itertools.islice(combos, max(1, _budget.BLOCK_CELLS // len(diffs)))):
             hits += np.count_nonzero(np.bitwise_and.reduce(rest[:, chunk], axis=2) == 0, axis=1)
         return hits.tolist()
 
@@ -184,7 +190,7 @@ class _SubcollectionHits:
         bits = np.array([[1 << p for p in range(diff.bit_length()) if diff >> p & 1]
                          for diff in diffs.tolist()], self._masks.dtype)
         tally = np.zeros((len(diffs), self._k + 1), np.int64)
-        width = max(1, _BLOCK_CELLS // (len(diffs) * self._k))
+        width = max(1, _budget.BLOCK_CELLS // (len(diffs) * self._k))
         for lo in range(0, 1 << d, width):
             picks = (np.arange(lo, min(lo + width, 1 << d))[:, None] >> np.arange(d)) & 1
             subs = (bits @ picks.T)[:, :, None]
@@ -206,7 +212,7 @@ def pair_consistency(collection, i, j, ell, budget=None):
         raise ValueError("need 0 <= ell <= k - 2")
     diff = collection.disagreement(i, j)
     counter = _SubcollectionHits(collection)
-    check(counter.cost(diff, ell), budget, what="subcollection count")
+    check(counter.cost([diff], ell), budget, what="subcollection count")
     return Fraction(counter.hits([diff], ell)[0], math.comb(k - 2, ell))
 
 
@@ -264,8 +270,7 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
                                return_inverse=True)
     counter = _SubcollectionHits(collection)
     blue_ell, red_ell = t - 2, 2 * t - 3
-    check(len(rows) + sum(counter.cost(diff, blue_ell) + counter.cost(diff, red_ell)
-                          for diff in diffs.tolist()),
+    check(len(rows) + counter.cost(diffs, blue_ell) + counter.cost(diffs, red_ell),
           budget, what="two-level consistency count")
     blue_total, red_total = math.comb(k - 2, blue_ell), math.comb(k - 2, red_ell)
     blue_hits, red_hits = counter.hits(diffs, blue_ell), counter.hits(diffs, red_ell)

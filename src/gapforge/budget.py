@@ -1,10 +1,25 @@
-"""Enumeration budgets shared by all brute-force operations. A budget is the
-caller's argument, None meaning DEFAULT_BUDGET; only the command line reads
-GAPFORGE_BUDGET."""
+"""Enumeration budgets shared by all brute-force operations, and the search
+layer that spends them. A budget is the caller's argument, None meaning
+DEFAULT_BUDGET; only the command line reads GAPFORGE_BUDGET.
+
+Every exhaustive optimum search is `search` over candidates in lex order, or
+`block_search` over lex-ordered numpy blocks of them: each charges its count
+before it builds anything and returns the min-lex optimum. Two exhaustive
+loops keep their own `check`: the label-cover joint optima, which read both
+lex-first maxima off one enumeration (`labelcover._left_optima`), and
+`solvers.exact_min_set_cover`, which returns the first cover at each size
+level it charges."""
 
 from __future__ import annotations
 
 DEFAULT_BUDGET = 10_000_000
+
+# Cap on the cells of one numpy block: box points x rows for CVP and NCP,
+# facility subsets x clients x k for clustering, and diffs x sets, x
+# subcollections or x submasks x sets in the agreement counts. A larger
+# instance makes blocks shorter instead of larger. Callers read it when they
+# run, so patching this one name resizes every block.
+BLOCK_CELLS = 1 << 16
 
 
 class BudgetError(Exception):
@@ -36,3 +51,17 @@ def search(pick, candidates, count, cost, budget, what):
     check(count, budget, what)
     best = pick(candidates(), key=cost)
     return best, cost(best)
+
+
+def block_search(pick, blocks, count, budget, what):
+    """`search` over lex-ordered blocks: charge `count`, then `blocks()`
+    yields (label, costs) pairs, costs a numpy array in lex order. The first
+    block holding the best cost wins, as does the first best position in it,
+    so the witness is min-lex. Returns the label, the position in the block
+    and the cost as a Python number."""
+    least = pick is min
+    (label, costs), _ = search(pick, blocks, count,
+                               lambda block: block[1].min() if least else block[1].max(),
+                               budget, what)
+    i = int(costs.argmin() if least else costs.argmax())
+    return label, i, costs.item(i)

@@ -237,8 +237,6 @@ def _suite_monotone_dnf(seed, scale, budget):
             for eps in (Fraction(1, 4), Fraction(1, 2)):
                 if math.ceil(eps * k**ell) <= pool:
                     combos.append((k, ell, eps))
-    cases = 0
-    violations = []
     for i in range(scale):
         k, ell, eps = combos[i % len(combos)]
         pool = []
@@ -249,12 +247,9 @@ def _suite_monotone_dnf(seed, scale, budget):
         f = MonotoneDnf(k, terms)
         for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)):
             value = dnf_false_prob(f, p, budget=budget)
-            cases += 1
-            if not dnf_bound_holds(value, ell, p, eps, k):
-                violations.append({"k": k, "ell": ell, "eps": str(eps),
-                                   "p": str(p), "terms": [list(t) for t in terms],
-                                   "false_prob": str(value)})
-    return cases, violations
+            yield None if dnf_bound_holds(value, ell, p, eps, k) else {
+                "k": k, "ell": ell, "eps": str(eps), "p": str(p),
+                "terms": [list(t) for t in terms], "false_prob": str(value)}
 
 
 def _suite_rb_transitivity(seed, scale, budget):
@@ -262,8 +257,6 @@ def _suite_rb_transitivity(seed, scale, budget):
     t, k, n = 2, 50, 40
     alpha, beta = Fraction(2, 5), Fraction(1)
     h = math.ceil(2 * alpha / (beta * beta) * k)
-    cases = 0
-    violations = []
     for _ in range(scale):
         s_sys = rng.randrange(2**32)
         s_fun = rng.randrange(2**32)
@@ -272,17 +265,12 @@ def _suite_rb_transitivity(seed, scale, budget):
         collection = FunctionCollection.from_global(system, bits)
         graph = build_two_level_graph(collection, alpha, beta, t, budget=budget)
         ok, witness = check_rb_transitive(graph, h)
-        cases += 1
-        if not ok:
-            violations.append({"system_seed": s_sys, "function_seed": s_fun,
-                               "h": h, "witness": list(witness)})
-    return cases, violations
+        yield None if ok else {"system_seed": s_sys, "function_seed": s_fun,
+                               "h": h, "witness": list(witness)}
 
 
 def _suite_majority_bound(seed, scale, budget):
     rng = random.Random(seed)
-    cases = 0
-    violations = []
     for _ in range(scale):
         s_sys = rng.randrange(2**32)
         s_fun = rng.randrange(2**32)
@@ -300,18 +288,13 @@ def _suite_majority_bound(seed, scale, budget):
         for j in range(10):
             zeta = Fraction(j, 10)
             _, stats = majority_decode(collection, range(k), zeta=zeta, rho=rho)
-            cases += 1
-            if not (stats.bound_holds and stats.power_mean_holds):
-                violations.append({"system_seed": s_sys, "function_seed": s_fun,
-                                   "n": n, "k": k, "zeta": str(zeta),
-                                   "mean": str(stats.mean_disagr)})
-    return cases, violations
+            yield None if stats.bound_holds and stats.power_mean_holds else {
+                "system_seed": s_sys, "function_seed": s_fun, "n": n, "k": k,
+                "zeta": str(zeta), "mean": str(stats.mean_disagr)}
 
 
 def _suite_partition_identity(seed, scale, budget):
     """Every identity for t in {2, 3} and s <= 4; the seed and scale are unused."""
-    cases = 0
-    violations = []
     for t in (2, 3):
         for s in range(1, 5):
             ps = PartitionSystem(s, t)
@@ -325,10 +308,8 @@ def _suite_partition_identity(seed, scale, budget):
                         sizes_ok = False
                     for g in part:
                         counts[g] += 1
-                cases += 1
-                if not sizes_ok or any(c != 1 for c in counts):
-                    violations.append({"t": t, "s": s, "label": a,
-                                       "kind": "single-partition"})
+                yield None if sizes_ok and all(c == 1 for c in counts) else {
+                    "t": t, "s": s, "label": a, "kind": "single-partition"}
             for r in range(1, s + 1):
                 for labels in itertools.combinations(range(s), r):
                     for values in itertools.product(range(t), repeat=r):
@@ -336,19 +317,13 @@ def _suite_partition_identity(seed, scale, budget):
                         for a, j in zip(labels, values):
                             covered.update(ps.part(a, j))
                         expect = t**s - (t - 1) ** r * t ** (s - r)
-                        cases += 1
-                        if len(covered) != expect:
-                            violations.append({"t": t, "s": s,
-                                               "labels": list(labels),
-                                               "values": list(values),
-                                               "kind": "distinct-partitions"})
-    return cases, violations
+                        yield None if len(covered) == expect else {
+                            "t": t, "s": s, "labels": list(labels),
+                            "values": list(values), "kind": "distinct-partitions"}
 
 
 def _suite_pipeline_completeness(seed, scale, budget):
     rng = random.Random(seed)
-    cases = 0
-    violations = []
     for _ in range(scale):
         s_f = rng.randrange(2**32)
         s_t = rng.randrange(2**32)
@@ -360,12 +335,11 @@ def _suite_pipeline_completeness(seed, scale, budget):
         sigma = lc.restriction_labeling(instance, planted)
         _, val = lc.optimal_extension(instance, sigma)
         wval = lc.weak_agreement_value(instance, sigma)
-        cases += 1
         if val != 1 or wval != 1:
-            violations.append({"formula_seed": s_f, "subset_seed": s_t,
-                               "val": str(val), "wval": str(wval),
-                               "kind": "labeling-value"})
+            yield {"formula_seed": s_f, "subset_seed": s_t,
+                   "val": str(val), "wval": str(wval), "kind": "labeling-value"}
             continue
+        yield None
         singles = SetSystem(m, tuple((j,) for j in range(3)))
         small = lc.build_main_reduction(formula, singles, 2, budget=budget)
         sigma2 = lc.restriction_labeling(small, planted)
@@ -374,13 +348,12 @@ def _suite_pipeline_completeness(seed, scale, budget):
         chosen = tuple(index[(u, sigma2[u])] for u in range(small.num_left))
         unique = verify_unique_cover(cov, chosen)
         msc = exact_min_set_cover(cov, budget=budget)
-        cases += 1
-        if not unique or msc.value != small.num_left:
-            violations.append({"formula_seed": s_f, "kind": "feige",
-                               "unique": unique, "min_cover": msc.value})
-    return cases, violations
+        yield None if unique and msc.value == small.num_left else {
+            "formula_seed": s_f, "kind": "feige", "unique": unique, "min_cover": msc.value}
 
 
+# Each suite yields one verdict per case: None when the case holds, else the
+# document naming its violation.
 _SUITES = {
     "monotone-dnf": _suite_monotone_dnf,
     "rb-transitivity": _suite_rb_transitivity,
@@ -392,8 +365,8 @@ _SUITES = {
 
 def _cmd_verify(args, argv):
     start = time.perf_counter()
-    suite = _SUITES[args.suite]
-    cases, violations = suite(args.seed, args.scale, args.budget)
+    verdicts = list(_SUITES[args.suite](args.seed, args.scale, args.budget))
+    cases, violations = len(verdicts), [v for v in verdicts if v is not None]
     status = "pass" if not violations else "fail"
     _emit({"command": "verify", "suite": args.suite, "seed": args.seed,
            "scale": args.scale, "cases": cases,

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import check
+from .budget import block_search
 from .textformat import integer
 
 
@@ -252,8 +252,7 @@ def brute_force_max_val(formula, budget=None):
     2^n exceeds the budget.
     """
     n = formula.num_vars
-    check(1 << n, budget, what="assignment enumeration")
-    counts = satisfied_counts(formula)
-    best = int(np.argmax(counts))
+    _, best, count = block_search(max, lambda: [(None, satisfied_counts(formula))], 1 << n,
+                                  budget, "assignment enumeration")
     phi = {v: (best >> (n - v)) & 1 for v in range(1, n + 1)}
-    return phi, Fraction(int(counts[best]), formula.num_clauses)
+    return phi, Fraction(count, formula.num_clauses)

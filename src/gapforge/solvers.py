@@ -1,8 +1,10 @@
 """Exact enumeration solvers and the greedy coverage baseline; every result
 carries its witness and enumeration count so reports are checkable.
 
-Each exhaustive search is one budget.search over its candidates in lex
-order, which returns the min-lex witness. NCP and CVP are one box search:
+Each exhaustive optimum search is one budget.search over its candidates in
+lex order, or one budget.block_search over lex-ordered numpy blocks of them
+(clustering, NCP and CVP); either returns the min-lex witness. Min set cover
+charges and searches one size level at a time. NCP and CVP are one box search:
 the min-lex x in a box of coordinates minimizing a row-wise cost of Ax - y,
 parity over {0, 1} for NCP and |r|^p over [-box, box] for CVP."""
 
@@ -16,24 +18,9 @@ from functools import partial
 
 import numpy as np
 
-from .budget import check, search
+from . import budget as _budget
+from .budget import block_search, check, search
 from .setsys import masks
-
-# Cap on the cells of one scored block (box points x rows for CVP, facility
-# subsets x clients x k for clustering), so that a larger instance makes
-# blocks shorter instead of larger.
-_BLOCK_CELLS = 1 << 16
-
-
-def _block_search(blocks, count, budget, what):
-    """budget.search over lex-ordered blocks: `blocks()` yields (label, costs)
-    pairs, costs a numpy array in lex order. The first block holding the
-    least cost wins, as does the first least cost in it, so the witness is
-    min-lex. Returns the label, the position in the block and the cost as a
-    Python number."""
-    (label, costs), _ = search(min, blocks, count, lambda block: block[1].min(), budget, what)
-    i = int(costs.argmin())
-    return label, i, costs.item(i)
 
 
 @dataclass(frozen=True)
@@ -121,7 +108,7 @@ def _exact_clustering(instance, exponent, budget):
     # int64 when every distance is an int and no client sum can reach 2^63
     fits = (all(type(d) is int for row in clients for d in row)
             and nc * max((d for row in clients for d in row), default=0) ** exponent < 2 ** 63)
-    size = max(1, _BLOCK_CELLS // (max(nc, 1) * k))
+    size = max(1, _budget.BLOCK_CELLS // (max(nc, 1) * k))
 
     def blocks():
         dist = np.array(clients, np.int64 if fits else object).reshape(nc, nf)
@@ -130,7 +117,7 @@ def _exact_clustering(instance, exponent, budget):
             nearest = dist[:, np.array(chunk)].min(axis=2)
             yield chunk, (nearest ** exponent).sum(axis=0)
 
-    chunk, i, value = _block_search(blocks, total, budget, "facility subset enumeration")
+    chunk, i, value = block_search(min, blocks, total, budget, "facility subset enumeration")
     return SolverResult(value=value, witness=chunk[i], enumerated=total)
 
 
@@ -156,7 +143,7 @@ def _box_search(instance, values, dtype, cost, budget, what):
     rows, cols, side = instance.rows, instance.num_cols, len(values)
     height = len(rows)
     tail = 0
-    while tail < cols and side ** (tail + 1) * max(height, 1) <= _BLOCK_CELLS:
+    while tail < cols and side ** (tail + 1) * max(height, 1) <= _budget.BLOCK_CELLS:
         tail += 1
     head = cols - tail
 
@@ -172,7 +159,7 @@ def _box_search(instance, values, dtype, cost, budget, what):
         return ((x, cost(grid + lead @ np.array(x, dtype)).sum(axis=1))
                 for x in itertools.product(values, repeat=head))
 
-    prefix, i, value = _block_search(blocks, side ** cols, budget, what)
+    prefix, i, value = block_search(min, blocks, side ** cols, budget, what)
     return prefix + tuple(values[j] for j in np.unravel_index(i, (side,) * tail)), value
 
 

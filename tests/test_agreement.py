@@ -128,7 +128,7 @@ def test_t_wagr_counts_pairs_in_bounded_blocks(monkeypatch):
     assert 0 < value < 1 and peak < 4 << 20
     small = [collection_from_seed(seed, k=k) for seed, k in zip(range(6), (2, 3, 5, 7, 9, 11))]
     for cells in (1, 7, 97):
-        monkeypatch.setattr(gapforge.agreement, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
         assert t_wagr(fc, 2) == value
         assert all(t_wagr(c, 2) == _wagr_recount(c, 2) for c in small)
 
@@ -456,7 +456,7 @@ def test_wide_collections_match_the_pairwise_oracles(n, monkeypatch):
         _check_two_level_graphs(fc, alpha, beta)
         # one cell and small primes per block: every batch spans many blocks
         for cells in (1, 7, 97):
-            monkeypatch.setattr(gapforge.agreement, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
             _check_two_level_graphs(fc, alpha, beta)
         monkeypatch.undo()
     assert paths == {"closed", "counted", "enumerated"}

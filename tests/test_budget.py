@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gapforge
@@ -25,6 +26,7 @@ from gapforge import (BudgetError, CoverageInstance, FunctionCollection,
                       random_planted_formula, sample_random_subsets, t_wagr,
                       vars_of)
 from gapforge import labelcover
+from gapforge.budget import block_search
 from gapforge.cli import main
 
 FORMULA, _ = random_planted_formula(5, 8, seed=2)
@@ -184,3 +186,65 @@ def test_enumerated_is_the_least_budget_that_admits_a_rerun(name):
         with pytest.raises(BudgetError) as exc:
             solve(cov, result.enumerated - 1)
         assert exc.value.required == result.enumerated
+
+
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(gapforge.__file__).parent.glob("*.py"))}
+
+
+def test_the_search_layer_lives_in_budget_alone():
+    """The block cap is assigned once and the three budget functions are
+    defined once, all in budget.py, which imports no gapforge module."""
+    trees = _package_trees()
+    caps = [name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            for target in node.targets if "BLOCK_CELLS" in ast.unparse(target)]
+    assert caps == ["budget.py"]
+    defined = sorted((node.name, name) for name, tree in trees.items() for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name in ("check", "search", "block_search"))
+    assert defined == [("block_search", "budget.py"), ("check", "budget.py"),
+                       ("search", "budget.py")]
+    imported = [alias.name if isinstance(node, ast.Import)
+                else "." * node.level + (node.module or "")
+                for node in ast.walk(trees["budget.py"])
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert imported and not [m for m in imported if m.startswith((".", "gapforge"))]
+
+
+def _blocks(*costs, dtype=np.int64):
+    """A `blocks` callable over the given cost lists, labelled 0, 1, ..., that
+    records each call."""
+    calls = []
+
+    def blocks():
+        calls.append(None)
+        return ((label, np.array(block, dtype)) for label, block in enumerate(costs))
+    return blocks, calls
+
+
+@pytest.mark.parametrize("pick,best", [(min, 1), (max, 7)])
+def test_block_search_takes_the_first_optimum(pick, best):
+    # the optimum ties inside block 1 and again in block 2 and block 3
+    blocks, calls = _blocks([4, 5], [6, best, best], [best, 3], [best])
+    label, i, cost = block_search(pick, blocks, 8, None, "test")
+    assert (label, i, cost, type(cost), calls) == (1, 1, best, int, [None])
+
+
+def test_block_search_with_exact_fractions():
+    third = Fraction(1, 3)
+    blocks, _ = _blocks([Fraction(1, 2), third], [third, 1], dtype=object)
+    label, i, cost = block_search(min, blocks, 4, None, "test")
+    assert (label, i, cost, type(cost)) == (0, 1, third, Fraction)
+    assert block_search(max, blocks, 4, None, "test") == (1, 1, 1)
+
+
+def test_block_search_charges_before_it_builds():
+    blocks, calls = _blocks([1, 2], [0])
+    with pytest.raises(BudgetError) as exc:
+        block_search(max, blocks, 3, 2, "block test")
+    assert (exc.value.what, exc.value.required, exc.value.budget, calls) == (
+        "block test", 3, 2, [])
+    assert block_search(max, blocks, 3, 3, "block test") == (0, 1, 2)
+    assert calls == [None]

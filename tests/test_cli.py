@@ -176,6 +176,28 @@ def test_verify_suites_pass(capsys, suite, scale):
     assert doc["first_violation"] is None
 
 
+def test_verify_counts_forced_violations(capsys, monkeypatch):
+    """Forced failures exit 1: every case is counted, every failing one is a
+    violation, and the first of them is reported."""
+    monkeypatch.setattr(gapforge.cli, "dnf_bound_holds", lambda value, *rest: False)
+    monkeypatch.setattr(gapforge.cli, "check_rb_transitive", lambda graph, h: (False, (0, 1, h)))
+    monkeypatch.setattr(gapforge.cli, "verify_unique_cover", lambda instance, chosen: False)
+    expected = {
+        "monotone-dnf": (9, 9, {"k": 4, "ell": 1, "eps": "1/4", "p": "1/10",
+                                "terms": [[2]], "false_prob": "9/10"}),
+        "rb-transitivity": (3, 3, {"system_seed": 2675342405, "function_seed": 3185950873,
+                                   "h": 40, "witness": [0, 1, 40]}),
+        # only the Feige half of each pipeline case fails
+        "pipeline-completeness": (6, 3, {"formula_seed": 2675342405, "kind": "feige",
+                                         "unique": False, "min_cover": 3}),
+    }
+    for suite, (cases, violations, first) in expected.items():
+        code, doc, _ = run(capsys, "verify", suite, "--seed", "5", "--scale", "3")
+        assert code == 1
+        assert (doc["status"], doc["cases"], doc["violations"]) == ("fail", cases, violations)
+        assert doc["first_violation"] == first
+
+
 def test_verify_determinism(capsys):
     code1, _, out1 = run(capsys, "verify", "majority-bound", "--seed", "9",
                          "--scale", "1")

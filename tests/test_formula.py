@@ -1,7 +1,9 @@
 """Formula layer: DIMACS parsing, clause values, the exhaustive oracle."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,42 @@ def test_brute_force_budget_refusal():
         brute_force_max_val(f, budget=1 << 11)
     assert exc.value.required == 1 << 12
     assert exc.value.budget == 1 << 11
+
+
+def _old_brute_force_max_val(formula):
+    """brute_force_max_val as it stood before it became one block of
+    budget.block_search: the whole count vector and its first argmax."""
+    n = formula.num_vars
+    counts = satisfied_counts(formula)
+    best = int(np.argmax(counts))
+    phi = {v: (best >> (n - v)) & 1 for v in range(1, n + 1)}
+    return phi, Fraction(int(counts[best]), formula.num_clauses)
+
+
+def _random_formula(rng, n):
+    """Random clauses of width 1 to 3 over n variables, unsatisfiable ones
+    included, and one unit clause for each variable they leave out."""
+    clauses = [tuple(v * rng.choice((1, -1))
+                     for v in rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+               for _ in range(rng.randint(1, 3 * n))]
+    seen = {abs(lit) for clause in clauses for lit in clause}
+    clauses += [(v,) for v in range(1, n + 1) if v not in seen]
+    return CnfFormula(n, tuple(clauses))
+
+
+def test_brute_force_matches_the_old_argmax_and_charges_two_to_the_n():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        formula = (_random_formula(rng, n) if rng.random() < 0.5
+                   else random_planted_formula(max(n, 3), 2 * max(n, 3), rng.randrange(2**32))[0])
+        n = formula.num_vars
+        result = brute_force_max_val(formula, budget=1 << n)
+        assert result == _old_brute_force_max_val(formula)
+        assert type(result[1]) is Fraction
+        with pytest.raises(BudgetError) as exc:
+            brute_force_max_val(formula, budget=(1 << n) - 1)
+        assert (exc.value.what, exc.value.required) == ("assignment enumeration", 1 << n)
 
 
 def _decode(idx, n):

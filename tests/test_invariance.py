@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 from gapforge import (CnfFormula, CoverageInstance, FunctionCollection,
                       LabelCoverInstance, RedBlueGraph, SetSystem,
                       abss_cvp_reduction, abss_ncp_reduction, brute_force_val,
-                      brute_force_wval, build_main_reduction,
+                      brute_force_wval, budget, build_main_reduction,
                       check_rb_transitive, disagr, exact_cvp, exact_kmean,
                       exact_kmedian, exact_max_coverage, exact_min_set_cover,
                       exact_ncp, find_non_red_subgraph, guha_khuller_reduction,
-                      pair_consistency, solvers, t_wagr, verify_unique_cover,
+                      pair_consistency, t_wagr, verify_unique_cover,
                       weak_agreement_value)
 from gapforge.agreement import _non_red_density
 from gapforge.labelcover import RESTRICTION, _labeling_value
@@ -329,7 +329,7 @@ def test_abss_cvp_optimum_is_invariant_across_a_long_prefix(case, p):
     """Blocks of one trailing column, so the lex prefix holds the other two."""
     cov, _, _ = case
     side, height = 2 * (cov.k + 1) + 1, len(abss_cvp_reduction(cov, 1).rows)
-    with mock.patch.object(solvers, "_BLOCK_CELLS", side * height):
+    with mock.patch.object(budget, "BLOCK_CELLS", side * height):
         _check_cvp(case, p)
 
 

@@ -20,7 +20,7 @@ from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
                       exact_ncp, find_non_red_subgraph, greedy_max_coverage,
                       guha_khuller_reduction, optimal_extension,
                       verify_unique_cover, weak_agreement_value)
-from gapforge import agreement, labelcover, solvers
+from gapforge import agreement, budget, labelcover
 from gapforge.agreement import _non_red_density
 from gapforge.budget import search as budget_search
 from gapforge.setsys import bitmask, masks
@@ -290,7 +290,7 @@ def test_exact_cvp_either_side_of_the_int64_bound(margin):
 
 def test_exact_cvp_tall_matrix_spans_blocks():
     # tall enough that a block holds one trailing coordinate: 9 points, 3 blocks
-    height = solvers._BLOCK_CELLS // 9 + 1
+    height = budget.BLOCK_CELLS // 9 + 1
     rng = random.Random(3)
     lat = LatticeInstance(_tied_columns(rng, height, 2, (-1, 0, 1)),
                           tuple(rng.randint(-1, 1) for _ in range(height)), p=1, k=0)
@@ -299,7 +299,7 @@ def test_exact_cvp_tall_matrix_spans_blocks():
 
 def test_exact_ncp_tall_code_spans_blocks():
     # tall enough that a block holds one trailing coordinate: 8 messages, 4 blocks
-    height = solvers._BLOCK_CELLS // 4 + 1
+    height = budget.BLOCK_CELLS // 4 + 1
     rng = random.Random(3)
     code = CodeInstance(_tied_columns(rng, height, 3, (0, 1)),
                         tuple(rng.randrange(2) for _ in range(height)), k=0)
@@ -554,7 +554,7 @@ def test_builtin_searches_match_the_old_loops(seed):
     _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
     # blocks of a few cells, so each search spans many blocks and ties fall
     # on both sides of a block boundary
-    with mock.patch.object(solvers, "_BLOCK_CELLS", rng.randint(0, 12)):
+    with mock.patch.object(budget, "BLOCK_CELLS", rng.randint(0, 12)):
         _same(_fields(exact_kmedian(metric)), _old_clustering(metric, 1))
         _same(_fields(exact_kmean(metric)), _old_clustering(metric, 2))
         _same(_fields(exact_ncp(code)), _old_ncp(code))
