@@ -5,7 +5,6 @@ decoder turning a good left labeling back into an assignment."""
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import budget as _budget
-from .budget import check, search
+from .budget import block_search, check
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
 from .setsys import SetSystem, bitmask, is_uniform, masks
@@ -228,33 +227,86 @@ class ConsistencyOverlapError(ValueError):
                          f"(consistency {blue_consistency} vs {red_consistency})")
 
 
-@dataclass(frozen=True)
-class RedBlueGraph:
-    num_vertices: int
-    blue: frozenset
-    red: frozenset
-    # always False: every graph is exact; kept so recorded graphs still compare
-    estimated: bool = False
+# the colour of a pair; _BLUE | _RED marks a pair that qualifies as both
+_NEITHER, _BLUE, _RED = 0, 1, 2
 
-    def __post_init__(self):
-        for name, edges in (("blue", self.blue), ("red", self.red)):
+
+def _upper_pairs(cells):
+    """The true cells (u, v) with u < v of a k x k boolean array, in lex order."""
+    u, v = np.divmod(np.flatnonzero(cells), len(cells))
+    keep = u < v
+    return u[keep], v[keep]
+
+
+class RedBlueGraph:
+    """A graph whose every vertex pair is blue, red or neither.
+
+    The one internal form is `adjacency`, a symmetric read-only k x k int8
+    array of those colours with an uncoloured diagonal, so blue and red are
+    disjoint by construction. `blue` and `red` are the edges as frozensets of
+    sorted pairs, derived on demand. The constructor takes the two pair sets
+    and refuses a pair that is not sorted and in range, then overlapping sets."""
+
+    def __init__(self, num_vertices, blue, red, estimated=False):
+        for name, edges in (("blue", blue), ("red", red)):
             for u, v in edges:
-                if not (0 <= u < v < self.num_vertices):
+                if not (0 <= u < v < num_vertices):
                     raise ValueError(f"{name} edge ({u}, {v}) not a sorted in-range pair")
-        if self.blue & self.red:
+        adjacency = np.zeros((num_vertices, num_vertices), np.int8)
+        for colour, edges in ((_BLUE, blue), (_RED, red)):
+            u, v = np.array(list(edges), np.int64).reshape(-1, 2).T
+            adjacency[u, v] |= colour
+            adjacency[v, u] |= colour
+        if (adjacency == _BLUE | _RED).any():
             raise ValueError("blue and red edge sets must be disjoint")
+        self._set(adjacency, estimated)
+
+    @classmethod
+    def _of(cls, adjacency):
+        """The graph of a colour array that is symmetric by construction."""
+        graph = cls.__new__(cls)
+        graph._set(adjacency, False)
+        return graph
+
+    def _set(self, adjacency, estimated):
+        adjacency.flags.writeable = False
+        self.num_vertices = len(adjacency)
+        self.adjacency = adjacency
+        # always False: every graph is exact; kept so recorded graphs still compare
+        self.estimated = estimated
+
+    def _edges(self, colour):
+        u, v = _upper_pairs(self.adjacency == colour)
+        return frozenset(zip(u.tolist(), v.tolist()))
+
+    blue = property(lambda self: self._edges(_BLUE))
+    red = property(lambda self: self._edges(_RED))
+
+    def __eq__(self, other):
+        if not isinstance(other, RedBlueGraph):
+            return NotImplemented
+        return (self.estimated == other.estimated
+                and np.array_equal(self.adjacency, other.adjacency))
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.adjacency.tobytes(), self.estimated))
+
+    def __repr__(self):
+        return (f"RedBlueGraph(num_vertices={self.num_vertices}, blue={self.blue!r}, "
+                f"red={self.red!r}, estimated={self.estimated!r})")
 
 
 def build_two_level_graph(collection, alpha, beta, t, budget=None):
     """Blue edges are (t-2, beta)-consistent pairs; red edges are pairs that
     are not (2t-3, alpha)-consistent. Requires alpha <= beta and k >= 2t-1.
 
-    The pairs come from one disagreement block, and each distinct diff is
-    counted and colored once, in integers. The budget is charged the C(k, 2)
-    pair lookups before any is made, then those lookups plus the counter's
-    cost of each distinct (diff, ell) key. The lex-first pair qualifying as
-    both raises ConsistencyOverlapError (possible only at t=2, where the blue
-    condition is vacuous)."""
+    Each distinct diff is counted and colored once, in integers. The pairs
+    are read in row blocks of the disagreement block, twice: once for their
+    distinct diffs, once to scatter the colours into the adjacency. The
+    budget is charged the C(k, 2) pair lookups before any is made, then
+    those lookups plus the counter's cost of each distinct (diff, ell) key.
+    The lex-first pair qualifying as both raises ConsistencyOverlapError
+    (possible only at t=2, where the blue condition is vacuous)."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not 0 <= alpha <= beta <= 1:
         raise ValueError("need 0 <= alpha <= beta <= 1")
@@ -263,48 +315,66 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
     k = collection.k
     if k < 2 * t - 1:
         raise ValueError("need k >= 2t - 1 so both subcollection sizes exist")
-    check(math.comb(k, 2), budget, what="two-level pair enumeration")
-    # the pairs (rows[p], cols[p]) in lex order; pair p has diff diffs[inverse[p]]
-    rows, cols = np.triu_indices(k, 1)
-    diffs, inverse = np.unique(collection._disagreements()[rows, cols],
-                               return_inverse=True)
+    pairs = math.comb(k, 2)
+    check(pairs, budget, what="two-level pair enumeration")
+    step = max(1, _budget.BLOCK_CELLS // k)
+
+    def blocks():
+        """(first row, the rows' diffs with all k sets, which cells lie right of the diagonal)"""
+        for lo in range(0, k, step):
+            rows = np.arange(lo, min(lo + step, k))
+            yield lo, collection._disagreements(rows), rows[:, None] < np.arange(k)
+
+    diffs = np.unique(np.concatenate([np.unique(block[upper]) for _, block, upper in blocks()]))
     counter = _SubcollectionHits(collection)
     blue_ell, red_ell = t - 2, 2 * t - 3
-    check(len(rows) + counter.cost(diffs, blue_ell) + counter.cost(diffs, red_ell),
+    check(pairs + counter.cost(diffs, blue_ell) + counter.cost(diffs, red_ell),
           budget, what="two-level consistency count")
     blue_total, red_total = math.comb(k - 2, blue_ell), math.comb(k - 2, red_ell)
     blue_hits, red_hits = counter.hits(diffs, blue_ell), counter.hits(diffs, red_ell)
-    blue = np.array([h * beta.denominator >= beta.numerator * blue_total for h in blue_hits])
-    red = np.array([h * alpha.denominator < alpha.numerator * red_total for h in red_hits])
-    if (both := np.flatnonzero((blue & red)[inverse])).size:
-        p, u = both[0], inverse[both[0]]
-        raise ConsistencyOverlapError(int(rows[p]), int(cols[p]),
-                                      Fraction(blue_hits[u], blue_total),
-                                      Fraction(red_hits[u], red_total))
-    return RedBlueGraph(k, *(frozenset(zip(rows[on].tolist(), cols[on].tolist()))
-                             for on in (blue[inverse], red[inverse])))
+    # exact Python-int products, compared once per distinct diff
+    colours = (_BLUE * (np.array(blue_hits, object) * beta.denominator
+                       >= beta.numerator * blue_total)
+               + _RED * (np.array(red_hits, object) * alpha.denominator
+                        < alpha.numerator * red_total)).astype(np.int8)
+    adjacency = np.zeros((k, k), np.int8)
+    for lo, block, upper in blocks():
+        # every cell's diff is in diffs (the diagonal's 0 finds index 0), but
+        # only the cells right of the diagonal are coloured, then mirrored
+        index = np.searchsorted(diffs, block)
+        rows = adjacency[lo:lo + len(block)] = np.where(upper, colours[index], _NEITHER)
+        # row-major order of the cells right of the diagonal is lex order of the pairs
+        if (both := np.argwhere(rows == _BLUE | _RED)).size:
+            a, j = both[0].tolist()
+            u = index[a, j]
+            raise ConsistencyOverlapError(lo + a, j, Fraction(blue_hits[u], blue_total),
+                                          Fraction(red_hits[u], red_total))
+    adjacency |= adjacency.T
+    return RedBlueGraph._of(adjacency)
 
 
 def check_rb_transitive(graph, h):
     """True iff every red edge's endpoints share fewer than h common blue
-    neighbors; otherwise (False, (u, v, common_count)) for the first violation."""
-    adj = {x: set() for edge in graph.red for x in edge}  # red endpoints only
-    for u, v in graph.blue if adj else ():
-        if u in adj:
-            adj[u].add(v)
-        if v in adj:
-            adj[v].add(u)
-    for u, v in sorted(graph.red):
-        common = len(adj[u] & adj[v])
-        if common >= h:
-            return False, (u, v, common)
+    neighbors; otherwise (False, (u, v, common_count)) for the first violation
+    in sorted red order. Each red edge's count is a row-wise AND of the two
+    endpoints' packed blue rows, in blocks of about BLOCK_CELLS bytes."""
+    adjacency = graph.adjacency
+    us, vs = _upper_pairs(adjacency == _RED)
+    blue = np.packbits(adjacency == _BLUE, axis=1)
+    step = max(1, _budget.BLOCK_CELLS // max(1, blue.shape[1]))
+    for lo in range(0, len(us), step):
+        u, v = us[lo:lo + step], vs[lo:lo + step]
+        common = np.bitwise_count(blue[u] & blue[v]).sum(axis=1, dtype=np.int64)
+        if (over := np.flatnonzero(common >= h)).size:
+            i = over[0]
+            return False, (int(u[i]), int(v[i]), int(common[i]))
     return True, None
 
 
 def _red_pairs(graph, vertices):
     """The number of red edges with both ends in `vertices`."""
-    vs = set(vertices)
-    return sum(u in vs and v in vs for u, v in graph.red)
+    vs = list(vertices)
+    return int(np.count_nonzero(graph.adjacency[np.ix_(vs, vs)] == _RED)) // 2
 
 
 def _non_red_density(graph, vertices):
@@ -316,36 +386,44 @@ def _non_red_density(graph, vertices):
 def find_non_red_subgraph(graph, d, budget=None):
     """The d-vertex subset of highest non-red ordered-pair density over all
     C(k, d) of them (min-lex ties), and that density; refused with
-    BudgetError when C(k, d) exceeds the budget."""
+    BudgetError when C(k, d) exceeds the budget. Lex-ordered chunks of
+    d-subsets are scored as numpy red counts, in blocks of about BLOCK_CELLS
+    cells."""
     k = graph.num_vertices
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= num_vertices")
+    red = graph.adjacency == _RED
+
+    def blocks():
+        combos = itertools.combinations(range(k), d)
+        while chunk := list(itertools.islice(combos, max(1, _budget.BLOCK_CELLS // (d * d)))):
+            subsets = np.array(chunk, np.int64)
+            # each red edge inside a subset is counted twice, once per order
+            yield subsets, -np.count_nonzero(red[subsets[:, :, None], subsets[:, None, :]],
+                                             axis=(1, 2))
+
     # at fixed d the density falls as the red count rises
-    best, _ = search(max, lambda: itertools.combinations(range(k), d), math.comb(k, d),
-                     lambda combo: -_red_pairs(graph, combo), budget, "d-subset enumeration")
+    subsets, i, _ = block_search(max, blocks, math.comb(k, d), budget, "d-subset enumeration")
+    best = tuple(subsets[i].tolist())
     return best, _non_red_density(graph, best)
 
 
 def _peel_red_vertices(graph, d):
     """Delete the vertex with the most red edges inside what remains (the
-    larger index on ties) until d remain; (subset, non-red density)."""
-    k = graph.num_vertices
-    red = [set() for _ in range(k)]
-    for u, v in graph.red:
-        red[u].add(v)
-        red[v].add(u)
-    # a max-heap on (red degree, v); an entry goes stale when the degree falls
-    heap = [(-len(red[v]), -v, v) for v in range(k)]
-    heapq.heapify(heap)
-    removed = set()
-    while k - len(removed) > d:
-        minus_deg, _, v = heapq.heappop(heap)
-        if v not in removed and -minus_deg == len(red[v]):
-            removed.add(v)
-            for w in red[v]:
-                red[w].discard(v)
-                heapq.heappush(heap, (-len(red[w]), -w, w))
-    chosen = tuple(v for v in range(k) if v not in removed)
+    larger index on ties) until d remain; (subset, non-red density). Once no
+    remaining vertex has a red edge, the rest of the deletions would take the
+    largest indices, so the d smallest remaining vertices are kept at once."""
+    red = graph.adjacency == _RED
+    degree = red.sum(axis=1)  # a deleted vertex's degree is negative
+    alive = np.ones(graph.num_vertices, bool)
+    for _ in range(graph.num_vertices - d):
+        if degree.max() == 0:
+            break
+        v = len(degree) - 1 - int(np.argmax(degree[::-1]))
+        alive[v] = False
+        degree -= red[v]
+        degree[v] = -1
+    chosen = tuple(np.flatnonzero(alive)[:d].tolist())
     return chosen, _non_red_density(graph, chosen)
 
 
@@ -457,7 +535,8 @@ def _agreement_decode(collection, t, params, budget=None):
         raise ValueError(f"alpha {alpha} exceeds beta {beta}")
     graph = build_two_level_graph(collection, alpha, beta, t, budget=budget)
     blue_threshold = beta * k * k
-    blue_ok = Fraction(len(graph.blue)) >= blue_threshold
+    blue_count = int(np.count_nonzero(graph.adjacency == _BLUE)) // 2
+    blue_ok = Fraction(blue_count) >= blue_threshold
     h = math.ceil(2 * alpha / (beta * beta) * k)
     rb_ok, rb_witness = check_rb_transitive(graph, h)
     d = math.ceil(delta * k / (8 * t * t))
@@ -472,7 +551,7 @@ def _agreement_decode(collection, t, params, budget=None):
     return subset, g, AgreementDecodeReport(
         t=t, k=k, n=n, delta=delta, wagr=wagr,
         alpha=alpha, beta=beta, rho=params.rho, eta=params.eta, h=h, d=d,
-        blue_count=len(graph.blue), blue_threshold=blue_threshold, blue_ok=blue_ok,
+        blue_count=blue_count, blue_threshold=blue_threshold, blue_ok=blue_ok,
         rb_transitive=rb_ok, rb_witness=rb_witness, subset=subset, non_red_density=density,
         density_threshold=density_threshold, density_ok=density_ok, stats=stats,
         final_bound_squared=final_bound_squared,

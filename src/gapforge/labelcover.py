@@ -13,8 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import budget as _budget
 from .budget import BudgetError, check
-from .formula import satisfied_counts, vars_of
+from .formula import vars_of
 from .setsys import bitmask
 
 RESTRICTION = "restriction"
@@ -288,7 +289,14 @@ def left_vertices(formula, system, var_budget=24, budget=None):
     masks, bit j holding the value of domain[j]. An unsatisfiable subset gets
     an empty alphabet; a subset over more than var_budget variables is
     refused, and all sum_T 2^|var(T)| assignments are charged to `budget`
-    before any is enumerated."""
+    before any is enumerated.
+
+    A clause of T is read as two masks over var(T): `care`, its variables,
+    and `falsify`, the one assignment to them that falsifies every literal;
+    an assignment satisfies the clause iff it differs from `falsify` on
+    `care`. The subsets of one domain width and clause count are scored
+    together, in one array of subsets x clauses x assignments cut to about
+    BLOCK_CELLS cells along the subsets and the assignments."""
     if system.universe_size != formula.num_clauses:
         raise ValueError("system universe must be the clause set")
     domains = tuple(tuple(sorted(vars_of(formula, subset))) for subset in system.sets)
@@ -298,11 +306,39 @@ def left_vertices(formula, system, var_budget=24, budget=None):
             raise BudgetError(1 << len(dom), 1 << var_budget,
                               f"alphabet enumeration for subset {i}")
     check(sum(1 << len(dom) for dom in domains), budget, what="left alphabet enumeration")
-    alphabets = []
-    for subset, dom in zip(system.sets, domains):
-        # reversed, so bit j of the enumeration index is dom[j]
-        counts = satisfied_counts(formula, dom[::-1], subset)
-        alphabets.append(tuple(np.flatnonzero(counts == len(subset)).tolist()))
+    # every clause of every subset in order, padded to 3 literals by
+    # repeating its first; a variable's bit is the number of smaller
+    # variables in its subset's domain, which is padded past num_vars
+    counts = [len(subset) for subset in system.sets]
+    lits = np.array([(formula.clauses[c] * 3)[:3] for subset in system.sets for c in subset],
+                    np.int64).reshape(-1, 3)
+    widest = max(map(len, domains), default=0)
+    padded = np.array([dom + (formula.num_vars + 1,) * (widest - len(dom)) for dom in domains],
+                      np.int64).reshape(len(domains), widest)
+    owner = np.repeat(np.arange(len(domains)), counts)
+    bits = 1 << (padded[owner, None, :] < abs(lits)[..., None]).sum(axis=2)
+    care = np.bitwise_or.reduce(bits, axis=1)
+    falsify = np.bitwise_or.reduce(bits * (lits < 0), axis=1)
+    first = np.cumsum([0] + counts)[:-1]
+    groups = {}
+    for i, (count, dom) in enumerate(zip(counts, domains)):
+        groups.setdefault((len(dom), count), []).append(i)
+    alphabets = [None] * len(domains)
+    for (width, count), members in groups.items():
+        rows = first[members][:, None] + np.arange(count)
+        group_care, group_falsify = care[rows][..., None], falsify[rows][..., None]
+        span = min(1 << width, max(1, _budget.BLOCK_CELLS // (count or 1)))
+        step = max(1, _budget.BLOCK_CELLS // (count * span or 1))
+        found = {i: [] for i in members}
+        for lo in range(0, 1 << width, span):
+            masks = np.arange(lo, min(lo + span, 1 << width))
+            for start in range(0, len(members), step):
+                part = slice(start, start + step)
+                sat = np.logical_and.reduce((masks & group_care[part]) != group_falsify[part], axis=1)
+                for i, row in zip(members[part], sat):
+                    found[i] += masks[row].tolist()
+        for i, labels in found.items():
+            alphabets[i] = tuple(labels)
     return domains, tuple(alphabets)
 
 

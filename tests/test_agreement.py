@@ -1,7 +1,6 @@
 """Agreement testing: disagr, consistency graphs, majority decoding, the
 assignment decoder."""
 
-import collections
 import itertools
 import math
 import random
@@ -22,6 +21,7 @@ from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
                       sample_random_subsets, soundness_params, t_wagr,
                       vars_of)
 import gapforge.agreement
+import reference
 from gapforge.agreement import (MajorityStats, _SubcollectionHits, _agreement_decode,
                                 _peel_red_vertices)
 from gapforge.labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
@@ -526,32 +526,6 @@ def test_find_non_red_subgraph():
         find_non_red_subgraph(red_free, 6)
 
 
-def _old_peel(graph, d):
-    """_peel_red_vertices as a red-degree recount on every step."""
-    remaining = set(range(graph.num_vertices))
-    while len(remaining) > d:
-        deg = collections.Counter(x for u, v in graph.red
-                                  if u in remaining and v in remaining for x in (u, v))
-        remaining.remove(max(remaining, key=lambda v: (deg[v], v)))
-    chosen = tuple(sorted(remaining))
-    return chosen, Fraction(len(chosen) ** 2 - 2 * sum(u in remaining and v in remaining
-                                                       for u, v in graph.red),
-                            len(chosen) ** 2)
-
-
-def _old_rb_check(graph, h):
-    """check_rb_transitive with blue neighbour sets for every vertex."""
-    adj = [set() for _ in range(graph.num_vertices)]
-    for u, v in graph.blue:
-        adj[u].add(v)
-        adj[v].add(u)
-    for u, v in sorted(graph.red):
-        common = len(adj[u] & adj[v])
-        if common >= h:
-            return False, (u, v, common)
-    return True, None
-
-
 def test_peel_and_rb_check_match_the_old_loops():
     rng = random.Random(7)
     for _ in range(40):
@@ -563,9 +537,73 @@ def test_peel_and_rb_check_match_the_old_loops():
         blue = frozenset(pair for pair, c in zip(pairs, colors) if c >= 1 - blue_share) - red
         graph = RedBlueGraph(k, blue, red)
         for d in range(1, k + 1):
-            assert _peel_red_vertices(graph, d) == _old_peel(graph, d)
+            assert _peel_red_vertices(graph, d) == reference.peel_red_vertices(graph, d)
         for h in range(0, k + 1, 3):
-            assert check_rb_transitive(graph, h) == _old_rb_check(graph, h)
+            assert check_rb_transitive(graph, h) == reference.rb_check(graph, h)
+
+
+def _check_graph_against_the_reference(fc, alpha, beta, t):
+    """The graph, or its overlap error, equals the pair-set reference's, and so
+    do the verdicts read off it. Returns the graph's red edge count, or None
+    on an overlap."""
+    try:
+        expected = reference.two_level_graph(fc, alpha, beta, t)
+    except ConsistencyOverlapError as exc:
+        with pytest.raises(ConsistencyOverlapError) as got:
+            build_two_level_graph(fc, alpha, beta, t)
+        assert (got.value.pair, got.value.blue_consistency, got.value.red_consistency) \
+            == (exc.pair, exc.blue_consistency, exc.red_consistency)
+        return None
+    graph = build_two_level_graph(fc, alpha, beta, t)
+    assert graph == expected
+    assert (graph.blue, graph.red) == (expected.blue, expected.red)
+    k = graph.num_vertices
+    for h in range(0, k + 1, 2):
+        assert check_rb_transitive(graph, h) == reference.rb_check(graph, h)
+    for d in range(1, k + 1):
+        assert _peel_red_vertices(graph, d) == reference.peel_red_vertices(graph, d)
+    for d in range(1, min(k, 4) + 1):
+        assert find_non_red_subgraph(graph, d) == reference.non_red_subgraph(graph, d)
+    return len(graph.red)
+
+
+def test_graphs_match_the_pair_set_reference(monkeypatch):
+    """Seeded collections at t = 2 (where any red pair is also blue, so an
+    overlap) and t = 3 (graphs with red edges), whole and with blocks of a
+    few cells, so the row blocks and the d-subset chunks split."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(12):
+        n, k = rng.randint(6, 24), rng.randint(5, 14)
+        fc = collection_from_seed(rng.randrange(2**32), n, k, noise=rng.choice((0.05, 0.2, 0.4)))
+        alpha = rng.choice((Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)))
+        cases.append((fc, alpha, rng.choice((alpha, Fraction(1, 2) + alpha / 2, Fraction(1)))))
+    outcomes = {2: set(), 3: set()}
+    for cells in (None, 1, 7, 97):
+        if cells is not None:
+            monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
+        for fc, alpha, beta in cases:
+            for t in (2, 3):
+                red = _check_graph_against_the_reference(fc, alpha, beta, t)
+                outcomes[t].add("overlap" if red is None else "red" if red else "no red")
+    assert outcomes == {2: {"overlap", "no red"}, 3: {"red", "no red"}}
+
+
+def test_two_level_graph_rows_are_blocked():
+    """2,000 sets over 8 points at t = 2: no k x k block, pair index or pair
+    set is built, only the int8 adjacency."""
+    fc = collection_from_seed(4, n=8, k=2000, noise=0.05)
+    fc._mask_arrays  # the k masks themselves are the collection's, not the graph's
+    tracemalloc.start()
+    try:
+        graph = build_two_level_graph(fc, Fraction(0), Fraction(1, 2), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
+    # at t = 2 every pair is blue, and alpha = 0 keeps every pair off red
+    assert (graph.adjacency == gapforge.agreement._BLUE).sum() == 2000 * 1999
+    assert check_rb_transitive(graph, 0) == (True, None)
 
 
 def test_find_non_red_subgraph_ignores_the_budget_variable(monkeypatch):

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +23,13 @@ from gapforge import (BudgetError, LabelCoverInstance, SetSystem,
                       restriction_labeling, sample_random_subsets,
                       soundness_params, to_json, weak_agreement_value,
                       wval_to_val_bound)
+import gapforge.budget
 from gapforge.budget import check
 from gapforge.cli import main
 from gapforge.formula import CnfFormula, satisfied_counts, vars_of
 from gapforge.labelcover import (RESTRICTION, _hadamard_codeword,
                                  _labeling_value, left_vertices)
+import reference
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
 
@@ -334,6 +337,74 @@ def test_left_vertices_edge_cases():
         left_vertices(formula, SetSystem(3, ((0,), (1,), (2,))), var_budget=1)
     with pytest.raises(ValueError, match="clause set"):
         left_vertices(formula, SetSystem(2, ((0,),)))
+
+
+def _seeded_clause_system(rng):
+    """A formula over 1 to 14 variables with clauses of width 1 to 3, some of
+    them opposite unit clauses, and up to 8 subsets of up to 8 clauses, the
+    first one empty."""
+    n = rng.randint(1, 14)
+    unused = rng.sample(range(1, n + 1), n)
+    clauses = []
+    while unused or len(clauses) < 4:
+        width = rng.randint(1, min(3, n))
+        chosen = unused[:width] if unused else rng.sample(range(1, n + 1), width)
+        del unused[:width]
+        chosen += rng.sample([v for v in range(1, n + 1) if v not in chosen],
+                             width - len(chosen))
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+        if rng.random() < 0.15:
+            clauses += [(chosen[0],), (-chosen[0],)]
+    m = len(clauses)
+    sets = [()] + [tuple(sorted(rng.sample(range(m), rng.randint(1, min(m, 8)))))
+                   for _ in range(rng.randint(1, 7))]
+    return CnfFormula(n, tuple(clauses)), SetSystem(m, tuple(sets))
+
+
+def test_left_vertices_match_the_reference(monkeypatch):
+    """Domain widths 0 to 12, empty and unsatisfiable subsets and clauses of
+    width 1 to 3 give the alphabets of one `satisfied_counts` call per
+    subset, and the same refusals, whole and in blocks of a few cells."""
+    rng = random.Random(17)
+    cases = [(*_seeded_clause_system(rng), rng.choice((4, 12, 24, 24)), rng.choice((None, 300)))
+             for _ in range(60)]
+    seen = {"widths": set(), "clause widths": set(), "empty": 0, "unsatisfiable": 0}
+    for cells in (None, 5, 300):
+        if cells is not None:
+            monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
+        for formula, system, var_budget, budget in cases:
+            try:
+                expected = reference.left_vertices(formula, system, var_budget, budget)
+            except BudgetError as exc:
+                with pytest.raises(BudgetError, match=re.escape(str(exc))):
+                    left_vertices(formula, system, var_budget, budget)
+                continue
+            assert left_vertices(formula, system, var_budget, budget) == expected
+            domains, alphabets = expected
+            seen["widths"].update(map(len, domains))
+            seen["clause widths"].update(map(len, formula.clauses))
+            seen["empty"] += alphabets[0] == (0,)
+            seen["unsatisfiable"] += () in alphabets
+    assert seen["widths"] >= set(range(13)) and seen["clause widths"] == {1, 2, 3}
+    assert seen["empty"] and seen["unsatisfiable"]
+
+
+def test_left_vertices_enumerate_in_bounded_blocks():
+    """One subset of 7 clauses over 20 variables, six disjoint 3-clauses and
+    a 2-clause: 7^6 * 3 satisfying masks, built without any array over all
+    2^20 assignments at once."""
+    clauses = tuple(tuple(v if (v * 5) % 3 else -v for v in range(3 * c + 1, 3 * c + 4))
+                    for c in range(6)) + ((19, -20),)
+    formula = CnfFormula(20, clauses)
+    tracemalloc.start()
+    try:
+        _, (alphabet,) = left_vertices(formula, SetSystem(7, (tuple(range(7)),)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(alphabet) == 352_947 == 7**6 * 3
+    assert peak <= 29 << 20
+    assert alphabet == reference.left_vertices(formula, SetSystem(7, (tuple(range(7)),)))[1][0]
 
 
 def test_restriction_labeling_rejects_violations():

@@ -21,9 +21,9 @@ from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
                       guha_khuller_reduction, optimal_extension,
                       verify_unique_cover, weak_agreement_value)
 from gapforge import agreement, budget, labelcover
-from gapforge.agreement import _non_red_density
-from gapforge.budget import search as budget_search
+from gapforge.budget import block_search as budget_block_search
 from gapforge.setsys import bitmask, masks
+import reference
 
 
 def random_coverage(rng, universe=10, nsets=8, k=3):
@@ -462,15 +462,6 @@ def _old_wval(instance):
     return _old_best_left(instance, lambda left: weak_agreement_value(instance, left))
 
 
-def _old_non_red_subgraph(graph, d):
-    best, best_density = None, Fraction(-1)
-    for combo in itertools.combinations(range(graph.num_vertices), d):
-        dens = _non_red_density(graph, combo)
-        if dens > best_density:
-            best, best_density = combo, dens
-    return tuple(best), best_density
-
-
 def _fields(result):
     return result.value, result.witness, result.enumerated, result.note
 
@@ -570,7 +561,7 @@ def test_builtin_searches_match_the_old_loops(seed):
     red = frozenset(e for e in itertools.combinations(range(k), 2) if rng.random() < 0.4)
     graph = RedBlueGraph(k, frozenset(), red)
     d = rng.randint(1, k)
-    _same(find_non_red_subgraph(graph, d), _old_non_red_subgraph(graph, d))
+    _same(find_non_red_subgraph(graph, d), reference.non_red_subgraph(graph, d))
 
 
 def test_label_cover_and_subgraph_searches_score_by_int():
@@ -578,10 +569,10 @@ def test_label_cover_and_subgraph_searches_score_by_int():
     # integers and only the returned value is a Fraction
     scores = []
 
-    def spy(pick, candidates, count, cost, budget, what):
-        best, score = budget_search(pick, candidates, count, cost, budget, what)
+    def spy(pick, blocks, count, budget, what):
+        label, i, score = budget_block_search(pick, blocks, count, budget, what)
         scores.append(score)
-        return best, score
+        return label, i, score
 
     extension = labelcover._extension
 
@@ -593,7 +584,7 @@ def test_label_cover_and_subgraph_searches_score_by_int():
     game = _tied_game(random.Random(3))
     graph = RedBlueGraph(4, frozenset(), frozenset({(0, 1), (2, 3)}))
     with mock.patch.object(labelcover, "_extension", scorer), \
-            mock.patch.object(agreement, "search", spy):
+            mock.patch.object(agreement, "block_search", spy):
         results = [brute_force_val(game)[1], brute_force_wval(game)[1],
                    find_non_red_subgraph(graph, 3)[1]]
     # the joint label-cover search keeps both maxima as counts
