@@ -5,24 +5,25 @@ DEFAULT_BUDGET; only the command line reads GAPFORGE_BUDGET.
 Every exhaustive optimum search is `search` over candidates in lex order, or
 `block_search` over lex-ordered numpy blocks of them: each charges its count
 before it builds anything and returns the min-lex optimum. `search` serves
-the disperser check and max coverage; `block_search` serves clustering, the
-NCP and CVP boxes, `formula.brute_force_max_val` and the non-red subgraph
+the disperser check; `block_search` serves max coverage, clustering, the NCP
+and CVP boxes, `formula.brute_force_max_val` and the non-red subgraph
 (`agreement.find_non_red_subgraph`). Two exhaustive loops keep their own
 `check`: the label-cover joint optima, which read both lex-first maxima off
 one enumeration (`labelcover._left_optima`), and
-`solvers.exact_min_set_cover`, which returns the first cover at each size
-level it charges."""
+`solvers.exact_min_set_cover`, which charges each size level and returns the
+first cover in it, reading the blocks of the max-coverage kernel."""
 
 from __future__ import annotations
 
 DEFAULT_BUDGET = 10_000_000
 
 # Cap on the cells of one numpy block: box points x rows for CVP and NCP,
-# facility subsets x clients x k for clustering, diffs x sets, x
-# subcollections or x submasks x sets in the agreement counts, rows x sets
-# of pair disagreements, d-subsets x d x d and red edges x packed rows in
-# the red-blue graph, and subsets x clauses x 3 x assignments for the left
-# alphabets. A larger instance makes blocks shorter instead of larger.
+# r-subsets x words for coverage, facility subsets x clients x k for
+# clustering, diffs x sets, x subcollections or x submasks x sets in the
+# agreement counts, rows x sets of pair disagreements, d-subsets x d x d and
+# red edges x packed rows in the red-blue graph, and subsets x clauses x 3 x
+# assignments for the left alphabets. A larger instance makes blocks shorter
+# instead of larger.
 # Callers read it when they run, so patching this one name resizes every
 # block.
 BLOCK_CELLS = 1 << 16

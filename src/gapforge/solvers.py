@@ -1,9 +1,12 @@
 """Exact enumeration solvers and the greedy coverage baseline; every result
 carries its witness and enumeration count so reports are checkable.
 
-Each exhaustive optimum search is one budget.search over its candidates in
-lex order, or one budget.block_search over lex-ordered numpy blocks of them
-(clustering, NCP and CVP); either returns the min-lex witness. Min set cover
+Each exhaustive optimum search is one budget.block_search over lex-ordered
+numpy blocks of its candidates (max coverage, clustering, NCP and CVP), which
+returns the min-lex witness. Max coverage and min set cover share one kernel,
+`_union_blocks`: the sets packed into uint64 words, a grid of the unions of
+all r-subsets in lex order, and each lex-ordered prefix of the leading sets
+meeting the grid's rows above it in one block of popcounts. Min set cover
 charges and searches one size level at a time. NCP and CVP are one box search:
 the min-lex x in a box of coordinates minimizing a row-wise cost of Ax - y,
 parity over {0, 1} for NCP and |r|^p over [-box, box] for CVP."""
@@ -14,12 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from . import budget as _budget
-from .budget import block_search, check, search
+from .budget import block_search, check
 from .setsys import masks
 
 
@@ -29,15 +31,6 @@ class SolverResult:
     witness: tuple
     enumerated: int
     note: str = ""
-
-
-def _covered(ms, combo):
-    """How many elements the sets `combo` cover together, ms being the
-    instance's set masks."""
-    m = 0
-    for j in combo:
-        m |= ms[j]
-    return m.bit_count()
 
 
 def greedy_max_coverage(instance):
@@ -61,15 +54,79 @@ def greedy_max_coverage(instance):
     )
 
 
+def _unrank(n, label, rank):
+    """The subset at position `rank` of the block labelled (prefix, lo, r):
+    the prefix, then the r-subset of [lo, n) at that position in lex order."""
+    prefix, lo, r = label
+    tail = []
+    for left in range(r, 0, -1):
+        while rank >= (run := math.comb(n - 1 - lo, left - 1)):
+            rank -= run
+            lo += 1
+        tail.append(lo)
+        lo += 1
+    return prefix + tuple(tail)
+
+
+def _pack(instance):
+    """The instance's sets as rows of little-endian uint64 words, element e
+    at bit e % 64 of word e // 64."""
+    sets, n = instance.sets, len(instance.sets)
+    lengths = [len(s) for s in sets]
+    bits = np.zeros((n, 64 * max(1, -(-instance.universe_size // 64))), bool)
+    bits[np.arange(n).repeat(lengths),
+         np.fromiter(itertools.chain.from_iterable(sets), np.intp, sum(lengths))] = True
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _union_blocks(rows):
+    """A function blocks(size) that yields the covered counts of the
+    size-subsets of the packed sets `rows` in lex-ordered numpy blocks, as
+    (label, counts) pairs; `_unrank(n, label, i)` is the subset counted at
+    position i. Successive calls must ask for sizes in ascending order.
+
+    The grid holds the unions of all r-subsets in lex order, built level by
+    level while C(n, r) x words fits in one block, so the r-subsets whose
+    least element is at least lo are its last C(n - lo, r) rows. Each
+    lex-ordered (size - r)-prefix meets that suffix, lo just above the
+    prefix, in one block."""
+    n, words = rows.shape
+    # the grid starts at the empty subset; from level 1 on, least[j] is the
+    # least element of its j-th subset
+    heads = least = np.arange(n)
+    grid = np.zeros((1, words), rows.dtype)
+    r = 0
+
+    def blocks(size):
+        nonlocal grid, least, r
+        while r < size and math.comb(n, r + 1) * words <= _budget.BLOCK_CELLS:
+            if r:
+                # the (r + 1)-subsets in lex order: each row a joined to
+                # each r-subset whose least element is above a
+                least, tails = (least > heads[:, None]).nonzero()
+                grid = rows.take(least, axis=0) | grid.take(tails, axis=0)
+            else:
+                grid = rows
+            r += 1
+        for prefix in itertools.combinations(range(n - r), size - r):
+            lo = prefix[-1] + 1 if prefix else 0
+            block = grid[len(grid) - math.comb(n - lo, r):]
+            if prefix:
+                block = np.bitwise_or.reduce(rows.take(prefix, axis=0)) | block
+            yield (prefix, lo, r), np.bitwise_count(block).sum(axis=1)
+
+    return blocks
+
+
 def exact_max_coverage(instance, budget=None):
     """Best k-subset of sets by exhaustive enumeration; min-lex witness."""
-    n = len(instance.sets)
-    if instance.k > n:
+    n, k = len(instance.sets), instance.k
+    if k > n:
         raise ValueError("k exceeds the number of sets")
-    total = math.comb(n, instance.k)
-    best, value = search(max, lambda: itertools.combinations(range(n), instance.k), total,
-                         partial(_covered, masks(instance)), budget, "k-subset enumeration")
-    return SolverResult(value=value, witness=best, enumerated=total)
+    total = math.comb(n, k)
+    label, i, value = block_search(max, lambda: _union_blocks(_pack(instance))(k), total,
+                                   budget, "k-subset enumeration")
+    return SolverResult(value=value, witness=_unrank(n, label, i), enumerated=total)
 
 
 def exact_min_set_cover(instance, budget=None):
@@ -77,16 +134,20 @@ def exact_min_set_cover(instance, budget=None):
     enumeration; min-lex witness. Raises if no cover exists. Each size level
     is charged before it is searched, so `enumerated` counts every subset up
     to the cover's size: the least budget that admits a rerun."""
-    n = len(instance.sets)
-    covered = partial(_covered, masks(instance))
-    if covered(range(n)) < instance.universe_size:
+    n, universe = len(instance.sets), instance.universe_size
+    rows = _pack(instance)
+    if np.bitwise_count(np.bitwise_or.reduce(rows)).sum() < universe:
         raise ValueError("no cover exists: some element is in no set")
+    blocks = _union_blocks(rows)
     for size in range(n + 1):
         charged = sum(math.comb(n, j) for j in range(size + 1))
         check(charged, budget, f"subset enumeration through size {size}")
-        for combo in itertools.combinations(range(n), size):
-            if covered(combo) == instance.universe_size:
-                return SolverResult(value=size, witness=combo, enumerated=charged)
+        # no subset covers more than the universe, so the first maximum of a
+        # block is its first cover if it has one
+        for label, counts in blocks(size):
+            i = int(counts.argmax())
+            if counts[i] == universe:
+                return SolverResult(value=size, witness=_unrank(n, label, i), enumerated=charged)
     raise AssertionError("unreachable: full union covers the universe")
 
 
@@ -166,8 +227,10 @@ def _box_search(instance, values, dtype, cost, budget, what):
 def exact_ncp(instance, budget=None):
     """Exact nearest-codeword distance over all binary messages: the box
     search over {0, 1}, since the parity of the integer residual is the F_2
-    residual."""
-    witness, value = _box_search(instance, (0, 1), np.int64, lambda r: r & 1, budget,
+    residual. The residuals are uint8: every entry is 0 or 1, and arithmetic
+    that wraps mod 256 keeps the parity, so each block holds the same cells
+    in an eighth of the bytes; the row sums are taken in uint64."""
+    witness, value = _box_search(instance, (0, 1), np.uint8, lambda r: r & 1, budget,
                                  "message enumeration")
     return SolverResult(value=value, witness=witness, enumerated=1 << instance.num_cols)
 
@@ -177,8 +240,10 @@ def exact_cvp(instance, box=None, budget=None):
     [-box, box]. The default box k+1 is safe for the unique-cover encoding:
     a coordinate beyond it already pays more than k on its identity row.
 
-    The arithmetic is int64 when no partial sum can reach 2^63, and exact
-    Python ints otherwise."""
+    The arithmetic is in the narrowest of int16, int32 and int64 that holds
+    every entry, coordinate, residual and |residual|^p, with row sums in
+    int64, when no sum of costs can reach 2^63; it is in exact Python ints
+    otherwise."""
     cols = instance.num_cols
     if box is None:
         box = instance.k + 1
@@ -187,9 +252,13 @@ def exact_cvp(instance, box=None, budget=None):
     rows, target, p = instance.rows, instance.target, instance.p
     # every |Ax - y| is at most `reach`; p is capped at 64 because
     # reach >= 2 fails the bound there anyway
-    reach = (max((abs(a) for row in rows for a in row), default=0) * box * cols
-             + max(map(abs, target), default=0))
-    dtype = np.int64 if len(rows) * reach ** min(p, 64) < 2 ** 63 else object
+    entries = max((abs(a) for row in rows for a in row), default=0)
+    reach = entries * box * cols + max(map(abs, target), default=0)
+    # the word holds every entry and coordinate too, which `reach` does not
+    # bound when box, cols or every entry is 0
+    top = max(reach ** min(p, 64), entries, box)
+    dtype = next((t for t in (np.int16, np.int32, np.int64)
+                  if top <= np.iinfo(t).max and len(rows) * top < 2 ** 63), object)
     witness, value = _box_search(instance, range(-box, box + 1), dtype, lambda r: abs(r) ** p,
                                  budget, "coordinate box enumeration")
     return SolverResult(value=value, witness=witness, enumerated=(2 * box + 1) ** cols,

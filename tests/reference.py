@@ -3,19 +3,23 @@ rewrite replaced, kept as they were so the rewrite can be compared with them
 on seeded corpora. The graph references read a graph only through its
 `blue` and `red` pair sets; the two-level colouring shares the subcollection
 counter with the code it checks, which the tests compare with enumeration
-on their own."""
+on their own. The NCP and CVP references share the box search with the
+code they check and differ from it only in the word they compute in."""
 
 import collections
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from gapforge import ConsistencyOverlapError, RedBlueGraph
+from gapforge import ConsistencyOverlapError, RedBlueGraph, SolverResult
 from gapforge.agreement import _SubcollectionHits
-from gapforge.budget import BudgetError, check
+from gapforge.budget import BudgetError, check, search
 from gapforge.formula import satisfied_counts, vars_of
+from gapforge.setsys import masks
+from gapforge.solvers import _box_search
 
 
 def two_level_graph(collection, alpha, beta, t):
@@ -102,3 +106,65 @@ def left_vertices(formula, system, var_budget=24, budget=None):
         counts = satisfied_counts(formula, dom[::-1], subset)
         alphabets.append(tuple(np.flatnonzero(counts == len(subset)).tolist()))
     return domains, tuple(alphabets)
+
+
+def _covered(ms, combo):
+    """How many elements the sets `combo` cover together, ms being the
+    instance's set masks."""
+    m = 0
+    for j in combo:
+        m |= ms[j]
+    return m.bit_count()
+
+
+def max_coverage(instance, budget=None):
+    """`exact_max_coverage` as one `search` over the k-subsets in lex order,
+    each scored by OR-ing the Python int masks of its sets."""
+    n = len(instance.sets)
+    if instance.k > n:
+        raise ValueError("k exceeds the number of sets")
+    total = math.comb(n, instance.k)
+    best, value = search(max, lambda: itertools.combinations(range(n), instance.k), total,
+                         partial(_covered, masks(instance)), budget, "k-subset enumeration")
+    return SolverResult(value=value, witness=best, enumerated=total)
+
+
+def min_set_cover(instance, budget=None):
+    """`exact_min_set_cover` as the same per-level charge in front of an
+    itertools.combinations loop over Python int masks."""
+    n = len(instance.sets)
+    covered = partial(_covered, masks(instance))
+    if covered(range(n)) < instance.universe_size:
+        raise ValueError("no cover exists: some element is in no set")
+    for size in range(n + 1):
+        charged = sum(math.comb(n, j) for j in range(size + 1))
+        check(charged, budget, f"subset enumeration through size {size}")
+        for combo in itertools.combinations(range(n), size):
+            if covered(combo) == instance.universe_size:
+                return SolverResult(value=size, witness=combo, enumerated=charged)
+    raise AssertionError("unreachable: full union covers the universe")
+
+
+def ncp(instance, budget=None):
+    """`exact_ncp` with int64 residuals."""
+    witness, value = _box_search(instance, (0, 1), np.int64, lambda r: r & 1, budget,
+                                 "message enumeration")
+    return SolverResult(value=value, witness=witness, enumerated=1 << instance.num_cols)
+
+
+def cvp(instance, box=None, budget=None):
+    """`exact_cvp` in int64 when no partial sum can reach 2^63, in Python
+    ints otherwise."""
+    cols = instance.num_cols
+    if box is None:
+        box = instance.k + 1
+    if box < 0:
+        raise ValueError("box must be nonnegative")
+    rows, target, p = instance.rows, instance.target, instance.p
+    reach = (max((abs(a) for row in rows for a in row), default=0) * box * cols
+             + max(map(abs, target), default=0))
+    dtype = np.int64 if len(rows) * reach ** min(p, 64) < 2 ** 63 else object
+    witness, value = _box_search(instance, range(-box, box + 1), dtype, lambda r: abs(r) ** p,
+                                 budget, "coordinate box enumeration")
+    return SolverResult(value=value, witness=witness, enumerated=(2 * box + 1) ** cols,
+                        note=f"coordinates enumerated in [-{box}, {box}]")

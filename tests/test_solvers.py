@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
                       exact_ncp, find_non_red_subgraph, greedy_max_coverage,
                       guha_khuller_reduction, optimal_extension,
                       verify_unique_cover, weak_agreement_value)
-from gapforge import agreement, budget, labelcover
+from gapforge import agreement, budget, labelcover, solvers
 from gapforge.budget import block_search as budget_block_search
 from gapforge.setsys import bitmask, masks
 import reference
@@ -592,3 +593,200 @@ def test_label_cover_and_subgraph_searches_score_by_int():
     assert len(scores) > 3
     assert {type(s) for s in scores + [top_sat, top_agreed]} == {int}
     assert [type(r) for r in results] == [Fraction, Fraction, Fraction]
+
+
+# The packed coverage kernel against the bitmask loops it replaced, and the
+# narrow NCP and CVP words against int64 and Python ints.
+
+def _coverage_corpus():
+    """Seeded coverage instances over the shapes the kernel splits on: an
+    empty universe, one word, two words and more, empty and repeated sets,
+    k = 1 and k = n, and systems with no cover."""
+    rng = random.Random(27)
+    cases = []
+    for universe in (0, 1, 7, 64, 65, 100, 128, 129, 200, 700):
+        for _ in range(4):
+            n = rng.randint(1, 8)
+            density = rng.choice((0.1, 0.3, 0.6))
+            sets = [tuple(e for e in range(universe) if rng.random() < density)
+                    for _ in range(n)]
+            if rng.random() < 0.4:
+                sets[rng.randrange(n)] = ()
+            if n > 1 and rng.random() < 0.5:
+                sets[rng.randrange(n)] = sets[rng.randrange(n)]
+            if universe and rng.random() < 0.6:
+                # every element in some set, so a cover exists
+                for e in range(universe):
+                    if not any(e in s for s in sets):
+                        j = rng.randrange(n)
+                        sets[j] = tuple(sorted(sets[j] + (e,)))
+            for k in sorted({1, n, rng.randint(1, n)}):
+                cases.append(CoverageInstance(universe, tuple(sets), k=k))
+    # enough 11-word rows that even the default block holds no 4-subset level
+    sets = tuple(tuple(e for e in range(700) if rng.random() < 0.2) for _ in range(24))
+    cases.append(CoverageInstance(700, sets, k=5))
+    return cases
+
+
+def _result_or_error(solve, *args, **kwargs):
+    try:
+        return _fields(solve(*args, **kwargs))
+    except BudgetError as e:
+        return "BudgetError", e.required, e.budget, e.what
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7, 97])
+def test_coverage_solvers_match_the_bitmask_reference(cells):
+    levels = []  # (sets, words, size, blocks) of each level searched through
+    union_blocks = solvers._union_blocks
+
+    def counted(rows):
+        blocks = union_blocks(rows)
+
+        def sizes(size):
+            count = 0
+            for block in blocks(size):
+                count += 1
+                yield block
+            levels.append((*rows.shape, size, count))
+        return sizes
+
+    corpus = _coverage_corpus()
+    assert {0, 1} <= {cov.universe_size for cov in corpus}
+    assert any(() in cov.sets for cov in corpus)
+    assert any(len(set(cov.sets)) < len(cov.sets) for cov in corpus)
+    assert any(cov.k == 1 < len(cov.sets) for cov in corpus)
+    assert any(cov.k == len(cov.sets) > 1 for cov in corpus)
+    outcomes = set()
+    with mock.patch.object(solvers, "_union_blocks", counted), \
+            mock.patch.object(budget, "BLOCK_CELLS", cells or budget.BLOCK_CELLS):
+        for cov in corpus:
+            n, k = len(cov.sets), cov.k
+            total = math.comb(n, k)
+            _same(_fields(exact_max_coverage(cov)), _fields(reference.max_coverage(cov)))
+            # refused one short of C(n, k), admitted at it
+            for limit in (total - 1, total):
+                assert (_result_or_error(exact_max_coverage, cov, limit)
+                        == _result_or_error(reference.max_coverage, cov, limit))
+
+            got = _result_or_error(exact_min_set_cover, cov)
+            assert got == _result_or_error(reference.min_set_cover, cov)
+            outcomes.add(got[0] if isinstance(got[0], str) else "cover")
+            if isinstance(got[0], str):
+                continue
+            _same(got, _fields(reference.min_set_cover(cov)))
+            # each level is refused one short of its charge, and the cover's
+            # own charge admits the search
+            for size in range(got[0] + 1):
+                charged = sum(math.comb(n, j) for j in range(size + 1))
+                with pytest.raises(BudgetError) as refused:
+                    exact_min_set_cover(cov, budget=charged - 1)
+                assert (refused.value.required, refused.value.budget, refused.value.what) == (
+                    charged, charged - 1, f"subset enumeration through size {size}")
+                assert (_result_or_error(exact_min_set_cover, cov, charged - 1)
+                        == _result_or_error(reference.min_set_cover, cov, charged - 1))
+            assert _fields(exact_min_set_cover(cov, budget=got[2])) == got
+    assert outcomes == {"cover", "ValueError"}
+    # rows of one, two, three and more words
+    widths = {words for _, words, _, _ in levels}
+    assert {1, 2, 3} <= widths and max(widths) > 3
+    # the grid holds the largest level r that fits, with every level below
+    # it, and each (size - r)-prefix is one block
+    cap = cells or budget.BLOCK_CELLS
+    for n, words, size, count in levels:
+        r = 0
+        while r < size and math.comb(n, r + 1) * words <= cap:
+            r += 1
+        assert count == math.comb(n - r, size - r)
+    # some size level spans several blocks, so prefixes meet suffixes
+    assert max(count for *_, count in levels) > 1
+
+
+def test_coverage_solvers_enumerate_in_bounded_blocks():
+    # 40 sets over 1,000 elements, 16 words a row: C(40, 4) = 91,390 subsets.
+    # The first 36 sets miss the elements 0, 250, 500 and 999, which the last
+    # four split between them, so the only cover of size 4 is the last one.
+    rng = random.Random(40)
+    marked = {0, 250, 500, 999}
+    sets = [tuple(sorted(e for e in rng.sample(range(1000), 300) if e not in marked))
+            for _ in range(36)]
+    sets += [tuple(range(a, b)) for a, b in ((0, 250), (250, 500), (500, 750), (750, 1000))]
+    cov = CoverageInstance(1000, tuple(sets), k=4)
+    tracemalloc.start()
+    try:
+        best = exact_max_coverage(cov)
+        cover = exact_min_set_cover(cov)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 91,390 unions at once would take 11.7 MB
+    assert peak < 4 * 1024 * 1024
+    assert best.enumerated == 91_390 and best.value == 1000
+    _same(_fields(best), _fields(reference.max_coverage(cov)))
+    assert (cover.value, cover.witness) == (4, (36, 37, 38, 39))
+    assert cover.enumerated == sum(math.comb(40, j) for j in range(5))
+
+
+@pytest.mark.parametrize("height", [1, 255, 256, 300, 1000])
+def test_exact_ncp_in_bytes_matches_int64(height):
+    # more rows than a byte counts, so only the uint64 row sums keep the
+    # distance; the blocks are cut to a few messages each
+    rng = random.Random(height)
+    for cols in (1, 5, 8):
+        code = CodeInstance(_tied_columns(rng, height, cols, (0, 1)),
+                            tuple(rng.randrange(2) for _ in range(height)), k=0)
+        _same(_fields(exact_ncp(code)), _fields(reference.ncp(code)))
+        with mock.patch.object(budget, "BLOCK_CELLS", 3 * height):
+            _same(_fields(exact_ncp(code)), _fields(reference.ncp(code)))
+    # the all-ones word is a codeword of the all-ones column and at the full
+    # height from the zero code
+    assert exact_ncp(CodeInstance(((1,),) * height, (1,) * height, k=0)).value == 0
+    assert exact_ncp(CodeInstance(((0,),) * height, (1,) * height, k=0)).value == height
+
+
+def _boundary_lattice(top, p, margin):
+    """A 3 x 2 lattice whose largest |residual|^p, reached at x = (1, 1) on
+    every row, is `top` at margin 0 and the next value above it at margin 1."""
+    reach = math.isqrt(top) if p == 2 else top
+    if margin:
+        reach += 1
+    a = (reach - 1) // 2
+    y = reach - 2 * a
+    return LatticeInstance(((a, a),) * 3, (-y,) * 3, p=p, k=0)
+
+
+def _dtype_spy(dtypes):
+    box_search = solvers._box_search
+
+    def spy(instance, values, dtype, cost, budget, what):
+        dtypes.append(dtype)
+        return box_search(instance, values, dtype, cost, budget, what)
+    return mock.patch.object(solvers, "_box_search", spy)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("top, narrow, wide", [(2**15 - 1, np.int16, np.int32),
+                                               (2**31 - 1, np.int32, np.int64)])
+def test_exact_cvp_either_side_of_each_narrow_word(p, top, narrow, wide):
+    dtypes = []
+    with _dtype_spy(dtypes):
+        for margin, dtype in ((0, narrow), (1, wide)):
+            lat = _boundary_lattice(top, p, margin)
+            _same(_fields(exact_cvp(lat, box=1)), _fields(reference.cvp(lat, 1)))
+            _same(_fields(exact_cvp(lat, box=1)), _old_cvp(lat, 1))
+            assert dtypes[-1] is dtype
+
+
+def test_exact_cvp_word_holds_every_coordinate_and_entry():
+    # a coordinate or an entry past int16 widens the word, though no residual
+    # does; 65,537 points fit one block of 2^17 cells
+    dtypes = []
+    cases = [(LatticeInstance(((0,),), (0,), p=2, k=0), 2**15, np.int32),
+             (LatticeInstance(((2**15, 1),), (3,), p=2, k=0), 0, np.int32),
+             (LatticeInstance(((2,), (-3,)), (1, 1), p=3, k=0), 2, np.int16)]
+    with _dtype_spy(dtypes), mock.patch.object(budget, "BLOCK_CELLS", 1 << 17):
+        for lat, box, dtype in cases:
+            _same(_fields(exact_cvp(lat, box=box)), _fields(reference.cvp(lat, box)))
+            assert dtypes[-1] is dtype
