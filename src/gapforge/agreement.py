@@ -17,7 +17,7 @@ from . import budget as _budget
 from .budget import block_search, check
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
-from .setsys import SetSystem, bitmask, is_uniform, masks
+from .setsys import SetSystem, _binary, bitmask, is_uniform, masks
 
 
 def _popcount(masks):
@@ -47,7 +47,7 @@ class FunctionCollection:
         for s, vals in zip(self.system.sets, self.values):
             if len(vals) != len(s):
                 raise ValueError("function length must equal its set size")
-            if any(v not in (0, 1) for v in vals):
+            if not _binary(vals):
                 raise ValueError("values must be bits")
 
     @classmethod
@@ -71,7 +71,7 @@ class FunctionCollection:
 
     @cached_property
     def ones_masks(self):
-        return tuple(bitmask(e for e, v in zip(s, vals) if v)
+        return tuple(bitmask(itertools.compress(s, vals))
                      for s, vals in zip(self.system.sets, self.values))
 
     def disagreement(self, i, j):
@@ -130,7 +130,16 @@ class _SubcollectionHits:
     """hits(diffs, ell): for each diff inside some S_i ∩ S_j, how many ell-subsets
     S' of the sets other than i and j give diff ∩ ⋂S' = ∅. S_i and S_j contain
     diff and never empty it, so the count depends on the pair only through
-    diff. ell = 0 counts the empty subcollection as consistent."""
+    diff. ell = 0 counts the empty subcollection as consistent.
+
+    Inclusion-exclusion runs one batch per diff width w: each set's cut
+    diff ∩ S_x is compressed to w bits, a histogram of the k cuts per diff
+    is summed over supersets in w passes, which gives N_D for every D ⊆ diff,
+    and Σ_D (-1)^|D| C(N_D - 2, ell) is read off a table of C(x - 2, ell).
+    Enumeration ANDs the other k - 2 cuts ell at a time, reading the
+    subcollections as int index blocks. Counts are int64 where a bound
+    proves they fit and exact Python ints otherwise, and no array holds more
+    than about BLOCK_CELLS cells."""
 
     def __init__(self, collection):
         self._masks, self._k = collection._mask_arrays[1], collection.k
@@ -140,63 +149,107 @@ class _SubcollectionHits:
         k sets and then, for ell >= 2, the cheaper of inclusion-exclusion
         (|diff| steps for each subset of diff) and enumeration of the
         C(k-2, ell) subcollections, ties going to inclusion-exclusion. At
-        ell = 1 the pass alone enumerates. Returns each diff's |diff| where
-        inclusion-exclusion counts it, else -1, and its steps after the pass."""
+        ell = 1 the pass alone enumerates. |diff|·2^|diff| grows with |diff|,
+        so inclusion-exclusion takes the diffs up to one width. Returns each
+        diff's |diff|, that width (-1 when it takes none) and the steps after
+        the pass of an enumerated diff."""
+        widths = _popcount(diffs)
         total = math.comb(self._k - 2, ell) if ell > 1 else 0
-        paths, steps = [], []
-        for d in _popcount(diffs).tolist():
-            included = ell > 1 and d << d <= total
-            paths.append(d if included else -1)
-            steps.append(d << d if included else total)
-        return np.array(paths, np.int64), steps
+        limit, top = -1, int(widths.max(initial=0))
+        if ell > 1:
+            limit = 0
+            while limit < top and (limit + 1) << (limit + 1) <= total:
+                limit += 1
+        return widths, limit, total
 
     def cost(self, diffs, ell):
         """The work of counting every one of `diffs`, by the path rule."""
         if ell == 0:
             return 0
-        _, steps = self._paths(np.asarray(diffs, self._masks.dtype), ell)
-        return len(steps) * self._k + sum(steps)
+        widths, limit, total = self._paths(np.asarray(diffs, self._masks.dtype), ell)
+        return len(widths) * self._k + sum(size * (w << w if w <= limit else total)
+                                           for w, size in enumerate(np.bincount(widths).tolist()))
 
     def hits(self, diffs, ell):
         """The count of each of `diffs`, as a list of ints."""
         diffs = np.asarray(diffs, self._masks.dtype)
         if ell == 0:
             return [1] * len(diffs)
-        paths, _ = self._paths(diffs, ell)
+        widths, limit, _ = self._paths(diffs, ell)
         counts = np.zeros(len(diffs), object)
-        step = max(1, _budget.BLOCK_CELLS // self._k)
-        for d in set(paths.tolist()):
-            rows, count = np.flatnonzero(paths == d), self._included if d >= 0 else self._enumerated
-            for part in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
-                counts[part] = count(diffs[part], diffs[part, None] & self._masks, ell, d)
+        if (rows := np.flatnonzero(widths > limit)).size:
+            counts[rows] = self._enumerated(diffs[rows], ell)
+        terms = [math.comb(max(x - 2, 0), ell) for x in range(self._k + 1)]
+        for w in np.unique(widths[widths <= limit]).tolist():
+            rows = np.flatnonzero(widths == w)
+            counts[rows] = self._included(diffs[rows], ell, w, terms)
         return counts.tolist()
 
-    def _enumerated(self, diffs, cuts, ell, _):
-        if ell == 1:  # i and j cut nothing off diff, so they count only when diff = ∅
-            return (np.count_nonzero(cuts == 0, axis=1) - 2 * (diffs == 0)).tolist()
-        # two cuts equal to diff stand for i and j; AND the rest ell at a time
-        equal = cuts == diffs[:, None]
-        rest = cuts[~(equal & (equal.cumsum(axis=1) <= 2))].reshape(len(diffs), self._k - 2)
-        hits = np.zeros(len(diffs), np.int64)
-        combos = itertools.combinations(range(self._k - 2), ell)
-        while chunk := list(itertools.islice(combos, max(1, _budget.BLOCK_CELLS // len(diffs)))):
-            hits += np.count_nonzero(np.bitwise_and.reduce(rest[:, chunk], axis=2) == 0, axis=1)
-        return hits.tolist()
+    def _enumerated(self, diffs, ell):
+        k, counts = self._k, []
+        step = max(1, _budget.BLOCK_CELLS // k)
+        for lo in range(0, len(diffs), step):
+            part = diffs[lo:lo + step]
+            cuts = part[:, None] & self._masks
+            if ell == 1:  # i and j cut nothing off diff, so they count only when diff = ∅
+                counts.append(np.count_nonzero(cuts == 0, axis=1) - 2 * (part == 0))
+                continue
+            # two cuts equal to diff stand for i and j; AND the rest ell at a time
+            equal = cuts == part[:, None]
+            rest = cuts[~(equal & (equal.cumsum(axis=1) <= 2))].reshape(len(part), k - 2)
+            hits = np.zeros(len(part), np.int64)
+            indices = itertools.chain.from_iterable(itertools.combinations(range(k - 2), ell))
+            size = max(1, _budget.BLOCK_CELLS // len(part)) * ell
+            while (chunk := np.fromiter(itertools.islice(indices, size), np.int64)).size:
+                picks = chunk.reshape(-1, ell).T
+                cut = rest[:, picks[0]]
+                for column in picks[1:]:
+                    cut &= rest[:, column]
+                hits += np.count_nonzero(cut == 0, axis=1)
+            counts.append(hits)
+        return np.concatenate(counts)
 
-    def _included(self, diffs, cuts, ell, d):
-        # sum over D ⊆ diff of (-1)^|D| C(N_D - 2, ell), N_D = |{x : D ⊆ S_x}| >= 2;
-        # submask s of diff has bit r iff s has the r-th lowest bit of diff
-        bits = np.array([[1 << p for p in range(diff.bit_length()) if diff >> p & 1]
-                         for diff in diffs.tolist()], self._masks.dtype)
-        tally = np.zeros((len(diffs), self._k + 1), np.int64)
-        width = max(1, _budget.BLOCK_CELLS // (len(diffs) * self._k))
-        for lo in range(0, 1 << d, width):
-            picks = (np.arange(lo, min(lo + width, 1 << d))[:, None] >> np.arange(d)) & 1
-            subs = (bits @ picks.T)[:, :, None]
-            sizes = np.count_nonzero(cuts[:, None, :] & subs == subs, axis=2)
-            np.add.at(tally, (np.arange(len(diffs))[:, None], sizes), 1 - 2 * (picks.sum(1) & 1))
-        terms = [math.comb(max(x - 2, 0), ell) for x in range(self._k + 1)]
-        return [sum(c * n for c, n in zip(terms, row) if n) for row in tally.tolist()]
+    def _included(self, diffs, ell, w, terms):
+        # sum over D ⊆ diff of (-1)^|D| C(N_D - 2, ell), N_D = |{x : D ⊆ S_x}| >= 2,
+        # with terms[x] = C(x - 2, ell); each term is at most C(k-2, ell) = terms[k],
+        # so |sum| <= 2^w terms[k]
+        k = self._k
+        table = np.array(terms, np.int64 if terms[k] << w < 1 << 63 else object)
+        # a histogram spans the low bits of the compressed cuts; each diff takes
+        # one histogram per value H of the high bits, of the cuts that hold H
+        low = min(w, _budget.BLOCK_CELLS.bit_length() - 1)
+        bins, highs = 1 << low, 1 << (w - low)
+        signs = np.where(np.bitwise_count(np.arange(bins)) & 1, -1, 1)
+        step = max(1, _budget.BLOCK_CELLS // max(k, bins + 1))  # histograms per block
+        per, chunk = max(1, step // highs), min(step, highs)    # diffs x values of H
+        counts = np.zeros(len(diffs), table.dtype)
+        for lo in range(0, len(diffs), per):
+            code = self._compressed(diffs[lo:lo + per], w)[:, None]
+            rows = len(code) * chunk
+            for h in range(0, highs, chunk):
+                fixed = np.arange(h, h + chunk)
+                # cuts without H go to one spare cell past the last histogram
+                cells = np.where(code >> low & fixed[:, None] == fixed[:, None],
+                                 np.arange(rows).reshape(-1, chunk, 1) << low | code & (bins - 1),
+                                 rows << low)
+                sizes = np.bincount(cells.ravel(), minlength=(rows << low) + 1)[:-1]
+                sizes = sizes.reshape(rows, bins)
+                for r in range(low):  # superset sums: each index adds the one with bit r set
+                    pairs = sizes.reshape(rows, -1, 2, 1 << r)
+                    pairs[:, :, 0] += pairs[:, :, 1]
+                counts[lo:lo + len(code)] += ((table[sizes] @ signs).reshape(-1, chunk)
+                                              @ np.where(np.bitwise_count(fixed) & 1, -1, 1))
+        return counts
+
+    def _compressed(self, diffs, w):
+        """Each set's cut diff ∩ S_x for each of `diffs` (all of width w), as
+        w bits: bit r is the r-th lowest bit of diff."""
+        code = np.zeros((len(diffs), self._k), np.int64)
+        for r in range(w):
+            bit = diffs & -diffs
+            diffs = diffs ^ bit
+            code |= (self._masks & bit[:, None] != 0) << r
+        return code
 
 
 def pair_consistency(collection, i, j, ell, budget=None):
@@ -300,7 +353,8 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
     """Blue edges are (t-2, beta)-consistent pairs; red edges are pairs that
     are not (2t-3, alpha)-consistent. Requires alpha <= beta and k >= 2t-1.
 
-    Each distinct diff is counted and colored once, in integers. The pairs
+    Each distinct diff is counted once, in one batch per ell and diff width
+    (see _SubcollectionHits), and colored once, in integers. The pairs
     are read in row blocks of the disagreement block, twice: once for their
     distinct diffs, once to scatter the colours into the adjacency. The
     budget is charged the C(k, 2) pair lookups before any is made, then
@@ -586,13 +640,18 @@ def decode_assignment(formula, system, sigma, params, budget=None):
         raise UnsatisfiableSubsetError(u, system.sets[u])
     if len(sigma) != system.k:
         raise ValueError("labeling must cover every left vertex")
-    sets, values = [], []
-    for u, (li, dom, alphabet) in enumerate(zip(sigma, domains, alphabets)):
+    labels = []
+    for u, (li, alphabet) in enumerate(zip(sigma, alphabets)):
         if not 0 <= li < len(alphabet):
             raise ValueError(f"label index {li} out of range at vertex {u}")
-        sets.append(tuple(v - 1 for v in dom))
-        values.append(tuple((alphabet[li] >> i) & 1 for i in range(len(dom))))
-    fc = FunctionCollection(SetSystem(formula.num_vars, tuple(sets)), tuple(values))
+        labels.append(alphabet[li])
+    # bit i of a label is the value of the i-th variable of its domain; the
+    # domains are at most left_vertices' 24 variables wide, so int64 holds it
+    widths = [len(dom) for dom in domains]
+    bits = (np.array(labels, np.int64)[:, None] >> np.arange(max(widths, default=0)) & 1).tolist()
+    fc = FunctionCollection(
+        SetSystem(formula.num_vars, tuple(tuple(v - 1 for v in dom) for dom in domains)),
+        tuple(tuple(row[:w]) for row, w in zip(bits, widths)))
     subset, g, agr = _agreement_decode(fc, params.t, params, budget=budget)
     psi = {v + 1: g[v] for v in range(formula.num_vars)}
     nu = agr.stats.mean_disagr / formula.num_vars

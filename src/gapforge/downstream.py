@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .budget import check
-from .setsys import SetSystem
+from .setsys import SetSystem, _binary
 from .textformat import read, write
 
 
@@ -229,9 +229,9 @@ class CodeInstance:
     def __post_init__(self):
         _check_matrix(self.rows, self.target)
         for r, row in enumerate(self.rows):
-            if any(x not in (0, 1) for x in row):
+            if not _binary(row):
                 raise ValueError(f"row {r} has a non-binary entry")
-        if any(x not in (0, 1) for x in self.target):
+        if not _binary(self.target):
             raise ValueError("target has a non-binary entry")
 
     @property

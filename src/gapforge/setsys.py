@@ -45,6 +45,19 @@ def bitmask(elements):
     return m
 
 
+def _binary(values):
+    """True iff every entry of `values` is 0 or 1, as `v in (0, 1)` tests it.
+    The set test is the fast path; it can only miss entries that are
+    unhashable or equal to 0 or 1 under a different hash, so the entries
+    it does not accept are compared one by one."""
+    try:
+        if {0, 1}.issuperset(values):
+            return True
+    except TypeError:
+        pass
+    return all(v in (0, 1) for v in values)
+
+
 def masks(system):
     """Each set as a bitmask integer (bit e set iff element e is in the set)."""
     return [bitmask(s) for s in system.sets]

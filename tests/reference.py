@@ -1,10 +1,11 @@
 """Reference oracles for the cross-checks: plain copies of functions that a
 rewrite replaced, kept as they were so the rewrite can be compared with them
 on seeded corpora. The graph references read a graph only through its
-`blue` and `red` pair sets; the two-level colouring shares the subcollection
-counter with the code it checks, which the tests compare with enumeration
-on their own. The NCP and CVP references share the box search with the
-code they check and differ from it only in the word they compute in."""
+`blue` and `red` pair sets; the two-level colouring counts with
+`SubcollectionHits`, the subcollection counter as it tested each submask of
+a diff against every set. The NCP and CVP references share the box search
+with the code they check and differ from it only in the word they compute
+in."""
 
 import collections
 import itertools
@@ -15,11 +16,72 @@ from functools import partial
 import numpy as np
 
 from gapforge import ConsistencyOverlapError, RedBlueGraph, SolverResult
-from gapforge.agreement import _SubcollectionHits
+from gapforge import budget as _budget
 from gapforge.budget import BudgetError, check, search
 from gapforge.formula import satisfied_counts, vars_of
 from gapforge.setsys import masks
 from gapforge.solvers import _box_search
+
+
+class SubcollectionHits:
+    """`agreement._SubcollectionHits` as it counted one diff width at a time
+    by testing each submask of the diff against every set, and enumerated
+    from lists of index tuples."""
+
+    def __init__(self, collection):
+        self._masks, self._k = collection._mask_arrays[1], collection.k
+
+    def _paths(self, diffs, ell):
+        total = math.comb(self._k - 2, ell) if ell > 1 else 0
+        paths, steps = [], []
+        for d in (int(diff).bit_count() for diff in diffs):
+            included = ell > 1 and d << d <= total
+            paths.append(d if included else -1)
+            steps.append(d << d if included else total)
+        return np.array(paths, np.int64), steps
+
+    def cost(self, diffs, ell):
+        if ell == 0:
+            return 0
+        _, steps = self._paths(diffs, ell)
+        return len(steps) * self._k + sum(steps)
+
+    def hits(self, diffs, ell):
+        diffs = np.asarray(diffs, self._masks.dtype)
+        if ell == 0:
+            return [1] * len(diffs)
+        paths, _ = self._paths(diffs, ell)
+        counts = np.zeros(len(diffs), object)
+        step = max(1, _budget.BLOCK_CELLS // self._k)
+        for d in set(paths.tolist()):
+            rows, count = np.flatnonzero(paths == d), self._included if d >= 0 else self._enumerated
+            for part in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+                counts[part] = count(diffs[part], diffs[part, None] & self._masks, ell, d)
+        return counts.tolist()
+
+    def _enumerated(self, diffs, cuts, ell, _):
+        if ell == 1:
+            return (np.count_nonzero(cuts == 0, axis=1) - 2 * (diffs == 0)).tolist()
+        equal = cuts == diffs[:, None]
+        rest = cuts[~(equal & (equal.cumsum(axis=1) <= 2))].reshape(len(diffs), self._k - 2)
+        hits = np.zeros(len(diffs), np.int64)
+        combos = itertools.combinations(range(self._k - 2), ell)
+        while chunk := list(itertools.islice(combos, max(1, _budget.BLOCK_CELLS // len(diffs)))):
+            hits += np.count_nonzero(np.bitwise_and.reduce(rest[:, chunk], axis=2) == 0, axis=1)
+        return hits.tolist()
+
+    def _included(self, diffs, cuts, ell, d):
+        bits = np.array([[1 << p for p in range(diff.bit_length()) if diff >> p & 1]
+                         for diff in diffs.tolist()], self._masks.dtype)
+        tally = np.zeros((len(diffs), self._k + 1), np.int64)
+        width = max(1, _budget.BLOCK_CELLS // (len(diffs) * self._k))
+        for lo in range(0, 1 << d, width):
+            picks = (np.arange(lo, min(lo + width, 1 << d))[:, None] >> np.arange(d)) & 1
+            subs = (bits @ picks.T)[:, :, None]
+            sizes = np.count_nonzero(cuts[:, None, :] & subs == subs, axis=2)
+            np.add.at(tally, (np.arange(len(diffs))[:, None], sizes), 1 - 2 * (picks.sum(1) & 1))
+        terms = [math.comb(max(x - 2, 0), ell) for x in range(self._k + 1)]
+        return [sum(c * n for c, n in zip(terms, row) if n) for row in tally.tolist()]
 
 
 def two_level_graph(collection, alpha, beta, t):
@@ -30,7 +92,7 @@ def two_level_graph(collection, alpha, beta, t):
     k = collection.k
     rows, cols = np.triu_indices(k, 1)
     diffs, inverse = np.unique(collection._disagreements()[rows, cols], return_inverse=True)
-    counter = _SubcollectionHits(collection)
+    counter = SubcollectionHits(collection)
     blue_ell, red_ell = t - 2, 2 * t - 3
     blue_total, red_total = math.comb(k - 2, blue_ell), math.comb(k - 2, red_ell)
     blue_hits, red_hits = counter.hits(diffs, blue_ell), counter.hits(diffs, red_ell)

@@ -76,6 +76,10 @@ def test_function_collection_validation():
         FunctionCollection(system, ((0, 1),))
     with pytest.raises(ValueError, match="length"):
         FunctionCollection(system, ((0,), (1,)))
+    for values in (((0, 2), (1,)), ((0, 1), ([1],)), ((0, 1), (0.5,))):
+        with pytest.raises(ValueError, match="^values must be bits$"):
+            FunctionCollection(system, values)
+    assert FunctionCollection(system, ((True, 0.0), (1,))).ones_masks == (0b1, 0b100)
     with pytest.raises(ValueError, match="cover the universe"):
         FunctionCollection.from_global(system, (0, 1))
     fc = FunctionCollection.from_global(system, (1, 0, 1, 0))
@@ -362,6 +366,73 @@ def test_shared_counter_reuses_a_diff_across_pairs(monkeypatch):
     assert batches == [(1, distinct), (3, distinct)]
 
 
+def _counter_corpus(n, k):
+    """k sets over n points, two of them the whole universe, so that a diff of
+    any width fits inside some S_i ∩ S_j, and the rest of mixed density; with
+    three distinct diffs of each width up to 9 (or n), drawn inside the
+    whole universe or inside a random pair's intersection. The counter reads
+    only the domains, so every function is 0."""
+    rng = random.Random(n * 100 + k)
+    sets = ((tuple(range(n)),) * 2
+            + tuple(tuple(e for e in range(n) if rng.random() < rng.choice((0.3, 0.6, 0.9)))
+                    for _ in range(k - 2)))
+    fc = FunctionCollection(SetSystem(n, sets), tuple((0,) * len(s) for s in sets))
+    diffs = set()
+    for w in range(min(n, 9) + 1):
+        while len([d for d in diffs if d.bit_count() == w]) < min(3, math.comb(n, w)):
+            i, j = rng.sample(range(k), 2)
+            inter = sorted(set(sets[i]) & set(sets[j]))
+            if len(inter) >= w:
+                diffs.add(sum(1 << e for e in rng.sample(inter, w)))
+    return fc, sorted(diffs)
+
+
+@pytest.mark.parametrize("n, k", [(8, 14), (40, 12), (62, 9), (63, 12), (130, 10)])
+def test_counter_matches_the_frozen_reference(n, k, monkeypatch):
+    """Every count and charge of the per-width counter equals the frozen
+    counter's, as Python ints, at every ell from 1 to k - 2, with int64 masks
+    (n <= 62) and exact ones, on whole arrays and in blocks of 1, 7 and 97
+    cells; the diffs span every width up to the rule's limit and past it."""
+    fc, diffs = _counter_corpus(n, k)
+    counter, frozen = _SubcollectionHits(fc), reference.SubcollectionHits(fc)
+    widths = {d.bit_count() for d in diffs}
+    rule = {1: {"enumerated": widths}}
+    for ell in range(2, k - 1):
+        total = math.comb(k - 2, ell)
+        limit = max(w for w in range(n + 1) if w << w <= total)
+        assert set(range(min(limit, n) + 1)) <= widths
+        rule[ell] = {"included": {w for w in widths if w <= limit},
+                     "enumerated": {w for w in widths if w > limit}}
+    assert any(len(paths) == 2 for paths in rule.values())
+    taken = {}
+    for path in ("included", "enumerated"):
+        def spy(self, diffs, ell, *rest, count=getattr(_SubcollectionHits, "_" + path), path=path):
+            taken.setdefault(ell, {}).setdefault(path, set()).update(int(d).bit_count() for d in diffs)
+            return count(self, diffs, ell, *rest)
+        monkeypatch.setattr(_SubcollectionHits, "_" + path, spy)
+    for cells in (None, 1, 7, 97):
+        if cells is not None:
+            monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
+        for ell in range(1, k - 1):
+            hits, cost = counter.hits(diffs, ell), counter.cost(diffs, ell)
+            assert hits == frozen.hits(diffs, ell) and cost == frozen.cost(diffs, ell)
+            assert {type(x) for x in hits} == {type(cost)} == {int}
+        assert taken == {ell: {p: ws for p, ws in paths.items() if ws} for ell, paths in rule.items()}
+
+
+def test_counter_counts_past_int64():
+    """At k = 70, C(68, ell) passes 2^63 for ell from 28 to 40: those counts
+    are exact Python ints, equal to the frozen counter's."""
+    fc, diffs = _counter_corpus(40, 70)
+    counter, frozen = _SubcollectionHits(fc), reference.SubcollectionHits(fc)
+    for ell in (2, 3, 27, 28, 34, 40, 41, 66):
+        hits = counter.hits(diffs, ell)
+        assert hits == frozen.hits(diffs, ell)
+        assert counter.cost(diffs, ell) == frozen.cost(diffs, ell)
+        assert {type(x) for x in hits} == {int}
+    assert max(counter.hits(diffs, 34)) == math.comb(68, 34) >= 1 << 63
+
+
 def _seeded_wide_collection(seed, n):
     """A collection over n points whose pairs differ on a few points each:
     some functions are exact restrictions, the others flip each value with
@@ -604,6 +675,35 @@ def test_two_level_graph_rows_are_blocked():
     # at t = 2 every pair is blue, and alpha = 0 keeps every pair off red
     assert (graph.adjacency == gapforge.agreement._BLUE).sum() == 2000 * 1999
     assert check_rb_transitive(graph, 0) == (True, None)
+
+
+def test_two_level_graph_t3_counts_in_bounded_blocks():
+    """60 sets over 40 points at t = 3: the red count (ell = 3) takes
+    inclusion-exclusion up to width 11, where C(58, 3) = 30,856 subcollections
+    make it the cheaper path, and enumerates the wider diffs. The build stays
+    within blocks of BLOCK_CELLS cells, and its charge is the frozen
+    counter's to the unit."""
+    fc = collection_from_seed(8, n=40, k=60, p=Fraction(3, 5), noise=0.25)
+    alpha, beta = Fraction(46, 100), Fraction(1)
+    diffs = sorted({fc.disagreement(i, j) for i, j in itertools.combinations(range(60), 2)})
+    widths = {d.bit_count() for d in diffs}
+    assert widths >= set(range(12)) and max(widths) > 11
+    frozen = reference.SubcollectionHits(fc)
+    charge = math.comb(60, 2) + frozen.cost(diffs, 1) + frozen.cost(diffs, 3)
+    with pytest.raises(BudgetError) as exc:
+        build_two_level_graph(fc, alpha, beta, 3, budget=charge - 1)
+    assert (exc.value.required, exc.value.budget, exc.value.what) \
+        == (charge, charge - 1, "two-level consistency count")
+    fc._mask_arrays  # the k masks themselves are the collection's, not the graph's
+    tracemalloc.start()
+    try:
+        graph = build_two_level_graph(fc, alpha, beta, 3, budget=charge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert graph == reference.two_level_graph(fc, alpha, beta, 3)
+    assert graph.blue and graph.red
 
 
 def test_find_non_red_subgraph_ignores_the_budget_variable(monkeypatch):

@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -523,6 +524,16 @@ def test_code_and_lattice_text_round_trip():
         parse_lattice("ncp 1 1 1\n")
 
 
+class _EqualToOne:
+    """Equal to 1, under a hash that is not 1's."""
+
+    def __eq__(self, other):
+        return other == 1
+
+    def __hash__(self):
+        return 7
+
+
 def test_instance_validation():
     with pytest.raises(ValueError, match="sorted duplicate-free"):
         CoverageInstance(3, ((1, 0),), k=1)
@@ -536,6 +547,16 @@ def test_instance_validation():
         CodeInstance(((1, 0),), (1, 1), k=1)
     with pytest.raises(ValueError, match="non-binary"):
         CodeInstance(((2, 0),), (1,), k=1)
+    # the first bad row or the target is named, unhashable entries included;
+    # anything equal to 0 or 1 passes, whatever its hash
+    for rows, target, bad in ((((0, 1), (1, 2), (3, 0)), (0, 1, 1), "row 1"),
+                              (((0, [1]), (1, 2)), (0, 1), "row 0"),
+                              (((0, 1), (1, 0)), (0, {}), "target"),
+                              (((0, 1), (1, 0)), (0, 0.5), "target")):
+        with pytest.raises(ValueError) as exc:
+            CodeInstance(rows, target, k=1)
+        assert str(exc.value) == f"{bad} has a non-binary entry"
+    CodeInstance(((0.0, True), (_EqualToOne(), np.int64(0))), (1.0, False), k=1)
     with pytest.raises(ValueError, match="wrong width"):
         LatticeInstance(((1, 0), (1,)), (0, 0), p=1, k=1)
     with pytest.raises(ValueError, match="p must be at least 1"):
