@@ -6,10 +6,10 @@ Every exhaustive optimum search is `search` over candidates in lex order, or
 `block_search` over lex-ordered numpy blocks of them: each charges its count
 before it builds anything and returns the min-lex optimum. `search` serves
 the disperser check; `block_search` serves max coverage, clustering, the NCP
-and CVP boxes, `formula.brute_force_max_val` and the non-red subgraph
-(`agreement.find_non_red_subgraph`). Two exhaustive loops keep their own
-`check`: the label-cover joint optima, which read both lex-first maxima off
-one enumeration (`labelcover._left_optima`), and
+messages, the CVP box, `formula.brute_force_max_val` and the non-red
+subgraph (`agreement.find_non_red_subgraph`). Two exhaustive loops keep
+their own `check`: the label-cover joint optima, which read both lex-first
+maxima off one enumeration (`labelcover._left_optima`), and
 `solvers.exact_min_set_cover`, which charges each size level and returns the
 first cover in it, reading the blocks of the max-coverage kernel."""
 
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 DEFAULT_BUDGET = 10_000_000
 
-# Cap on the cells of one numpy block: box points x rows for CVP and NCP,
-# r-subsets x words for coverage, facility subsets x clients x k for
-# clustering, diffs x sets, diffs x 2^w histogram cells or diffs x
-# subcollections in the agreement counts, rows x sets of pair disagreements,
-# d-subsets x d x d and red edges x packed rows in the red-blue graph, and
-# subsets x clauses x 3 x assignments for the left alphabets. A larger
-# instance makes blocks shorter instead of larger.
+# Cap on the cells of one numpy block: box points x rows for CVP, words x
+# messages for NCP, words x r-subsets for coverage, facility subsets x
+# clients x k for clustering, diffs x sets, diffs x 2^w histogram cells or
+# diffs x subcollections in the agreement counts, rows x sets of pair
+# disagreements, d-subsets x d x d and red edges x packed rows in the
+# red-blue graph, and subsets x clauses x 3 x assignments for the left
+# alphabets. A larger instance makes blocks shorter instead of larger.
 # Callers read it when they run, so patching this one name resizes every
 # block.
 BLOCK_CELLS = 1 << 16

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .budget import check
-from .setsys import SetSystem, _binary
+from .setsys import SetSystem, _binary, _binary_set
 from .textformat import read, write
 
 
@@ -228,6 +228,10 @@ class CodeInstance:
 
     def __post_init__(self):
         _check_matrix(self.rows, self.target)
+        # one set test of the whole matrix; only when it fails is each row
+        # tested on its own, so the error names the first bad row
+        if _binary_set(itertools.chain(*self.rows, self.target)):
+            return
         for r, row in enumerate(self.rows):
             if not _binary(row):
                 raise ValueError(f"row {r} has a non-binary entry")

@@ -45,17 +45,22 @@ def bitmask(elements):
     return m
 
 
+def _binary_set(values):
+    """True iff the set {0, 1} holds every entry of `values`: hashable, and
+    equal to 0 or 1 under its hash. Reads `values` once, so it takes an
+    iterator."""
+    try:
+        return {0, 1}.issuperset(values)
+    except TypeError:
+        return False
+
+
 def _binary(values):
     """True iff every entry of `values` is 0 or 1, as `v in (0, 1)` tests it.
     The set test is the fast path; it can only miss entries that are
     unhashable or equal to 0 or 1 under a different hash, so the entries
     it does not accept are compared one by one."""
-    try:
-        if {0, 1}.issuperset(values):
-            return True
-    except TypeError:
-        pass
-    return all(v in (0, 1) for v in values)
+    return _binary_set(values) or all(v in (0, 1) for v in values)
 
 
 def masks(system):

@@ -3,13 +3,16 @@ carries its witness and enumeration count so reports are checkable.
 
 Each exhaustive optimum search is one budget.block_search over lex-ordered
 numpy blocks of its candidates (max coverage, clustering, NCP and CVP), which
-returns the min-lex witness. Max coverage and min set cover share one kernel,
-`_union_blocks`: the sets packed into uint64 words, a grid of the unions of
-all r-subsets in lex order, and each lex-ordered prefix of the leading sets
-meeting the grid's rows above it in one block of popcounts. Min set cover
-charges and searches one size level at a time. NCP and CVP are one box search:
-the min-lex x in a box of coordinates minimizing a row-wise cost of Ax - y,
-parity over {0, 1} for NCP and |r|^p over [-box, box] for CVP."""
+returns the min-lex witness. Two kernels score packed little-endian uint64
+words, laid out word-major so that each block's popcounts are summed over
+its leading, word axis. Max coverage and min set cover share
+`_union_blocks`: a grid of the unions of all r-subsets in lex order, and
+each lex-ordered prefix of the leading sets meeting the grid's columns
+above it in one block of popcounts. Min set cover charges and searches one
+size level at a time. NCP meets each lex-ordered prefix of the leading
+columns with one grid of the target XOR every subset of the trailing ones.
+CVP is a box search: the min-lex x in [-box, box]^cols minimizing the sum
+over rows of |Ax - y|^p."""
 
 from __future__ import annotations
 
@@ -85,35 +88,38 @@ def _union_blocks(rows):
     (label, counts) pairs; `_unrank(n, label, i)` is the subset counted at
     position i. Successive calls must ask for sizes in ascending order.
 
-    The grid holds the unions of all r-subsets in lex order, built level by
-    level while C(n, r) x words fits in one block, so the r-subsets whose
-    least element is at least lo are its last C(n - lo, r) rows. Each
-    lex-ordered (size - r)-prefix meets that suffix, lo just above the
-    prefix, in one block."""
+    The grid holds the unions of all r-subsets in lex order, one column
+    each, built level by level while words x C(n, r) fits in one block, so
+    the r-subsets whose least element is at least lo are its last
+    C(n - lo, r) columns. Each lex-ordered (size - r)-prefix meets that
+    suffix, lo just above the prefix, in one block, whose popcounts are
+    summed over the word axis."""
     n, words = rows.shape
+    sets = rows.T
     # the grid starts at the empty subset; from level 1 on, least[j] is the
     # least element of its j-th subset
     heads = least = np.arange(n)
-    grid = np.zeros((1, words), rows.dtype)
+    grid = np.zeros((words, 1), rows.dtype)
     r = 0
 
     def blocks(size):
         nonlocal grid, least, r
-        while r < size and math.comb(n, r + 1) * words <= _budget.BLOCK_CELLS:
+        while r < size and words * math.comb(n, r + 1) <= _budget.BLOCK_CELLS:
             if r:
-                # the (r + 1)-subsets in lex order: each row a joined to
+                # the (r + 1)-subsets in lex order: each set a joined to
                 # each r-subset whose least element is above a
                 least, tails = (least > heads[:, None]).nonzero()
-                grid = rows.take(least, axis=0) | grid.take(tails, axis=0)
+                grid = sets.take(least, axis=1) | grid.take(tails, axis=1)
             else:
-                grid = rows
+                grid = sets
             r += 1
         for prefix in itertools.combinations(range(n - r), size - r):
             lo = prefix[-1] + 1 if prefix else 0
-            block = grid[len(grid) - math.comb(n - lo, r):]
+            block = grid[:, grid.shape[1] - math.comb(n - lo, r):]
             if prefix:
-                block = np.bitwise_or.reduce(rows.take(prefix, axis=0)) | block
-            yield (prefix, lo, r), np.bitwise_count(block).sum(axis=1)
+                union = np.bitwise_or.reduce(sets.take(prefix, axis=1), axis=1)
+                block = union[:, None] | block
+            yield (prefix, lo, r), np.bitwise_count(block).sum(axis=0)
 
     return blocks
 
@@ -225,14 +231,44 @@ def _box_search(instance, values, dtype, cost, budget, what):
 
 
 def exact_ncp(instance, budget=None):
-    """Exact nearest-codeword distance over all binary messages: the box
-    search over {0, 1}, since the parity of the integer residual is the F_2
-    residual. The residuals are uint8: every entry is 0 or 1, and arithmetic
-    that wraps mod 256 keeps the parity, so each block holds the same cells
-    in an eighth of the bytes; the row sums are taken in uint64."""
-    witness, value = _box_search(instance, (0, 1), np.uint8, lambda r: r & 1, budget,
-                                 "message enumeration")
-    return SolverResult(value=value, witness=witness, enumerated=1 << instance.num_cols)
+    """Exact nearest-codeword distance over all binary messages, on packed
+    words: the columns and the target as little-endian uint64 words, row r
+    at bit r % 64 of word r // 64. After the charge it builds one
+    words x 2^tail grid under the block cap, whose column m is the target
+    XOR the trailing columns that the m-th trailing message in lex order
+    picks. Each lex-ordered prefix of the leading coordinates meets the grid
+    in one XOR with the columns it picks, and the block's Hamming distances
+    are its popcounts summed over the word axis."""
+    rows, cols = instance.rows, instance.num_cols
+    height = len(rows)
+    words = max(1, -(-height // 64))
+    tail = 0
+    while tail < cols and words << (tail + 1) <= _budget.BLOCK_CELLS:
+        tail += 1
+    head = cols - tail
+
+    def blocks():
+        bits = np.zeros((cols + 1, 64 * words), np.uint8)
+        bits[:cols, :height] = np.fromiter(itertools.chain.from_iterable(rows), np.uint8,
+                                           height * cols).reshape(height, cols).T
+        bits[cols, :height] = instance.target
+        # words x (cols + 1): column c, then the target
+        packed = np.packbits(bits, axis=1, bitorder="little").view("<u8").T
+        # the target XOR every subset of the trailing columns, in lex order:
+        # message m picks column cols - 1 - j iff bit j of m is set
+        grid = np.empty((words, 1 << tail), packed.dtype)
+        grid[:, 0] = packed[:, cols]
+        for j in range(tail):
+            np.bitwise_xor(grid[:, :1 << j], packed[:, cols - 1 - j, None],
+                           out=grid[:, 1 << j:2 << j])
+        for x in itertools.product((0, 1), repeat=head):
+            lead = np.bitwise_xor.reduce(packed[:, list(itertools.compress(range(head), x))],
+                                         axis=1, keepdims=True)
+            yield x, np.bitwise_count(grid ^ lead).sum(axis=0)
+
+    prefix, i, value = block_search(min, blocks, 1 << cols, budget, "message enumeration")
+    witness = prefix + tuple(i >> s & 1 for s in range(tail - 1, -1, -1))
+    return SolverResult(value=value, witness=witness, enumerated=1 << cols)
 
 
 def exact_cvp(instance, box=None, budget=None):

@@ -3,9 +3,10 @@ rewrite replaced, kept as they were so the rewrite can be compared with them
 on seeded corpora. The graph references read a graph only through its
 `blue` and `red` pair sets; the two-level colouring counts with
 `SubcollectionHits`, the subcollection counter as it tested each submask of
-a diff against every set. The NCP and CVP references share the box search
-with the code they check and differ from it only in the word they compute
-in."""
+a diff against every set. The CVP reference shares the box search with
+the code it checks and differs from it only in the word it computes in; the
+NCP reference is that box search over {0, 1} in int64 residuals, so it
+shares no code with the packed-word search it checks."""
 
 import collections
 import itertools
@@ -208,7 +209,8 @@ def min_set_cover(instance, budget=None):
 
 
 def ncp(instance, budget=None):
-    """`exact_ncp` with int64 residuals."""
+    """`exact_ncp` as a box search over {0, 1}: the parity of each int64
+    residual is the F_2 residual."""
     witness, value = _box_search(instance, (0, 1), np.int64, lambda r: r & 1, budget,
                                  "message enumeration")
     return SolverResult(value=value, witness=witness, enumerated=1 << instance.num_cols)

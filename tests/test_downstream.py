@@ -552,7 +552,11 @@ def test_instance_validation():
     for rows, target, bad in ((((0, 1), (1, 2), (3, 0)), (0, 1, 1), "row 1"),
                               (((0, [1]), (1, 2)), (0, 1), "row 0"),
                               (((0, 1), (1, 0)), (0, {}), "target"),
-                              (((0, 1), (1, 0)), (0, 0.5), "target")):
+                              (((0, 1), (1, 0)), (0, 0.5), "target"),
+                              # entries the whole-matrix set test cannot
+                              # accept, before the bad one
+                              (((_EqualToOne(), 0), (0, [0]), (1, 2)), (0, 1, 1), "row 1"),
+                              (((0, _EqualToOne()), (1, 0)), (1, 2), "target")):
         with pytest.raises(ValueError) as exc:
             CodeInstance(rows, target, k=1)
         assert str(exc.value) == f"{bad} has a non-binary entry"

@@ -299,12 +299,14 @@ def test_exact_cvp_tall_matrix_spans_blocks():
 
 
 def test_exact_ncp_tall_code_spans_blocks():
-    # tall enough that a block holds one trailing coordinate: 8 messages, 4 blocks
+    # 257 words a column, and a cap of 3 x 257 cells holds one trailing
+    # coordinate: 8 messages, 4 blocks
     height = budget.BLOCK_CELLS // 4 + 1
     rng = random.Random(3)
     code = CodeInstance(_tied_columns(rng, height, 3, (0, 1)),
                         tuple(rng.randrange(2) for _ in range(height)), k=0)
-    _same(_fields(exact_ncp(code)), _old_ncp(code))
+    with mock.patch.object(budget, "BLOCK_CELLS", 3 * -(-height // 64)):
+        _same(_fields(exact_ncp(code)), _old_ncp(code))
 
 
 def test_k_larger_than_collection_rejected():
@@ -625,6 +627,10 @@ def _coverage_corpus():
     # enough 11-word rows that even the default block holds no 4-subset level
     sets = tuple(tuple(e for e in range(700) if rng.random() < 0.2) for _ in range(24))
     cases.append(CoverageInstance(700, sets, k=5))
+    # the shape of the command-line tour's cov.txt: 6 sets of 256 elements
+    # over 768, 12 words a row
+    sets = tuple(tuple(sorted(rng.sample(range(768), 256))) for _ in range(6))
+    cases.append(CoverageInstance(768, sets, k=3))
     return cases
 
 
@@ -689,9 +695,9 @@ def test_coverage_solvers_match_the_bitmask_reference(cells):
                         == _result_or_error(reference.min_set_cover, cov, charged - 1))
             assert _fields(exact_min_set_cover(cov, budget=got[2])) == got
     assert outcomes == {"cover", "ValueError"}
-    # rows of one, two, three and more words
+    # rows of one, two, three and twelve words
     widths = {words for _, words, _, _ in levels}
-    assert {1, 2, 3} <= widths and max(widths) > 3
+    assert {1, 2, 3, 12} <= widths
     # the grid holds the largest level r that fits, with every level below
     # it, and each (size - r)-prefix is one block
     cap = cells or budget.BLOCK_CELLS
@@ -731,19 +737,72 @@ def test_coverage_solvers_enumerate_in_bounded_blocks():
 
 @pytest.mark.parametrize("height", [1, 255, 256, 300, 1000])
 def test_exact_ncp_in_bytes_matches_int64(height):
-    # more rows than a byte counts, so only the uint64 row sums keep the
-    # distance; the blocks are cut to a few messages each
+    # more rows than a byte counts, so only the uint64 sums of the popcounts
+    # keep the distance; the blocks are cut to two messages each
     rng = random.Random(height)
+    words = -(-height // 64)
     for cols in (1, 5, 8):
         code = CodeInstance(_tied_columns(rng, height, cols, (0, 1)),
                             tuple(rng.randrange(2) for _ in range(height)), k=0)
         _same(_fields(exact_ncp(code)), _fields(reference.ncp(code)))
-        with mock.patch.object(budget, "BLOCK_CELLS", 3 * height):
+        with mock.patch.object(budget, "BLOCK_CELLS", 3 * words):
             _same(_fields(exact_ncp(code)), _fields(reference.ncp(code)))
     # the all-ones word is a codeword of the all-ones column and at the full
     # height from the zero code
     assert exact_ncp(CodeInstance(((1,),) * height, (1,) * height, k=0)).value == 0
     assert exact_ncp(CodeInstance(((0,),) * height, (1,) * height, k=0)).value == height
+
+
+def _code_corpus(height):
+    """Seeded codes of `height` rows and 0 to 12 columns: tied columns under
+    a random target, then with a zero column under the all-zero and the
+    all-one target."""
+    rng = random.Random(height)
+    for cols in range(13):
+        rows = _tied_columns(rng, height, cols, (0, 1))
+        yield CodeInstance(rows, tuple(rng.randrange(2) for _ in range(height)), k=0)
+        if cols:
+            zero = rng.randrange(cols)
+            rows = tuple(row[:zero] + (0,) + row[zero + 1:] for row in rows)
+        for bit in (0, 1):
+            yield CodeInstance(rows, (bit,) * height, k=0)
+
+
+@pytest.mark.parametrize("height", [0, 1, 63, 64, 65, 128, 129, 300])
+def test_exact_ncp_matches_the_reference(height):
+    words = max(1, -(-height // 64))
+    sizes = []  # the messages in each block of the last search
+    block_search = solvers.block_search
+
+    def spy(pick, blocks, count, limit, what):
+        def counted():
+            for label, costs in blocks():
+                sizes.append(len(costs))
+                yield label, costs
+        sizes.clear()
+        return block_search(pick, counted, count, limit, what)
+
+    packbits = mock.Mock(wraps=np.packbits)
+    with mock.patch.object(solvers, "block_search", spy), \
+            mock.patch.object(np, "packbits", packbits):
+        for code in _code_corpus(height):
+            cols, want = code.num_cols, _fields(reference.ncp(code))
+            total = 1 << cols
+            # refused one short of 2^cols before anything is packed, and
+            # admitted at it
+            packbits.reset_mock()
+            with pytest.raises(BudgetError) as refused:
+                exact_ncp(code, budget=total - 1)
+            assert (refused.value.required, refused.value.budget, refused.value.what) == (
+                total, total - 1, "message enumeration")
+            assert not packbits.called
+            _same(_fields(exact_ncp(code, budget=total)), want)
+            # a grid of 2^j messages: from one block of every message to a
+            # block per message
+            for j in range(cols + 1):
+                with mock.patch.object(budget, "BLOCK_CELLS", words << j):
+                    _same(_fields(exact_ncp(code)), want)
+                assert sizes == [1 << j] * (1 << cols - j)
 
 
 def _boundary_lattice(top, p, margin):
