@@ -217,6 +217,15 @@ def _check_matrix(rows, target):
             raise ValueError(f"row {r} has the wrong width")
 
 
+def _check_norm(p):
+    """The CVP exponent: past 64, scoring one point costs big-integer work
+    that grows with p and that no enumeration count charges."""
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    if p > 64:
+        raise ValueError("p must be at most 64")
+
+
 @dataclass(frozen=True)
 class CodeInstance:
     """Binary generator matrix (row-major) with a target word; minimize the
@@ -246,7 +255,7 @@ class CodeInstance:
 @dataclass(frozen=True)
 class LatticeInstance:
     """Integer generator matrix with a target; minimize ||Ax - y||_p^p over
-    integer x."""
+    integer x, for p from 1 to 64."""
 
     rows: tuple[tuple[int, ...], ...]
     target: tuple[int, ...]
@@ -254,8 +263,7 @@ class LatticeInstance:
     k: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
+        _check_norm(self.p)
         _check_matrix(self.rows, self.target)
 
     @property
@@ -301,8 +309,7 @@ def abss_ncp_reduction(coverage, soundness_threshold, multiplicity=None, budget=
 def abss_cvp_reduction(coverage, soundness_threshold, multiplicity=None, p=1, budget=None):
     """Closest-vector analogue over the integers: element rows charge
     multiplicity * |count - 1|^p, identity rows charge |x_j|^p."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    _check_norm(p)
     rows, target = _abss_rows(coverage, soundness_threshold, multiplicity, budget)
     return LatticeInstance(rows=rows, target=target, p=p, k=coverage.k)
 

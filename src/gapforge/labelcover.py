@@ -176,32 +176,12 @@ class LabelCoverInstance:
         return (val_left, top_sat), (wval_left, top_agreed)
 
 
-def _labeling_value(instance, labeling):
-    """Fraction of edges satisfied by a full labeling (left indices, right indices)."""
-    left, right = labeling
-    _check_labeling(instance, left, right)
-    if not instance.edges:
-        raise ValueError(_NO_EDGES)
-    tables = instance.tables
-    sat = 0
-    for e, (u, v) in enumerate(instance.edges):
-        if tables[e][left[u]] == right[v]:
-            sat += 1
-    return Fraction(sat, instance.num_edges)
-
-
-def _check_labeling(instance, left, right=None):
+def _check_labeling(instance, left):
     if len(left) != instance.num_left:
         raise ValueError("left labeling must label every left vertex")
     for u, li in enumerate(left):
         if not 0 <= li < len(instance.left_alphabets[u]):
             raise ValueError(f"left label index {li} out of range at vertex {u}")
-    if right is not None:
-        if len(right) != instance.num_right:
-            raise ValueError("right labeling must label every right vertex")
-        for v, ri in enumerate(right):
-            if not 0 <= ri < len(instance.right_alphabets[v]):
-                raise ValueError(f"right label index {ri} out of range at vertex {v}")
 
 
 def weak_agreement_value(instance, left):

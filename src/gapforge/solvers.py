@@ -286,13 +286,12 @@ def exact_cvp(instance, box=None, budget=None):
     if box < 0:
         raise ValueError("box must be nonnegative")
     rows, target, p = instance.rows, instance.target, instance.p
-    # every |Ax - y| is at most `reach`; p is capped at 64 because
-    # reach >= 2 fails the bound there anyway
+    # every |Ax - y| is at most `reach`
     entries = max((abs(a) for row in rows for a in row), default=0)
     reach = entries * box * cols + max(map(abs, target), default=0)
     # the word holds every entry and coordinate too, which `reach` does not
     # bound when box, cols or every entry is 0
-    top = max(reach ** min(p, 64), entries, box)
+    top = max(reach ** p, entries, box)
     dtype = next((t for t in (np.int16, np.int32, np.int64)
                   if top <= np.iinfo(t).max and len(rows) * top < 2 ** 63), object)
     witness, value = _box_search(instance, range(-box, box + 1), dtype, lambda r: abs(r) ** p,

@@ -1,27 +1,37 @@
-"""Reference oracles for the cross-checks: plain copies of functions that a
-rewrite replaced, kept as they were so the rewrite can be compared with them
-on seeded corpora. The graph references read a graph only through its
-`blue` and `red` pair sets; the two-level colouring counts with
-`SubcollectionHits`, the subcollection counter as it tested each submask of
-a diff against every set. The CVP reference shares the box search with
-the code it checks and differs from it only in the word it computes in; the
-NCP reference is that box search over {0, 1} in int64 residuals, so it
-shares no code with the packed-word search it checks."""
+"""Reference oracles for the cross-checks: one per quantity, the only home of
+the code the library's searches and counters are compared with.
+
+Most are plain loops from the definition, over Python ints and Fractions,
+that share with the library only its instance types, `SolverResult`,
+`setsys.masks` and `bitmask` (a set as an int) and, where a refusal is
+compared, `budget.check`: the label-cover values and the full labeling
+value (reading a game through its `tables` and `incidence`), max coverage,
+min set cover, greedy coverage, k-median and k-mean, NCP, CVP, the best
+assignment of a formula, the sampler, the majority decode, the red-blue
+transitivity check, the peel and the non-red subgraph search. Two keep a
+frozen numpy kernel, because a plain loop cannot run their corpora in
+time: `SubcollectionHits`, the subcollection counter as it tested each
+submask of a diff against every set's domain mask, which
+`pair_consistencies` and `two_level_graph` count with, and
+`left_vertices`, one `satisfied_counts` call per subset. None calls the
+kernel it checks, and none imports a private name of the library."""
 
 import collections
+import functools
 import itertools
 import math
+import operator
+import random
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from gapforge import ConsistencyOverlapError, RedBlueGraph, SolverResult
 from gapforge import budget as _budget
-from gapforge.budget import BudgetError, check, search
+from gapforge.agreement import MajorityStats
+from gapforge.budget import BudgetError, check
 from gapforge.formula import satisfied_counts, vars_of
-from gapforge.setsys import masks
-from gapforge.solvers import _box_search
+from gapforge.setsys import bitmask, masks
 
 
 class SubcollectionHits:
@@ -30,7 +40,8 @@ class SubcollectionHits:
     from lists of index tuples."""
 
     def __init__(self, collection):
-        self._masks, self._k = collection._mask_arrays[1], collection.k
+        dtype = np.int64 if collection.n <= 62 else object
+        self._masks, self._k = np.array(collection.domain_masks, dtype), collection.k
 
     def _paths(self, diffs, ell):
         total = math.comb(self._k - 2, ell) if ell > 1 else 0
@@ -85,27 +96,28 @@ class SubcollectionHits:
         return [sum(c * n for c, n in zip(terms, row) if n) for row in tally.tolist()]
 
 
+def pair_consistencies(collection, ell):
+    """{(i, j): the share of the ell-subcollections of the sets other than i
+    and j whose common points miss disagreement(i, j)}, for every pair i < j."""
+    diffs = {pair: collection.disagreement(*pair)
+             for pair in itertools.combinations(range(collection.k), 2)}
+    distinct = sorted(set(diffs.values()))
+    hits = dict(zip(distinct, SubcollectionHits(collection).hits(distinct, ell)))
+    total = math.comb(collection.k - 2, ell)
+    return {pair: Fraction(hits[diff], total) for pair, diff in diffs.items()}
+
+
 def two_level_graph(collection, alpha, beta, t):
-    """`build_two_level_graph` as it coloured pairs into frozensets: the whole
-    k x k disagreement block, `np.triu_indices` and one `np.unique` over the
-    pairs, each distinct diff coloured by a Python comparison."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    k = collection.k
-    rows, cols = np.triu_indices(k, 1)
-    diffs, inverse = np.unique(collection._disagreements()[rows, cols], return_inverse=True)
-    counter = SubcollectionHits(collection)
-    blue_ell, red_ell = t - 2, 2 * t - 3
-    blue_total, red_total = math.comb(k - 2, blue_ell), math.comb(k - 2, red_ell)
-    blue_hits, red_hits = counter.hits(diffs, blue_ell), counter.hits(diffs, red_ell)
-    blue = np.array([h * beta.denominator >= beta.numerator * blue_total for h in blue_hits])
-    red = np.array([h * alpha.denominator < alpha.numerator * red_total for h in red_hits])
-    if (both := np.flatnonzero((blue & red)[inverse])).size:
-        p, u = both[0], inverse[both[0]]
-        raise ConsistencyOverlapError(int(rows[p]), int(cols[p]),
-                                      Fraction(blue_hits[u], blue_total),
-                                      Fraction(red_hits[u], red_total))
-    return RedBlueGraph(k, *(frozenset(zip(rows[on].tolist(), cols[on].tolist()))
-                             for on in (blue[inverse], red[inverse])))
+    """`build_two_level_graph` from the definition: a pair is blue when its
+    (t - 2)-consistency is at least beta and red when its (2t - 3)-consistency
+    is below alpha; the first pair in lex order that is both is refused."""
+    blue_values = pair_consistencies(collection, t - 2)
+    red_values = pair_consistencies(collection, 2 * t - 3)
+    blue = {pair for pair, value in blue_values.items() if value >= beta}
+    red = {pair for pair, value in red_values.items() if value < alpha}
+    if both := sorted(blue & red):
+        raise ConsistencyOverlapError(*both[0], blue_values[both[0]], red_values[both[0]])
+    return RedBlueGraph(collection.k, frozenset(blue), frozenset(red))
 
 
 def rb_check(graph, h):
@@ -153,6 +165,53 @@ def non_red_subgraph(graph, d):
     return best, best_density
 
 
+def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
+    """`majority_decode` with its per-pair disagreement loop."""
+    n = collection.n
+    g = tuple(1 if 2 * sum(collection.values[i][collection.system.sets[i].index(x)]
+                           for i in members if x in collection.system.sets[i])
+              > sum(x in collection.system.sets[i] for i in members) else 0
+              for x in range(n))
+    g_ones = sum(1 << x for x in range(n) if g[x])
+    total = sum(((g_ones ^ collection.ones_masks[i]) & collection.domain_masks[i]).bit_count()
+                for i in members)
+    mean = Fraction(total, len(members))
+    pair_total = kappa_hits = 0
+    for i in members:
+        for j in members:
+            dij = collection.disagreement(i, j).bit_count()
+            pair_total += dij
+            if dij > zeta * n:
+                kappa_hits += 1
+    pairs = len(members) ** 2
+    kappa, pair_mean = Fraction(kappa_hits, pairs), Fraction(pair_total, pairs)
+    bound_squared = Fraction(n * n) * (rho * kappa + zeta)
+    return g, MajorityStats(tuple(members), mean, kappa, zeta, rho, bound_squared,
+                            mean * mean <= bound_squared, pair_mean, pair_mean * n >= mean * mean)
+
+
+def sample_random_subsets(universe_size, k, p, seed):
+    """The sets of `sample_random_subsets`: element e joins a set when its
+    draw is below p, one `rng.random() < p` per element (exact for a
+    Fraction p)."""
+    rng = random.Random(seed)
+    return tuple(tuple(e for e in range(universe_size) if rng.random() < p) for _ in range(k))
+
+
+def brute_force_max_val(formula):
+    """`brute_force_max_val`: the lex-first assignment, x1 first, satisfying
+    the most clauses; bit n - v of an assignment index is variable v."""
+    n = formula.num_vars
+    clauses = [(bitmask(n - lit for lit in clause if lit > 0),
+                bitmask(n + lit for lit in clause if lit < 0)) for clause in formula.clauses]
+
+    def satisfied(x):
+        return sum(bool(x & pos or ~x & neg) for pos, neg in clauses)
+    best = max(range(1 << n), key=satisfied)
+    return ({v: best >> n - v & 1 for v in range(1, n + 1)},
+            Fraction(satisfied(best), formula.num_clauses))
+
+
 def left_vertices(formula, system, var_budget=24, budget=None):
     """`left_vertices` as one `satisfied_counts` call per subset, over the
     domain reversed so that bit j of an assignment index is domain[j]."""
@@ -171,6 +230,52 @@ def left_vertices(formula, system, var_budget=24, budget=None):
     return domains, tuple(alphabets)
 
 
+def labeling_value(game, labeling):
+    """The share of edges whose left label projects to the right label, for
+    a full labeling (left indices, right indices)."""
+    left, right = labeling
+    sat = sum(game.tables[e][left[u]] == right[v] for e, (u, v) in enumerate(game.edges))
+    return Fraction(sat, game.num_edges)
+
+
+def extension(game, left):
+    """`optimal_extension`: each right vertex takes its most projected label,
+    ties to the smallest and 0 without edges; with its value."""
+    right, sat = [], 0
+    for pairs in game.incidence:
+        counts = collections.Counter(game.tables[e][left[u]] for e, u in pairs)
+        best = max(sorted(counts), key=counts.__getitem__, default=0)
+        right.append(best)
+        sat += counts[best]
+    return tuple(right), Fraction(sat, game.num_edges)
+
+
+def weak_agreement(game, left):
+    """`weak_agreement_value`: the share of right vertices two of whose edges
+    project the same label."""
+    projected = ([game.tables[e][left[u]] for e, u in pairs] for pairs in game.incidence)
+    return Fraction(sum(len(set(labels)) < len(labels) for labels in projected), game.num_right)
+
+
+def _lex_first_best(game, score):
+    best = max(itertools.product(*(range(len(a)) for a in game.left_alphabets)), key=score)
+    return best, score(best)
+
+
+def val(game):
+    """`brute_force_val`: the lex-first left labeling of largest extension
+    value, with its extension."""
+    best, _ = _lex_first_best(game, lambda left: extension(game, left)[1])
+    right, value = extension(game, best)
+    return (best, right), value
+
+
+def wval(game):
+    """`brute_force_wval`: the lex-first left labeling of largest weak
+    agreement, with its value."""
+    return _lex_first_best(game, functools.partial(weak_agreement, game))
+
+
 def _covered(ms, combo):
     """How many elements the sets `combo` cover together, ms being the
     instance's set masks."""
@@ -180,23 +285,43 @@ def _covered(ms, combo):
     return m.bit_count()
 
 
+def greedy_max_coverage(instance):
+    """`greedy_max_coverage` as a best-so-far loop: each step takes the first
+    unchosen set of largest gain; `enumerated` counts the sets it scored."""
+    ms = masks(instance)
+    chosen, covered, steps = [], 0, 0
+    for _ in range(instance.k):
+        best, best_gain = None, -1
+        for j in range(len(ms)):
+            if j in chosen:
+                continue
+            steps += 1
+            gain = (ms[j] & ~covered).bit_count()
+            if gain > best_gain:
+                best, best_gain = j, gain
+        chosen.append(best)
+        covered |= ms[best]
+    return SolverResult(value=covered.bit_count(), witness=tuple(chosen), enumerated=steps)
+
+
 def max_coverage(instance, budget=None):
-    """`exact_max_coverage` as one `search` over the k-subsets in lex order,
-    each scored by OR-ing the Python int masks of its sets."""
+    """`exact_max_coverage`: the lex-first k-subset covering the most, each
+    scored by OR-ing the Python int masks of its sets."""
     n = len(instance.sets)
     if instance.k > n:
         raise ValueError("k exceeds the number of sets")
     total = math.comb(n, instance.k)
-    best, value = search(max, lambda: itertools.combinations(range(n), instance.k), total,
-                         partial(_covered, masks(instance)), budget, "k-subset enumeration")
-    return SolverResult(value=value, witness=best, enumerated=total)
+    check(total, budget, "k-subset enumeration")
+    covered = functools.partial(_covered, masks(instance))
+    best = max(itertools.combinations(range(n), instance.k), key=covered)
+    return SolverResult(value=covered(best), witness=best, enumerated=total)
 
 
 def min_set_cover(instance, budget=None):
     """`exact_min_set_cover` as the same per-level charge in front of an
     itertools.combinations loop over Python int masks."""
     n = len(instance.sets)
-    covered = partial(_covered, masks(instance))
+    covered = functools.partial(_covered, masks(instance))
     if covered(range(n)) < instance.universe_size:
         raise ValueError("no cover exists: some element is in no set")
     for size in range(n + 1):
@@ -208,27 +333,46 @@ def min_set_cover(instance, budget=None):
     raise AssertionError("unreachable: full union covers the universe")
 
 
+def clustering(instance, exponent):
+    """`exact_kmedian` (exponent 1) and `exact_kmean` (exponent 2): the
+    lex-first facility k-subset of least sum over clients of the nearest
+    distance to the power."""
+    nc, nf, d = instance.num_clients, instance.num_facilities, instance.dist
+
+    def cost(combo):
+        return sum(min(d[u][nc + f] for f in combo) ** exponent for u in range(nc))
+    best = min(itertools.combinations(range(nf), instance.k), key=cost)
+    return SolverResult(value=cost(best), witness=best, enumerated=math.comb(nf, instance.k))
+
+
 def ncp(instance, budget=None):
-    """`exact_ncp` as a box search over {0, 1}: the parity of each int64
-    residual is the F_2 residual."""
-    witness, value = _box_search(instance, (0, 1), np.int64, lambda r: r & 1, budget,
-                                 "message enumeration")
-    return SolverResult(value=value, witness=witness, enumerated=1 << instance.num_cols)
+    """`exact_ncp`: the lex-first message x in {0, 1}^cols whose codeword is
+    nearest the target, each codeword the XOR of the int masks of the
+    columns that x selects."""
+    cols = instance.num_cols
+    check(1 << cols, budget, "message enumeration")
+    columns = [bitmask(r for r, row in enumerate(instance.rows) if row[j]) for j in range(cols)]
+    target = bitmask(r for r, bit in enumerate(instance.target) if bit)
+
+    def distance(x):
+        return functools.reduce(operator.xor, itertools.compress(columns, x), target).bit_count()
+    best = min(itertools.product((0, 1), repeat=cols), key=distance)
+    return SolverResult(value=distance(best), witness=best, enumerated=1 << cols)
 
 
 def cvp(instance, box=None, budget=None):
-    """`exact_cvp` in int64 when no partial sum can reach 2^63, in Python
-    ints otherwise."""
-    cols = instance.num_cols
+    """`exact_cvp`: the lex-first x in [-box, box]^cols minimizing the sum
+    over rows of |Ax - y|^p, in Python ints."""
+    cols, p = instance.num_cols, instance.p
     if box is None:
         box = instance.k + 1
     if box < 0:
         raise ValueError("box must be nonnegative")
-    rows, target, p = instance.rows, instance.target, instance.p
-    reach = (max((abs(a) for row in rows for a in row), default=0) * box * cols
-             + max(map(abs, target), default=0))
-    dtype = np.int64 if len(rows) * reach ** min(p, 64) < 2 ** 63 else object
-    witness, value = _box_search(instance, range(-box, box + 1), dtype, lambda r: abs(r) ** p,
-                                 budget, "coordinate box enumeration")
-    return SolverResult(value=value, witness=witness, enumerated=(2 * box + 1) ** cols,
+    check((2 * box + 1) ** cols, budget, "coordinate box enumeration")
+
+    def cost(x):
+        return sum(abs(sum(map(operator.mul, row, x)) - y) ** p
+                   for row, y in zip(instance.rows, instance.target))
+    best = min(itertools.product(range(-box, box + 1), repeat=cols), key=cost)
+    return SolverResult(value=cost(best), witness=best, enumerated=(2 * box + 1) ** cols,
                         note=f"coordinates enumerated in [-{box}, {box}]")

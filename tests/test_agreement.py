@@ -22,7 +22,7 @@ from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
                       vars_of)
 import gapforge.agreement
 import reference
-from gapforge.agreement import (MajorityStats, _SubcollectionHits, _agreement_decode,
+from gapforge.agreement import (_SubcollectionHits, _agreement_decode,
                                 _peel_red_vertices)
 from gapforge.labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
                                  build_main_reduction, left_vertices,
@@ -229,38 +229,13 @@ def test_two_level_graph_matches_reconstruction(seed):
     assert not graph.estimated
 
 
-def _enumerated_pair_consistency(collection, i, j, ell):
-    """The enumerating exact pair consistency that the shared counter
-    replaced: every ell-subset of the other sets, one at a time."""
-    if ell == 0:
-        return Fraction(1)
-    others = [x for x in range(collection.k) if x != i and x != j]
-    base = collection.domain_masks[i] & collection.domain_masks[j]
-    diff = (collection.ones_masks[i] ^ collection.ones_masks[j]) & base
-    hits = 0
-    for combo in itertools.combinations(others, ell):
-        m = diff
-        for x in combo:
-            m &= collection.domain_masks[x]
-        if m == 0:
-            hits += 1
-    return Fraction(hits, math.comb(len(others), ell))
-
-
-def _enumerated_two_level_graph(collection, alpha, beta, t):
-    """The exact two-level graph built from per-pair Fractions, as before the
-    shared counter: (blue, red) or the first overlapping pair and its values."""
-    blue, red = set(), set()
-    for i, j in itertools.combinations(range(collection.k), 2):
-        bval = _enumerated_pair_consistency(collection, i, j, t - 2)
-        rval = _enumerated_pair_consistency(collection, i, j, 2 * t - 3)
-        if bval >= beta and rval < alpha:
-            return "overlap", (i, j), bval, rval
-        if bval >= beta:
-            blue.add((i, j))
-        if rval < alpha:
-            red.add((i, j))
-    return RedBlueGraph(collection.k, frozenset(blue), frozenset(red))
+def _reference_graph(collection, alpha, beta, t):
+    """The reference graph, or ("overlap", pair, blue value, red value) where
+    the reference refuses a pair that is both blue and red."""
+    try:
+        return reference.two_level_graph(collection, alpha, beta, t)
+    except ConsistencyOverlapError as exc:
+        return "overlap", exc.pair, exc.blue_consistency, exc.red_consistency
 
 
 def _counts_by_enumeration(collection, diff, ell):
@@ -294,14 +269,14 @@ fractions_01 = st.builds(Fraction, st.integers(0, 12), st.integers(1, 12)).filte
 @given(small_collections(), fractions_01, fractions_01)
 @settings(max_examples=300, deadline=None)
 def test_counted_consistency_matches_enumeration(fc, a, b):
-    for i, j in itertools.combinations(range(fc.k), 2):
-        for ell in range(fc.k - 1):
-            assert pair_consistency(fc, i, j, ell) == _enumerated_pair_consistency(fc, i, j, ell)
+    for ell in range(fc.k - 1):
+        for (i, j), want in reference.pair_consistencies(fc, ell).items():
+            assert pair_consistency(fc, i, j, ell) == want
     alpha, beta = min(a, b), max(a, b)
     for t in (2, 3, 4):
         if fc.k < 2 * t - 1:
             continue
-        expected = _enumerated_two_level_graph(fc, alpha, beta, t)
+        expected = _reference_graph(fc, alpha, beta, t)
         if isinstance(expected, RedBlueGraph):
             assert build_two_level_graph(fc, alpha, beta, t) == expected
         else:
@@ -329,11 +304,11 @@ def test_counted_consistency_corpus_takes_every_path():
     paths = set()
     for seed in range(60):
         fc = _seeded_small_collection(seed)
-        for i, j in itertools.combinations(range(fc.k), 2):
-            diff = ((fc.ones_masks[i] ^ fc.ones_masks[j])
-                    & fc.domain_masks[i] & fc.domain_masks[j])
-            for ell in range(1, fc.k - 1):
-                assert pair_consistency(fc, i, j, ell) == _enumerated_pair_consistency(fc, i, j, ell)
+        for ell in range(1, fc.k - 1):
+            for (i, j), want in reference.pair_consistencies(fc, ell).items():
+                diff = ((fc.ones_masks[i] ^ fc.ones_masks[j])
+                        & fc.domain_masks[i] & fc.domain_masks[j])
+                assert pair_consistency(fc, i, j, ell) == want
                 paths.add("empty" if diff == 0 else
                           "enumerated" if _counts_by_enumeration(fc, diff, ell) else
                           "closed" if ell == 1 else "counted")
@@ -352,7 +327,8 @@ def test_shared_counter_reuses_a_diff_across_pairs(monkeypatch):
     for ell in range(1, 7):
         [count] = counter.hits([0b1], ell)
         for i, j in ((0, 1), (2, 3)):
-            assert Fraction(count, math.comb(6, ell)) == _enumerated_pair_consistency(fc, i, j, ell)
+            want = reference.pair_consistencies(fc, ell)[i, j]
+            assert Fraction(count, math.comb(6, ell)) == want
     batches = []
     hits = _SubcollectionHits.hits
 
@@ -447,32 +423,6 @@ def _seeded_wide_collection(seed, n):
         for x, s in enumerate(system.sets)))
 
 
-def _old_majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
-    """majority_decode with its per-pair disagreement loop, as before the
-    disagreement block."""
-    n = collection.n
-    g = tuple(1 if 2 * sum(collection.values[i][collection.system.sets[i].index(x)]
-                           for i in members if x in collection.system.sets[i])
-              > sum(x in collection.system.sets[i] for i in members) else 0
-              for x in range(n))
-    g_ones = sum(1 << x for x in range(n) if g[x])
-    total = sum(((g_ones ^ collection.ones_masks[i]) & collection.domain_masks[i]).bit_count()
-                for i in members)
-    mean = Fraction(total, len(members))
-    pair_total = kappa_hits = 0
-    for i in members:
-        for j in members:
-            dij = collection.disagreement(i, j).bit_count()
-            pair_total += dij
-            if dij > zeta * n:
-                kappa_hits += 1
-    pairs = len(members) ** 2
-    kappa, pair_mean = Fraction(kappa_hits, pairs), Fraction(pair_total, pairs)
-    bound_squared = Fraction(n * n) * (rho * kappa + zeta)
-    return g, MajorityStats(tuple(members), mean, kappa, zeta, rho, bound_squared,
-                            mean * mean <= bound_squared, pair_mean, pair_mean * n >= mean * mean)
-
-
 def _exact(*values):
     """The first value, after checking that every value is a Fraction of
     Python ints, not of numpy integers."""
@@ -483,7 +433,7 @@ def _exact(*values):
 
 def _check_two_level_graphs(fc, alpha, beta):
     for t in (2, 3):
-        expected = _enumerated_two_level_graph(fc, alpha, beta, t)
+        expected = _reference_graph(fc, alpha, beta, t)
         if isinstance(expected, RedBlueGraph):
             graph = build_two_level_graph(fc, alpha, beta, t)
             assert graph == expected
@@ -510,16 +460,15 @@ def test_wide_collections_match_the_pairwise_oracles(n, monkeypatch):
     for seed in range(6):
         fc = _seeded_wide_collection(seed, n)
         assert _exact(t_wagr(fc, 2)) == _wagr_recount(fc, 2)
-        for i, j in itertools.combinations(range(fc.k), 2):
-            for ell in range(1, fc.k - 1):
-                assert _exact(pair_consistency(fc, i, j, ell)) \
-                    == _enumerated_pair_consistency(fc, i, j, ell)
+        for ell in range(1, fc.k - 1):
+            for (i, j), want in reference.pair_consistencies(fc, ell).items():
+                assert _exact(pair_consistency(fc, i, j, ell)) == want
                 paths.add("closed" if ell == 1 else "enumerated"
                           if _counts_by_enumeration(fc, fc.disagreement(i, j), ell) else "counted")
         for zeta in (Fraction(0), Fraction(1, 40), Fraction(1, 10)):
             members = range(seed % 2, fc.k)
             g, stats = majority_decode(fc, members, zeta, Fraction(1, 3))
-            assert (g, stats) == _old_majority_decode(fc, members, zeta, Fraction(1, 3))
+            assert (g, stats) == reference.majority_decode(fc, members, zeta, Fraction(1, 3))
             assert {type(x) for x in g} <= {int} and {type(stats.bound_holds)} == {bool}
             _exact(stats.mean_disagr, stats.kappa, stats.pair_mean_disagr)
         # graphs with no red edges, with both colors, and overlaps at t = 2
@@ -547,7 +496,7 @@ def test_dense_majority_decode_matches_the_old_loop():
         for members in (range(k + 1), shuffled, shuffled[:rng.randint(2, k)], (k,)):
             for zeta in (Fraction(j, 10) for j in range(10)):
                 g, stats = majority_decode(fc, members, zeta, rho)
-                assert (g, stats) == _old_majority_decode(fc, tuple(members), zeta, rho)
+                assert (g, stats) == reference.majority_decode(fc, tuple(members), zeta, rho)
                 assert {type(x) for x in g} == {int}
                 assert {type(stats.bound_holds), type(stats.power_mean_holds)} == {bool}
                 _exact(stats.mean_disagr, stats.kappa, stats.zeta, stats.rho,
@@ -989,14 +938,14 @@ def test_two_level_graph_charges_the_counted_work(t):
     assert graph == build_two_level_graph(fc, alpha, beta, t)
     assert not graph.estimated
     assert graph.blue and (graph.red or t == 2)
+    want = {ell: reference.pair_consistencies(fc, ell) for ell in ells if ell >= 1}
     for (i, j), diff in diffs.items():
-        for ell in [ell for ell in ells if ell >= 1]:
+        for ell in want:
             cost = _key_cost(fc, diff, ell)
             with pytest.raises(BudgetError) as exc:
                 pair_consistency(fc, i, j, ell, budget=cost - 1)
             assert exc.value.required == cost
-            assert (pair_consistency(fc, i, j, ell, budget=cost)
-                    == _enumerated_pair_consistency(fc, i, j, ell))
+            assert pair_consistency(fc, i, j, ell, budget=cost) == want[ell][i, j]
 
 
 def test_decode_assignment_measures_agreement_once(monkeypatch):

@@ -478,6 +478,8 @@ WIDE_CNF = gapforge.to_dimacs(gapforge.random_planted_formula(18, 6, seed=1)[0])
     # a box of 2*10^9 + 1 coordinates per column is refused before any is built
     ("one.txt", "cvp 1 1 1 1\n1\n0\n", ["solve", "cvp", "--seed", "0", "--box", "1000000000"], 3),
     ("big-k.txt", "cvp 1 1 1000000000 1\n1\n0\n", ["solve", "cvp", "--seed", "0"], 3),
+    # five points, each scored as a 10^7-th power: refused at parse
+    ("big-p.txt", "cvp 1 1 1 10000000\n1\n2\n", ["solve", "cvp", "--seed", "0"], 1),
     # three subsets over 18 variables: 786,432 left labels, charged to the budget
     ("wide.cnf", WIDE_CNF, ["reduce", "labelcover", "-o", "out.json", "--seed", "0",
                             "--k", "3", "--p", "1", "--budget", "18"], 3),
@@ -489,8 +491,8 @@ WIDE_CNF = gapforge.to_dimacs(gapforge.random_planted_formula(18, 6, seed=1)[0])
                         "--var-budget", "100000000000"], 0),
 ], ids=["deep-json", "huge-var-count", "two-dimacs-headers", "huge-unique-cover",
         "huge-min-set-cover", "huge-clustering", "huge-clustering-out-of-memory",
-        "huge-ncp-no-sets", "huge-cvp-box", "huge-cvp-default-box", "wide-labelcover-budget",
-        "huge-k-labelcover", "huge-var-budget"])
+        "huge-ncp-no-sets", "huge-cvp-box", "huge-cvp-default-box", "huge-cvp-norm",
+        "wide-labelcover-budget", "huge-k-labelcover", "huge-var-budget"])
 def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expected):
     """Inputs whose size is claimed rather than present: none may build what
     it claims. The child runs under a 1.5 GB address-space cap, so building

@@ -450,6 +450,10 @@ def test_abss_cvp_hand_examples():
 
     with pytest.raises(ValueError, match="p must be at least 1"):
         abss_cvp_reduction(_pair_cover(), soundness_threshold=1, p=0)
+    # refused before the rows are built, which a budget of 0 would refuse
+    with pytest.raises(ValueError, match="p must be at most 64"):
+        abss_cvp_reduction(_pair_cover(), soundness_threshold=1, p=65, budget=0)
+    assert abss_cvp_reduction(_pair_cover(), soundness_threshold=1, p=64).p == 64
 
 
 def test_abss_cvp_no_cover_instance():
@@ -565,3 +569,5 @@ def test_instance_validation():
         LatticeInstance(((1, 0), (1,)), (0, 0), p=1, k=1)
     with pytest.raises(ValueError, match="p must be at least 1"):
         LatticeInstance(((1,),), (0,), p=0, k=1)
+    with pytest.raises(ValueError, match="p must be at most 64"):
+        LatticeInstance(((1,),), (0,), p=65, k=1)

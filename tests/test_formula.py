@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +12,7 @@ from gapforge import (BudgetError, CnfFormula, DimacsError,
                       parse_dimacs, random_planted_formula, to_dimacs,
                       vars_of)
 from gapforge.formula import satisfied_counts
+import reference
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
 
@@ -159,16 +159,6 @@ def test_brute_force_budget_refusal():
     assert exc.value.budget == 1 << 11
 
 
-def _old_brute_force_max_val(formula):
-    """brute_force_max_val as it stood before it became one block of
-    budget.block_search: the whole count vector and its first argmax."""
-    n = formula.num_vars
-    counts = satisfied_counts(formula)
-    best = int(np.argmax(counts))
-    phi = {v: (best >> (n - v)) & 1 for v in range(1, n + 1)}
-    return phi, Fraction(int(counts[best]), formula.num_clauses)
-
-
 def _random_formula(rng, n):
     """Random clauses of width 1 to 3 over n variables, unsatisfiable ones
     included, and one unit clause for each variable they leave out."""
@@ -188,7 +178,7 @@ def test_brute_force_matches_the_old_argmax_and_charges_two_to_the_n():
                    else random_planted_formula(max(n, 3), 2 * max(n, 3), rng.randrange(2**32))[0])
         n = formula.num_vars
         result = brute_force_max_val(formula, budget=1 << n)
-        assert result == _old_brute_force_max_val(formula)
+        assert result == reference.brute_force_max_val(formula)
         assert type(result[1]) is Fraction
         with pytest.raises(BudgetError) as exc:
             brute_force_max_val(formula, budget=(1 << n) - 1)

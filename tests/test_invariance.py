@@ -30,7 +30,8 @@ from gapforge import (CnfFormula, CoverageInstance, FunctionCollection,
                       pair_consistency, t_wagr, verify_unique_cover,
                       weak_agreement_value)
 from gapforge.agreement import _non_red_density
-from gapforge.labelcover import RESTRICTION, _labeling_value
+from gapforge.labelcover import RESTRICTION
+import reference
 
 small = settings(max_examples=60, deadline=None)
 
@@ -125,11 +126,11 @@ def test_game_values_are_invariant(game, data):
         (other_left, other_right), other_val = brute_force_val(other)
         other_weak, other_wval = brute_force_wval(other)
         assert (other_val, other_wval) == (val, wval)
-        assert _labeling_value(other, (_moved(left, lmap), _moved(right, rmap))) == val
+        assert reference.labeling_value(other, (_moved(left, lmap), _moved(right, rmap))) == val
         assert weak_agreement_value(other, _moved(weak_left, lmap)) == wval
         back = [_back(lmap), _back(rmap)]
-        assert _labeling_value(game, (_moved(other_left, back[0]),
-                                      _moved(other_right, back[1]))) == val
+        assert reference.labeling_value(game, (_moved(other_left, back[0]),
+                                                _moved(other_right, back[1]))) == val
         assert weak_agreement_value(game, _moved(other_weak, back[0])) == wval
 
 
@@ -196,10 +197,11 @@ def test_clause_game_values_are_invariant(case):
     other_weak, other_wval = brute_force_wval(other)
     assert (other_val, other_wval) == (val, wval)
     back = _back(var_map)
-    assert _labeling_value(other, _renamed_labeling(game, other, var_map, left, right)) == val
+    assert reference.labeling_value(
+        other, _renamed_labeling(game, other, var_map, left, right)) == val
     assert weak_agreement_value(other, _renamed_labeling(game, other, var_map, weak_left)) == wval
-    assert _labeling_value(game, _renamed_labeling(other, game, back, other_left,
-                                                   other_right)) == val
+    assert reference.labeling_value(
+        game, _renamed_labeling(other, game, back, other_left, other_right)) == val
     assert weak_agreement_value(game, _renamed_labeling(other, game, back, other_weak)) == wval
 
 

@@ -10,7 +10,6 @@ import re
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +23,9 @@ from gapforge import (BudgetError, LabelCoverInstance, SetSystem,
                       soundness_params, to_json, weak_agreement_value,
                       wval_to_val_bound)
 import gapforge.budget
-from gapforge.budget import check
 from gapforge.cli import main
-from gapforge.formula import CnfFormula, satisfied_counts, vars_of
-from gapforge.labelcover import (RESTRICTION, _hadamard_codeword,
-                                 _labeling_value, left_vertices)
+from gapforge.formula import CnfFormula, vars_of
+from gapforge.labelcover import RESTRICTION, _hadamard_codeword, left_vertices
 import reference
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
@@ -52,25 +49,26 @@ def singleton_reduction(t=2, num_clauses=3, seed=0, n=5, m=None):
 
 def test_labeling_value_examples():
     toy = identity_toy()
-    assert _labeling_value(toy, ((0, 0), (0,))) == 1
-    assert _labeling_value(toy, ((1, 1), (1,))) == 1
-    assert _labeling_value(toy, ((0, 1), (0,))) == Fraction(1, 2)
+    assert reference.labeling_value(toy, ((0, 0), (0,))) == 1
+    assert reference.labeling_value(toy, ((1, 1), (1,))) == 1
+    assert reference.labeling_value(toy, ((0, 1), (0,))) == Fraction(1, 2)
 
     constant = LabelCoverInstance(
         edges=((0, 0),),
         left_alphabets=((0, 1),), right_alphabets=((0, 1),),
         projections=((1, 1),),
     )
-    assert _labeling_value(constant, ((0,), (0,))) == 0
-    assert _labeling_value(constant, ((0,), (1,))) == 1
+    assert reference.labeling_value(constant, ((0,), (0,))) == 0
+    assert reference.labeling_value(constant, ((0,), (1,))) == 1
 
 
-def test_labeling_value_rejects_partial_or_out_of_range():
+def test_left_labelings_reject_partial_or_out_of_range():
     toy = identity_toy()
-    with pytest.raises(ValueError, match="every left vertex"):
-        _labeling_value(toy, ((0,), (0,)))
-    with pytest.raises(ValueError, match="out of range"):
-        _labeling_value(toy, ((0, 2), (0,)))
+    for value in (optimal_extension, weak_agreement_value):
+        with pytest.raises(ValueError, match="every left vertex"):
+            value(toy, (0,))
+        with pytest.raises(ValueError, match="out of range"):
+            value(toy, (0, 2))
 
 
 def _random_table_instance(rng, num_left=2, num_right=1, la=2, ra=2, degree=2):
@@ -98,7 +96,7 @@ def test_labeling_value_matches_hand_enumeration(seed):
                 1 for e, (u, v) in enumerate(toy.edges)
                 if toy.projections[e][left[u]] == right[v]
             )
-            assert _labeling_value(toy, (left, right)) == Fraction(sat, toy.num_edges)
+            assert reference.labeling_value(toy, (left, right)) == Fraction(sat, toy.num_edges)
 
 
 def test_weak_agreement_examples():
@@ -266,28 +264,6 @@ def test_main_reduction_completeness(seed):
         assert len(alphabet) <= 1 << len(dom)
 
 
-def _reencoded_left_side(formula, system, var_budget):
-    """The left side as the builder made it before `left_vertices`: labels
-    enumerated most significant bit first over the sorted domain, then
-    re-encoded bit by bit so bit j means dom[j]; an empty domain got (0,)."""
-    domains, alphabets = [], []
-    for i, subset in enumerate(system.sets):
-        dom = sorted(vars_of(formula, subset))
-        if len(dom) > var_budget:
-            check(1 << len(dom), 1 << var_budget, what=f"alphabet enumeration for subset {i}")
-        if dom:
-            counts = satisfied_counts(formula, dom, subset)
-            sat = np.nonzero(counts == len(subset))[0]
-            nv = len(dom)
-            labels = tuple(sorted(
-                sum(((int(m) >> (nv - 1 - j)) & 1) << j for j in range(nv)) for m in sat))
-        else:
-            labels = (0,)
-        domains.append(tuple(dom))
-        alphabets.append(labels)
-    return tuple(domains), tuple(alphabets)
-
-
 def _random_narrow_formula(rng):
     """Unit and two-literal clauses over few variables, so small clause
     subsets are often unsatisfiable."""
@@ -305,7 +281,7 @@ def _random_narrow_formula(rng):
 @settings(max_examples=60, deadline=None)
 def test_left_vertices_match_the_reencoded_labels(seed):
     """Same domains, same ascending masks and the same refusals as the
-    re-encoding; an empty subset's one label is the empty assignment 0 and
+    reference; an empty subset's one label is the empty assignment 0 and
     an unsatisfiable subset's alphabet is empty."""
     rng = random.Random(seed)
     if seed % 2:
@@ -317,7 +293,7 @@ def test_left_vertices_match_the_reencoded_labels(seed):
                                 for _ in range(rng.randint(1, 6))))
     var_budget = rng.choice([2, 4, 8, 24])
     try:
-        expected = _reencoded_left_side(formula, system, var_budget)
+        expected = reference.left_vertices(formula, system, var_budget)
     except BudgetError as exc:
         with pytest.raises(BudgetError, match=re.escape(str(exc))):
             left_vertices(formula, system, var_budget)
@@ -532,8 +508,6 @@ def test_valueless_games_are_rejected():
             oracle(vacuous)
     for game in (no_edges, no_right):
         with pytest.raises(ValueError, match="no edges"):
-            _labeling_value(game, ((0,), (0,) * game.num_right))
-        with pytest.raises(ValueError, match="no edges"):
             optimal_extension(game, (0,))
         with pytest.raises(ValueError, match="no edges"):
             brute_force_val(game)
@@ -543,41 +517,6 @@ def test_valueless_games_are_rejected():
         brute_force_wval(no_right)
     # right vertices without edges are never weakly agreed on
     assert brute_force_wval(no_edges) == ((0,), 0)
-
-
-def _frozen_weak_agreement(instance, left):
-    """The per-right-vertex set scan that scored weak agreement before the
-    plurality pass counted it."""
-    tables = instance.tables
-    agreed = 0
-    for pairs in instance.incidence:
-        seen = set()
-        for e, u in pairs:
-            val = tables[e][left[u]]
-            if val in seen:
-                agreed += 1
-                break
-            seen.add(val)
-    return agreed
-
-
-def _frozen_best_left(instance, score):
-    """The per-value search: builtin max over the lex-ordered left box keeps
-    the first maximum."""
-    box = itertools.product(*(range(len(a)) for a in instance.left_alphabets))
-    best = max(box, key=score)
-    return best, score(best)
-
-
-def _frozen_val(game):
-    best, _ = _frozen_best_left(game, lambda left: optimal_extension(game, left)[1])
-    right, val = optimal_extension(game, best)
-    return (best, right), val
-
-
-def _frozen_wval(game):
-    best, agreed = _frozen_best_left(game, lambda left: _frozen_weak_agreement(game, left))
-    return best, Fraction(agreed, game.num_right)
 
 
 def _degree_tables_game(rng):
@@ -623,11 +562,10 @@ def test_joint_search_matches_the_per_value_searches():
     """One enumeration keeps both lex-first maxima: values and witnesses
     equal the old per-value searches whichever oracle runs first."""
     for game in _cross_check_corpus():
-        want_val = _frozen_val(game) if game.edges else None
-        want_wval = _frozen_wval(game)
+        want_val = reference.val(game) if game.edges else None
+        want_wval = reference.wval(game)
         for left in itertools.product(*(range(len(a)) for a in game.left_alphabets)):
-            assert weak_agreement_value(game, left) == Fraction(
-                _frozen_weak_agreement(game, left), game.num_right)
+            assert weak_agreement_value(game, left) == reference.weak_agreement(game, left)
         # a field-equal copy starts with no cached search
         val_first, wval_first, wval_alone = (dataclasses.replace(game) for _ in range(3))
         if game.edges:

@@ -1,7 +1,10 @@
 """The package namespace: `__all__` is every public name it imports, and the
-list of those names is pinned."""
+list of those names is pinned. The reference oracles that the cross-checks
+compare with live in tests/reference.py alone."""
 
+import ast
 import types
+from pathlib import Path
 
 import gapforge
 
@@ -48,3 +51,24 @@ PUBLIC = [
 def test_public_names_are_pinned():
     assert sorted(gapforge.__all__) == PUBLIC
     assert len(PUBLIC) == 72
+
+
+# the names the frozen copies of replaced code went by in the test modules
+COPY_PREFIXES = ("_old_", "_frozen_", "_enumerated_", "_reencoded_", "_sample_by_")
+
+
+def test_reference_oracles_live_in_one_module():
+    """No test module but reference.py defines a frozen copy at top level,
+    and reference.py imports no private name of the package."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(__file__).parent.glob("*.py"))}
+    copies = [(name, node.name) for name, tree in trees.items() if name != "reference.py"
+              for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith(COPY_PREFIXES)]
+    assert copies == []
+    imported = [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(trees["reference.py"])
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert any(name.startswith("gapforge.") for name in imported)
+    assert [name for name in imported if name.startswith("gapforge.")
+            and any(part.startswith("_") for part in name.split("."))] == []

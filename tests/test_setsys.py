@@ -15,6 +15,7 @@ from gapforge import (BudgetError, MonotoneDnf, SetSystem, dnf_bound_holds,
                       sample_random_subsets)
 from gapforge.setsys import is_uniform, masks
 from gapforge.textformat import write
+import reference
 
 systems = st.builds(
     lambda u, raw: SetSystem(u, tuple(tuple(sorted(e for e in s if e < u)) for s in raw)),
@@ -30,19 +31,13 @@ def test_sample_endpoints():
     assert full.sets == (tuple(range(10)),) * 3
 
 
-def _sample_by_float_comparison(universe_size, k, p, seed):
-    """Reference sampler: one `rng.random() < p` comparison per element."""
-    rng = random.Random(seed)
-    return tuple(tuple(e for e in range(universe_size) if rng.random() < p) for _ in range(k))
-
-
 @given(st.integers(0, 2**32 - 1),
        st.one_of(st.fractions(0, 1), st.floats(0, 1), st.sampled_from([0, 1])),
        st.integers(0, 30), st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
 def test_sample_matches_float_comparison(seed, p, universe_size, k):
     assert sample_random_subsets(universe_size, k, p, seed).sets == \
-        _sample_by_float_comparison(universe_size, k, p, seed)
+        reference.sample_random_subsets(universe_size, k, p, seed)
 
 
 def test_sample_compares_exactly_at_the_draw():
@@ -52,20 +47,9 @@ def test_sample_compares_exactly_at_the_draw():
         assert sample_random_subsets(1, 1, draw + Fraction(1, 2**80), seed).sets == ((0,),)
 
 
-def _old_sample_random_subsets(universe_size, k, p, seed):
-    """The sampler as it was before its one float threshold: every draw
-    compared with p in integers."""
-    p = Fraction(p)
-    rng = random.Random(seed)
-    sets = []
-    for _ in range(k):
-        draws = (rng.random().as_integer_ratio() for _ in range(universe_size))
-        sets.append(tuple(e for e, (xn, xd) in enumerate(draws)
-                          if xn * p.denominator < p.numerator * xd))
-    return tuple(sets)
-
-
 def test_sample_matches_the_integer_comparison():
+    # probabilities at and next to a draw, tiny, close to 1 and with a
+    # 31-digit denominator, where a rounded threshold would differ
     long_denominator = Fraction(3 * 10**29 + 1, 10**30 + 7)
     assert len(str(long_denominator.denominator)) == 31
     for seed in range(100):
@@ -75,7 +59,7 @@ def test_sample_matches_the_integer_comparison():
                   1 - Fraction(1, 2**53), long_denominator):
             for universe_size in (0, 17):
                 assert sample_random_subsets(universe_size, 3, p, seed).sets == \
-                    _old_sample_random_subsets(universe_size, 3, p, seed)
+                    reference.sample_random_subsets(universe_size, 3, p, seed)
 
 
 def test_sample_determinism():

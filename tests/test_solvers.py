@@ -20,10 +20,9 @@ from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
                       exact_kmedian, exact_max_coverage, exact_min_set_cover,
                       exact_ncp, find_non_red_subgraph, greedy_max_coverage,
                       guha_khuller_reduction, optimal_extension,
-                      verify_unique_cover, weak_agreement_value)
+                      verify_unique_cover)
 from gapforge import agreement, budget, labelcover, solvers
 from gapforge.budget import block_search as budget_block_search
-from gapforge.setsys import bitmask, masks
 import reference
 
 
@@ -267,14 +266,14 @@ def test_exact_ints_past_the_int64_bound():
     target = tuple(rng.randint(-10**11, 10**11) for _ in range(3))
     for p in (1, 2, 3):
         lat = LatticeInstance(rows, target, p=p, k=0)
-        _same(_fields(exact_cvp(lat, box=2)), _old_cvp(lat, 2))
+        _same(_fields(exact_cvp(lat, box=2)), _fields(reference.cvp(lat, 2)))
     # the same for clustering: distances in [10^10, 2*10^10] form a metric
     size = 7
     d = [[0] * size for _ in range(size)]
     for a, b in itertools.combinations(range(size), 2):
         d[a][b] = d[b][a] = rng.randint(10**10, 2 * 10**10)
     metric = ClusteringInstance(4, 3, tuple(map(tuple, d)), k=2)
-    _same(_fields(exact_kmean(metric)), _old_clustering(metric, 2))
+    _same(_fields(exact_kmean(metric)), _fields(reference.clustering(metric, 2)))
 
 
 @pytest.mark.parametrize("margin", [0, 1])
@@ -286,7 +285,7 @@ def test_exact_cvp_either_side_of_the_int64_bound(margin):
     a = (math.isqrt((2**63 - 1) // height) - y) // (box * cols) + margin
     assert (height * (a * box * cols + y) ** 2 < 2**63) == (margin == 0)
     lat = LatticeInstance(((a, a),) * height, (-y,) * height, p=2, k=0)
-    _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
+    _same(_fields(exact_cvp(lat, box=box)), _fields(reference.cvp(lat, box)))
 
 
 def test_exact_cvp_tall_matrix_spans_blocks():
@@ -295,7 +294,7 @@ def test_exact_cvp_tall_matrix_spans_blocks():
     rng = random.Random(3)
     lat = LatticeInstance(_tied_columns(rng, height, 2, (-1, 0, 1)),
                           tuple(rng.randint(-1, 1) for _ in range(height)), p=1, k=0)
-    _same(_fields(exact_cvp(lat, box=1)), _old_cvp(lat, 1))
+    _same(_fields(exact_cvp(lat, box=1)), _fields(reference.cvp(lat, 1)))
 
 
 def test_exact_ncp_tall_code_spans_blocks():
@@ -306,7 +305,7 @@ def test_exact_ncp_tall_code_spans_blocks():
     code = CodeInstance(_tied_columns(rng, height, 3, (0, 1)),
                         tuple(rng.randrange(2) for _ in range(height)), k=0)
     with mock.patch.object(budget, "BLOCK_CELLS", 3 * -(-height // 64)):
-        _same(_fields(exact_ncp(code)), _old_ncp(code))
+        _same(_fields(exact_ncp(code)), _fields(reference.ncp(code)))
 
 
 def test_k_larger_than_collection_rejected():
@@ -324,145 +323,6 @@ def test_solver_results_carry_accounting():
     result = exact_max_coverage(inst)
     assert result.enumerated == 3  # C(3, 2)
     assert result.note == ""
-
-
-# Reference searches: hand-written best-so-far loops that keep the first
-# optimum in lex order through a sentinel and a strict compare. The library's
-# builtin min/max searches must return the same value, witness, count and note.
-
-def _old_greedy(instance):
-    ms = masks(instance)
-    chosen = []
-    covered = 0
-    steps = 0
-    for _ in range(instance.k):
-        best, best_gain = None, -1
-        for j in range(len(ms)):
-            if j in chosen:
-                continue
-            steps += 1
-            gain = (ms[j] & ~covered).bit_count()
-            if gain > best_gain:
-                best, best_gain = j, gain
-        chosen.append(best)
-        covered |= ms[best]
-    return covered.bit_count(), tuple(chosen), steps, ""
-
-
-def _old_max_coverage(instance):
-    n = len(instance.sets)
-    ms = masks(instance)
-    best, best_value = None, -1
-    for combo in itertools.combinations(range(n), instance.k):
-        m = 0
-        for j in combo:
-            m |= ms[j]
-        c = m.bit_count()
-        if c > best_value:
-            best, best_value = combo, c
-    return best_value, tuple(best), math.comb(n, instance.k), ""
-
-
-def _old_min_set_cover(instance):
-    n = len(instance.sets)
-    ms = masks(instance)
-    universe = (1 << instance.universe_size) - 1
-    enumerated = 0
-    for size in range(0, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            enumerated += 1
-            m = 0
-            for j in combo:
-                m |= ms[j]
-            if m == universe:
-                return size, tuple(combo), enumerated, ""
-    raise AssertionError("unreachable: full union covers the universe")
-
-
-def _old_clustering(instance, exponent):
-    nc, nf = instance.num_clients, instance.num_facilities
-    d = instance.dist
-    best, best_cost = None, None
-    for combo in itertools.combinations(range(nf), instance.k):
-        cost = 0
-        for u in range(nc):
-            nearest = min(d[u][nc + f] for f in combo)
-            cost += nearest**exponent
-        if best_cost is None or cost < best_cost:
-            best, best_cost = combo, cost
-    return best_cost, tuple(best), math.comb(nf, instance.k), ""
-
-
-def _old_ncp(instance):
-    cols = instance.num_cols
-    col_masks = [bitmask(r for r, row in enumerate(instance.rows) if row[j])
-                 for j in range(cols)]
-    y_mask = bitmask(r for r, bit in enumerate(instance.target) if bit)
-    best, best_cost = None, None
-    for x in itertools.product((0, 1), repeat=cols):
-        acc = 0
-        for j, bit in enumerate(x):
-            if bit:
-                acc ^= col_masks[j]
-        cost = (acc ^ y_mask).bit_count()
-        if best_cost is None or cost < best_cost:
-            best, best_cost = x, cost
-    return best_cost, best, 1 << cols, ""
-
-
-def _old_cvp(instance, box):
-    cols = instance.num_cols
-    if box is None:
-        box = instance.k + 1
-    best, best_cost = None, None
-    for x in itertools.product(range(-box, box + 1), repeat=cols):
-        cost = 0
-        for row, yr in zip(instance.rows, instance.target):
-            acc = sum(a * xi for a, xi in zip(row, x))
-            cost += abs(acc - yr) ** instance.p
-        if best_cost is None or cost < best_cost:
-            best, best_cost = x, cost
-    return (best_cost, best, (2 * box + 1) ** cols,
-            f"coordinates enumerated in [-{box}, {box}]")
-
-
-def _old_best_left(instance, score):
-    sizes = [len(a) for a in instance.left_alphabets]
-    best_left, best_val = None, Fraction(-1)
-    for left in itertools.product(*(range(s) for s in sizes)):
-        val = score(left)
-        if val > best_val:
-            best_left, best_val = left, val
-    return best_left, best_val
-
-
-def _old_extension(instance, left):
-    # the sort-based plurality: max keeps the first maximum of the sorted labels
-    tables = instance.tables
-    right = []
-    sat = 0
-    for pairs in instance.incidence:
-        counts = {}
-        for e, u in pairs:
-            val = tables[e][left[u]]
-            counts[val] = counts.get(val, 0) + 1
-        if counts:
-            best = max(sorted(counts), key=lambda val: counts[val])
-            right.append(best)
-            sat += counts[best]
-        else:
-            right.append(0)
-    return tuple(right), Fraction(sat, instance.num_edges)
-
-
-def _old_val(instance):
-    best_left, _ = _old_best_left(instance, lambda left: _old_extension(instance, left)[1])
-    right, val = _old_extension(instance, best_left)
-    return (best_left, right), val
-
-
-def _old_wval(instance):
-    return _old_best_left(instance, lambda left: weak_agreement_value(instance, left))
 
 
 def _fields(result):
@@ -519,46 +379,47 @@ def _tied_game(rng):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_builtin_searches_match_the_old_loops(seed):
+    """The library's searches return the value, witness, count and note of
+    the reference loops, on instances with many ties."""
     rng = random.Random(seed)
 
     cov = _tied_coverage(rng)
-    _same(_fields(greedy_max_coverage(cov)), _old_greedy(cov))
-    _same(_fields(exact_max_coverage(cov)), _old_max_coverage(cov))
+    _same(_fields(greedy_max_coverage(cov)), _fields(reference.greedy_max_coverage(cov)))
+    _same(_fields(exact_max_coverage(cov)), _fields(reference.max_coverage(cov)))
     covering = _covering_variant(cov)
-    # same value and witness; `enumerated` is the charge of the levels
-    # searched, not the candidates the old loop visited
-    got, old = _fields(exact_min_set_cover(covering)), _old_min_set_cover(covering)
-    _same(got[:2] + got[3:], old[:2] + old[3:])
+    # `enumerated` is the charge of the levels searched
+    got = _fields(exact_min_set_cover(covering))
+    _same(got, _fields(reference.min_set_cover(covering)))
     assert got[2] == sum(math.comb(len(covering.sets), s) for s in range(got[0] + 1))
 
     metric = _tied_clustering(rng)
-    _same(_fields(exact_kmedian(metric)), _old_clustering(metric, 1))
-    _same(_fields(exact_kmean(metric)), _old_clustering(metric, 2))
+    _same(_fields(exact_kmedian(metric)), _fields(reference.clustering(metric, 1)))
+    _same(_fields(exact_kmean(metric)), _fields(reference.clustering(metric, 2)))
 
     rows = rng.randint(0, 5)
     code = CodeInstance(_tied_columns(rng, rows, rng.randint(0, 4), (0, 1)),
                         tuple(rng.randrange(2) for _ in range(rows)), k=1)
-    _same(_fields(exact_ncp(code)), _old_ncp(code))
+    _same(_fields(exact_ncp(code)), _fields(reference.ncp(code)))
 
     rows = rng.randint(1, 3)
     lat = LatticeInstance(_tied_columns(rng, rows, rng.randint(0, 3), (-1, 0, 1)),
                           tuple(rng.randint(-2, 2) for _ in range(rows)),
                           p=rng.randint(1, 2), k=0)
     box = rng.choice((None, 0, 1))
-    _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
+    _same(_fields(exact_cvp(lat, box=box)), _fields(reference.cvp(lat, box)))
     # blocks of a few cells, so each search spans many blocks and ties fall
     # on both sides of a block boundary
     with mock.patch.object(budget, "BLOCK_CELLS", rng.randint(0, 12)):
-        _same(_fields(exact_kmedian(metric)), _old_clustering(metric, 1))
-        _same(_fields(exact_kmean(metric)), _old_clustering(metric, 2))
-        _same(_fields(exact_ncp(code)), _old_ncp(code))
-        _same(_fields(exact_cvp(lat, box=box)), _old_cvp(lat, box))
+        _same(_fields(exact_kmedian(metric)), _fields(reference.clustering(metric, 1)))
+        _same(_fields(exact_kmean(metric)), _fields(reference.clustering(metric, 2)))
+        _same(_fields(exact_ncp(code)), _fields(reference.ncp(code)))
+        _same(_fields(exact_cvp(lat, box=box)), _fields(reference.cvp(lat, box)))
 
     game = _tied_game(rng)
     for left in itertools.product(*(range(len(a)) for a in game.left_alphabets)):
-        _same(optimal_extension(game, left), _old_extension(game, left))
-    _same(brute_force_val(game), _old_val(game))
-    _same(brute_force_wval(game), _old_wval(game))
+        _same(optimal_extension(game, left), reference.extension(game, left))
+    _same(brute_force_val(game), reference.val(game))
+    _same(brute_force_wval(game), reference.wval(game))
 
     k = rng.randint(1, 6)
     red = frozenset(e for e in itertools.combinations(range(k), 2) if rng.random() < 0.4)
@@ -597,8 +458,8 @@ def test_label_cover_and_subgraph_searches_score_by_int():
     assert [type(r) for r in results] == [Fraction, Fraction, Fraction]
 
 
-# The packed coverage kernel against the bitmask loops it replaced, and the
-# narrow NCP and CVP words against int64 and Python ints.
+# The packed coverage and NCP kernels and the narrow CVP words against the
+# plain references.
 
 def _coverage_corpus():
     """Seeded coverage instances over the shapes the kernel splits on: an
@@ -834,7 +695,6 @@ def test_exact_cvp_either_side_of_each_narrow_word(p, top, narrow, wide):
         for margin, dtype in ((0, narrow), (1, wide)):
             lat = _boundary_lattice(top, p, margin)
             _same(_fields(exact_cvp(lat, box=1)), _fields(reference.cvp(lat, 1)))
-            _same(_fields(exact_cvp(lat, box=1)), _old_cvp(lat, 1))
             assert dtypes[-1] is dtype
 
 
