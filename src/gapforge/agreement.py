@@ -9,7 +9,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -17,20 +17,18 @@ from . import budget as _budget
 from .budget import block_search, check
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
-from .setsys import SetSystem, _binary, bitmask, is_uniform, masks
+from .setsys import SetSystem, _binary, _words, bitmask, is_uniform, masks
 
 
-def _popcount(masks):
-    count = np.frompyfunc(int.bit_count, 1, 1) if masks.dtype == object else np.bitwise_count
-    return count(masks).astype(np.int64)
+def _keys(rows):
+    """One sortable key per row of words (the last axis): its word or its bytes."""
+    words = rows.shape[-1]
+    return (rows if words == 1 else np.ascontiguousarray(rows).view(f"V{8 * words}"))[..., 0]
 
 
-def _bit_rows(masks, rows, n):
-    """masks[i] for i in rows as a 0/1 int64 array with n columns (bit e in column e)."""
-    size = (n + 7) // 8
-    raw = b"".join(masks[i].to_bytes(size, "little") for i in rows)
-    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), size),
-                         axis=1, count=n, bitorder="little").astype(np.int64)
+def _zero(rows):
+    """Which rows of words (the last axis) are 0, one OR a word (`.all` is slow there)."""
+    return reduce(np.bitwise_or, (rows[..., w] for w in range(rows.shape[-1]))) == 0
 
 
 @dataclass(frozen=True)
@@ -80,14 +78,15 @@ class FunctionCollection:
                 & self.domain_masks[i] & self.domain_masks[j])
 
     @cached_property
-    def _mask_arrays(self):
-        dtype = np.int64 if self.n <= 62 else object  # else exact Python ints
-        return np.array(self.ones_masks, dtype), np.array(self.domain_masks, dtype)
+    def _rows(self):
+        """The ones rows, then the domain rows, in one 2 x k x words scatter."""
+        ones = np.fromiter(itertools.chain.from_iterable(self.values), bool)
+        return _words((2, self.k, self.n), np.array([ones, np.ones_like(ones)]), self.system.sets)
 
     def _disagreements(self, rows=slice(None)):
         """The pair masks of a slice of the sets against all k of them: entry
-        [a, b] is disagreement(i, b) for the a-th index i of the slice."""
-        ones, dom = self._mask_arrays
+        [a, b] is disagreement(i, b) in words for the a-th index i of the slice."""
+        ones, dom = self._rows
         return (ones[rows, None] ^ ones) & (dom[rows, None] & dom)
 
 
@@ -117,10 +116,9 @@ def t_wagr(collection, t, budget=None):
     total = math.comb(k, t)
     check(total, budget, what="t-subset enumeration")
     if t == 2:  # the diagonal is zero, and each agreeing pair is zero twice off it
-        step = max(1, _budget.BLOCK_CELLS // k)  # rows of the k x k block at a time
-        blocks = (collection._disagreements(slice(lo, lo + step))
-                  for lo in range(0, k, step))
-        zeros = sum(int(np.count_nonzero(block == 0)) for block in blocks)
+        step = max(1, _budget.BLOCK_CELLS // collection._rows[0].size)  # rows of k x words cells
+        zeros = sum(int(np.count_nonzero(_zero(collection._disagreements(slice(lo, lo + step)))))
+                    for lo in range(0, k, step))
         return Fraction((zeros - k) // 2, total)
     hits = sum(1 for combo in itertools.combinations(range(k), t) if _combo_agrees(collection, combo))
     return Fraction(hits, total)
@@ -137,12 +135,14 @@ class _SubcollectionHits:
     is summed over supersets in w passes, which gives N_D for every D ⊆ diff,
     and Σ_D (-1)^|D| C(N_D - 2, ell) is read off a table of C(x - 2, ell).
     Enumeration ANDs the other k - 2 cuts ell at a time, reading the
-    subcollections as int index blocks. Counts are int64 where a bound
-    proves they fit and exact Python ints otherwise, and no array holds more
-    than about BLOCK_CELLS cells."""
+    subcollections as int index blocks, on rows of words reduced over the word
+    axis. Counts are int64 where a bound proves they fit and exact Python ints
+    otherwise, and no array holds more than about BLOCK_CELLS cells."""
 
     def __init__(self, collection):
-        self._masks, self._k = collection._mask_arrays[1], collection.k
+        self._masks, self._k = collection._rows[1], collection.k
+        self._members = np.unpackbits(self._masks.view(np.uint8), axis=1,  # [e, x]: e in S_x
+                                      bitorder="little").T.astype(np.int64)
 
     def _paths(self, diffs, ell):
         """The path rule, for ell >= 1: each diff's count is one pass over the
@@ -153,7 +153,7 @@ class _SubcollectionHits:
         so inclusion-exclusion takes the diffs up to one width. Returns each
         diff's |diff|, that width (-1 when it takes none) and the steps after
         the pass of an enumerated diff."""
-        widths = _popcount(diffs)
+        widths = np.bitwise_count(diffs).sum(axis=1, dtype=np.int64)
         total = math.comb(self._k - 2, ell) if ell > 1 else 0
         limit, top = -1, int(widths.max(initial=0))
         if ell > 1:
@@ -166,13 +166,12 @@ class _SubcollectionHits:
         """The work of counting every one of `diffs`, by the path rule."""
         if ell == 0:
             return 0
-        widths, limit, total = self._paths(np.asarray(diffs, self._masks.dtype), ell)
+        widths, limit, total = self._paths(diffs, ell)
         return len(widths) * self._k + sum(size * (w << w if w <= limit else total)
                                            for w, size in enumerate(np.bincount(widths).tolist()))
 
     def hits(self, diffs, ell):
         """The count of each of `diffs`, as a list of ints."""
-        diffs = np.asarray(diffs, self._masks.dtype)
         if ell == 0:
             return [1] * len(diffs)
         widths, limit, _ = self._paths(diffs, ell)
@@ -186,26 +185,26 @@ class _SubcollectionHits:
         return counts.tolist()
 
     def _enumerated(self, diffs, ell):
-        k, counts = self._k, []
-        step = max(1, _budget.BLOCK_CELLS // k)
+        (k, words), counts = self._masks.shape, []
+        step = max(1, _budget.BLOCK_CELLS // (k * words))
         for lo in range(0, len(diffs), step):
             part = diffs[lo:lo + step]
             cuts = part[:, None] & self._masks
             if ell == 1:  # i and j cut nothing off diff, so they count only when diff = ∅
-                counts.append(np.count_nonzero(cuts == 0, axis=1) - 2 * (part == 0))
+                counts.append(np.count_nonzero(_zero(cuts), axis=1) - 2 * _zero(part))
                 continue
             # two cuts equal to diff stand for i and j; AND the rest ell at a time
-            equal = cuts == part[:, None]
-            rest = cuts[~(equal & (equal.cumsum(axis=1) <= 2))].reshape(len(part), k - 2)
+            equal = _zero(cuts ^ part[:, None])
+            rest = cuts[~(equal & (equal.cumsum(axis=1) <= 2))].reshape(len(part), k - 2, words)
             hits = np.zeros(len(part), np.int64)
             indices = itertools.chain.from_iterable(itertools.combinations(range(k - 2), ell))
-            size = max(1, _budget.BLOCK_CELLS // len(part)) * ell
+            size = max(1, _budget.BLOCK_CELLS // (len(part) * words)) * ell
             while (chunk := np.fromiter(itertools.islice(indices, size), np.int64)).size:
                 picks = chunk.reshape(-1, ell).T
                 cut = rest[:, picks[0]]
                 for column in picks[1:]:
                     cut &= rest[:, column]
-                hits += np.count_nonzero(cut == 0, axis=1)
+                hits += np.count_nonzero(_zero(cut), axis=1)
             counts.append(hits)
         return np.concatenate(counts)
 
@@ -243,12 +242,11 @@ class _SubcollectionHits:
 
     def _compressed(self, diffs, w):
         """Each set's cut diff ∩ S_x for each of `diffs` (all of width w), as
-        w bits: bit r is the r-th lowest bit of diff."""
+        w bits: bit r is the r-th lowest point of diff, read across its words."""
+        points = np.nonzero(np.unpackbits(diffs.view(np.uint8), axis=1, bitorder="little"))[1]
         code = np.zeros((len(diffs), self._k), np.int64)
-        for r in range(w):
-            bit = diffs & -diffs
-            diffs = diffs ^ bit
-            code |= (self._masks & bit[:, None] != 0) << r
+        for r, point in enumerate(points.reshape(len(diffs), w).T):
+            code |= self._members[point] << r
         return code
 
 
@@ -262,10 +260,10 @@ def pair_consistency(collection, i, j, ell, budget=None):
         return Fraction(1)
     if not 1 <= ell <= k - 2:
         raise ValueError("need 0 <= ell <= k - 2")
-    diff = collection.disagreement(i, j)
+    diff = collection._disagreements([i])[:, j]
     counter = _SubcollectionHits(collection)
-    check(counter.cost([diff], ell), budget, what="subcollection count")
-    return Fraction(counter.hits([diff], ell)[0], math.comb(k - 2, ell))
+    check(counter.cost(diff, ell), budget, what="subcollection count")
+    return Fraction(counter.hits(diff, ell)[0], math.comb(k - 2, ell))
 
 
 class ConsistencyOverlapError(ValueError):
@@ -371,7 +369,7 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
         raise ValueError("need k >= 2t - 1 so both subcollection sizes exist")
     pairs = math.comb(k, 2)
     check(pairs, budget, what="two-level pair enumeration")
-    step = max(1, _budget.BLOCK_CELLS // k)
+    step = max(1, _budget.BLOCK_CELLS // collection._rows[0].size)
 
     def blocks():
         """(first row, the rows' diffs with all k sets, which cells lie right of the diagonal)"""
@@ -379,7 +377,8 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
             rows = np.arange(lo, min(lo + step, k))
             yield lo, collection._disagreements(rows), rows[:, None] < np.arange(k)
 
-    diffs = np.unique(np.concatenate([np.unique(block[upper]) for _, block, upper in blocks()]))
+    keys = np.unique(np.concatenate([np.unique(_keys(b)[up]) for _, b, up in blocks()]))
+    diffs = keys.view("<u8").reshape(len(keys), -1)
     counter = _SubcollectionHits(collection)
     blue_ell, red_ell = t - 2, 2 * t - 3
     check(pairs + counter.cost(diffs, blue_ell) + counter.cost(diffs, red_ell),
@@ -395,7 +394,7 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
     for lo, block, upper in blocks():
         # every cell's diff is in diffs (the diagonal's 0 finds index 0), but
         # only the cells right of the diagonal are coloured, then mirrored
-        index = np.searchsorted(diffs, block)
+        index = np.searchsorted(keys, _keys(block))
         rows = adjacency[lo:lo + len(block)] = np.where(upper, colours[index], _NEITHER)
         # row-major order of the cells right of the diagonal is lex order of the pairs
         if (both := np.argwhere(rows == _BLUE | _RED)).size:
@@ -411,11 +410,11 @@ def check_rb_transitive(graph, h):
     """True iff every red edge's endpoints share fewer than h common blue
     neighbors; otherwise (False, (u, v, common_count)) for the first violation
     in sorted red order. Each red edge's count is a row-wise AND of the two
-    endpoints' packed blue rows, in blocks of about BLOCK_CELLS bytes."""
+    endpoints' blue rows of words, in blocks of about BLOCK_CELLS words."""
     adjacency = graph.adjacency
     us, vs = _upper_pairs(adjacency == _RED)
-    blue = np.packbits(adjacency == _BLUE, axis=1)
-    step = max(1, _budget.BLOCK_CELLS // max(1, blue.shape[1]))
+    blue = _words(adjacency.shape, adjacency == _BLUE)
+    step = max(1, _budget.BLOCK_CELLS // blue.shape[1])
     for lo in range(0, len(us), step):
         u, v = us[lo:lo + step], vs[lo:lo + step]
         common = np.bitwise_count(blue[u] & blue[v]).sum(axis=1, dtype=np.int64)
@@ -512,9 +511,9 @@ def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
         raise ValueError("member index out of range")
     n = collection.n
     zeta, rho = Fraction(zeta), Fraction(rho)
-    # dense rows of the members only: dom marks S_i and ones marks f_i = 1
-    dom, ones = (_bit_rows(side, members, n)
-                 for side in (collection.domain_masks, collection.ones_masks))
+    # dense rows of the members only: ones marks f_i = 1 and dom marks S_i
+    ones, dom = np.unpackbits(collection._rows[:, members].view(np.uint8), axis=2, count=n,
+                              bitorder="little").astype(np.int64)
     g = (2 * ones.sum(axis=0) > dom.sum(axis=0)).astype(np.int64)
     mean = Fraction(int(((g ^ ones) & dom).sum()), len(members))
     # ordered member pairs by disagreement size: a point of S_i ∩ S_j counts when

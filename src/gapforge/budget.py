@@ -19,10 +19,10 @@ DEFAULT_BUDGET = 10_000_000
 
 # Cap on the cells of one numpy block: box points x rows for CVP, words x
 # messages for NCP, words x r-subsets for coverage, facility subsets x
-# clients x k for clustering, diffs x sets, diffs x 2^w histogram cells or
-# diffs x subcollections in the agreement counts, rows x sets of pair
-# disagreements, d-subsets x d x d and red edges x packed rows in the
-# red-blue graph, and subsets x clauses x 3 x assignments for the left
+# clients x k for clustering, diffs x sets x words, diffs x 2^w histogram
+# cells or diffs x subcollections x words in the agreement counts, rows x
+# sets x words of pair disagreements, d-subsets x d x d and red edges x words
+# in the red-blue graph, and subsets x clauses x 3 x assignments for the left
 # alphabets. A larger instance makes blocks shorter instead of larger.
 # Callers read it when they run, so patching this one name resizes every
 # block.

@@ -45,6 +45,21 @@ def bitmask(elements):
     return m
 
 
+def _words(shape, bits=True, sets=None):
+    """The rows (last axis) of a 0/1 array of `shape` as little-endian uint64
+    words, bit e at bit e % 64 of word e // 64, at least one word a row. The
+    array is `bits`, or with `sets`, zero but for `bits` at the cells (i, e)
+    with e in sets[i]. Every bit row in the package is packed here."""
+    cells = np.zeros((*shape[:-1], 64 * max(1, -(-shape[-1] // 64))), bool)
+    if sets is None:
+        cells[..., :shape[-1]] = bits
+    else:
+        lengths = [len(s) for s in sets]
+        cells[..., np.arange(len(sets)).repeat(lengths),
+              np.fromiter(itertools.chain.from_iterable(sets), np.intp, sum(lengths))] = bits
+    return np.packbits(cells, axis=-1, bitorder="little").view("<u8")
+
+
 def _binary_set(values):
     """True iff the set {0, 1} holds every entry of `values`: hashable, and
     equal to 0 or 1 under its hash. Reads `values` once, so it takes an
@@ -191,8 +206,7 @@ def dnf_false_count_by_weight(f):
     k = f.num_vars
     idx = np.arange(1 << k, dtype=np.uint64)
     true = np.zeros(1 << k, dtype=bool)
-    for term in f.terms:
-        mask = np.uint64(bitmask(term))
+    for mask in _words((f.size, k), sets=f.terms)[:, 0]:
         true |= (idx & mask) == mask
     counts = np.bincount(np.bitwise_count(idx[~true]), minlength=k + 1)
     return [int(c) for c in counts]

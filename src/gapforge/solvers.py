@@ -3,9 +3,9 @@ carries its witness and enumeration count so reports are checkable.
 
 Each exhaustive optimum search is one budget.block_search over lex-ordered
 numpy blocks of its candidates (max coverage, clustering, NCP and CVP), which
-returns the min-lex witness. Two kernels score packed little-endian uint64
-words, laid out word-major so that each block's popcounts are summed over
-its leading, word axis. Max coverage and min set cover share
+returns the min-lex witness. Two kernels score bit rows packed by
+`setsys._words`, laid out word-major so that each block's popcounts are
+summed over its leading, word axis. Max coverage and min set cover share
 `_union_blocks`: a grid of the unions of all r-subsets in lex order, and
 each lex-ordered prefix of the leading sets meeting the grid's columns
 above it in one block of popcounts. Min set cover charges and searches one
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import budget as _budget
 from .budget import block_search, check
-from .setsys import masks
+from .setsys import _words, masks
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,6 @@ def _unrank(n, label, rank):
         tail.append(lo)
         lo += 1
     return prefix + tuple(tail)
-
-
-def _pack(instance):
-    """The instance's sets as rows of little-endian uint64 words, element e
-    at bit e % 64 of word e // 64."""
-    sets, n = instance.sets, len(instance.sets)
-    lengths = [len(s) for s in sets]
-    bits = np.zeros((n, 64 * max(1, -(-instance.universe_size // 64))), bool)
-    bits[np.arange(n).repeat(lengths),
-         np.fromiter(itertools.chain.from_iterable(sets), np.intp, sum(lengths))] = True
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def _union_blocks(rows):
@@ -130,8 +119,9 @@ def exact_max_coverage(instance, budget=None):
     if k > n:
         raise ValueError("k exceeds the number of sets")
     total = math.comb(n, k)
-    label, i, value = block_search(max, lambda: _union_blocks(_pack(instance))(k), total,
-                                   budget, "k-subset enumeration")
+    label, i, value = block_search(
+        max, lambda: _union_blocks(_words((n, instance.universe_size), sets=instance.sets))(k),
+        total, budget, "k-subset enumeration")
     return SolverResult(value=value, witness=_unrank(n, label, i), enumerated=total)
 
 
@@ -141,7 +131,7 @@ def exact_min_set_cover(instance, budget=None):
     is charged before it is searched, so `enumerated` counts every subset up
     to the cover's size: the least budget that admits a rerun."""
     n, universe = len(instance.sets), instance.universe_size
-    rows = _pack(instance)
+    rows = _words((n, universe), sets=instance.sets)
     if np.bitwise_count(np.bitwise_or.reduce(rows)).sum() < universe:
         raise ValueError("no cover exists: some element is in no set")
     blocks = _union_blocks(rows)
@@ -231,16 +221,14 @@ def _box_search(instance, values, dtype, cost, budget, what):
 
 
 def exact_ncp(instance, budget=None):
-    """Exact nearest-codeword distance over all binary messages, on packed
-    words: the columns and the target as little-endian uint64 words, row r
-    at bit r % 64 of word r // 64. After the charge it builds one
-    words x 2^tail grid under the block cap, whose column m is the target
-    XOR the trailing columns that the m-th trailing message in lex order
-    picks. Each lex-ordered prefix of the leading coordinates meets the grid
-    in one XOR with the columns it picks, and the block's Hamming distances
-    are its popcounts summed over the word axis."""
-    rows, cols = instance.rows, instance.num_cols
-    height = len(rows)
+    """Exact nearest-codeword distance over all binary messages, on the
+    columns, then the target, packed word-major by `setsys._words`. After the
+    charge it builds one words x 2^tail grid under the block cap, whose
+    column m is the target XOR the trailing columns that the m-th trailing
+    message in lex order picks. Each lex-ordered prefix of the leading
+    coordinates meets the grid in one XOR with the columns it picks, and the
+    block's Hamming distances are its popcounts summed over the word axis."""
+    rows, cols, height = instance.rows, instance.num_cols, len(instance.rows)
     words = max(1, -(-height // 64))
     tail = 0
     while tail < cols and words << (tail + 1) <= _budget.BLOCK_CELLS:
@@ -248,12 +236,11 @@ def exact_ncp(instance, budget=None):
     head = cols - tail
 
     def blocks():
-        bits = np.zeros((cols + 1, 64 * words), np.uint8)
-        bits[:cols, :height] = np.fromiter(itertools.chain.from_iterable(rows), np.uint8,
-                                           height * cols).reshape(height, cols).T
-        bits[cols, :height] = instance.target
-        # words x (cols + 1): column c, then the target
-        packed = np.packbits(bits, axis=1, bitorder="little").view("<u8").T
+        bits = np.zeros((cols + 1, height), np.uint8)
+        bits[:cols] = np.fromiter(itertools.chain.from_iterable(rows), np.uint8,
+                                  height * cols).reshape(height, cols).T
+        bits[cols] = instance.target
+        packed = _words(bits.shape, bits).T
         # the target XOR every subset of the trailing columns, in lex order:
         # message m picks column cols - 1 - j iff bit j of m is set
         grid = np.empty((words, 1 << tail), packed.dtype)

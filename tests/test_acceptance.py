@@ -17,12 +17,12 @@ from gapforge import (CoverageInstance, FunctionCollection, MonotoneDnf,
                       build_two_level_graph, check_rb_transitive,
                       coverage_fraction, dnf_bound_holds,
                       dnf_false_count_by_weight, exact_cvp, exact_kmean,
-                      exact_kmedian, exact_max_coverage, exact_min_set_cover,
+                      exact_kmedian, exact_max_coverage,
                       exact_ncp, feige_coverage_reduction,
                       greedy_max_coverage, guha_khuller_reduction,
                       is_strong_intersection_disperser, optimal_extension,
                       random_planted_formula, restriction_labeling,
-                      sample_random_subsets, verify_unique_cover,
+                      sample_random_subsets,
                       weak_agreement_value, wval_to_val_bound)
 from gapforge.cli import main
 from gapforge.labelcover import build_main_reduction

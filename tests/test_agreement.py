@@ -16,7 +16,7 @@ from gapforge import (BudgetError, CnfFormula, ConsistencyOverlapError,
                       build_two_level_graph,
                       check_rb_transitive, clause_value, decode_assignment,
                       disagr, find_non_red_subgraph,
-                      majority_decode, max_occurrence, pair_consistency,
+                      majority_decode, pair_consistency,
                       pairwise_intersection_max, random_planted_formula,
                       sample_random_subsets, soundness_params, t_wagr,
                       vars_of)
@@ -27,6 +27,7 @@ from gapforge.agreement import (_SubcollectionHits, _agreement_decode,
 from gapforge.labelcover import (LabelCoverInstance, UnsatisfiableSubsetError,
                                  build_main_reduction, left_vertices,
                                  restriction_labeling, weak_agreement_value)
+from gapforge.setsys import _words
 
 local_functions = st.dictionaries(st.integers(0, 11), st.integers(0, 1), max_size=8)
 
@@ -122,7 +123,7 @@ def test_t_wagr_matches_recount(seed):
 
 def test_t_wagr_counts_pairs_in_bounded_blocks(monkeypatch):
     fc = collection_from_seed(4, n=8, k=2000, noise=0.05)
-    fc._mask_arrays  # the k masks themselves are the collection's, not the count's
+    fc._rows  # the k masks themselves are the collection's, not the count's
     tracemalloc.start()
     try:
         value = t_wagr(fc, 2)
@@ -315,6 +316,16 @@ def test_counted_consistency_corpus_takes_every_path():
     assert paths == {"empty", "closed", "counted", "enumerated"}
 
 
+def _packed(diffs, n):
+    """Python-int diffs over n points as the counter's word rows."""
+    return _words((len(diffs), n), sets=[[e for e in range(n) if d >> e & 1] for d in diffs])
+
+
+def _unpacked(rows):
+    """Word rows as Python ints."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 def test_shared_counter_reuses_a_diff_across_pairs(monkeypatch):
     # pairs (0, 1) and (2, 3) differ exactly at point 0; their "other" sets
     # differ, yet each pair's count is the same number, counted once
@@ -325,7 +336,7 @@ def test_shared_counter_reuses_a_diff_across_pairs(monkeypatch):
     fc = FunctionCollection(system, values)
     counter = _SubcollectionHits(fc)
     for ell in range(1, 7):
-        [count] = counter.hits([0b1], ell)
+        [count] = counter.hits(_packed([0b1], 4), ell)
         for i, j in ((0, 1), (2, 3)):
             want = reference.pair_consistencies(fc, ell)[i, j]
             assert Fraction(count, math.comb(6, ell)) == want
@@ -333,7 +344,7 @@ def test_shared_counter_reuses_a_diff_across_pairs(monkeypatch):
     hits = _SubcollectionHits.hits
 
     def spy(self, diffs, ell):
-        batches.append((ell, [int(diff) for diff in diffs]))
+        batches.append((ell, _unpacked(diffs)))
         return hits(self, diffs, ell)
 
     monkeypatch.setattr(_SubcollectionHits, "hits", spy)
@@ -363,14 +374,17 @@ def _counter_corpus(n, k):
     return fc, sorted(diffs)
 
 
-@pytest.mark.parametrize("n, k", [(8, 14), (40, 12), (62, 9), (63, 12), (130, 10)])
+@pytest.mark.parametrize("n, k", [(8, 14), (40, 12), (62, 9), (63, 12), (64, 11), (65, 10),
+                                  (128, 9), (129, 10), (130, 10)])
 def test_counter_matches_the_frozen_reference(n, k, monkeypatch):
     """Every count and charge of the per-width counter equals the frozen
-    counter's, as Python ints, at every ell from 1 to k - 2, with int64 masks
-    (n <= 62) and exact ones, on whole arrays and in blocks of 1, 7 and 97
-    cells; the diffs span every width up to the rule's limit and past it."""
+    counter's, as Python ints, at every ell from 1 to k - 2, with one word
+    per mask (n <= 64) and several, on whole arrays and in blocks of 1, 7
+    and 97 cells; the diffs span every width up to the rule's limit and past
+    it. The counter takes the diffs as word rows, the frozen one as ints."""
     fc, diffs = _counter_corpus(n, k)
     counter, frozen = _SubcollectionHits(fc), reference.SubcollectionHits(fc)
+    rows = _packed(diffs, n)
     widths = {d.bit_count() for d in diffs}
     rule = {1: {"enumerated": widths}}
     for ell in range(2, k - 1):
@@ -383,14 +397,15 @@ def test_counter_matches_the_frozen_reference(n, k, monkeypatch):
     taken = {}
     for path in ("included", "enumerated"):
         def spy(self, diffs, ell, *rest, count=getattr(_SubcollectionHits, "_" + path), path=path):
-            taken.setdefault(ell, {}).setdefault(path, set()).update(int(d).bit_count() for d in diffs)
+            taken.setdefault(ell, {}).setdefault(path, set()).update(
+                d.bit_count() for d in _unpacked(diffs))
             return count(self, diffs, ell, *rest)
         monkeypatch.setattr(_SubcollectionHits, "_" + path, spy)
     for cells in (None, 1, 7, 97):
         if cells is not None:
             monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
         for ell in range(1, k - 1):
-            hits, cost = counter.hits(diffs, ell), counter.cost(diffs, ell)
+            hits, cost = counter.hits(rows, ell), counter.cost(rows, ell)
             assert hits == frozen.hits(diffs, ell) and cost == frozen.cost(diffs, ell)
             assert {type(x) for x in hits} == {type(cost)} == {int}
         assert taken == {ell: {p: ws for p, ws in paths.items() if ws} for ell, paths in rule.items()}
@@ -401,12 +416,13 @@ def test_counter_counts_past_int64():
     are exact Python ints, equal to the frozen counter's."""
     fc, diffs = _counter_corpus(40, 70)
     counter, frozen = _SubcollectionHits(fc), reference.SubcollectionHits(fc)
+    rows = _packed(diffs, 40)
     for ell in (2, 3, 27, 28, 34, 40, 41, 66):
-        hits = counter.hits(diffs, ell)
+        hits = counter.hits(rows, ell)
         assert hits == frozen.hits(diffs, ell)
-        assert counter.cost(diffs, ell) == frozen.cost(diffs, ell)
+        assert counter.cost(rows, ell) == frozen.cost(diffs, ell)
         assert {type(x) for x in hits} == {int}
-    assert max(counter.hits(diffs, 34)) == math.comb(68, 34) >= 1 << 63
+    assert max(counter.hits(rows, 34)) == math.comb(68, 34) >= 1 << 63
 
 
 def _seeded_wide_collection(seed, n):
@@ -452,10 +468,11 @@ THRESHOLDS = [(Fraction(0), Fraction(1, 2)), (Fraction(9, 10), Fraction(9, 10)),
               (Fraction(1, 2), Fraction(1)), (Fraction(19, 20), Fraction(1))]
 
 
-@pytest.mark.parametrize("n", [61, 62, 63, 64, 130])
+@pytest.mark.parametrize("n", [61, 62, 63, 64, 65, 127, 128, 129, 130, 200])
 def test_wide_collections_match_the_pairwise_oracles(n, monkeypatch):
-    # int64 masks up to n = 62, exact ints above (int64 cannot hold 64 bits);
-    # a few points of difference per pair reach both counting branches at ell = 3
+    # one uint64 word per mask up to n = 64, two up to 128, three or four
+    # above, against the references' exact ints; a few points of difference
+    # per pair reach both counting branches at ell = 3
     paths = set()
     for seed in range(6):
         fc = _seeded_wide_collection(seed, n)
@@ -613,7 +630,7 @@ def test_two_level_graph_rows_are_blocked():
     """2,000 sets over 8 points at t = 2: no k x k block, pair index or pair
     set is built, only the int8 adjacency."""
     fc = collection_from_seed(4, n=8, k=2000, noise=0.05)
-    fc._mask_arrays  # the k masks themselves are the collection's, not the graph's
+    fc._rows  # the k masks themselves are the collection's, not the graph's
     tracemalloc.start()
     try:
         graph = build_two_level_graph(fc, Fraction(0), Fraction(1, 2), 2)
@@ -643,7 +660,7 @@ def test_two_level_graph_t3_counts_in_bounded_blocks():
         build_two_level_graph(fc, alpha, beta, 3, budget=charge - 1)
     assert (exc.value.required, exc.value.budget, exc.value.what) \
         == (charge, charge - 1, "two-level consistency count")
-    fc._mask_arrays  # the k masks themselves are the collection's, not the graph's
+    fc._rows  # the k masks themselves are the collection's, not the graph's
     tracemalloc.start()
     try:
         graph = build_two_level_graph(fc, alpha, beta, 3, budget=charge)

@@ -1,6 +1,7 @@
 """The package namespace: `__all__` is every public name it imports, and the
 list of those names is pinned. The reference oracles that the cross-checks
-compare with live in tests/reference.py alone."""
+compare with live in tests/reference.py alone, no test module imports a name
+it never uses, and bit rows are packed in one place."""
 
 import ast
 import types
@@ -57,11 +58,16 @@ def test_public_names_are_pinned():
 COPY_PREFIXES = ("_old_", "_frozen_", "_enumerated_", "_reencoded_", "_sample_by_")
 
 
+def _trees(directory):
+    """Each module of `directory` by file name, parsed."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(directory).glob("*.py"))}
+
+
 def test_reference_oracles_live_in_one_module():
     """No test module but reference.py defines a frozen copy at top level,
     and reference.py imports no private name of the package."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(__file__).parent.glob("*.py"))}
+    trees = _trees(Path(__file__).parent)
     copies = [(name, node.name) for name, tree in trees.items() if name != "reference.py"
               for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name.startswith(COPY_PREFIXES)]
@@ -72,3 +78,29 @@ def test_reference_oracles_live_in_one_module():
     assert any(name.startswith("gapforge.") for name in imported)
     assert [name for name in imported if name.startswith("gapforge.")
             and any(part.startswith("_") for part in name.split("."))] == []
+
+
+def test_test_modules_use_every_name_they_import():
+    unused = []
+    for name, tree in _trees(Path(__file__).parent).items():
+        bound = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(name, imported) for imported in sorted(bound - used)]
+    assert unused == []
+
+
+def _packbits(tree):
+    """The lines that name packbits: as an attribute, a name or an import."""
+    return [node.lineno for node in ast.walk(tree) if "packbits" in (
+        getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))]
+
+
+def test_bit_rows_are_packed_by_one_helper():
+    """np.packbits is named only inside setsys._words, so every bit row of
+    the package has that helper's layout."""
+    trees = _trees(Path(gapforge.__file__).parent)
+    helper = next(node for node in ast.walk(trees["setsys.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "_words")
+    named = [(name, line) for name, tree in trees.items() for line in _packbits(tree)]
+    assert named == [("setsys.py", line) for line in _packbits(helper)] != []
