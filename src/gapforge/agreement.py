@@ -14,10 +14,10 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import budget as _budget
-from .budget import block_search, check
+from .budget import _combinations, block_search, check
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
-from .setsys import SetSystem, _binary, _words, bitmask, is_uniform, masks
+from .setsys import SetSystem, _binary, _words, bitmask, is_uniform
 
 
 def _keys(rows):
@@ -65,7 +65,7 @@ class FunctionCollection:
 
     @cached_property
     def domain_masks(self):
-        return tuple(masks(self.system))
+        return tuple(map(bitmask, self.system.sets))
 
     @cached_property
     def ones_masks(self):
@@ -95,21 +95,12 @@ def disagr(collection, i, j):
     return collection.disagreement(i, j).bit_count()
 
 
-def _combo_agrees(collection, combo):
-    # each pair's disagreement lies inside S_i ∩ S_j, which holds the t-wise
-    # intersection, so masking it by that intersection is exact
-    inter = collection.domain_masks[combo[0]]
-    for i in combo[1:]:
-        inter &= collection.domain_masks[i]
-    for i, j in itertools.combinations(combo, 2):
-        if collection.disagreement(i, j) & inter == 0:
-            return True
-    return False
-
-
 def t_wagr(collection, t, budget=None):
     """Probability over unordered t-set samples that some two functions agree
-    on the t-wise domain intersection."""
+    on the t-wise domain intersection. At t = 2 the agreeing pairs are the
+    zero cells of row blocks of the disagreement block. Above, lex-ordered
+    index blocks of t-subsets AND their t domain rows, and a t-subset hits
+    when some pair's ones rows differ nowhere inside that intersection."""
     k = collection.k
     if not 2 <= t <= k:
         raise ValueError("need 2 <= t <= k")
@@ -120,12 +111,18 @@ def t_wagr(collection, t, budget=None):
         zeros = sum(int(np.count_nonzero(_zero(collection._disagreements(slice(lo, lo + step)))))
                     for lo in range(0, k, step))
         return Fraction((zeros - k) // 2, total)
-    hits = sum(1 for combo in itertools.combinations(range(k), t) if _combo_agrees(collection, combo))
+    ones, dom = collection._rows
+    hits = 0
+    for combo in _combinations(k, t, _budget.BLOCK_CELLS // (t * dom.shape[1])):
+        picked, inter = ones[combo], np.bitwise_and.reduce(dom[combo], axis=1)
+        agree = reduce(np.logical_or, (_zero((picked[:, a] ^ picked[:, b]) & inter)
+                                       for a, b in itertools.combinations(range(t), 2)))
+        hits += int(np.count_nonzero(agree))
     return Fraction(hits, total)
 
 
 class _SubcollectionHits:
-    """hits(diffs, ell): for each diff inside some S_i ∩ S_j, how many ell-subsets
+    """hits(ell): for each of the diffs, each inside some S_i ∩ S_j, how many ell-subsets
     S' of the sets other than i and j give diff ∩ ⋂S' = ∅. S_i and S_j contain
     diff and never empty it, so the count depends on the pair only through
     diff. ell = 0 counts the empty subcollection as consistent.
@@ -137,44 +134,48 @@ class _SubcollectionHits:
     Enumeration ANDs the other k - 2 cuts ell at a time, reading the
     subcollections as int index blocks, on rows of words reduced over the word
     axis. Counts are int64 where a bound proves they fit and exact Python ints
-    otherwise, and no array holds more than about BLOCK_CELLS cells."""
+    otherwise, and no array holds more than about BLOCK_CELLS cells. The
+    diffs, rows of words, and their widths are fixed when the counter is
+    built."""
 
-    def __init__(self, collection):
+    def __init__(self, collection, diffs):
         self._masks, self._k = collection._rows[1], collection.k
         self._members = np.unpackbits(self._masks.view(np.uint8), axis=1,  # [e, x]: e in S_x
                                       bitorder="little").T.astype(np.int64)
+        self._diffs, self._widths = diffs, np.bitwise_count(diffs).sum(axis=1, dtype=np.int64)
 
-    def _paths(self, diffs, ell):
+    def _paths(self, ell):
         """The path rule, for ell >= 1: each diff's count is one pass over the
         k sets and then, for ell >= 2, the cheaper of inclusion-exclusion
         (|diff| steps for each subset of diff) and enumeration of the
         C(k-2, ell) subcollections, ties going to inclusion-exclusion. At
         ell = 1 the pass alone enumerates. |diff|·2^|diff| grows with |diff|,
-        so inclusion-exclusion takes the diffs up to one width. Returns each
-        diff's |diff|, that width (-1 when it takes none) and the steps after
-        the pass of an enumerated diff."""
-        widths = np.bitwise_count(diffs).sum(axis=1, dtype=np.int64)
+        so inclusion-exclusion takes the diffs up to one width. Returns that
+        width (-1 when it takes none) and the steps after the pass of an
+        enumerated diff."""
         total = math.comb(self._k - 2, ell) if ell > 1 else 0
-        limit, top = -1, int(widths.max(initial=0))
+        limit, top = -1, int(self._widths.max(initial=0))
         if ell > 1:
             limit = 0
             while limit < top and (limit + 1) << (limit + 1) <= total:
                 limit += 1
-        return widths, limit, total
+        return limit, total
 
-    def cost(self, diffs, ell):
-        """The work of counting every one of `diffs`, by the path rule."""
+    def cost(self, ell):
+        """The work of counting every diff, by the path rule."""
         if ell == 0:
             return 0
-        widths, limit, total = self._paths(diffs, ell)
-        return len(widths) * self._k + sum(size * (w << w if w <= limit else total)
-                                           for w, size in enumerate(np.bincount(widths).tolist()))
+        limit, total = self._paths(ell)
+        return len(self._diffs) * self._k + sum(
+            size * (w << w if w <= limit else total)
+            for w, size in enumerate(np.bincount(self._widths).tolist()))
 
-    def hits(self, diffs, ell):
-        """The count of each of `diffs`, as a list of ints."""
+    def hits(self, ell):
+        """The count of each diff, as a list of ints."""
+        diffs, widths = self._diffs, self._widths
         if ell == 0:
             return [1] * len(diffs)
-        widths, limit, _ = self._paths(diffs, ell)
+        limit, _ = self._paths(ell)
         counts = np.zeros(len(diffs), object)
         if (rows := np.flatnonzero(widths > limit)).size:
             counts[rows] = self._enumerated(diffs[rows], ell)
@@ -197,10 +198,8 @@ class _SubcollectionHits:
             equal = _zero(cuts ^ part[:, None])
             rest = cuts[~(equal & (equal.cumsum(axis=1) <= 2))].reshape(len(part), k - 2, words)
             hits = np.zeros(len(part), np.int64)
-            indices = itertools.chain.from_iterable(itertools.combinations(range(k - 2), ell))
-            size = max(1, _budget.BLOCK_CELLS // (len(part) * words)) * ell
-            while (chunk := np.fromiter(itertools.islice(indices, size), np.int64)).size:
-                picks = chunk.reshape(-1, ell).T
+            for chunk in _combinations(k - 2, ell, _budget.BLOCK_CELLS // (len(part) * words)):
+                picks = chunk.T
                 cut = rest[:, picks[0]]
                 for column in picks[1:]:
                     cut &= rest[:, column]
@@ -260,10 +259,9 @@ def pair_consistency(collection, i, j, ell, budget=None):
         return Fraction(1)
     if not 1 <= ell <= k - 2:
         raise ValueError("need 0 <= ell <= k - 2")
-    diff = collection._disagreements([i])[:, j]
-    counter = _SubcollectionHits(collection)
-    check(counter.cost(diff, ell), budget, what="subcollection count")
-    return Fraction(counter.hits(diff, ell)[0], math.comb(k - 2, ell))
+    counter = _SubcollectionHits(collection, collection._disagreements([i])[:, j])
+    check(counter.cost(ell), budget, what="subcollection count")
+    return Fraction(counter.hits(ell)[0], math.comb(k - 2, ell))
 
 
 class ConsistencyOverlapError(ValueError):
@@ -378,13 +376,12 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
             yield lo, collection._disagreements(rows), rows[:, None] < np.arange(k)
 
     keys = np.unique(np.concatenate([np.unique(_keys(b)[up]) for _, b, up in blocks()]))
-    diffs = keys.view("<u8").reshape(len(keys), -1)
-    counter = _SubcollectionHits(collection)
+    counter = _SubcollectionHits(collection, keys.view("<u8").reshape(len(keys), -1))
     blue_ell, red_ell = t - 2, 2 * t - 3
-    check(pairs + counter.cost(diffs, blue_ell) + counter.cost(diffs, red_ell),
+    check(pairs + counter.cost(blue_ell) + counter.cost(red_ell),
           budget, what="two-level consistency count")
     blue_total, red_total = math.comb(k - 2, blue_ell), math.comb(k - 2, red_ell)
-    blue_hits, red_hits = counter.hits(diffs, blue_ell), counter.hits(diffs, red_ell)
+    blue_hits, red_hits = counter.hits(blue_ell), counter.hits(red_ell)
     # exact Python-int products, compared once per distinct diff
     colours = (_BLUE * (np.array(blue_hits, object) * beta.denominator
                        >= beta.numerator * blue_total)
@@ -448,9 +445,7 @@ def find_non_red_subgraph(graph, d, budget=None):
     red = graph.adjacency == _RED
 
     def blocks():
-        combos = itertools.combinations(range(k), d)
-        while chunk := list(itertools.islice(combos, max(1, _budget.BLOCK_CELLS // (d * d)))):
-            subsets = np.array(chunk, np.int64)
+        for subsets in _combinations(k, d, _budget.BLOCK_CELLS // (d * d)):
             # each red edge inside a subset is counted twice, once per order
             yield subsets, -np.count_nonzero(red[subsets[:, :, None], subsets[:, None, :]],
                                              axis=(1, 2))

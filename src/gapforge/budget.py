@@ -2,18 +2,23 @@
 layer that spends them. A budget is the caller's argument, None meaning
 DEFAULT_BUDGET; only the command line reads GAPFORGE_BUDGET.
 
-Every exhaustive optimum search is `search` over candidates in lex order, or
-`block_search` over lex-ordered numpy blocks of them: each charges its count
-before it builds anything and returns the min-lex optimum. `search` serves
-the disperser check; `block_search` serves max coverage, clustering, the NCP
-messages, the CVP box, `formula.brute_force_max_val` and the non-red
-subgraph (`agreement.find_non_red_subgraph`). Two exhaustive loops keep
+Every exhaustive optimum search is `block_search` over lex-ordered numpy
+blocks of its candidates: it charges the count before it builds anything
+and returns the min-lex optimum. It serves max coverage, clustering, the
+NCP messages, the CVP box, `formula.brute_force_max_val`, the non-red
+subgraph (`agreement.find_non_red_subgraph`) and the disperser check
+(`setsys.is_strong_intersection_disperser`). Two exhaustive loops keep
 their own `check`: the label-cover joint optima, which read both lex-first
 maxima off one enumeration (`labelcover._left_optima`), and
 `solvers.exact_min_set_cover`, which charges each size level and returns the
-first cover in it, reading the blocks of the max-coverage kernel."""
+first cover in it, reading the blocks of the max-coverage kernel.
+`_combinations` is the one chunker of lex-ordered index blocks."""
 
 from __future__ import annotations
+
+import itertools
+
+import numpy as np
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -50,25 +55,23 @@ def check(required, budget, what):
         raise BudgetError(required, limit, what)
 
 
-def search(pick, candidates, count, cost, budget, what):
-    """Charge `count`, then return (best, cost(best)) for the builtin `pick`
-    (min or max) of `cost` over `candidates()` in the order given; nothing is
-    built before the charge. Both builtins keep the first optimum they meet,
-    so candidates in lex order give the min-lex witness."""
-    check(count, budget, what)
-    best = pick(candidates(), key=cost)
-    return best, cost(best)
-
-
 def block_search(pick, blocks, count, budget, what):
-    """`search` over lex-ordered blocks: charge `count`, then `blocks()`
-    yields (label, costs) pairs, costs a numpy array in lex order. The first
-    block holding the best cost wins, as does the first best position in it,
-    so the witness is min-lex. Returns the label, the position in the block
-    and the cost as a Python number."""
+    """Charge `count`, then `blocks()` yields (label, costs) pairs, costs a
+    numpy array in lex order, for the builtin `pick` (min or max); nothing
+    is built before the charge. The first block holding the best cost wins,
+    as does the first best position in it (both builtins keep the first
+    optimum they meet), so the witness is min-lex. Returns the label, the
+    position in the block and the cost as a Python number."""
+    check(count, budget, what)
     least = pick is min
-    (label, costs), _ = search(pick, blocks, count,
-                               lambda block: block[1].min() if least else block[1].max(),
-                               budget, what)
+    label, costs = pick(blocks(), key=lambda block: block[1].min() if least else block[1].max())
     i = int(costs.argmin() if least else costs.argmax())
     return label, i, costs.item(i)
+
+
+def _combinations(n, r, rows):
+    """The r-subsets of range(n) in lex order, as int64 arrays of at most
+    `rows` rows (one at least), one ascending subset a row."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    while (chunk := np.fromiter(itertools.islice(flat, max(1, rows) * r), np.int64)).size:
+        yield chunk.reshape(-1, r)

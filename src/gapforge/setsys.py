@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .budget import check, search
+from . import budget as _budget
+from .budget import _combinations, block_search, check
 from .textformat import read
 
 
@@ -60,6 +59,62 @@ def _words(shape, bits=True, sets=None):
     return np.packbits(cells, axis=-1, bitorder="little").view("<u8")
 
 
+def _unrank(n, label, rank):
+    """The subset at position `rank` of the block labelled (prefix, lo, r):
+    the prefix, then the r-subset of [lo, n) at that position in lex order."""
+    prefix, lo, r = label
+    tail = []
+    for left in range(r, 0, -1):
+        while rank >= (run := math.comb(n - 1 - lo, left - 1)):
+            rank -= run
+            lo += 1
+        tail.append(lo)
+        lo += 1
+    return prefix + tuple(tail)
+
+
+def _union_blocks(rows):
+    """A function blocks(size) that yields the covered counts of the
+    size-subsets of the packed sets `rows` in lex-ordered numpy blocks, as
+    (label, counts) pairs; `_unrank(n, label, i)` is the subset counted at
+    position i. Successive calls must ask for sizes in ascending order.
+
+    The grid holds the unions of all r-subsets in lex order, one column
+    each, built level by level while words x C(n, r) fits in one block, so
+    the r-subsets whose least element is at least lo are its last
+    C(n - lo, r) columns. Each lex-ordered (size - r)-prefix meets that
+    suffix, lo just above the prefix, in one block, whose popcounts are
+    summed over the word axis."""
+    n, words = rows.shape
+    sets = rows.T
+    # the grid starts at the empty subset; from level 1 on, least[j] is the
+    # least element of its j-th subset
+    heads = least = np.arange(n)
+    grid = np.zeros((words, 1), rows.dtype)
+    r = 0
+
+    def blocks(size):
+        nonlocal grid, least, r
+        while r < size and words * math.comb(n, r + 1) <= _budget.BLOCK_CELLS:
+            if r:
+                # the (r + 1)-subsets in lex order: each set a joined to
+                # each r-subset whose least element is above a
+                least, tails = (least > heads[:, None]).nonzero()
+                grid = sets.take(least, axis=1) | grid.take(tails, axis=1)
+            else:
+                grid = sets
+            r += 1
+        for prefix in itertools.combinations(range(n - r), size - r):
+            lo = prefix[-1] + 1 if prefix else 0
+            block = grid[:, grid.shape[1] - math.comb(n - lo, r):]
+            if prefix:
+                union = np.bitwise_or.reduce(sets.take(prefix, axis=1), axis=1)
+                block = union[:, None] | block
+            yield (prefix, lo, r), np.bitwise_count(block).sum(axis=0)
+
+    return blocks
+
+
 def _binary_set(values):
     """True iff the set {0, 1} holds every entry of `values`: hashable, and
     equal to 0 or 1 under its hash. Reads `values` once, so it takes an
@@ -76,11 +131,6 @@ def _binary(values):
     unhashable or equal to 0 or 1 under a different hash, so the entries
     it does not accept are compared one by one."""
     return _binary_set(values) or all(v in (0, 1) for v in values)
-
-
-def masks(system):
-    """Each set as a bitmask integer (bit e set iff element e is in the set)."""
-    return [bitmask(s) for s in system.sets]
 
 
 def sample_random_subsets(universe_size, k, p, seed):
@@ -130,46 +180,50 @@ def is_strong_intersection_disperser(system, r, ell, eta, budget=None):
 
     The property: any r distinct subcollections of size <= ell (distinct as
     index sets, taken as an unordered combination) leave at most eta*|U|
-    elements outside the union of their intersections. One search over all
-    C(#subcollections, r) r-tuples, in (size, lex) then combinations order,
-    finds the lex-first tuple leaving the most elements uncovered; the
-    verdict compares that count with eta*|U| once. Over budget it raises
-    BudgetError.
+    elements outside the union of their intersections. The intersections
+    of the subcollections, in (size, lex) order, are packed word rows, one
+    AND over each lex-ordered index block; one block search over the unions
+    of their C(#subcollections, r) r-tuples in lex order then finds the
+    lex-first tuple covering the fewest elements, which leaves the most
+    uncovered. The verdict compares that count with eta*|U| once. Over
+    budget it raises BudgetError.
     """
     if r < 1 or ell < 1:
         raise ValueError("r and ell must be at least 1")
-    u = system.universe_size
-    sizes = range(1, min(ell, system.k) + 1)
-    pool_size = sum(math.comb(system.k, size) for size in sizes)
+    k, u = system.k, system.universe_size
+    sizes = range(1, min(ell, k) + 1)
+    pool_size = sum(math.comb(k, size) for size in sizes)
     if pool_size < r:
         return DisperserVerdict("certified-yes", note="fewer than r candidate subcollections")
 
-    def tuples():
-        set_masks = masks(system)
-        pool = [(sc, functools.reduce(operator.and_, (set_masks[i] for i in sc)))
-                for size in sizes for sc in itertools.combinations(range(system.k), size)]
-        return itertools.combinations(pool, r)
-
-    def uncovered(combo):
-        union = 0
-        for _, m in combo:
-            union |= m
-        return u - union.bit_count()
+    def blocks():
+        rows = _words((k, u), sets=system.sets)
+        step = _budget.BLOCK_CELLS // (ell * rows.shape[1])
+        pool = np.concatenate([np.bitwise_and.reduce(rows[chunk], axis=1)
+                               for size in sizes for chunk in _combinations(k, size, step)])
+        return _union_blocks(pool)(r)
 
     count = math.comb(pool_size, r)
-    worst, most = search(max, tuples, count, uncovered, budget,
-                         "subcollection r-tuple enumeration")
+    label, i, covered = block_search(min, blocks, count, budget,
+                                     "subcollection r-tuple enumeration")
+    pool = [sub for size in sizes for sub in itertools.combinations(range(k), size)]
+    most = u - covered
     return DisperserVerdict("violated" if most > Fraction(eta) * u else "certified-yes",
-                            witness=tuple(sc for sc, _ in worst), uncovered=most,
-                            combinations_checked=count)
+                            witness=tuple(pool[p] for p in _unrank(pool_size, label, i)),
+                            uncovered=most, combinations_checked=count)
 
 
 def pairwise_intersection_max(system):
-    """max over i<j of |S_i ∩ S_j|."""
+    """max over i<j of |S_i ∩ S_j|, from the popcounts of row blocks of the
+    packed sets against all of them, about BLOCK_CELLS words a block."""
     if system.k < 2:
         raise ValueError("need at least two sets")
-    ms = masks(system)
-    return max((ms[i] & ms[j]).bit_count() for i in range(system.k) for j in range(i + 1, system.k))
+    rows = _words((system.k, system.universe_size), sets=system.sets)
+    step = max(1, _budget.BLOCK_CELLS // rows.size)
+    # np.triu keeps the cells (lo + a, j) with j > lo + a
+    return max(int(np.triu(np.bitwise_count(rows[lo:lo + step, None] & rows).sum(axis=2),
+                           lo + 1).max())
+               for lo in range(0, system.k - 1, step))
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,18 @@ carries its witness and enumeration count so reports are checkable.
 
 Each exhaustive optimum search is one budget.block_search over lex-ordered
 numpy blocks of its candidates (max coverage, clustering, NCP and CVP), which
-returns the min-lex witness. Two kernels score bit rows packed by
-`setsys._words`, laid out word-major so that each block's popcounts are
-summed over its leading, word axis. Max coverage and min set cover share
-`_union_blocks`: a grid of the unions of all r-subsets in lex order, and
-each lex-ordered prefix of the leading sets meeting the grid's columns
-above it in one block of popcounts. Min set cover charges and searches one
-size level at a time. NCP meets each lex-ordered prefix of the leading
-columns with one grid of the target XOR every subset of the trailing ones.
-CVP is a box search: the min-lex x in [-box, box]^cols minimizing the sum
-over rows of |Ax - y|^p."""
+returns the min-lex witness. Sets and codes are bit rows packed by
+`setsys._words`, never Python ints (those are left to the cross-checks'
+references), laid out word-major so that each block's popcounts are summed
+over its leading, word axis. Max coverage and min set cover share
+`setsys._union_blocks` with the disperser check: a grid of the unions of
+all r-subsets in lex order, and each lex-ordered prefix of the leading sets
+meeting the grid's columns above it in one block of popcounts. Min set
+cover charges and searches one size level at a time. Greedy coverage takes
+one popcount of the packed sets per step. NCP meets each lex-ordered prefix
+of the leading columns with one grid of the target XOR every subset of the
+trailing ones. CVP is a box search: the min-lex x in [-box, box]^cols
+minimizing the sum over rows of |Ax - y|^p."""
 
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import budget as _budget
-from .budget import block_search, check
-from .setsys import _words, masks
+from .budget import _combinations, block_search, check
+from .setsys import _union_blocks, _unrank, _words
 
 
 @dataclass(frozen=True)
@@ -38,79 +40,24 @@ class SolverResult:
 
 def greedy_max_coverage(instance):
     """Pick k sets, each covering the most yet-uncovered elements; ties go to
-    the lowest set index."""
+    the lowest set index. Each step is one popcount of the packed sets
+    minus what is covered, chosen sets scoring -1."""
     n = len(instance.sets)
     if instance.k > n:
         raise ValueError("k exceeds the number of sets")
-    ms = masks(instance)
+    rows = _words((n, instance.universe_size), sets=instance.sets)
     chosen = []
-    covered = 0
+    covered = np.zeros_like(rows[0])
     for _ in range(instance.k):
-        best = max((j for j in range(n) if j not in chosen),
-                   key=lambda j: (ms[j] & ~covered).bit_count())
-        chosen.append(best)
-        covered |= ms[best]
+        gains = np.bitwise_count(rows & ~covered).sum(axis=1, dtype=np.int64)
+        gains[chosen] = -1
+        chosen.append(int(gains.argmax()))
+        covered |= rows[chosen[-1]]
     return SolverResult(
-        value=covered.bit_count(),
+        value=int(np.bitwise_count(covered).sum()),
         witness=tuple(chosen),
         enumerated=sum(n - i for i in range(instance.k)),
     )
-
-
-def _unrank(n, label, rank):
-    """The subset at position `rank` of the block labelled (prefix, lo, r):
-    the prefix, then the r-subset of [lo, n) at that position in lex order."""
-    prefix, lo, r = label
-    tail = []
-    for left in range(r, 0, -1):
-        while rank >= (run := math.comb(n - 1 - lo, left - 1)):
-            rank -= run
-            lo += 1
-        tail.append(lo)
-        lo += 1
-    return prefix + tuple(tail)
-
-
-def _union_blocks(rows):
-    """A function blocks(size) that yields the covered counts of the
-    size-subsets of the packed sets `rows` in lex-ordered numpy blocks, as
-    (label, counts) pairs; `_unrank(n, label, i)` is the subset counted at
-    position i. Successive calls must ask for sizes in ascending order.
-
-    The grid holds the unions of all r-subsets in lex order, one column
-    each, built level by level while words x C(n, r) fits in one block, so
-    the r-subsets whose least element is at least lo are its last
-    C(n - lo, r) columns. Each lex-ordered (size - r)-prefix meets that
-    suffix, lo just above the prefix, in one block, whose popcounts are
-    summed over the word axis."""
-    n, words = rows.shape
-    sets = rows.T
-    # the grid starts at the empty subset; from level 1 on, least[j] is the
-    # least element of its j-th subset
-    heads = least = np.arange(n)
-    grid = np.zeros((words, 1), rows.dtype)
-    r = 0
-
-    def blocks(size):
-        nonlocal grid, least, r
-        while r < size and words * math.comb(n, r + 1) <= _budget.BLOCK_CELLS:
-            if r:
-                # the (r + 1)-subsets in lex order: each set a joined to
-                # each r-subset whose least element is above a
-                least, tails = (least > heads[:, None]).nonzero()
-                grid = sets.take(least, axis=1) | grid.take(tails, axis=1)
-            else:
-                grid = sets
-            r += 1
-        for prefix in itertools.combinations(range(n - r), size - r):
-            lo = prefix[-1] + 1 if prefix else 0
-            block = grid[:, grid.shape[1] - math.comb(n - lo, r):]
-            if prefix:
-                union = np.bitwise_or.reduce(sets.take(prefix, axis=1), axis=1)
-                block = union[:, None] | block
-            yield (prefix, lo, r), np.bitwise_count(block).sum(axis=0)
-
-    return blocks
 
 
 def exact_max_coverage(instance, budget=None):
@@ -169,13 +116,11 @@ def _exact_clustering(instance, exponent, budget):
 
     def blocks():
         dist = np.array(clients, np.int64 if fits else object).reshape(nc, nf)
-        combos = itertools.combinations(range(nf), k)
-        while chunk := list(itertools.islice(combos, size)):
-            nearest = dist[:, np.array(chunk)].min(axis=2)
-            yield chunk, (nearest ** exponent).sum(axis=0)
+        for chunk in _combinations(nf, k, size):
+            yield chunk, (dist[:, chunk].min(axis=2) ** exponent).sum(axis=0)
 
     chunk, i, value = block_search(min, blocks, total, budget, "facility subset enumeration")
-    return SolverResult(value=value, witness=chunk[i], enumerated=total)
+    return SolverResult(value=value, witness=tuple(chunk[i].tolist()), enumerated=total)
 
 
 def exact_kmedian(instance, budget=None):

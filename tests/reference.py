@@ -1,16 +1,18 @@
 """Reference oracles for the cross-checks: one per quantity, the only home of
 the code the library's searches and counters are compared with.
 
-Most are plain loops from the definition, over Python ints and Fractions,
-that share with the library only its instance types, `SolverResult`,
-`setsys.masks` and `bitmask` (a set as an int) and, where a refusal is
-compared, `budget.check`: the label-cover values and the full labeling
-value (reading a game through its `tables` and `incidence`), max coverage,
-min set cover, greedy coverage, k-median and k-mean, NCP, CVP, the best
-assignment of a formula, the sampler, the majority decode, the red-blue
-transitivity check, the peel and the non-red subgraph search. Two keep a
-frozen numpy kernel, because a plain loop cannot run their corpora in
-time: `SubcollectionHits`, the subcollection counter as it tested each
+Most are plain loops from the definition, over Python ints, sets and
+Fractions, that share with the library only its instance types,
+`SolverResult`, `bitmask` (elements as an int, which this module's own
+`_masks` applies to every set of a system, where the library reads packed
+word rows) and, where a refusal is compared, `budget.check`: the
+label-cover values and the full labeling value (reading a game through its
+`tables` and `incidence`), max coverage, min set cover, greedy coverage,
+k-median and k-mean, NCP, CVP, the best assignment of a formula, the
+sampler, the disperser verdict, the t-wise weak agreement, the majority
+decode, the red-blue transitivity check, the peel and the non-red subgraph
+search. Two keep a frozen numpy kernel, because a plain loop cannot run
+their corpora in time: `SubcollectionHits`, the subcollection counter as it tested each
 submask of a diff against every set's domain mask, which
 `pair_consistencies` and `two_level_graph` count with, and
 `left_vertices`, one `satisfied_counts` call per subset. None calls the
@@ -31,7 +33,13 @@ from gapforge import budget as _budget
 from gapforge.agreement import MajorityStats
 from gapforge.budget import BudgetError, check
 from gapforge.formula import satisfied_counts, vars_of
-from gapforge.setsys import bitmask, masks
+from gapforge.setsys import bitmask
+
+
+def _masks(system):
+    """Each set of a system or coverage instance as an int, bit e set for
+    each element e."""
+    return [bitmask(s) for s in system.sets]
 
 
 class SubcollectionHits:
@@ -165,6 +173,19 @@ def non_red_subgraph(graph, d):
     return best, best_density
 
 
+def t_wagr(collection, t):
+    """`t_wagr`: the share of t-subsets of the sets, some two of whose
+    functions agree on every point of the t sets' common domain."""
+    on = [dict(zip(s, vals)) for s, vals in zip(collection.system.sets, collection.values)]
+    combos = list(itertools.combinations(range(collection.k), t))
+    hits = 0
+    for combo in combos:
+        inter = set.intersection(*(set(collection.system.sets[i]) for i in combo))
+        hits += any(all(on[i][e] == on[j][e] for e in inter)
+                    for i, j in itertools.combinations(combo, 2))
+    return Fraction(hits, len(combos))
+
+
 def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
     """`majority_decode` with its per-pair disagreement loop."""
     n = collection.n
@@ -196,6 +217,27 @@ def sample_random_subsets(universe_size, k, p, seed):
     Fraction p)."""
     rng = random.Random(seed)
     return tuple(tuple(e for e in range(universe_size) if rng.random() < p) for _ in range(k))
+
+
+def disperser(system, r, ell, eta):
+    """`is_strong_intersection_disperser` as (status, witness, uncovered,
+    combinations checked): every r-tuple of the subcollections of size at
+    most ell, in (size, lex) then combinations order, its union of
+    intersections materialized as a Python set; the witness is the first
+    r-tuple leaving the most elements uncovered."""
+    pool = [sub for size in range(1, ell + 1)
+            for sub in itertools.combinations(range(system.k), size)]
+    if len(pool) < r:
+        return "certified-yes", None, None, 0
+    sets = [set(s) for s in system.sets]
+
+    def uncovered(combo):
+        return system.universe_size - len(set().union(
+            *(set.intersection(*(sets[i] for i in sub)) for sub in combo)))
+    worst = max(itertools.combinations(pool, r), key=uncovered)
+    most = uncovered(worst)
+    status = "violated" if most > Fraction(eta) * system.universe_size else "certified-yes"
+    return status, worst, most, math.comb(len(pool), r)
 
 
 def brute_force_max_val(formula):
@@ -288,7 +330,7 @@ def _covered(ms, combo):
 def greedy_max_coverage(instance):
     """`greedy_max_coverage` as a best-so-far loop: each step takes the first
     unchosen set of largest gain; `enumerated` counts the sets it scored."""
-    ms = masks(instance)
+    ms = _masks(instance)
     chosen, covered, steps = [], 0, 0
     for _ in range(instance.k):
         best, best_gain = None, -1
@@ -312,7 +354,7 @@ def max_coverage(instance, budget=None):
         raise ValueError("k exceeds the number of sets")
     total = math.comb(n, instance.k)
     check(total, budget, "k-subset enumeration")
-    covered = functools.partial(_covered, masks(instance))
+    covered = functools.partial(_covered, _masks(instance))
     best = max(itertools.combinations(range(n), instance.k), key=covered)
     return SolverResult(value=covered(best), witness=best, enumerated=total)
 
@@ -321,7 +363,7 @@ def min_set_cover(instance, budget=None):
     """`exact_min_set_cover` as the same per-level charge in front of an
     itertools.combinations loop over Python int masks."""
     n = len(instance.sets)
-    covered = functools.partial(_covered, masks(instance))
+    covered = functools.partial(_covered, _masks(instance))
     if covered(range(n)) < instance.universe_size:
         raise ValueError("no cover exists: some element is in no set")
     for size in range(n + 1):

@@ -26,6 +26,7 @@ from gapforge import (CoverageInstance, FunctionCollection, MonotoneDnf,
                       weak_agreement_value, wval_to_val_bound)
 from gapforge.cli import main
 from gapforge.labelcover import build_main_reduction
+import reference
 
 
 def _report(num, name, ok, detail=""):
@@ -164,26 +165,6 @@ def test_criterion_05_red_blue_transitivity(capsys):
             f"{time.perf_counter() - start:.1f}s")
 
 
-def _disperser_oracle(system, r, ell, eta):
-    sets = [frozenset(s) for s in system.sets]
-    pool = []
-    for size in range(1, ell + 1):
-        pool.extend(itertools.combinations(range(system.k), size))
-    if len(pool) < r:
-        return "certified-yes"
-    universe = set(range(system.universe_size))
-    for combo in itertools.combinations(pool, r):
-        union = set()
-        for sub in combo:
-            inter = set(sets[sub[0]])
-            for i in sub[1:]:
-                inter &= sets[i]
-            union |= inter
-        if Fraction(len(universe - union), system.universe_size) > eta:
-            return "violated"
-    return "certified-yes"
-
-
 def test_criterion_06_disperser_oracle_equivalence():
     start = time.perf_counter()
     failures = 0
@@ -200,7 +181,8 @@ def test_criterion_06_disperser_oracle_equivalence():
         ell = rng.randrange(1, 3)
         eta = Fraction(rng.randrange(0, 5), 4)
         verdict = is_strong_intersection_disperser(system, r, ell, eta)
-        if verdict.status != _disperser_oracle(system, r, ell, eta):
+        if (verdict.status, verdict.witness, verdict.uncovered,
+                verdict.combinations_checked) != reference.disperser(system, r, ell, eta):
             failures += 1
     _report(6, "exact disperser checker matches a from-scratch materializer",
             failures == 0,

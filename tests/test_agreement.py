@@ -100,25 +100,11 @@ def test_t_wagr_two_function_disagreement():
     assert t_wagr(fc, 2) == 0
 
 
-def _wagr_recount(fc, t):
-    on = [dict(zip(s, vals)) for s, vals in zip(fc.system.sets, fc.values)]
-    hits = 0
-    combos = list(itertools.combinations(range(fc.k), t))
-    for combo in combos:
-        inter = set(fc.system.sets[combo[0]])
-        for i in combo[1:]:
-            inter &= set(fc.system.sets[i])
-        if any(all(on[i][e] == on[j][e] for e in inter)
-               for i, j in itertools.combinations(combo, 2)):
-            hits += 1
-    return Fraction(hits, len(combos))
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_t_wagr_matches_recount(seed):
     fc = collection_from_seed(seed, k=4)
-    assert t_wagr(fc, 2) == _wagr_recount(fc, 2)
+    assert t_wagr(fc, 2) == reference.t_wagr(fc, 2)
 
 
 def test_t_wagr_counts_pairs_in_bounded_blocks(monkeypatch):
@@ -135,7 +121,37 @@ def test_t_wagr_counts_pairs_in_bounded_blocks(monkeypatch):
     for cells in (1, 7, 97):
         monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
         assert t_wagr(fc, 2) == value
-        assert all(t_wagr(c, 2) == _wagr_recount(c, 2) for c in small)
+        assert all(t_wagr(c, 2) == reference.t_wagr(c, 2) for c in small)
+
+
+@pytest.mark.parametrize("n", [8, 40, 63, 64, 65, 130])
+def test_t_wagr_matches_the_reference(n, monkeypatch):
+    """t = 2 to 5 on seeded collections over n points (one to three words a
+    row), some with few and some with many disagreeing pairs, whole and in
+    blocks of 1, 7 and 97 cells."""
+    collections = [_seeded_wide_collection(seed, n) for seed in range(3)]
+    collections += [collection_from_seed(seed, n, k, noise=0.3) for seed, k in ((3, 6), (4, 8))]
+    expected = [reference.t_wagr(fc, t) for fc in collections for t in range(2, 6)]
+    # some value at t = 3 or t = 4 is neither 0 nor 1
+    assert any(0 < value < 1 for value in expected[1::4] + expected[2::4])
+    for cells in (None, 1, 7, 97):
+        if cells is not None:
+            monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
+        assert [_exact(t_wagr(fc, t)) for fc in collections for t in range(2, 6)] == expected
+
+
+def test_t_wagr_counts_t_subsets_in_bounded_blocks():
+    """The C(120, 3) = 280,840 t-subsets are scored in index blocks of about
+    BLOCK_CELLS cells: whole, their index array alone would take 6.7 MB."""
+    fc = collection_from_seed(6, n=40, k=120, noise=0.2)
+    fc._rows  # the k masks themselves are the collection's, not the count's
+    tracemalloc.start()
+    try:
+        value = t_wagr(fc, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < value < 1 and peak < 4 << 20
 
 
 def test_t_wagr_errors():
@@ -334,18 +350,18 @@ def test_shared_counter_reuses_a_diff_across_pairs(monkeypatch):
     values = ((0, 0, 0), (1, 0, 0), (1, 1, 1, 0), (0, 1, 1),
               (0, 0), (0, 0), (0, 0), (0,))
     fc = FunctionCollection(system, values)
-    counter = _SubcollectionHits(fc)
+    counter = _SubcollectionHits(fc, _packed([0b1], 4))
     for ell in range(1, 7):
-        [count] = counter.hits(_packed([0b1], 4), ell)
+        [count] = counter.hits(ell)
         for i, j in ((0, 1), (2, 3)):
             want = reference.pair_consistencies(fc, ell)[i, j]
             assert Fraction(count, math.comb(6, ell)) == want
     batches = []
     hits = _SubcollectionHits.hits
 
-    def spy(self, diffs, ell):
-        batches.append((ell, _unpacked(diffs)))
-        return hits(self, diffs, ell)
+    def spy(self, ell):
+        batches.append((ell, _unpacked(self._diffs)))
+        return hits(self, ell)
 
     monkeypatch.setattr(_SubcollectionHits, "hits", spy)
     build_two_level_graph(fc, Fraction(0), Fraction(1, 2), 3)
@@ -383,8 +399,7 @@ def test_counter_matches_the_frozen_reference(n, k, monkeypatch):
     and 97 cells; the diffs span every width up to the rule's limit and past
     it. The counter takes the diffs as word rows, the frozen one as ints."""
     fc, diffs = _counter_corpus(n, k)
-    counter, frozen = _SubcollectionHits(fc), reference.SubcollectionHits(fc)
-    rows = _packed(diffs, n)
+    counter, frozen = _SubcollectionHits(fc, _packed(diffs, n)), reference.SubcollectionHits(fc)
     widths = {d.bit_count() for d in diffs}
     rule = {1: {"enumerated": widths}}
     for ell in range(2, k - 1):
@@ -405,7 +420,7 @@ def test_counter_matches_the_frozen_reference(n, k, monkeypatch):
         if cells is not None:
             monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
         for ell in range(1, k - 1):
-            hits, cost = counter.hits(rows, ell), counter.cost(rows, ell)
+            hits, cost = counter.hits(ell), counter.cost(ell)
             assert hits == frozen.hits(diffs, ell) and cost == frozen.cost(diffs, ell)
             assert {type(x) for x in hits} == {type(cost)} == {int}
         assert taken == {ell: {p: ws for p, ws in paths.items() if ws} for ell, paths in rule.items()}
@@ -415,14 +430,13 @@ def test_counter_counts_past_int64():
     """At k = 70, C(68, ell) passes 2^63 for ell from 28 to 40: those counts
     are exact Python ints, equal to the frozen counter's."""
     fc, diffs = _counter_corpus(40, 70)
-    counter, frozen = _SubcollectionHits(fc), reference.SubcollectionHits(fc)
-    rows = _packed(diffs, 40)
+    counter, frozen = _SubcollectionHits(fc, _packed(diffs, 40)), reference.SubcollectionHits(fc)
     for ell in (2, 3, 27, 28, 34, 40, 41, 66):
-        hits = counter.hits(rows, ell)
+        hits = counter.hits(ell)
         assert hits == frozen.hits(diffs, ell)
-        assert counter.cost(rows, ell) == frozen.cost(diffs, ell)
+        assert counter.cost(ell) == frozen.cost(diffs, ell)
         assert {type(x) for x in hits} == {int}
-    assert max(counter.hits(rows, 34)) == math.comb(68, 34) >= 1 << 63
+    assert max(counter.hits(34)) == math.comb(68, 34) >= 1 << 63
 
 
 def _seeded_wide_collection(seed, n):
@@ -476,7 +490,7 @@ def test_wide_collections_match_the_pairwise_oracles(n, monkeypatch):
     paths = set()
     for seed in range(6):
         fc = _seeded_wide_collection(seed, n)
-        assert _exact(t_wagr(fc, 2)) == _wagr_recount(fc, 2)
+        assert _exact(t_wagr(fc, 2)) == reference.t_wagr(fc, 2)
         for ell in range(1, fc.k - 1):
             for (i, j), want in reference.pair_consistencies(fc, ell).items():
                 assert _exact(pair_consistency(fc, i, j, ell)) == want

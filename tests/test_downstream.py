@@ -1,7 +1,9 @@
 """Partition systems, the coverage gadget, the unit-distance clustering
 metric, and the nearest-codeword / closest-vector encodings."""
 
+import collections
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -22,7 +24,8 @@ from gapforge import (BudgetError, ClusteringInstance, CodeInstance,
                       parse_coverage, parse_lattice,
                       verify_unique_cover)
 from gapforge.formula import random_planted_formula
-from gapforge.labelcover import build_main_reduction, restriction_labeling
+from gapforge.labelcover import (build_main_reduction, reduce_alphabet,
+                                 restriction_labeling)
 from gapforge.setsys import sample_random_subsets
 
 
@@ -152,6 +155,48 @@ def test_feige_completeness_from_pipeline(seed):
     assert verify_unique_cover(cov, chosen)
     assert exact_max_coverage(cov).value == cov.universe_size
     assert exact_min_set_cover(cov).value == game.num_left
+
+
+def _gadget_games():
+    """Bi-regular restriction games of seeded planted formulas at right
+    degree 2 and 3, then the alphabet reductions of the first four."""
+    rng = random.Random(33)
+    games = []
+    while len(games) < 8:
+        t = 2 + len(games) % 2
+        formula, _ = random_planted_formula(rng.randint(3, 4), rng.randint(3, 5),
+                                            rng.randrange(2**32))
+        system = sample_random_subsets(formula.num_clauses, rng.randint(t + 1, t + 2),
+                                       Fraction(1, 3), rng.randrange(2**32))
+        game = build_main_reduction(formula, system, t, allow_vacuous=True)
+        if not game.vacuous and game.right_degree == t:
+            games.append(game)
+    return games + [reduce_alphabet(game, 2) for game in games[:4]]
+
+
+def test_feige_gadget_covers_each_block_by_the_labeling_identity():
+    """Pick the set of (u, σ(u)) for every left vertex u. At each right
+    vertex v the picked sets cover exactly t^s - t^(s-d)·∏_a (t - c_a) of
+    v's block, with s = |Σ_v|, c_a the neighbours of v projecting to a and d
+    the number of labels with c_a > 0: a point is missed iff at each
+    projected label a it avoids the c_a ranks of the neighbours projecting
+    to a. Exact integers, on 24 seeded labelings of each game."""
+    rng = random.Random(34)
+    for game in _gadget_games():
+        t, cov = game.right_degree, feige_coverage_reduction(game)
+        offsets = list(itertools.accumulate((t ** len(a) for a in game.right_alphabets),
+                                            initial=0))
+        for _ in range(24):
+            sigma = [rng.randrange(len(a)) for a in game.left_alphabets]
+            covered = sorted(set().union(*(cov.sets[cov.origins.index((u, a))]
+                                           for u, a in enumerate(sigma))))
+            blocks = np.bincount(np.searchsorted(offsets, covered, side="right") - 1,
+                                 minlength=game.num_right).tolist()
+            for v, pairs in enumerate(game.incidence):
+                counts = collections.Counter(game.tables[e][sigma[u]] for e, u in pairs)
+                s = len(game.right_alphabets[v])
+                assert blocks[v] == t ** s - t ** (s - len(counts)) * math.prod(
+                    t - c for c in counts.values())
 
 
 def test_guha_khuller_structure():

@@ -1,7 +1,8 @@
 """The package namespace: `__all__` is every public name it imports, and the
 list of those names is pinned. The reference oracles that the cross-checks
 compare with live in tests/reference.py alone, no test module imports a name
-it never uses, and bit rows are packed in one place."""
+it never uses, and bit rows are packed in one place and are the one form
+in which the package reads a set."""
 
 import ast
 import types
@@ -55,7 +56,8 @@ def test_public_names_are_pinned():
 
 
 # the names the frozen copies of replaced code went by in the test modules
-COPY_PREFIXES = ("_old_", "_frozen_", "_enumerated_", "_reencoded_", "_sample_by_")
+COPY_PREFIXES = ("_old_", "_frozen_", "_enumerated_", "_reencoded_", "_sample_by_",
+                 "_wagr_recount", "_disperser_oracle")
 
 
 def _trees(directory):
@@ -104,3 +106,36 @@ def test_bit_rows_are_packed_by_one_helper():
                   if isinstance(node, ast.FunctionDef) and node.name == "_words")
     named = [(name, line) for name, tree in trees.items() for line in _packbits(tree)]
     assert named == [("setsys.py", line) for line in _packbits(helper)] != []
+
+
+def _scopes(tree):
+    """Each top-level function and method of a module, by name (a method as
+    Class.method), and every other statement as "<module>"."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield (f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                       else "<module>"), item
+        else:
+            yield (node.name if isinstance(node, ast.FunctionDef) else "<module>"), node
+
+
+def _naming(name):
+    """The package's (module, scope) pairs that name `name`, as a name or an
+    attribute; a def or an import does not count."""
+    return sorted({(module, scope) for module, tree in _trees(Path(gapforge.__file__).parent).items()
+                   for scope, node in _scopes(tree) for sub in ast.walk(node)
+                   if name in (getattr(sub, "attr", None), getattr(sub, "id", None))})
+
+
+def test_sets_are_read_as_words():
+    """The package reads a set as packed word rows: a set becomes a Python
+    int only for the public exact masks of a function collection and for a
+    restriction labeling's right labels, an int's popcount is taken only by
+    `disagr`, and the one chunker of lex-ordered index blocks is
+    `budget._combinations`."""
+    assert _naming("bit_count") == [("agreement.py", "disagr")]
+    assert _naming("bitmask") == [("agreement.py", "FunctionCollection.domain_masks"),
+                                  ("agreement.py", "FunctionCollection.ones_masks"),
+                                  ("labelcover.py", "restriction_labeling")]
+    assert _naming("islice") == [("budget.py", "_combinations")]

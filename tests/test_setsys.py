@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapforge.budget
 from gapforge import (BudgetError, MonotoneDnf, SetSystem, dnf_bound_holds,
                       dnf_false_prob, is_strong_intersection_disperser,
                       pairwise_intersection_max, parse_dnf, parse_setsys,
                       sample_random_subsets)
-from gapforge.setsys import is_uniform, masks
+from gapforge.setsys import is_uniform
 from gapforge.textformat import write
 import reference
 
@@ -78,11 +79,6 @@ def test_set_system_validation():
         SetSystem(4, ((0, 4),))
 
 
-def test_masks():
-    system = SetSystem(5, ((0, 2), (1, 4), ()))
-    assert masks(system) == [0b101, 0b10010, 0]
-
-
 def test_is_uniform_examples():
     full = SetSystem(4, (tuple(range(4)),) * 3)
     assert is_uniform(full, 1, 0) == (True, set())
@@ -140,34 +136,12 @@ def test_disperser_heuristic_modes():
     assert is_strong_intersection_disperser(full, 2, 1, 0, budget=3).status == "certified-yes"
 
 
-def _disperser_oracle(system, r, ell, eta):
-    """From-scratch recheck: materialize every union of intersections.
-    Returns the status and the most elements any r-tuple leaves uncovered."""
-    subcols = []
-    for size in range(1, ell + 1):
-        subcols.extend(itertools.combinations(range(system.k), size))
-    if len(subcols) < r:
-        return "certified-yes", None
-    sets = [set(s) for s in system.sets]
-    universe = set(range(system.universe_size))
-    most = 0
-    for combo in itertools.combinations(subcols, r):
-        covered = set()
-        for sc in combo:
-            inter = set(sets[sc[0]])
-            for i in sc[1:]:
-                inter &= sets[i]
-            covered |= inter
-        most = max(most, len(universe - covered))
-    status = "violated" if most > Fraction(eta) * system.universe_size else "certified-yes"
-    return status, most
-
-
 @given(systems, st.integers(1, 2), st.integers(1, 2), st.fractions(0, 1))
 @settings(max_examples=80, deadline=None)
 def test_disperser_matches_oracle(system, r, ell, eta):
     got = is_strong_intersection_disperser(system, r, ell, eta)
-    assert (got.status, got.uncovered) == _disperser_oracle(system, r, ell, eta)
+    assert (got.status, got.witness, got.uncovered, got.combinations_checked) \
+        == reference.disperser(system, r, ell, eta)
 
 
 @given(systems, st.integers(1, 2), st.integers(1, 2), st.fractions(0, 1))
@@ -184,12 +158,58 @@ def test_disperser_monotone_in_eta_and_r(system, r, ell, eta):
     assert more.status == "certified-yes"
 
 
+def _disperser_corpus():
+    """Seeded systems over 1 to 12 points and a few over 70 and 130 (two and
+    three words a row). Every third draws its sets from the empty set, the
+    whole universe and the even points, so many r-tuples tie for the most
+    uncovered and only the lex-first one is the witness."""
+    rng = random.Random(32)
+    systems = []
+    for i in range(36):
+        u = rng.choice((70, 130)) if i % 9 == 8 else rng.randint(1, 12)
+        k = rng.randint(2, 6)
+        if i % 3:
+            sets = [tuple(sorted(rng.sample(range(u), rng.randint(0, u)))) for _ in range(k)]
+        else:
+            sets = [rng.choice(((), tuple(range(u)), tuple(range(0, u, 2)))) for _ in range(k)]
+        systems.append(SetSystem(u, tuple(sets)))
+    return systems
+
+
+def test_disperser_matches_the_reference_in_blocks(monkeypatch):
+    """The whole verdict, witness included, equals the reference's on the
+    whole arrays and in blocks of 1, 7 and 97 cells."""
+    cases = [(system, r, ell, eta) for system in _disperser_corpus() for r in (1, 2, 3)
+             for ell in (1, 2) for eta in (Fraction(0), Fraction(1, 4))]
+    expected = [reference.disperser(*case) for case in cases]
+    assert {status for status, *_ in expected} == {"certified-yes", "violated"}
+    for cells in (None, 1, 7, 97):
+        if cells is not None:
+            monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
+        for case, want in zip(cases, expected):
+            got = is_strong_intersection_disperser(*case)
+            assert (got.status, got.witness, got.uncovered, got.combinations_checked) == want
+
+
 def test_pairwise_intersection_max():
     assert pairwise_intersection_max(SetSystem(4, ((0, 1), (2, 3)))) == 0
     assert pairwise_intersection_max(SetSystem(4, ((0, 1, 2), (0, 1, 2)))) == 3
     assert pairwise_intersection_max(SetSystem(6, ((0, 1, 2), (1, 2, 3), (5,)))) == 2
     with pytest.raises(ValueError):
         pairwise_intersection_max(SetSystem(4, ((0,),)))
+
+
+def test_pairwise_intersection_max_over_several_words(monkeypatch):
+    """Seeded systems over one to four words a row, whole and in blocks of
+    1, 7 and 97 cells, against the largest intersection of two Python sets."""
+    systems = [sample_random_subsets(n, k, Fraction(1, 2), n + k)
+               for n in (8, 63, 64, 65, 130, 200) for k in (2, 3, 17)]
+    expected = [max(len(set(a) & set(b)) for a, b in itertools.combinations(system.sets, 2))
+                for system in systems]
+    for cells in (None, 1, 7, 97):
+        if cells is not None:
+            monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
+        assert [pairwise_intersection_max(system) for system in systems] == expected
 
 
 def test_dnf_validation():
