@@ -17,7 +17,7 @@ from . import budget as _budget
 from .budget import _combinations, block_search, check
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
-from .setsys import SetSystem, _binary, _words, bitmask, is_uniform
+from .setsys import SetSystem, _ArrayValue, _binary, _words, bitmask, is_uniform
 
 
 def _keys(rows):
@@ -287,7 +287,7 @@ def _upper_pairs(cells):
     return u[keep], v[keep]
 
 
-class RedBlueGraph:
+class RedBlueGraph(_ArrayValue):
     """A graph whose every vertex pair is blue, red or neither.
 
     The one internal form is `adjacency`, a symmetric read-only k x k int8
@@ -308,21 +308,11 @@ class RedBlueGraph:
             adjacency[v, u] |= colour
         if (adjacency == _BLUE | _RED).any():
             raise ValueError("blue and red edge sets must be disjoint")
-        self._set(adjacency, estimated)
+        # estimated is always False: every graph is exact; kept so recorded
+        # graphs still compare
+        super().__init__(adjacency=adjacency, estimated=estimated)
 
-    @classmethod
-    def _of(cls, adjacency):
-        """The graph of a colour array that is symmetric by construction."""
-        graph = cls.__new__(cls)
-        graph._set(adjacency, False)
-        return graph
-
-    def _set(self, adjacency, estimated):
-        adjacency.flags.writeable = False
-        self.num_vertices = len(adjacency)
-        self.adjacency = adjacency
-        # always False: every graph is exact; kept so recorded graphs still compare
-        self.estimated = estimated
+    num_vertices = property(lambda self: len(self.adjacency))
 
     def _edges(self, colour):
         u, v = _upper_pairs(self.adjacency == colour)
@@ -330,19 +320,6 @@ class RedBlueGraph:
 
     blue = property(lambda self: self._edges(_BLUE))
     red = property(lambda self: self._edges(_RED))
-
-    def __eq__(self, other):
-        if not isinstance(other, RedBlueGraph):
-            return NotImplemented
-        return (self.estimated == other.estimated
-                and np.array_equal(self.adjacency, other.adjacency))
-
-    def __hash__(self):
-        return hash((self.num_vertices, self.adjacency.tobytes(), self.estimated))
-
-    def __repr__(self):
-        return (f"RedBlueGraph(num_vertices={self.num_vertices}, blue={self.blue!r}, "
-                f"red={self.red!r}, estimated={self.estimated!r})")
 
 
 def build_two_level_graph(collection, alpha, beta, t, budget=None):
@@ -400,7 +377,7 @@ def build_two_level_graph(collection, alpha, beta, t, budget=None):
             raise ConsistencyOverlapError(lo + a, j, Fraction(blue_hits[u], blue_total),
                                           Fraction(red_hits[u], red_total))
     adjacency |= adjacency.T
-    return RedBlueGraph._of(adjacency)
+    return RedBlueGraph._of(adjacency=adjacency, estimated=False)
 
 
 def check_rb_transitive(graph, h):

@@ -97,7 +97,7 @@ def _clustering_shape(c):
 
 
 def _matrix_shape(m):
-    return {"rows": len(m.rows), "cols": m.num_cols, "k": m.k}
+    return {"rows": len(m.matrix), "cols": m.num_cols, "k": m.k}
 
 
 def _reduce_labelcover(text, args):

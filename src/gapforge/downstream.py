@@ -1,17 +1,27 @@
 """Reductions out of projection games: partition-system coverage gadgets,
 the unit-distance clustering metric, and the nearest-codeword / closest-vector
-encodings of unique cover."""
+encodings of unique cover.
+
+A clustering, code or lattice instance holds one form, read-only numpy
+arrays: uint8 for codes, int64 for metrics and lattices (an object array of
+exact Python numbers when an entry is not an int that fits). The public
+constructors check and convert their input once; the reductions hand their
+arrays in unchecked, since they hold by construction (the metric's size^3
+triangle check included). `rows`, `target` and `dist` are tuples derived on
+read, for the text writers."""
 
 from __future__ import annotations
 
+import array
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .budget import check
-from .setsys import SetSystem, _binary, _binary_set
+from .setsys import SetSystem, _ArrayValue, _binary
 from .textformat import read, write
 
 
@@ -130,31 +140,40 @@ def feige_coverage_reduction(instance, budget=None):
     )
 
 
-@dataclass(frozen=True)
-class ClusteringInstance:
+def _exact(values, shape):
+    """The flat list `values` as an array of `shape`: int64 when every entry
+    is an integer that fits, else an object array of the entries, each
+    Integral one as a Python int, so no entry is rounded or wraps."""
+    try:
+        # the array module takes only integers, and only those that fit
+        return np.frombuffer(array.array("q", values), np.int64).reshape(shape)
+    except (TypeError, OverflowError):
+        return np.fromiter((int(v) if isinstance(v, numbers.Integral) else v for v in values),
+                           object, len(values)).reshape(shape)
+
+
+def _check_clustering(num_facilities, k, exponent):
+    if k < 1 or k > num_facilities:
+        raise ValueError("need 1 <= k <= num_facilities")
+    if exponent not in (1, 2):
+        raise ValueError("exponent must be 1 (median) or 2 (mean)")
+
+
+class ClusteringInstance(_ArrayValue):
     """Clients then facilities share one distance matrix; open k facilities.
 
-    The matrix must be a metric; the constructor verifies nonnegativity,
-    symmetry, zero diagonal, and every triangle exhaustively.
-    """
+    The matrix is held as `distances`, a read-only square array, int64 or
+    of exact Python numbers; `dist` gives it as row tuples. The constructor
+    verifies that it is a metric: nonnegativity, symmetry, zero diagonal,
+    and every triangle exhaustively."""
 
-    num_clients: int
-    num_facilities: int
-    dist: tuple[tuple, ...]
-    k: int
-    exponent: int = 1
-
-    def __post_init__(self):
-        size = self.num_clients + self.num_facilities
-        if len(self.dist) != size or any(len(row) != size for row in self.dist):
+    def __init__(self, num_clients, num_facilities, dist, k, exponent=1):
+        size = num_clients + num_facilities
+        if len(dist) != size or any(len(row) != size for row in dist):
             raise ValueError("distance matrix shape must be clients+facilities square")
-        if self.k < 1 or self.k > self.num_facilities:
-            raise ValueError("need 1 <= k <= num_facilities")
-        if self.exponent not in (1, 2):
-            raise ValueError("exponent must be 1 (median) or 2 (mean)")
-        # int64 for integer matrices, exact Python numbers in an object array
-        # otherwise; every check names its first offender in row-major order
-        arr = np.array(self.dist)
+        _check_clustering(num_facilities, k, exponent)
+        # every check names its first offender in row-major order
+        arr = _exact([*itertools.chain(*dist)], (size, size))
         diagonal = np.flatnonzero(arr.diagonal() != 0)
         if diagonal.size:
             raise ValueError(f"nonzero diagonal at {diagonal[0]}")
@@ -167,13 +186,17 @@ class ClusteringInstance:
             if bad.any():
                 a, c = map(int, np.argwhere(bad)[0])
                 raise ValueError(f"triangle violation at ({a}, {b}, {c})")
+        super().__init__(num_clients=num_clients, num_facilities=num_facilities,
+                         distances=arr, k=k, exponent=exponent)
+
+    dist = property(lambda self: tuple(map(tuple, self.distances.tolist())))
 
 
 def _incidence(coverage):
-    """The elements x sets 0/1 array: entry (u, j) is 1 iff set j holds u."""
-    incidence = np.zeros((coverage.universe_size, len(coverage.sets)), dtype=np.int8)
+    """The elements x sets boolean array: entry (u, j) is set iff set j holds u."""
+    incidence = np.zeros((coverage.universe_size, len(coverage.sets)), bool)
     for j, s in enumerate(coverage.sets):
-        incidence[list(s), j] = 1
+        incidence[list(s), j] = True
     return incidence
 
 
@@ -185,36 +208,43 @@ def guha_khuller_reduction(coverage, exponent=1, budget=None):
     distinct facilities sit at distance 2. Every element must appear in some
     set, else the construction is degenerate. The budget counts the
     (clients + facilities)^2 distances and is charged before anything is
-    built, the degeneracy check included.
+    built, the degeneracy check included. The result is a metric by
+    construction, so its triangles are not checked.
     """
     nc, nf = coverage.universe_size, len(coverage.sets)
     size = nc + nf
     check(size * size, budget, what="distance matrix")
     incidence = _incidence(coverage)
-    missing = np.flatnonzero(~incidence.any(axis=1)).tolist()
+    missing = [int(u) for u in np.flatnonzero(~incidence.any(axis=1))]
     if missing:
         raise ValueError(f"degenerate: elements {missing} appear in no set")
-    d = np.full((size, size), 2, dtype=np.int8)
+    _check_clustering(nf, coverage.k, exponent)
+    d = np.full((size, size), 2, np.int64)
     d[:nc, nc:] = 3 - 2 * incidence
     d[nc:, :nc] = d[:nc, nc:].T
     np.fill_diagonal(d, 0)
-    return ClusteringInstance(
-        num_clients=nc,
-        num_facilities=nf,
-        dist=tuple(map(tuple, d.tolist())),
-        k=coverage.k,
-        exponent=exponent,
-    )
+    return ClusteringInstance._of(num_clients=nc, num_facilities=nf, distances=d,
+                                  k=coverage.k, exponent=exponent)
 
 
 def _check_matrix(rows, target):
-    """One target entry per row and every row as wide as the first."""
+    """One target entry per row and every row as wide as the first; the shape."""
     if len(target) != len(rows):
         raise ValueError("target length must equal the row count")
     width = len(rows[0]) if rows else 0
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {r} has the wrong width")
+    return len(rows), width
+
+
+def _refuse(rows, target, accepts, what):
+    """Name the first row, else the target, that `accepts` refuses."""
+    for r, row in enumerate(rows):
+        if not accepts(row):
+            raise ValueError(f"row {r} has a {what} entry")
+    if not accepts(target):
+        raise ValueError(f"target has a {what} entry")
 
 
 def _check_norm(p):
@@ -226,56 +256,53 @@ def _check_norm(p):
         raise ValueError("p must be at most 64")
 
 
-@dataclass(frozen=True)
-class CodeInstance:
+class _MatrixInstance(_ArrayValue):
+    """A generator matrix A and a target y, held as read-only arrays `matrix`
+    and `goal`, built from `values`: the rows of A in order, then y. `rows`
+    and `target` give them as tuples."""
+
+    def __init__(self, shape, values, **fields):
+        cells = shape[0] * shape[1]
+        super().__init__(matrix=values[:cells].reshape(shape), goal=values[cells:], **fields)
+
+    rows = property(lambda self: tuple(map(tuple, self.matrix.tolist())))
+    target = property(lambda self: tuple(self.goal.tolist()))
+    num_cols = property(lambda self: self.matrix.shape[1])
+
+
+class CodeInstance(_MatrixInstance):
     """Binary generator matrix (row-major) with a target word; minimize the
-    Hamming distance of Ax to the target over x in F_2^cols."""
+    Hamming distance of Ax to the target over x in F_2^cols. Held as uint8."""
 
-    rows: tuple[tuple[int, ...], ...]
-    target: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        _check_matrix(self.rows, self.target)
-        # one set test of the whole matrix; only when it fails is each row
-        # tested on its own, so the error names the first bad row
-        if _binary_set(itertools.chain(*self.rows, self.target)):
-            return
-        for r, row in enumerate(self.rows):
-            if not _binary(row):
-                raise ValueError(f"row {r} has a non-binary entry")
-        if not _binary(self.target):
-            raise ValueError("target has a non-binary entry")
-
-    @property
-    def num_cols(self):
-        return len(self.rows[0]) if self.rows else 0
+    def __init__(self, rows, target, k):
+        shape = _check_matrix(rows, target)
+        values = _exact([*itertools.chain(*rows, target)], -1)
+        if values.dtype == object or ((values < 0) | (values > 1)).any():
+            _refuse(rows, target, _binary, "non-binary")
+        # every entry is 0 or 1 as `in` tests it, so it is 1 iff it equals 1
+        super().__init__(shape, (values == 1).astype(np.uint8), k=k)
 
 
-@dataclass(frozen=True)
-class LatticeInstance:
+class LatticeInstance(_MatrixInstance):
     """Integer generator matrix with a target; minimize ||Ax - y||_p^p over
-    integer x, for p from 1 to 64."""
+    integer x, for p from 1 to 64. Held as int64, or as Python ints in
+    object arrays when an entry does not fit."""
 
-    rows: tuple[tuple[int, ...], ...]
-    target: tuple[int, ...]
-    p: int
-    k: int
-
-    def __post_init__(self):
-        _check_norm(self.p)
-        _check_matrix(self.rows, self.target)
-
-    @property
-    def num_cols(self):
-        return len(self.rows[0]) if self.rows else 0
+    def __init__(self, rows, target, p, k):
+        _check_norm(p)
+        shape = _check_matrix(rows, target)
+        values = _exact([*itertools.chain(*rows, target)], -1)
+        if values.dtype == object:
+            _refuse(rows, target, lambda row: all(isinstance(v, numbers.Integral) for v in row),
+                    "non-integer")
+        super().__init__(shape, values, p=p, k=k)
 
 
-def _abss_rows(coverage, soundness_threshold, multiplicity, budget):
-    """The shared ABSS matrix: `multiplicity` copies of each element's
-    incidence row with target 1, then an identity row per set with target 0.
-    multiplicity defaults to soundness_threshold + 1, the smallest sound
-    value."""
+def _abss_rows(coverage, soundness_threshold, multiplicity, budget, dtype):
+    """The shared ABSS matrix and target as `dtype` arrays: `multiplicity`
+    copies of each element's incidence row with target 1, then an identity
+    row per set with target 0. multiplicity defaults to
+    soundness_threshold + 1, the smallest sound value."""
     if soundness_threshold < 0:
         raise ValueError("soundness_threshold must be nonnegative")
     if multiplicity is None:
@@ -286,10 +313,10 @@ def _abss_rows(coverage, soundness_threshold, multiplicity, budget):
     # every row holds nsets entries and one target entry
     check((multiplicity * coverage.universe_size + nsets) * (nsets + 1), budget,
           what="matrix size")
-    elements = map(tuple, _incidence(coverage).tolist())
-    identity = map(tuple, np.eye(nsets, dtype=np.int8).tolist())
-    rows = (*(row for row in elements for _ in range(multiplicity)), *identity)
-    return rows, (1,) * (multiplicity * coverage.universe_size) + (0,) * nsets
+    matrix = np.concatenate((_incidence(coverage).repeat(multiplicity, axis=0),
+                             np.eye(nsets, dtype=bool)))
+    goal = np.repeat(np.array((1, 0), dtype), (multiplicity * coverage.universe_size, nsets))
+    return matrix.astype(dtype), goal
 
 
 def abss_ncp_reduction(coverage, soundness_threshold, multiplicity=None, budget=None):
@@ -302,16 +329,16 @@ def abss_ncp_reduction(coverage, soundness_threshold, multiplicity=None, budget=
     element an odd number of times. multiplicity defaults to the smallest
     sound value, soundness_threshold + 1.
     """
-    rows, target = _abss_rows(coverage, soundness_threshold, multiplicity, budget)
-    return CodeInstance(rows=rows, target=target, k=coverage.k)
+    matrix, goal = _abss_rows(coverage, soundness_threshold, multiplicity, budget, np.uint8)
+    return CodeInstance._of(matrix=matrix, goal=goal, k=coverage.k)
 
 
 def abss_cvp_reduction(coverage, soundness_threshold, multiplicity=None, p=1, budget=None):
     """Closest-vector analogue over the integers: element rows charge
     multiplicity * |count - 1|^p, identity rows charge |x_j|^p."""
     _check_norm(p)
-    rows, target = _abss_rows(coverage, soundness_threshold, multiplicity, budget)
-    return LatticeInstance(rows=rows, target=target, p=p, k=coverage.k)
+    matrix, goal = _abss_rows(coverage, soundness_threshold, multiplicity, budget, np.int64)
+    return LatticeInstance._of(matrix=matrix, goal=goal, p=p, k=coverage.k)
 
 
 def coverage_to_text(instance):
@@ -336,8 +363,7 @@ def parse_clustering(text):
 
 
 def code_to_text(instance):
-    return write("ncp", (len(instance.rows), instance.num_cols, instance.k),
-                 (*instance.rows, instance.target))
+    return write("ncp", (*instance.matrix.shape, instance.k), (*instance.rows, instance.target))
 
 
 def parse_code(text):
@@ -346,7 +372,7 @@ def parse_code(text):
 
 
 def lattice_to_text(instance):
-    return write("cvp", (len(instance.rows), instance.num_cols, instance.k, instance.p),
+    return write("cvp", (*instance.matrix.shape, instance.k, instance.p),
                  (*instance.rows, instance.target))
 
 

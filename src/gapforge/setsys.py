@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -57,6 +58,45 @@ def _words(shape, bits=True, sets=None):
         cells[..., np.arange(len(sets)).repeat(lengths),
               np.fromiter(itertools.chain.from_iterable(sets), np.intp, sum(lengths))] = bits
     return np.packbits(cells, axis=-1, bitorder="little").view("<u8")
+
+
+class _ArrayValue:
+    """A value of read-only numpy arrays and plain fields, none of which can be
+    set again: a public constructor checks its input and passes the fields
+    to __init__, `_of` takes fields that hold by construction. Equality and
+    the hash go by every field's values and shape, the repr by the
+    constructor's parameters."""
+
+    def __init__(self, **fields):
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(fields)
+
+    @classmethod
+    def _of(cls, **fields):
+        value = object.__new__(cls)
+        _ArrayValue.__init__(value, **fields)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def _key(self):
+        return tuple((name, (value.shape, *value.ravel().tolist())
+                      if isinstance(value, np.ndarray) else value)
+                     for name, value in sorted(vars(self).items()))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}"
+                  for name in inspect.signature(type(self)).parameters)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
 def _unrank(n, label, rank):

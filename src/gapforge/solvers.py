@@ -14,7 +14,8 @@ cover charges and searches one size level at a time. Greedy coverage takes
 one popcount of the packed sets per step. NCP meets each lex-ordered prefix
 of the leading columns with one grid of the target XOR every subset of the
 trailing ones. CVP is a box search: the min-lex x in [-box, box]^cols
-minimizing the sum over rows of |Ax - y|^p."""
+minimizing the sum over rows of |Ax - y|^p. Clustering, NCP and CVP read the
+instance's arrays, never the tuples derived from them."""
 
 from __future__ import annotations
 
@@ -108,14 +109,13 @@ def verify_unique_cover(instance, chosen):
 def _exact_clustering(instance, exponent, budget):
     nc, nf, k = instance.num_clients, instance.num_facilities, instance.k
     total = math.comb(nf, k)
-    clients = [row[nc:] for row in instance.dist[:nc]]
-    # int64 when every distance is an int and no client sum can reach 2^63
-    fits = (all(type(d) is int for row in clients for d in row)
-            and nc * max((d for row in clients for d in row), default=0) ** exponent < 2 ** 63)
     size = max(1, _budget.BLOCK_CELLS // (max(nc, 1) * k))
 
     def blocks():
-        dist = np.array(clients, np.int64 if fits else object).reshape(nc, nf)
+        dist = instance.distances[:nc, nc:]
+        # exact Python ints once a client sum could reach 2^63
+        if dist.dtype != object and nc * int(dist.max(initial=0)) ** exponent >= 2 ** 63:
+            dist = dist.astype(object)
         for chunk in _combinations(nf, k, size):
             yield chunk, (dist[:, chunk].min(axis=2) ** exponent).sum(axis=0)
 
@@ -142,18 +142,17 @@ def _box_search(instance, values, dtype, cost, budget, what):
     The box is scored in lex-ordered blocks: each prefix of the leading
     coordinates, in lex order, meets one fixed grid of the trailing ones,
     and numpy scores the whole block."""
-    rows, cols, side = instance.rows, instance.num_cols, len(values)
-    height = len(rows)
+    (height, cols), side = instance.matrix.shape, len(values)
     tail = 0
     while tail < cols and side ** (tail + 1) * max(height, 1) <= _budget.BLOCK_CELLS:
         tail += 1
     head = cols - tail
 
     def blocks():
-        matrix = np.array(rows, dtype).reshape(height, cols)
+        matrix = instance.matrix.astype(dtype, copy=False)
         coords = np.array(values, dtype)[:, None]
         # residual of every trailing grid point at prefix 0, in lex order
-        grid = -np.array(instance.target, dtype)
+        grid = -instance.goal.astype(dtype)
         for c in range(head, cols):
             grid = grid[..., None, :] + coords * matrix[:, c]
         grid = grid.reshape(side ** tail, height)
@@ -173,7 +172,7 @@ def exact_ncp(instance, budget=None):
     message in lex order picks. Each lex-ordered prefix of the leading
     coordinates meets the grid in one XOR with the columns it picks, and the
     block's Hamming distances are its popcounts summed over the word axis."""
-    rows, cols, height = instance.rows, instance.num_cols, len(instance.rows)
+    height, cols = instance.matrix.shape
     words = max(1, -(-height // 64))
     tail = 0
     while tail < cols and words << (tail + 1) <= _budget.BLOCK_CELLS:
@@ -181,11 +180,7 @@ def exact_ncp(instance, budget=None):
     head = cols - tail
 
     def blocks():
-        bits = np.zeros((cols + 1, height), np.uint8)
-        bits[:cols] = np.fromiter(itertools.chain.from_iterable(rows), np.uint8,
-                                  height * cols).reshape(height, cols).T
-        bits[cols] = instance.target
-        packed = _words(bits.shape, bits).T
+        packed = _words((cols + 1, height), np.vstack((instance.matrix.T, instance.goal))).T
         # the target XOR every subset of the trailing columns, in lex order:
         # message m picks column cols - 1 - j iff bit j of m is set
         grid = np.empty((words, 1 << tail), packed.dtype)
@@ -217,15 +212,16 @@ def exact_cvp(instance, box=None, budget=None):
         box = instance.k + 1
     if box < 0:
         raise ValueError("box must be nonnegative")
-    rows, target, p = instance.rows, instance.target, instance.p
+    p = instance.p
     # every |Ax - y| is at most `reach`
-    entries = max((abs(a) for row in rows for a in row), default=0)
-    reach = entries * box * cols + max(map(abs, target), default=0)
+    entries, targets = (max(int(a.max(initial=0)), -int(a.min(initial=0)))
+                        for a in (instance.matrix, instance.goal))
+    reach = entries * box * cols + targets
     # the word holds every entry and coordinate too, which `reach` does not
     # bound when box, cols or every entry is 0
     top = max(reach ** p, entries, box)
     dtype = next((t for t in (np.int16, np.int32, np.int64)
-                  if top <= np.iinfo(t).max and len(rows) * top < 2 ** 63), object)
+                  if top <= np.iinfo(t).max and len(instance.goal) * top < 2 ** 63), object)
     witness, value = _box_search(instance, range(-box, box + 1), dtype, lambda r: abs(r) ** p,
                                  budget, "coordinate box enumeration")
     return SolverResult(value=value, witness=witness, enumerated=(2 * box + 1) ** cols,

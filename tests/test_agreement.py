@@ -466,7 +466,8 @@ def _check_two_level_graphs(fc, alpha, beta):
         expected = _reference_graph(fc, alpha, beta, t)
         if isinstance(expected, RedBlueGraph):
             graph = build_two_level_graph(fc, alpha, beta, t)
-            assert graph == expected
+            # the build's array and the constructor's pair sets give one value
+            assert graph == expected and hash(graph) == hash(expected)
             assert {type(x) for edge in graph.blue | graph.red for x in edge} <= {int}
         else:
             with pytest.raises(ConsistencyOverlapError) as exc:

@@ -473,6 +473,9 @@ WIDE_CNF = gapforge.to_dimacs(gapforge.random_planted_formula(18, 6, seed=1)[0])
     # a budget that admits the build leaves it to run out of memory
     ("huge.txt", HUGE_COV, ["reduce", "clustering", "-o", "out.txt", "--seed", "0",
                             "--budget", "100000000000000000000000"], 1),
+    # a 2,000-point metric that the reduction builds is not re-checked (size^3)
+    ("all.txt", "cov 1999 1 1\n" + " ".join(map(str, range(1999))) + "\n",
+     ["reduce", "clustering", "-o", "out.txt", "--seed", "0"], 0),
     # no sets, yet the rows of 10^11 elements are charged
     ("no-sets.txt", "cov 100000000000 0 1\n", ["reduce", "ncp", "-o", "out.txt", "--seed", "0"], 3),
     # a box of 2*10^9 + 1 coordinates per column is refused before any is built
@@ -491,6 +494,7 @@ WIDE_CNF = gapforge.to_dimacs(gapforge.random_planted_formula(18, 6, seed=1)[0])
                         "--var-budget", "100000000000"], 0),
 ], ids=["deep-json", "huge-var-count", "two-dimacs-headers", "huge-unique-cover",
         "huge-min-set-cover", "huge-clustering", "huge-clustering-out-of-memory",
+        "large-clustering",
         "huge-ncp-no-sets", "huge-cvp-box", "huge-cvp-default-box", "huge-cvp-norm",
         "wide-labelcover-budget", "huge-k-labelcover", "huge-var-budget"])
 def test_huge_or_deep_inputs_give_one_document(tmp_path, name, text, argv, expected):

@@ -376,7 +376,9 @@ def _cell_types(rows):
 @settings(max_examples=150, deadline=None)
 def test_incidence_builds_match_the_loops(cov, tbar, extra):
     """The metric and the ABSS rows read from the incidence array equal the
-    loops' output, as Python ints, and dump to the same text."""
+    loops' output, as Python ints, and dump to the same text. Each instance
+    a reduction hands over unchecked equals, and hashes as, the one the
+    public constructor builds from the loops' tuples, and is read-only."""
     multiplicity = tbar + 1 + extra
     rows, target = _loop_abss_rows(cov, multiplicity)
     code = abss_ncp_reduction(cov, tbar, multiplicity)
@@ -384,8 +386,8 @@ def test_incidence_builds_match_the_loops(cov, tbar, extra):
     for inst in (code, lattice):
         assert (inst.rows, inst.target) == (rows, target)
         assert _cell_types(inst.rows) | _cell_types([inst.target]) <= {int}
-    assert code_to_text(code) == code_to_text(CodeInstance(rows, target, cov.k))
-    assert lattice_to_text(lattice) == lattice_to_text(LatticeInstance(rows, target, 2, cov.k))
+    _same_value(code, CodeInstance(rows, target, cov.k), code_to_text)
+    _same_value(lattice, LatticeInstance(rows, target, 2, cov.k), lattice_to_text)
     covered = set().union(*map(set, cov.sets))
     if len(covered) < cov.universe_size:
         missing = sorted(set(range(cov.universe_size)) - covered)
@@ -400,8 +402,19 @@ def test_incidence_builds_match_the_loops(cov, tbar, extra):
     for exponent in (1, 2):
         inst = guha_khuller_reduction(cov, exponent)
         assert inst.dist == dist and _cell_types(inst.dist) <= {int}
-        assert clustering_to_text(inst) == clustering_to_text(
-            ClusteringInstance(cov.universe_size, len(cov.sets), dist, cov.k, exponent))
+        _same_value(inst, ClusteringInstance(cov.universe_size, len(cov.sets), dist, cov.k,
+                                             exponent), clustering_to_text)
+
+
+def _same_value(built, constructed, to_text):
+    """`built` equals, hashes as and dumps as `constructed`, and neither its
+    arrays nor its attributes can be changed."""
+    assert built == constructed and hash(built) == hash(constructed)
+    assert to_text(built) == to_text(constructed)
+    arrays = [v for v in vars(built).values() if isinstance(v, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(AttributeError):
+        built.k = built.k + 1
 
 
 def test_guha_khuller_charges_before_the_degeneracy_check():
@@ -609,10 +622,26 @@ def test_instance_validation():
         with pytest.raises(ValueError) as exc:
             CodeInstance(rows, target, k=1)
         assert str(exc.value) == f"{bad} has a non-binary entry"
-    CodeInstance(((0.0, True), (_EqualToOne(), np.int64(0))), (1.0, False), k=1)
+    # entries equal to 0 or 1 are held as those bits, so the code writes
+    # back, parses to an equal instance and solves
+    odd = CodeInstance(((0.0, True), (_EqualToOne(), np.int64(0))), (1.0, False), k=1)
+    assert parse_code(code_to_text(odd)) == odd == CodeInstance(((0, 1), (1, 0)), (1, 0), k=1)
+    assert exact_ncp(odd).value == 0
     with pytest.raises(ValueError, match="wrong width"):
         LatticeInstance(((1, 0), (1,)), (0, 0), p=1, k=1)
     with pytest.raises(ValueError, match="p must be at least 1"):
         LatticeInstance(((1,),), (0,), p=0, k=1)
     with pytest.raises(ValueError, match="p must be at most 64"):
         LatticeInstance(((1,),), (0,), p=65, k=1)
+    # a fractional entry was truncated by the solver: x = 2 costs 0 on both
+    for rows, target, bad in ((((1.5,),), (3,), "row 0"),
+                              (((Fraction(1, 2),),), (1,), "row 0"),
+                              (((1, 2), (3, [4])), (0, 0), "row 1"),
+                              (((1, 2), (3, 4)), (0, 2.0), "target"),
+                              (((1, 2**70), (3, 4.5)), (0, 0), "row 1")):
+        with pytest.raises(ValueError) as exc:
+            LatticeInstance(rows, target, p=1, k=1)
+        assert str(exc.value) == f"{bad} has a non-integer entry"
+    big = LatticeInstance(((True, np.int64(-2)), (2**70, 0)), (-(2**64), 1), p=1, k=1)
+    assert big.rows == ((1, -2), (2**70, 0)) and big.target == (-(2**64), 1)
+    assert _cell_types(big.rows) | _cell_types([big.target]) <= {int}

@@ -139,3 +139,16 @@ def test_sets_are_read_as_words():
                                   ("agreement.py", "FunctionCollection.ones_masks"),
                                   ("labelcover.py", "restriction_labeling")]
     assert _naming("islice") == [("budget.py", "_combinations")]
+
+
+def test_solvers_read_the_matrix_arrays():
+    """A matrix instance is held as arrays, and its `rows`, `target` and
+    `dist` tuples are derived on read: the solvers and the command line never
+    read them, and the downstream module only in its three text writers."""
+    trees = _trees(Path(gapforge.__file__).parent)
+    reading = sorted({(module, scope) for module in ("cli.py", "downstream.py", "solvers.py")
+                      for scope, node in _scopes(trees[module]) for sub in ast.walk(node)
+                      if getattr(sub, "attr", None) in ("rows", "target", "dist")})
+    assert reading == [("downstream.py", "clustering_to_text"),
+                       ("downstream.py", "code_to_text"),
+                       ("downstream.py", "lattice_to_text")]
