@@ -27,8 +27,10 @@ DEFAULT_BUDGET = 10_000_000
 # clients x k for clustering, diffs x sets x words, diffs x 2^w histogram
 # cells or diffs x subcollections x words in the agreement counts, rows x
 # sets x words of pair disagreements, d-subsets x d x d and red edges x words
-# in the red-blue graph, and subsets x clauses x 3 x assignments for the left
-# alphabets. A larger instance makes blocks shorter instead of larger.
+# in the red-blue graph, the CNF assignment blocks (subsets x clauses x
+# assignments for the left alphabets, clauses x assignments for a formula's
+# value) and the assignments of a monotone DNF's weight counts. A larger
+# instance makes blocks shorter instead of larger.
 # Callers read it when they run, so patching this one name resizes every
 # block.
 BLOCK_CELLS = 1 << 16

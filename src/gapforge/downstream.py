@@ -181,8 +181,10 @@ class ClusteringInstance(_ArrayValue):
             if bad.any():
                 a, b = map(int, np.argwhere(bad)[0])
                 raise ValueError(f"{what} at ({a}, {b})")
+        # no entry is negative now, so a sum of two in uint64 cannot wrap
+        tri = arr.view(np.uint64) if arr.dtype == np.int64 else arr
         for b in range(size):
-            bad = arr > arr[:, b : b + 1] + arr[b : b + 1, :]
+            bad = tri > tri[:, b : b + 1] + tri[b : b + 1, :]
             if bad.any():
                 a, c = map(int, np.argwhere(bad)[0])
                 raise ValueError(f"triangle violation at ({a}, {b}, {c})")

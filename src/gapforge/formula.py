@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import budget as _budget
 from .budget import block_search
 from .textformat import integer
 
@@ -144,6 +145,27 @@ def _clause_satisfied(clause, phi):
     return any(phi[abs(lit)] == (1 if lit > 0 else 0) for lit in clause)
 
 
+def _clause_masks(lits, positions):
+    """Clauses as two masks each, from their literals padded to one width
+    (a repeated literal changes nothing) and their variables' bit positions:
+    `care`, the clause's variables, and `falsify`, the one assignment to them
+    that falsifies every literal. An assignment satisfies the clause iff it
+    differs from `falsify` on `care`."""
+    bits = np.int64(1) << positions
+    return np.bitwise_or.reduce(bits, axis=-1), np.bitwise_or.reduce(bits * (lits < 0), axis=-1)
+
+
+def _assignment_blocks(care, falsify, width):
+    """The 2^width assignments in ascending order, as (first, sat) blocks of
+    about BLOCK_CELLS cells: sat[..., c, j] tells whether assignment first + j
+    satisfies clause c of the masks `care` and `falsify`, shaped (..., c)."""
+    care, falsify = care[..., None], falsify[..., None]
+    span = min(1 << width, max(1, _budget.BLOCK_CELLS // max(1, care.size)))
+    for first in range(0, 1 << width, span):
+        masks = np.arange(first, min(first + span, 1 << width))
+        yield first, (masks & care) != falsify
+
+
 def clause_value(formula, phi):
     """Fraction of clauses satisfied by a total assignment, as an exact rational."""
     _require_total(formula, phi)
@@ -168,35 +190,6 @@ def max_occurrence(formula):
         for lit in clause:
             counts[abs(lit)] = counts.get(abs(lit), 0) + 1
     return max(counts.values())
-
-
-def satisfied_counts(formula, variables=None, clause_indices=None):
-    """Vector of satisfied-clause counts over all assignments to `variables`.
-
-    Assignment index i encodes the bits of the variables in the order given,
-    the first variable as the most significant bit, so integer order equals
-    lexicographic order on bit vectors. Every selected clause must touch only
-    listed variables. Used by the brute-force oracles.
-    """
-    if variables is None:
-        variables = range(1, formula.num_vars + 1)
-    nv = len(variables)
-    pos = {v: i for i, v in enumerate(variables)}
-    if clause_indices is None:
-        clause_indices = range(formula.num_clauses)
-    idx = np.arange(1 << nv, dtype=np.uint64)
-    counts = np.zeros(1 << nv, dtype=np.int32)
-    for ci in clause_indices:
-        clause = formula.clauses[ci]
-        sat = np.zeros(1 << nv, dtype=bool)
-        for lit in clause:
-            if abs(lit) not in pos:
-                raise ValueError(f"clause {ci} touches variable {abs(lit)} outside the domain")
-            shift = nv - 1 - pos[abs(lit)]
-            bit = (idx >> np.uint64(shift)) & np.uint64(1)
-            sat |= bit == (1 if lit > 0 else 0)
-        counts += sat
-    return counts
 
 
 def random_planted_formula(num_vars, num_clauses, seed, max_occurrence=None):
@@ -252,7 +245,11 @@ def brute_force_max_val(formula, budget=None):
     2^n exceeds the budget.
     """
     n = formula.num_vars
-    _, best, count = block_search(max, lambda: [(None, satisfied_counts(formula))], 1 << n,
-                                  budget, "assignment enumeration")
-    phi = {v: (best >> (n - v)) & 1 for v in range(1, n + 1)}
+    # variable v sits at bit n - v, so integer order is lex order, x1 first
+    lits = np.array([(clause * 3)[:3] for clause in formula.clauses], np.int64)
+    care, falsify = _clause_masks(lits, n - abs(lits))
+    first, i, count = block_search(
+        max, lambda: ((lo, sat.sum(axis=0)) for lo, sat in _assignment_blocks(care, falsify, n)),
+        1 << n, budget, "assignment enumeration")
+    phi = {v: (first + i >> (n - v)) & 1 for v in range(1, n + 1)}
     return phi, Fraction(count, formula.num_clauses)

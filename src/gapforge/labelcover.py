@@ -15,7 +15,7 @@ import numpy as np
 
 from . import budget as _budget
 from .budget import BudgetError, check
-from .formula import vars_of
+from .formula import _assignment_blocks, _clause_masks, vars_of
 from .setsys import bitmask
 
 RESTRICTION = "restriction"
@@ -271,12 +271,10 @@ def left_vertices(formula, system, var_budget=24, budget=None):
     refused, and all sum_T 2^|var(T)| assignments are charged to `budget`
     before any is enumerated.
 
-    A clause of T is read as two masks over var(T): `care`, its variables,
-    and `falsify`, the one assignment to them that falsifies every literal;
-    an assignment satisfies the clause iff it differs from `falsify` on
-    `care`. The subsets of one domain width and clause count are scored
-    together, in one array of subsets x clauses x assignments cut to about
-    BLOCK_CELLS cells along the subsets and the assignments."""
+    Each clause of T becomes its `care`/`falsify` masks over var(T)
+    (`formula._clause_masks`). The subsets of one domain width and clause
+    count are scored together, in blocks of subsets x clauses x assignments
+    of about BLOCK_CELLS cells."""
     if system.universe_size != formula.num_clauses:
         raise ValueError("system universe must be the clause set")
     domains = tuple(tuple(sorted(vars_of(formula, subset))) for subset in system.sets)
@@ -295,27 +293,22 @@ def left_vertices(formula, system, var_budget=24, budget=None):
     widest = max(map(len, domains), default=0)
     padded = np.array([dom + (formula.num_vars + 1,) * (widest - len(dom)) for dom in domains],
                       np.int64).reshape(len(domains), widest)
-    owner = np.repeat(np.arange(len(domains)), counts)
-    bits = 1 << (padded[owner, None, :] < abs(lits)[..., None]).sum(axis=2)
-    care = np.bitwise_or.reduce(bits, axis=1)
-    falsify = np.bitwise_or.reduce(bits * (lits < 0), axis=1)
-    first = np.cumsum([0] + counts)[:-1]
+    owner = np.arange(len(domains)).repeat(counts)
+    care, falsify = _clause_masks(lits, (padded[owner, None, :] < abs(lits)[..., None]).sum(axis=2))
+    first = np.array([0] + counts[:-1]).cumsum()
     groups = {}
     for i, (count, dom) in enumerate(zip(counts, domains)):
         groups.setdefault((len(dom), count), []).append(i)
     alphabets = [None] * len(domains)
     for (width, count), members in groups.items():
         rows = first[members][:, None] + np.arange(count)
-        group_care, group_falsify = care[rows][..., None], falsify[rows][..., None]
-        span = min(1 << width, max(1, _budget.BLOCK_CELLS // (count or 1)))
-        step = max(1, _budget.BLOCK_CELLS // (count * span or 1))
+        step = max(1, _budget.BLOCK_CELLS // (count << width or 1))
         found = {i: [] for i in members}
-        for lo in range(0, 1 << width, span):
-            masks = np.arange(lo, min(lo + span, 1 << width))
-            for start in range(0, len(members), step):
-                part = slice(start, start + step)
-                sat = np.logical_and.reduce((masks & group_care[part]) != group_falsify[part], axis=1)
-                for i, row in zip(members[part], sat):
+        for start in range(0, len(members), step):
+            part = rows[start:start + step]
+            for lo, sat in _assignment_blocks(care[part], falsify[part], width):
+                masks = np.arange(lo, lo + sat.shape[-1])
+                for i, row in zip(members[start:start + step], np.logical_and.reduce(sat, axis=1)):
                     found[i] += masks[row].tolist()
         for i, labels in found.items():
             alphabets[i] = tuple(labels)

@@ -296,14 +296,18 @@ class MonotoneDnf:
 
 
 def dnf_false_count_by_weight(f):
-    """counts[w] = number of weight-w assignments falsifying every term."""
+    """counts[w] = number of weight-w assignments falsifying every term,
+    summed over spans of BLOCK_CELLS assignments."""
     k = f.num_vars
-    idx = np.arange(1 << k, dtype=np.uint64)
-    true = np.zeros(1 << k, dtype=bool)
-    for mask in _words((f.size, k), sets=f.terms)[:, 0]:
-        true |= (idx & mask) == mask
-    counts = np.bincount(np.bitwise_count(idx[~true]), minlength=k + 1)
-    return [int(c) for c in counts]
+    terms = _words((f.size, k), sets=f.terms)[:, 0]
+    counts = np.zeros(k + 1, np.int64)
+    for lo in range(0, 1 << k, _budget.BLOCK_CELLS):
+        idx = np.arange(lo, min(lo + _budget.BLOCK_CELLS, 1 << k), dtype=np.uint64)
+        true = np.zeros(idx.size, dtype=bool)
+        for mask in terms:
+            true |= (idx & mask) == mask
+        counts += np.bincount(np.bitwise_count(idx[~true]), minlength=k + 1)
+    return counts.tolist()
 
 
 def dnf_false_prob(f, p, budget=None):

@@ -15,8 +15,10 @@ search. Two keep a frozen numpy kernel, because a plain loop cannot run
 their corpora in time: `SubcollectionHits`, the subcollection counter as it tested each
 submask of a diff against every set's domain mask, which
 `pair_consistencies` and `two_level_graph` count with, and
-`left_vertices`, one `satisfied_counts` call per subset. None calls the
-kernel it checks, and none imports a private name of the library."""
+`left_vertices`, one call per subset of its own frozen `satisfied_counts`,
+the per-literal counter the library retired for its clause-mask blocks.
+None calls the kernel it checks, and none imports a private name of the
+library."""
 
 import collections
 import functools
@@ -32,7 +34,7 @@ from gapforge import ConsistencyOverlapError, RedBlueGraph, SolverResult
 from gapforge import budget as _budget
 from gapforge.agreement import MajorityStats
 from gapforge.budget import BudgetError, check
-from gapforge.formula import satisfied_counts, vars_of
+from gapforge.formula import vars_of
 from gapforge.setsys import bitmask
 
 
@@ -252,6 +254,24 @@ def brute_force_max_val(formula):
     best = max(range(1 << n), key=satisfied)
     return ({v: best >> n - v & 1 for v in range(1, n + 1)},
             Fraction(satisfied(best), formula.num_clauses))
+
+
+def satisfied_counts(formula, variables, clause_indices):
+    """The satisfied-clause count of each assignment to `variables`, the
+    first variable as the most significant bit of its index: the retired
+    `formula.satisfied_counts`, a few numpy ops per literal over one array
+    of all the assignments."""
+    nv = len(variables)
+    pos = {v: i for i, v in enumerate(variables)}
+    idx = np.arange(1 << nv, dtype=np.uint64)
+    counts = np.zeros(1 << nv, dtype=np.int32)
+    for ci in clause_indices:
+        sat = np.zeros(1 << nv, dtype=bool)
+        for lit in formula.clauses[ci]:
+            bit = (idx >> np.uint64(nv - 1 - pos[abs(lit)])) & np.uint64(1)
+            sat |= bit == (1 if lit > 0 else 0)
+        counts += sat
+    return counts
 
 
 def left_vertices(formula, system, var_budget=24, budget=None):

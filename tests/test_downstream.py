@@ -645,3 +645,13 @@ def test_instance_validation():
     big = LatticeInstance(((True, np.int64(-2)), (2**70, 0)), (-(2**64), 1), p=1, k=1)
     assert big.rows == ((1, -2), (2**70, 0)) and big.target == (-(2**64), 1)
     assert _cell_types(big.rows) | _cell_types([big.target]) <= {int}
+    # int64 metrics whose pairwise sums pass 2^63: a metric is kept, and a
+    # real violation is named, not one made up by a wrapped sum
+    near = 2**62
+    metric = ClusteringInstance(1, 2, [[0, near, 2**63 - 1], [near, 0, near],
+                                       [2**63 - 1, near, 0]], 1)
+    assert metric.distances.dtype == np.int64 and metric.dist[0][2] == 2**63 - 1
+    with pytest.raises(ValueError) as exc:
+        ClusteringInstance(1, 2, [[0, near, 2**63 - 1], [near, 0, near - 2],
+                                  [2**63 - 1, near - 2, 0]], 1)
+    assert str(exc.value) == "triangle violation at (0, 1, 2)"

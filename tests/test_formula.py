@@ -1,6 +1,7 @@
 """Formula layer: DIMACS parsing, clause values, the exhaustive oracle."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from gapforge import (BudgetError, CnfFormula, DimacsError,
                       brute_force_max_val, clause_value, max_occurrence,
                       parse_dimacs, random_planted_formula, to_dimacs,
                       vars_of)
-from gapforge.formula import satisfied_counts
+import gapforge.budget
 import reference
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
@@ -170,59 +171,38 @@ def _random_formula(rng, n):
     return CnfFormula(n, tuple(clauses))
 
 
-def test_brute_force_matches_the_old_argmax_and_charges_two_to_the_n():
-    rng = random.Random(17)
-    for _ in range(60):
-        n = rng.randint(1, 10)
-        formula = (_random_formula(rng, n) if rng.random() < 0.5
-                   else random_planted_formula(max(n, 3), 2 * max(n, 3), rng.randrange(2**32))[0])
-        n = formula.num_vars
-        result = brute_force_max_val(formula, budget=1 << n)
-        assert result == reference.brute_force_max_val(formula)
-        assert type(result[1]) is Fraction
-        with pytest.raises(BudgetError) as exc:
-            brute_force_max_val(formula, budget=(1 << n) - 1)
-        assert (exc.value.what, exc.value.required) == ("assignment enumeration", 1 << n)
+def test_brute_force_matches_the_old_argmax_and_charges_two_to_the_n(monkeypatch):
+    """The same optimum and witness as the reference loop, and the same
+    refusal, whole and in blocks of a few cells."""
+    for cells in (None, 1, 7, 97):
+        if cells is not None:
+            monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            formula = (_random_formula(rng, n) if rng.random() < 0.5
+                       else random_planted_formula(max(n, 3), 2 * max(n, 3),
+                                                   rng.randrange(2**32))[0])
+            n = formula.num_vars
+            result = brute_force_max_val(formula, budget=1 << n)
+            assert result == reference.brute_force_max_val(formula)
+            assert type(result[1]) is Fraction
+            with pytest.raises(BudgetError) as exc:
+                brute_force_max_val(formula, budget=(1 << n) - 1)
+            assert (exc.value.what, exc.value.required) == ("assignment enumeration", 1 << n)
 
 
-def _decode(idx, n):
-    return {v: (idx >> (n - v)) & 1 for v in range(1, n + 1)}
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_satisfied_counts_matches_clause_value(seed):
-    f, _ = random_planted_formula(5, 6, seed)
-    counts = satisfied_counts(f)
-    for idx in range(1 << f.num_vars):
-        phi = _decode(idx, f.num_vars)
-        assert counts[idx] == f.num_clauses * clause_value(f, phi)
-
-
-@given(st.integers(0, 2**32 - 1), st.data())
-@settings(max_examples=40, deadline=None)
-def test_satisfied_counts_reversed_variables_reverse_the_bits(seed, data):
-    """Variables are taken in the order given, the first as the most
-    significant bit, so reversing them bit-reverses every index."""
-    f, _ = random_planted_formula(6, 8, seed)
-    clauses = sorted(data.draw(st.sets(st.integers(0, f.num_clauses - 1))))
-    variables = sorted(vars_of(f, clauses))
-    nv = len(variables)
-    forward = satisfied_counts(f, variables, clauses)
-    backward = satisfied_counts(f, variables[::-1], clauses)
-    for idx in range(1 << nv):
-        reversed_idx = int(format(idx, f"0{nv}b")[::-1] or "0", 2)
-        assert backward[reversed_idx] == forward[idx]
-
-
-@given(st.integers(0, 2**32 - 1), st.data())
-@settings(max_examples=40, deadline=None)
-def test_satisfied_count_monotone_under_clause_deletion(seed, data):
-    f, _ = random_planted_formula(6, 8, seed)
-    subset = data.draw(st.sets(st.integers(0, f.num_clauses - 1)))
-    full = satisfied_counts(f)
-    part = satisfied_counts(f, clause_indices=sorted(subset))
-    assert (part <= full).all()
+def test_brute_force_memory_does_not_grow_with_two_to_the_n():
+    """The 2^20 assignments are scored in blocks, not in arrays of 2^20."""
+    formula, planted = random_planted_formula(20, 60, seed=3)
+    tracemalloc.start()
+    try:
+        _, value = brute_force_max_val(formula)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1 == clause_value(formula, planted)
+    assert peak < 4 << 20
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))

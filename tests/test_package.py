@@ -141,6 +141,15 @@ def test_sets_are_read_as_words():
     assert _naming("islice") == [("budget.py", "_combinations")]
 
 
+def test_cnf_assignments_are_scored_by_one_clause_kernel():
+    """Both CNF enumerations, the formula's value and the left alphabets,
+    read the clause-mask blocks of `formula._assignment_blocks`, and the
+    per-literal counter they replaced is gone."""
+    assert _naming("_assignment_blocks") == [("formula.py", "brute_force_max_val"),
+                                             ("labelcover.py", "left_vertices")]
+    assert _naming("satisfied_counts") == []
+
+
 def test_solvers_read_the_matrix_arrays():
     """A matrix instance is held as arrays, and its `rows`, `target` and
     `dist` tuples are derived on read: the solvers and the command line never

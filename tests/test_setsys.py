@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 import gapforge.budget
 from gapforge import (BudgetError, MonotoneDnf, SetSystem, dnf_bound_holds,
-                      dnf_false_prob, is_strong_intersection_disperser,
-                      pairwise_intersection_max, parse_dnf, parse_setsys,
-                      sample_random_subsets)
+                      dnf_false_count_by_weight, dnf_false_prob,
+                      is_strong_intersection_disperser, pairwise_intersection_max,
+                      parse_dnf, parse_setsys, sample_random_subsets)
 from gapforge.setsys import is_uniform
 from gapforge.textformat import write
 import reference
@@ -236,6 +237,34 @@ def test_dnf_false_prob_budget():
     f = MonotoneDnf(8, ((0,),))
     with pytest.raises(BudgetError):
         dnf_false_prob(f, Fraction(1, 2), budget=100)
+
+
+def _random_dnf(rng, k):
+    terms = {tuple(sorted(rng.sample(range(k), rng.randint(1, min(4, k)))))
+             for _ in range(rng.randint(1, 12))}
+    return MonotoneDnf(k, tuple(sorted(terms)))
+
+
+def test_dnf_false_counts_are_summed_over_spans(monkeypatch):
+    """Spans of a few assignments give the weight histogram of one span."""
+    rng = random.Random(23)
+    cases = [_random_dnf(rng, k) for k in (8, 10) for _ in range(10)]
+    whole = [dnf_false_count_by_weight(f) for f in cases]
+    for cells in (7, 97):
+        monkeypatch.setattr(gapforge.budget, "BLOCK_CELLS", cells)
+        assert [dnf_false_count_by_weight(f) for f in cases] == whole
+
+
+def test_dnf_false_counts_memory_does_not_grow_with_two_to_the_k():
+    f = _random_dnf(random.Random(5), 20)
+    tracemalloc.start()
+    try:
+        counts = dnf_false_count_by_weight(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts) < 1 << 20 and counts[0] == 1
+    assert peak < 4 << 20
 
 
 def _accepts(f, bits):
