@@ -17,7 +17,7 @@ from . import budget as _budget
 from .budget import _combinations, block_search, check
 from .formula import clause_value, max_occurrence
 from .labelcover import UnsatisfiableSubsetError, left_vertices
-from .setsys import SetSystem, _ArrayValue, _binary, _words, bitmask, is_uniform
+from .setsys import SetSystem, _ArrayValue, _binary, _bits, _words, is_uniform
 
 
 def _keys(rows):
@@ -65,12 +65,11 @@ class FunctionCollection:
 
     @cached_property
     def domain_masks(self):
-        return tuple(map(bitmask, self.system.sets))
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in self._rows[1])
 
     @cached_property
     def ones_masks(self):
-        return tuple(bitmask(itertools.compress(s, vals))
-                     for s, vals in zip(self.system.sets, self.values))
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in self._rows[0])
 
     def disagreement(self, i, j):
         """The mask of the points of S_i ∩ S_j where f_i and f_j differ."""
@@ -140,8 +139,7 @@ class _SubcollectionHits:
 
     def __init__(self, collection, diffs):
         self._masks, self._k = collection._rows[1], collection.k
-        self._members = np.unpackbits(self._masks.view(np.uint8), axis=1,  # [e, x]: e in S_x
-                                      bitorder="little").T.astype(np.int64)
+        self._members = _bits(self._masks).T.astype(np.int64)  # [e, x]: e in S_x
         self._diffs, self._widths = diffs, np.bitwise_count(diffs).sum(axis=1, dtype=np.int64)
 
     def _paths(self, ell):
@@ -242,7 +240,7 @@ class _SubcollectionHits:
     def _compressed(self, diffs, w):
         """Each set's cut diff ∩ S_x for each of `diffs` (all of width w), as
         w bits: bit r is the r-th lowest point of diff, read across its words."""
-        points = np.nonzero(np.unpackbits(diffs.view(np.uint8), axis=1, bitorder="little"))[1]
+        points = np.nonzero(_bits(diffs))[1]
         code = np.zeros((len(diffs), self._k), np.int64)
         for r, point in enumerate(points.reshape(len(diffs), w).T):
             code |= self._members[point] << r
@@ -484,8 +482,7 @@ def majority_decode(collection, members, zeta=Fraction(0), rho=Fraction(1)):
     n = collection.n
     zeta, rho = Fraction(zeta), Fraction(rho)
     # dense rows of the members only: ones marks f_i = 1 and dom marks S_i
-    ones, dom = np.unpackbits(collection._rows[:, members].view(np.uint8), axis=2, count=n,
-                              bitorder="little").astype(np.int64)
+    ones, dom = _bits(collection._rows[:, members], n).astype(np.int64)
     g = (2 * ones.sum(axis=0) > dom.sum(axis=0)).astype(np.int64)
     mean = Fraction(int(((g ^ ones) & dom).sum()), len(members))
     # ordered member pairs by disagreement size: a point of S_i ∩ S_j counts when

@@ -16,7 +16,6 @@ import numpy as np
 from . import budget as _budget
 from .budget import BudgetError, check
 from .formula import _assignment_blocks, _clause_masks, vars_of
-from .setsys import bitmask
 
 RESTRICTION = "restriction"
 
@@ -322,7 +321,8 @@ def build_main_reduction(formula, system, t, var_budget=24, budget=None, allow_v
     indices) with the labels of `left_vertices`; right vertices are the
     t-size subcollections; right labels are all assignments to the t-wise
     variable intersection; edges project by restriction. An unsatisfiable
-    subset raises unless allow_vacuous.
+    subset raises unless allow_vacuous. The right vertices, then their
+    right labels, are charged to `budget` before either is built.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
@@ -334,22 +334,19 @@ def build_main_reduction(formula, system, t, var_budget=24, budget=None, allow_v
         i = left_alphabets.index(())
         raise UnsatisfiableSubsetError(i, system.sets[i])
     check(math.comb(k, t), budget, what="right vertex enumeration")
-    right_domains = []
-    right_alphabets = []
-    edges = []
     dom_sets = [set(dom) for dom in left_domains]
-    for v_idx, combo in enumerate(itertools.combinations(range(k), t)):
-        rdom = tuple(sorted(set.intersection(*(dom_sets[i] for i in combo))))
-        right_domains.append(rdom)
-        right_alphabets.append(tuple(range(1 << len(rdom))))
-        for i in combo:
-            edges.append((i, v_idx))
+    combos = tuple(itertools.combinations(range(k), t))
+    right_domains = tuple(tuple(sorted(set.intersection(*(dom_sets[i] for i in combo))))
+                          for combo in combos)
+    check(sum(1 << len(dom) for dom in right_domains), budget, what="right alphabet enumeration")
+    # one alphabet object per domain width, shared by its right vertices
+    every_mask = {w: tuple(range(1 << w)) for w in set(map(len, right_domains))}
     return LabelCoverInstance(
-        edges=tuple(edges),
+        edges=tuple((i, v) for v, combo in enumerate(combos) for i in combo),
         left_alphabets=left_alphabets,
-        right_alphabets=tuple(right_alphabets),
+        right_alphabets=tuple(every_mask[len(dom)] for dom in right_domains),
         left_domains=left_domains,
-        right_domains=tuple(right_domains),
+        right_domains=right_domains,
     )
 
 
@@ -364,7 +361,7 @@ def restriction_labeling(instance, phi):
         raise ValueError("needs a restriction-projection instance")
     labeling = []
     for u in range(instance.num_left):
-        mask = bitmask(i for i, var in enumerate(instance.left_domains[u]) if phi[var] & 1)
+        mask = sum(1 << i for i, var in enumerate(instance.left_domains[u]) if phi[var] & 1)
         try:
             labeling.append(instance.left_alphabets[u].index(mask))
         except ValueError:
@@ -374,15 +371,10 @@ def restriction_labeling(instance, phi):
     return tuple(labeling)
 
 
-def _hadamard_codeword(message, q, ell):
-    """All inner products <message, j> over F_q, j running over F_q^ell
-    (position index j decodes little-endian in base q)."""
-    return tuple(sum(m * c for m, c in zip(message, _digits(j, q, ell), strict=True)) % q
-                 for j in range(q**ell))
-
-
-def _digits(value, q, ell):
-    return tuple((value // q**d) % q for d in range(ell))
+def _digit_table(q, ell):
+    """Row j holds the ell little-endian base-q digits of j, for j < q^ell: the
+    codeword positions of the Hadamard code over F_q^ell, and the messages."""
+    return np.arange(q**ell)[:, None] // q ** np.arange(ell) % q
 
 
 def reduce_alphabet(instance, delta, budget=None):
@@ -390,10 +382,13 @@ def reduce_alphabet(instance, delta, budget=None):
     vertex per Hadamard codeword position.
 
     q is the smallest prime >= t^2/delta; messages are the right-label
-    indices written in base q. Weak agreement value grows by at most delta;
+    indices written in base q, and message m's entry at position j is
+    <m, j> over F_q. Weak agreement value grows by at most delta;
     satisfiability is preserved. The prime search's lower end, then the
     output's size, its right labels plus its projection-table entries, are
-    checked against the budget before anything is built.
+    checked against the budget before anything is built. Each edge's
+    codewords are one product of the digit rows its table names with the
+    digit table, so only the entries the output holds are computed.
     """
     t = instance.right_degree
     if t is None:
@@ -415,23 +410,23 @@ def reduce_alphabet(instance, delta, budget=None):
     table_entries = sum(len(instance.left_alphabets[u]) for u, _ in instance.edges)
     check(positions * (instance.num_right * q + table_entries), budget,
           what="reduced game size (right labels plus projection entries)")
+    # an entry sums ell products of digits below q, so it is at most
+    # ell (q-1)^2: int64 holds it unless the budget admits about 9e18 and
+    # the digit table has more than 3e9 rows
+    digits = _digit_table(q, ell)
     edges = []
     tables = []
-    right_alphabets = []
-    fq = tuple(range(q))
-    for v in range(instance.num_right):
-        words = [_hadamard_codeword(_digits(ri, q, ell), q, ell)
-                 for ri in range(len(instance.right_alphabets[v]))]
-        proj_tables = [(u, instance.tables[e]) for e, u in instance.incidence[v]]
-        for j in range(positions):
-            right_alphabets.append(fq)
-            for u, table in proj_tables:
-                edges.append((u, v * positions + j))
-                tables.append(tuple(words[ri][j] for ri in table))
+    for v, pairs in enumerate(instance.incidence):
+        # per edge, row j is the edge's projection table at position j
+        codewords = [map(tuple, (digits[list(instance.tables[e])] @ digits.T % q).T.tolist())
+                     for e, _ in pairs]
+        for j, column in enumerate(zip(*codewords)):
+            edges += ((u, v * positions + j) for _, u in pairs)
+            tables += column
     return LabelCoverInstance(
         edges=tuple(edges),
         left_alphabets=instance.left_alphabets,
-        right_alphabets=tuple(right_alphabets),
+        right_alphabets=(tuple(range(q)),) * (instance.num_right * positions),
         projections=tuple(tables),
         left_domains=instance.left_domains,
     )

@@ -37,14 +37,6 @@ class SetSystem:
         return len(self.sets)
 
 
-def bitmask(elements):
-    """The integer with bit e set for each e in elements."""
-    m = 0
-    for e in elements:
-        m |= 1 << e
-    return m
-
-
 def _words(shape, bits=True, sets=None):
     """The rows (last axis) of a 0/1 array of `shape` as little-endian uint64
     words, bit e at bit e % 64 of word e // 64, at least one word a row. The
@@ -58,6 +50,13 @@ def _words(shape, bits=True, sets=None):
         cells[..., np.arange(len(sets)).repeat(lengths),
               np.fromiter(itertools.chain.from_iterable(sets), np.intp, sum(lengths))] = bits
     return np.packbits(cells, axis=-1, bitorder="little").view("<u8")
+
+
+def _bits(words, count=None):
+    """The inverse of `_words`: the first `count` bits (all by default) of each
+    row (last axis) of little-endian uint64 `words`, as a 0/1 uint8 array.
+    Every bit row in the package is unpacked here."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little")
 
 
 class _ArrayValue:

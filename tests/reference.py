@@ -3,11 +3,13 @@ the code the library's searches and counters are compared with.
 
 Most are plain loops from the definition, over Python ints, sets and
 Fractions, that share with the library only its instance types,
-`SolverResult`, `bitmask` (elements as an int, which this module's own
-`_masks` applies to every set of a system, where the library reads packed
-word rows) and, where a refusal is compared, `budget.check`: the
+`SolverResult` and, where a refusal is compared, `budget.check` (this
+module's own `bitmask` writes a set as an int, and `_masks` applies it to
+every set of a system, where the library reads packed word rows): the
 label-cover values and the full labeling value (reading a game through its
-`tables` and `incidence`), max coverage, min set cover, greedy coverage,
+`tables` and `incidence`), the Hadamard alphabet reduction (every right
+label's full codeword at every right vertex, one inner product at a time),
+max coverage, min set cover, greedy coverage,
 k-median and k-mean, NCP, CVP, the best assignment of a formula, the
 sampler, the disperser verdict, the t-wise weak agreement, the majority
 decode, the red-blue transitivity check, the peel and the non-red subgraph
@@ -30,12 +32,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from gapforge import ConsistencyOverlapError, RedBlueGraph, SolverResult
+from gapforge import ConsistencyOverlapError, LabelCoverInstance, RedBlueGraph, SolverResult
 from gapforge import budget as _budget
 from gapforge.agreement import MajorityStats
 from gapforge.budget import BudgetError, check
 from gapforge.formula import vars_of
-from gapforge.setsys import bitmask
+
+
+def bitmask(elements):
+    """The integer with bit e set for each e in elements."""
+    m = 0
+    for e in elements:
+        m |= 1 << e
+    return m
 
 
 def _masks(system):
@@ -317,6 +326,62 @@ def weak_agreement(game, left):
     project the same label."""
     projected = ([game.tables[e][left[u]] for e, u in pairs] for pairs in game.incidence)
     return Fraction(sum(len(set(labels)) < len(labels) for labels in projected), game.num_right)
+
+
+def _digits(value, q, ell):
+    return tuple((value // q**d) % q for d in range(ell))
+
+
+def _hadamard_codeword(message, q, ell):
+    """All inner products <message, j> over F_q, j running over F_q^ell
+    (position index j decodes little-endian in base q)."""
+    return tuple(sum(m * c for m, c in zip(message, _digits(j, q, ell), strict=True)) % q
+                 for j in range(q**ell))
+
+
+def reduce_alphabet(instance, delta, budget=None):
+    """`reduce_alphabet` as it built every right label's full codeword, one
+    inner product at a time, at every right vertex."""
+    t = instance.right_degree
+    if t is None:
+        raise ValueError("needs a bi-regular instance with at least one edge")
+    if instance.vacuous:
+        raise ValueError("vacuous instance has no satisfiable labelings to preserve")
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    lo = math.ceil(Fraction(t * t) / delta)
+    check(lo, budget, what="prime search")
+    q = next(q for q in itertools.count(max(2, lo))
+             if all(q % f for f in range(2, math.isqrt(q) + 1)))
+    big_r = max(len(a) for a in instance.right_alphabets)
+    ell = 1
+    while q**ell < big_r:
+        ell += 1
+    positions = q**ell
+    table_entries = sum(len(instance.left_alphabets[u]) for u, _ in instance.edges)
+    check(positions * (instance.num_right * q + table_entries), budget,
+          what="reduced game size (right labels plus projection entries)")
+    edges = []
+    tables = []
+    right_alphabets = []
+    fq = tuple(range(q))
+    for v in range(instance.num_right):
+        words = [_hadamard_codeword(_digits(ri, q, ell), q, ell)
+                 for ri in range(len(instance.right_alphabets[v]))]
+        proj_tables = [(u, instance.tables[e]) for e, u in instance.incidence[v]]
+        for j in range(positions):
+            right_alphabets.append(fq)
+            for u, table in proj_tables:
+                edges.append((u, v * positions + j))
+                tables.append(tuple(words[ri][j] for ri in table))
+    return LabelCoverInstance(
+        edges=tuple(edges),
+        left_alphabets=instance.left_alphabets,
+        right_alphabets=tuple(right_alphabets),
+        projections=tuple(tables),
+        left_domains=instance.left_domains,
+    )
 
 
 def _lex_first_best(game, score):

@@ -47,6 +47,8 @@ SITES = {
     "assignment enumeration": lambda budget: brute_force_max_val(FORMULA, budget=budget),
     "right vertex enumeration": lambda budget: build_main_reduction(
         FORMULA, SYSTEM, 3, budget=budget),
+    "right alphabet enumeration": lambda budget: build_main_reduction(
+        FORMULA, SYSTEM, 3, budget=budget),
     "d-subset enumeration": lambda budget: find_non_red_subgraph(
         RedBlueGraph(8, frozenset(), frozenset({(0, 1), (1, 2), (2, 5), (3, 7)})), 3,
         budget=budget),

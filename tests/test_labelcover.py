@@ -25,7 +25,7 @@ from gapforge import (BudgetError, LabelCoverInstance, SetSystem,
 import gapforge.budget
 from gapforge.cli import main
 from gapforge.formula import CnfFormula, vars_of
-from gapforge.labelcover import RESTRICTION, _hadamard_codeword, left_vertices
+from gapforge.labelcover import RESTRICTION, _digit_table, left_vertices
 import reference
 
 TINY = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
@@ -414,17 +414,26 @@ def test_reduce_alphabet_right_alphabet_is_the_least_prime():
     assert exc.value.required == q * (instance.num_right * q + entries)
 
 
+def _codewords(q, ell):
+    """Row m is message m's codeword, <m, j> over F_q at each position j,
+    the product `reduce_alphabet` reads its projection tables from."""
+    digits = _digit_table(q, ell)
+    return (digits @ digits.T % q).tolist()
+
+
 def test_hadamard_examples():
-    assert _hadamard_codeword((0,), 2, 1) == (0, 0)
-    assert _hadamard_codeword((1,), 2, 1) == (0, 1)
-    assert _hadamard_codeword((2,), 3, 1) == (0, 2, 1)
+    assert _codewords(2, 1)[0] == [0, 0]
+    assert _codewords(2, 1)[1] == [0, 1]
+    assert _codewords(3, 1)[2] == [0, 2, 1]
+    # position and message 5 over F_3^2 have digits (2, 1) little-endian
+    assert _digit_table(3, 2)[5].tolist() == [2, 1]
 
 
 def test_hadamard_distance():
     """Distinct messages disagree on exactly (1 - 1/q) q^ell positions."""
     for q, ell in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1)):
-        words = [_hadamard_codeword(m, q, ell)
-                 for m in itertools.product(range(q), repeat=ell)]
+        words = _codewords(q, ell)
+        assert len(words) == q**ell
         expect = (q - 1) * q ** (ell - 1)
         for a, b in itertools.combinations(words, 2):
             assert sum(x != y for x, y in zip(a, b)) == expect
@@ -486,6 +495,76 @@ def test_reduce_alphabet_budget_counts_the_output():
         with pytest.raises(BudgetError) as exc:
             reduce_alphabet(game, Fraction(1, 2), budget=size - 1)
         assert exc.value.required == size
+
+
+DELTAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5))
+
+
+def _narrow_restriction_games(count):
+    """Seeded satisfiable clause-subset games, t = 2 and 3 and k up to 5, whose
+    right alphabets have at most 8 labels, so the reference keeps up."""
+    seed = 0
+    while count:
+        rng = random.Random(seed)
+        t = 2 + seed % 2
+        formula, _ = random_planted_formula(rng.randint(3, 6), rng.randint(3, 6), seed)
+        system = sample_random_subsets(formula.num_clauses, rng.randint(t, 5), Fraction(1, 2), seed)
+        game = build_main_reduction(formula, system, t)
+        seed += 1
+        if max(map(len, game.right_alphabets)) <= 8:
+            count -= 1
+            yield game
+
+
+def test_reduce_alphabet_matches_the_reference():
+    """The digit-table products write the same document as every right
+    label's full codeword did, on 120 games at six deltas: fields from 2 to
+    29 elements and messages of one to three digits."""
+    ells = set()
+    for game in _narrow_restriction_games(120):
+        labels = max(map(len, game.right_alphabets))
+        for delta in DELTAS:
+            reduced = reduce_alphabet(game, delta)
+            assert to_json(reduced) == to_json(reference.reduce_alphabet(game, delta))
+            q = len(reduced.right_alphabets[0])
+            ells.add(next(ell for ell in itertools.count(1) if q**ell >= labels))
+    assert ells == {1, 2, 3}
+
+
+def _traced(call):
+    """call()'s result and the peak and kept bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
+
+
+def test_reduce_alphabet_builds_only_the_entries_it_keeps():
+    """Two subsets of all 55 clauses over 10 variables give one right vertex
+    of 1,024 labels, over F_11 three digits and 1,331 positions. The peak
+    stays within 3x what the reduced game keeps: no codeword entry is built
+    that the output does not hold."""
+    formula, _ = random_planted_formula(10, 55, 7)
+    every = tuple(range(55))
+    game = build_main_reduction(formula, SetSystem(55, (every, every)), 2)
+    game.tables, game.incidence, game.right_degree  # cached on the input, not the output
+    reduced, peak, kept = _traced(lambda: reduce_alphabet(game, Fraction(1, 2)))
+    assert reduced.num_right == 11**3 and len(game.right_alphabets[0]) == 1024
+    assert peak < 3 * kept
+
+
+def test_main_reduction_shares_one_alphabet_per_width():
+    """40 copies of all 12 clauses give 780 right vertices of 4,096 labels,
+    built as one shared alphabet in a few MB."""
+    formula, _ = random_planted_formula(12, 12, 7)
+    system = SetSystem(12, (tuple(range(12)),) * 40)
+    game, peak, _ = _traced(lambda: build_main_reduction(formula, system, 2))
+    assert game.num_right == 780 and len(game.right_alphabets[0]) == 4096
+    assert len({id(a) for a in game.right_alphabets}) == len(set(map(len, game.right_domains)))
+    assert peak < 8 << 20
 
 
 def valueless_games():

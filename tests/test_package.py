@@ -1,8 +1,8 @@
 """The package namespace: `__all__` is every public name it imports, and the
 list of those names is pinned. The reference oracles that the cross-checks
 compare with live in tests/reference.py alone, no test module imports a name
-it never uses, and bit rows are packed in one place and are the one form
-in which the package reads a set."""
+it never uses, and bit rows are packed in one place and unpacked in one
+place and are the one form in which the package reads a set."""
 
 import ast
 import types
@@ -92,20 +92,32 @@ def test_test_modules_use_every_name_they_import():
     assert unused == []
 
 
-def _packbits(tree):
-    """The lines that name packbits: as an attribute, a name or an import."""
-    return [node.lineno for node in ast.walk(tree) if "packbits" in (
+def _lines(tree, name):
+    """The lines that name `name`: as an attribute, a name, a def or an import."""
+    return [node.lineno for node in ast.walk(tree) if name in (
         getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))]
+
+
+def _named_only_in(name, helper):
+    """The package names `name` only inside the setsys function `helper`, and
+    names it there."""
+    trees = _trees(Path(gapforge.__file__).parent)
+    body = next(node for node in ast.walk(trees["setsys.py"])
+                if isinstance(node, ast.FunctionDef) and node.name == helper)
+    named = [(module, line) for module, tree in trees.items() for line in _lines(tree, name)]
+    assert named == [("setsys.py", line) for line in _lines(body, name)] != []
 
 
 def test_bit_rows_are_packed_by_one_helper():
     """np.packbits is named only inside setsys._words, so every bit row of
     the package has that helper's layout."""
-    trees = _trees(Path(gapforge.__file__).parent)
-    helper = next(node for node in ast.walk(trees["setsys.py"])
-                  if isinstance(node, ast.FunctionDef) and node.name == "_words")
-    named = [(name, line) for name, tree in trees.items() for line in _packbits(tree)]
-    assert named == [("setsys.py", line) for line in _packbits(helper)] != []
+    _named_only_in("packbits", "_words")
+
+
+def test_bit_rows_are_unpacked_by_one_helper():
+    """np.unpackbits is named only inside setsys._bits, the inverse of
+    `_words`, so every bit row is read back in that layout."""
+    _named_only_in("unpackbits", "_bits")
 
 
 def _scopes(tree):
@@ -129,15 +141,16 @@ def _naming(name):
 
 
 def test_sets_are_read_as_words():
-    """The package reads a set as packed word rows: a set becomes a Python
-    int only for the public exact masks of a function collection and for a
-    restriction labeling's right labels, an int's popcount is taken only by
-    `disagr`, and the one chunker of lex-ordered index blocks is
-    `budget._combinations`."""
+    """The package reads a set as packed word rows: the public exact masks
+    of a function collection are read off those rows as Python ints, no
+    helper turns a list of elements into an int (`bitmask` is named nowhere
+    in the package), an int's popcount is taken only by `disagr`, and the
+    one chunker of lex-ordered index blocks is `budget._combinations`."""
+    trees = _trees(Path(gapforge.__file__).parent)
+    assert [name for name, tree in trees.items() if _lines(tree, "bitmask")] == []
+    assert _naming("from_bytes") == [("agreement.py", "FunctionCollection.domain_masks"),
+                                     ("agreement.py", "FunctionCollection.ones_masks")]
     assert _naming("bit_count") == [("agreement.py", "disagr")]
-    assert _naming("bitmask") == [("agreement.py", "FunctionCollection.domain_masks"),
-                                  ("agreement.py", "FunctionCollection.ones_masks"),
-                                  ("labelcover.py", "restriction_labeling")]
     assert _naming("islice") == [("budget.py", "_combinations")]
 
 
